@@ -3,7 +3,6 @@ polynomial families (Charlier, Meixner, Kravchuk, Hahn), computed by four
 mutually cross-checking routes, plus limiting formulas and sweep tooling."""
 
 from .asymptotics import (
-    AsymptoteSpec,
     kravchuk_max_degree,
     kravchuk_max_degree_large_N,
     kravchuk_p_to_one,
@@ -25,7 +24,6 @@ from .families import (
     NormValue,
     OutOfSupport,
     ParameterDomainError,
-    RecurrenceCoeffs,
     TableOneData,
     make_family,
 )
@@ -49,7 +47,6 @@ from .numerics import (
     PFQSpec,
     Scalar,
     accelerated_pfq_at_minus_one,
-    binomial,
     pochhammer,
     terminating_pfq,
 )
@@ -59,13 +56,13 @@ from .verify import SUITES, SuiteResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoteSpec", "Charlier", "DEFAULT_DPS", "DEFAULT_TRUNCATION",
+    "Charlier", "DEFAULT_DPS", "DEFAULT_TRUNCATION",
     "DegreeOutOfRange", "DenominatorPole", "Family", "FisherReport", "Hahn",
     "Kravchuk", "LatticeSupport", "Meixner", "Method", "NonTerminatingSeries",
     "NormValue", "OutOfSupport", "PFQSpec", "ParameterDomainError",
-    "RecurrenceCoeffs", "SUITES", "Scalar", "SuiteResult", "SweepSpec",
+    "SUITES", "Scalar", "SuiteResult", "SweepSpec",
     "TableOneData", "TruncationCapExceeded", "TruncationPolicy",
-    "accelerated_pfq_at_minus_one", "binomial", "fisher_closed",
+    "accelerated_pfq_at_minus_one", "fisher_closed",
     "fisher_difference", "fisher_direct", "fisher_expansion", "fisher_report",
     "kravchuk_max_degree", "kravchuk_max_degree_large_N", "kravchuk_p_to_one",
     "kravchuk_p_to_zero", "linear_grid", "load_figures", "make_family",

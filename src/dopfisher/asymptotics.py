@@ -8,9 +8,7 @@ elementary, so only the Meixner and Kravchuk regimes appear here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
 
 from .numerics import PFQSpec, pochhammer, terminating_pfq, to_fraction
 
@@ -88,46 +86,3 @@ def kravchuk_max_degree_large_N(N: int, p) -> Fraction:
     """Large-N growth of the top-degree value: 1 / (N (1-p)^(N-1) p^3)."""
     p = to_fraction(p)
     return 1 / (N * (1 - p) ** (N - 1) * p ** 3)
-
-
-#: limit variables admissible per family
-_VARIABLES: Dict[str, Tuple[str, ...]] = {
-    "meixner": ("n->inf", "mu->0", "mu->1", "gamma->0", "gamma->inf"),
-    "kravchuk": ("p->0", "p->1", "max-degree", "N->inf"),
-}
-
-
-@dataclass(frozen=True)
-class AsymptoteSpec:
-    """A named limiting regime of one family, with its fixed parameters."""
-
-    family: str
-    variable: str
-    fixed: Tuple[Tuple[str, Fraction], ...]
-
-    def __post_init__(self):
-        allowed = _VARIABLES.get(self.family, ())
-        if self.variable not in allowed:
-            raise ValueError(
-                f"{self.family} has no {self.variable!r} regime; choose from {allowed}")
-
-    def evaluate(self, **point) -> Fraction:
-        """Evaluate the asymptote at the given values of the moving variables."""
-        args = dict(self.fixed)
-        args.update(point)
-        if self.family == "meixner":
-            table = {
-                "n->inf": lambda: meixner_large_n(args["gamma"], args["mu"], args["n"]),
-                "mu->0": lambda: meixner_mu_to_zero(args["gamma"], args["n"], args["mu"]),
-                "mu->1": lambda: meixner_mu_to_one(args["gamma"], args["n"], args["mu"]),
-                "gamma->0": lambda: meixner_gamma_to_zero(args["n"], args["mu"], args["gamma"]),
-                "gamma->inf": lambda: meixner_gamma_to_infinity(args["n"], args["mu"], args["gamma"]),
-            }
-        else:
-            table = {
-                "p->0": lambda: kravchuk_p_to_zero(args["n"], args["N"], args["p"]),
-                "p->1": lambda: kravchuk_p_to_one(args["n"], args["N"], args["p"]),
-                "max-degree": lambda: kravchuk_max_degree(args["N"], args["p"]),
-                "N->inf": lambda: kravchuk_max_degree_large_N(args["N"], args["p"]),
-            }
-        return table[self.variable]()

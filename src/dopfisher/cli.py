@@ -33,6 +33,7 @@ from .families import (
     make_family,
 )
 from .fisher import (
+    DEFAULT_TRUNCATION,
     Method,
     TruncationPolicy,
     fisher_report,
@@ -40,12 +41,14 @@ from .fisher import (
 )
 from .numerics import DEFAULT_DPS, to_fraction
 from .sweeps import (
+    PARAM_NAMES,
     SWEEP_COLUMNS,
     SweepSpec,
     format_params,
     format_scalar,
     linear_grid,
     load_figures,
+    route_cells,
     run_figure,
     run_sweep,
 )
@@ -82,8 +85,8 @@ def _default_dps() -> int:
         return DEFAULT_DPS
 
 
-def _add_family_flags(parser):
-    parser.add_argument("--family", required=True,
+def _add_family_flags(parser, required=True):
+    parser.add_argument("--family", required=required,
                         choices=["charlier", "meixner", "kravchuk", "hahn"])
     parser.add_argument("--mu", type=Fraction, help="Charlier/Meixner parameter")
     parser.add_argument("--gamma", type=Fraction, help="Meixner parameter")
@@ -107,15 +110,14 @@ def _add_numeric_flags(parser, default_backend):
     parser.add_argument("--dps", type=_dps_arg, default=_default_dps(),
                         help="decimal digits of the float backend (>= 50; "
                              "default 80, env DOPFISHER_DPS)")
-    parser.add_argument("--tail-tol", type=Fraction, default=Fraction(1, 10**30),
+    parser.add_argument("--tail-tol", type=Fraction, default=DEFAULT_TRUNCATION.tail_tol,
                         help="relative tail tolerance of truncated sums")
-    parser.add_argument("--hard-cap", type=int, default=10**6,
+    parser.add_argument("--hard-cap", type=int, default=DEFAULT_TRUNCATION.hard_cap,
                         help="lattice-point cap of truncated sums")
 
 
 def _family_from_args(args, parser):
-    params = {k: getattr(args, k) for k in
-              ("mu", "gamma", "p", "N", "alpha", "beta")}
+    params = {k: getattr(args, k) for k in PARAM_NAMES}
     try:
         return make_family(args.family, **params)
     except ValueError as exc:
@@ -161,16 +163,9 @@ def cmd_fisher(args, parser) -> int:
     out = _writer(sys.stdout)
     out.writerow(FISHER_COLUMNS)
     for method in methods:
-        if method in report.values:
-            value = format_scalar(report.values[method], args.backend, args.dps)
-            if method is Method.CLOSED and report.hahn_c3_converged is not None:
-                converged = str(report.hahn_c3_converged).lower()
-            else:
-                converged = "true"
-        else:
-            value, converged = "", "false"
-            print(f"{method.value}: {report.errors.get(method, 'unavailable')}",
-                  file=sys.stderr)
+        value, converged, error = route_cells(report, method, args.backend, args.dps)
+        if error:
+            print(f"{method.value}: {error}", file=sys.stderr)
         out.writerow([fam.tag, args.n, format_params(fam), method.value,
                       value, converged, disc])
     return EXIT_OK
@@ -218,7 +213,8 @@ def cmd_density(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    methods = _parse_methods(args.methods, parser)
+    # without --methods, figure curves keep their own methods key
+    methods = None if args.methods is None else _parse_methods(args.methods, parser)
     trunc = _trunc(args)
     if args.figure:
         if args.list_figures:
@@ -239,8 +235,7 @@ def cmd_sweep(args, parser) -> int:
             raise SystemExit(parser.exit_with_usage(
                 "manual sweeps need --sweep, --start, --stop, --count "
                 "(or use --figure)"))
-        fixed = {k: getattr(args, k) for k in
-                 ("mu", "gamma", "p", "N", "alpha", "beta")
+        fixed = {k: getattr(args, k) for k in PARAM_NAMES
                  if getattr(args, k) is not None}
         if args.sweep != "n":
             if args.n is None:
@@ -248,6 +243,7 @@ def cmd_sweep(args, parser) -> int:
                     "parameter sweeps need a fixed --n"))
             fixed["n"] = args.n
         fixed.pop(args.sweep, None)
+        methods = methods or [Method.EXPANSION]
         try:
             grid = linear_grid(args.start, args.stop, args.count,
                                integer=args.sweep in ("n", "N"))
@@ -336,17 +332,9 @@ def build_parser() -> _Parser:
     p_density.set_defaults(func=cmd_density)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter or the degree to CSV")
-    p_sweep.add_argument("--family",
-                         choices=["charlier", "meixner", "kravchuk", "hahn"])
-    p_sweep.add_argument("--mu", type=Fraction)
-    p_sweep.add_argument("--gamma", type=Fraction)
-    p_sweep.add_argument("--p", type=Fraction)
-    p_sweep.add_argument("--N", type=int)
-    p_sweep.add_argument("--alpha", type=Fraction)
-    p_sweep.add_argument("--beta", type=Fraction)
+    _add_family_flags(p_sweep, required=False)
     p_sweep.add_argument("--n", type=int, help="degree (fixed, for parameter sweeps)")
-    p_sweep.add_argument("--sweep", choices=["n", "mu", "gamma", "p", "N",
-                                             "alpha", "beta"])
+    p_sweep.add_argument("--sweep", choices=("n",) + PARAM_NAMES)
     p_sweep.add_argument("--start", type=Fraction)
     p_sweep.add_argument("--stop", type=Fraction)
     p_sweep.add_argument("--count", type=int)
@@ -354,7 +342,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--figure", help="run a stock figure configuration")
     p_sweep.add_argument("--figures-file", help="alternative figure config path")
     p_sweep.add_argument("--list-figures", action="store_true")
-    p_sweep.add_argument("--methods", default="expansion")
+    p_sweep.add_argument("--methods",
+                         help="default: a figure curve's own methods, else expansion")
     p_sweep.add_argument("--out", default="-", help="output CSV path (default stdout)")
     _add_numeric_flags(p_sweep, default_backend="exact")
     p_sweep.set_defaults(func=cmd_sweep)

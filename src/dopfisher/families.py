@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -28,6 +28,7 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
+    accelerated_pfq_at_minus_one,
     pochhammer,
     terminating_pfq,
     to_fraction,
@@ -108,28 +109,18 @@ class NormValue:
 @dataclass(frozen=True)
 class TableOneData:
     """Per-family data of the hypergeometric difference equation
-    sigma(x) Delta Nabla P + tau(x) Delta P + lambda_n P = 0,
-    plus support and the factored weight constant."""
+    sigma(x) Delta Nabla P + tau(x) Delta P + lambda_n P = 0."""
 
     sigma: Tuple[Fraction, Fraction, Fraction]  # constant, linear, quadratic
     tau: Tuple[Fraction, Fraction]              # constant, linear
-    lambda_of_n: Callable[[int], Fraction]
-    reduced_weight_constant: str
-    support: LatticeSupport
-
-
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Monic three-term recurrence data  P_{m+1} = (x - a_m) P_m - b_m P_{m-1}."""
-
-    a_seq: Tuple[Fraction, ...]
-    b_seq: Tuple[Fraction, ...]
 
 
 class Family:
     """Shared machinery; concrete families supply the data hooks."""
 
     tag: str = ""
+    #: whether closed_form is an exact rational (False: an accelerated series)
+    exact_closed_form: bool = True
 
     # ---- data hooks ------------------------------------------------------
 
@@ -169,6 +160,14 @@ class Family:
         expanded in the *same* family."""
         raise NotImplementedError
 
+    def closed_form(self, n: int, dps: int, accel_tol) -> Tuple[Scalar, bool]:
+        """The paper's closed Fisher value at degree n >= 1; (value, converged)."""
+        raise TypeError(f"unknown family {self!r}")
+
+    def tail_ratio_bound(self, x: int) -> Fraction:
+        """Upper bound on w(y+1)/w(y) valid for every y >= x (infinite supports)."""
+        raise TypeError(f"no tail bound for bounded family {self.tag}")
+
     # ---- shared machinery --------------------------------------------------
 
     def check_degree(self, n: int) -> None:
@@ -195,14 +194,9 @@ class Family:
         return c0 + c1 * x
 
     def lambda_n(self, n: int) -> Fraction:
-        return self.table_data().lambda_of_n(n)
-
-    def recurrence_coeffs(self, up_to: int) -> RecurrenceCoeffs:
-        self.check_degree(up_to)
-        return RecurrenceCoeffs(
-            tuple(self.recurrence_a(m) for m in range(up_to + 1)),
-            tuple(self.recurrence_b(m) for m in range(up_to + 1)),
-        )
+        # the x^n coefficient of the difference equation on a monic P_n
+        data = self.table_data()
+        return -n * data.tau[1] - n * (n - 1) * data.sigma[2]
 
     def eval_poly(self, n: int, x: Scalar):
         """Monic degree-n polynomial value via the three-term recurrence.
@@ -222,10 +216,6 @@ class Family:
     def forward_diff(self, n: int, x: Scalar):
         """Delta P_n(x) = P_n(x+1) - P_n(x)."""
         return self.eval_poly(n, x + 1) - self.eval_poly(n, x)
-
-    def backward_diff(self, n: int, x: Scalar):
-        """Nabla P_n(x) = P_n(x) - P_n(x-1)."""
-        return self.eval_poly(n, x) - self.eval_poly(n, x - 1)
 
     def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
         """Exact monomial coefficients of the monic degree-n polynomial."""
@@ -295,9 +285,6 @@ class Charlier(Family):
         return TableOneData(
             sigma=(Fraction(0), Fraction(1), Fraction(0)),
             tau=(self.mu, Fraction(-1)),
-            lambda_of_n=lambda n: Fraction(n),
-            reduced_weight_constant="exp(-mu)",
-            support=self.support(),
         )
 
     def reduced_weight(self, x):
@@ -309,6 +296,9 @@ class Charlier(Family):
         if x < 1:
             raise OutOfSupport("weight ratio needs x >= 1")
         return Fraction(x) / self.mu
+
+    def tail_ratio_bound(self, x):
+        return self.mu / (x + 1)  # decreasing in x
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -330,6 +320,9 @@ class Charlier(Family):
         if n == 0:
             return []
         return [Fraction(0)] * (n - 1) + [Fraction(n)]
+
+    def closed_form(self, n, dps, accel_tol):
+        return Fraction(n) / self.mu, True
 
 
 @dataclass(frozen=True)
@@ -356,9 +349,6 @@ class Meixner(Family):
         return TableOneData(
             sigma=(Fraction(0), Fraction(1), Fraction(0)),
             tau=(self.mu * self.gamma, self.mu - 1),
-            lambda_of_n=lambda n: (1 - self.mu) * n,
-            reduced_weight_constant="1/Gamma(gamma), absorbed: the weight is written with (gamma)_x",
-            support=self.support(),
         )
 
     def reduced_weight(self, x):
@@ -370,6 +360,10 @@ class Meixner(Family):
         if x < 1:
             raise OutOfSupport("weight ratio needs x >= 1")
         return Fraction(x) / (self.mu * (self.gamma + x - 1))
+
+    def tail_ratio_bound(self, x):
+        # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
+        return self.mu * max(Fraction(1), (self.gamma + x) / Fraction(x + 1))
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -392,6 +386,13 @@ class Meixner(Family):
         r = self.mu / (self.mu - 1)
         return [n * pochhammer(Fraction(j + 1), n - 1 - j) * r ** (n - 1 - j)
                 for j in range(n)]
+
+    def closed_form(self, n, dps, accel_tol):
+        g, mu = self.gamma, self.mu
+        value = (n * (1 - mu) ** 2 / (mu * (n + g - 1))
+                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
+                                           (2 - n - g,), mu)))
+        return value, True
 
 
 @dataclass(frozen=True)
@@ -422,9 +423,6 @@ class Kravchuk(Family):
         return TableOneData(
             sigma=(Fraction(0), Fraction(1), Fraction(0)),
             tau=(self.N * self.p / q, Fraction(-1) / q),
-            lambda_of_n=lambda n: Fraction(n) / q,
-            reduced_weight_constant="1",
-            support=self.support(),
         )
 
     def reduced_weight(self, x):
@@ -459,6 +457,13 @@ class Kravchuk(Family):
         return [n * pochhammer(Fraction(j + 1), n - 1 - j) * self.p ** (n - 1 - j)
                 for j in range(n)]
 
+    def closed_form(self, n, dps, accel_tol):
+        p, N = self.p, self.N
+        value = (Fraction(n, N - n + 1) / (p * (1 - p))
+                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
+                                           (Fraction(N - n + 2),), p / (p - 1))))
+        return value, True
+
 
 @dataclass(frozen=True)
 class Hahn(Family):
@@ -472,6 +477,7 @@ class Hahn(Family):
     N: int
 
     tag = "hahn"
+    exact_closed_form = False
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", to_fraction(self.alpha))
@@ -494,9 +500,6 @@ class Hahn(Family):
         return TableOneData(
             sigma=(Fraction(0), N + al, Fraction(-1)),
             tau=((be + 1) * (N - 1), -(al + be + 2)),
-            lambda_of_n=lambda n: n * (n + al + be + 1),
-            reduced_weight_constant="Gamma(alpha+1) * Gamma(beta+1)",
-            support=self.support(),
         )
 
     def reduced_weight(self, x):
@@ -554,6 +557,67 @@ class Hahn(Family):
         self.check_degree(n)
         return list(_hahn_connection(self, n))
 
+    def closed_form(self, n, dps, accel_tol):
+        al, be, N = self.alpha, self.beta, self.N
+        s = al + be
+        f1 = Fraction(math.factorial(n - 1))
+
+        # Leading factor: every Gamma ratio pairs up with an integer argument
+        # difference, so it reduces to Pochhammers and stays rational.
+        lead = (Fraction(n * n) * (s + 2 * n + 1)
+                * math.factorial(N - n - 1) / math.factorial(n)
+                * pochhammer(s + n + 1, n) ** 2 * pochhammer(s + 2, N - 1)
+                / (pochhammer(al + 1, n) * pochhammer(be + 1, n)
+                   * pochhammer(s + n + 1, N) * math.factorial(N - 1)))
+
+        b1 = (f1 * (be + 1) * (s + N + 1)
+              * pochhammer(-s - n - N, n - 1) * pochhammer(be + 2, n - 1)
+              / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
+                 * (s + 2) * (N + be))) ** 2
+        b2 = (Fraction(-1) ** (n - 1)
+              * pochhammer(al + 1, n - 1) * pochhammer((s + 3) / 2, n - 1)
+              * pochhammer(s + 1, n - 1) * pochhammer(Fraction(1 - N), n - 1)
+              / (f1 * pochhammer((s + 1) / 2, n - 1) * pochhammer(be + 1, n - 1)
+                 * pochhammer(s + N + 1, n - 1)))
+        b3 = terminating_pfq(PFQSpec(
+            (Fraction(1 - n), Fraction(1), 1 - n - be, 1 - n - s - N,
+             2 - n - (s + 1) / 2),
+            (1 - n - al, 2 - n - (s + 3) / 2, 1 - n - s, Fraction(1 - n + N)),
+            Fraction(-1)))
+
+        c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1)
+              * pochhammer(-s - n - N, n - 1)
+              / (pochhammer(s + n + 2, n - 1) ** 2
+                 * pochhammer(-s - n - 1, n - 1) ** 2 * (s + 2) ** 2))
+        # The two Gamma factors of the C product differ by the integer n-1 and
+        # combine into (s+2)_(n-1); the remaining 3F2 at -1 does not terminate.
+        c2 = (pochhammer(be + 2, n - 1) * (1 - N) * (al + 1)
+              * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
+              * (s + 2 * n + 1)
+              / (Fraction(math.factorial(n)) * (N + be) ** 2)
+              ) * pochhammer(s + 2, n - 1)
+        c3, converged = _accelerated_c3(s, n, dps, accel_tol)
+
+        d1 = (f1 * (N - 1) * (al + 1)
+              * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
+              / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
+                 * (s + 2) * (N + be))) ** 2
+        d2 = (Fraction(-1) ** (n - 1)
+              * pochhammer((s + 3) / 2, n - 1) * pochhammer(be + 1, n - 1)
+              * pochhammer(s + N + 1, n - 1) * pochhammer(s + 1, n - 1)
+              / (f1 * pochhammer(Fraction(1 - N), n - 1) * pochhammer(al + 1, n - 1)
+                 * pochhammer((s + 1) / 2, n - 1)))
+        d3 = terminating_pfq(PFQSpec(
+            (Fraction(1 - n), Fraction(1), Fraction(1 - n + N), 1 - n - al,
+             2 - n - (s + 1) / 2),
+            (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
+            Fraction(-1)))
+
+        terminating_part = b1 * b2 * b3 + d1 * d2 * d3
+        with mpmath.workdps(dps):
+            value = to_mpf(lead) * (to_mpf(terminating_part) + to_mpf(c1 * c2) * c3)
+        return value, converged
+
 
 @lru_cache(maxsize=None)
 def _hahn_connection(fam: Hahn, n: int) -> Tuple[Fraction, ...]:
@@ -574,6 +638,16 @@ def _hahn_connection(fam: Hahn, n: int) -> Tuple[Fraction, ...]:
             Fraction(1)))
         out.append(n * pref * f43)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _accelerated_c3(s: Fraction, n: int, dps: int, accel_tol) -> Tuple[mpf, bool]:
+    # depends on the parameters only through s = alpha + beta and the degree
+    spec = PFQSpec(
+        (Fraction(1), (s + 3) / 2 + n, s + n + 1),
+        (Fraction(n + 1), (s + 1) / 2 + n),
+        Fraction(-1))
+    return accelerated_pfq_at_minus_one(spec, tol=accel_tol, dps=dps)
 
 
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}

@@ -27,34 +27,21 @@ self-check of the package.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from itertools import combinations
+from typing import Dict, Optional
 
 import mpmath
 from mpmath import mpf
 
-from .families import (
-    Charlier,
-    Family,
-    Hahn,
-    Kravchuk,
-    Meixner,
-    OutOfSupport,
-    diff_coeffs,
-    shift_coeffs,
-)
+from .families import Family, OutOfSupport, diff_coeffs, shift_coeffs
 from .numerics import (
     DEFAULT_ACCEL_TOL,
     DEFAULT_DPS,
     DenominatorPole,
-    PFQSpec,
     Scalar,
-    accelerated_pfq_at_minus_one,
-    pochhammer,
-    terminating_pfq,
+    rel_gap,
     to_mpf,
 )
 
@@ -115,16 +102,6 @@ def _root_bound(coeffs) -> float:
     return 2.0 * best + 1.0
 
 
-def _tail_weight_ratio_bound(fam: Family, x: int) -> Fraction:
-    """Upper bound on w(y+1)/w(y) valid for every y >= x (infinite supports)."""
-    if isinstance(fam, Charlier):
-        return fam.mu / (x + 1)  # decreasing in x
-    if isinstance(fam, Meixner):
-        # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
-        return fam.mu * max(Fraction(1), (fam.gamma + x) / Fraction(x + 1))
-    raise TypeError(f"no tail bound for bounded family {fam.tag}")
-
-
 def truncated_weighted_square_sum(fam: Family, coeffs, trunc: TruncationPolicy,
                                   dps: int = DEFAULT_DPS) -> mpf:
     """sum_{x>=0} w(x) q(x)^2 for the polynomial q given by exact coefficients.
@@ -154,7 +131,7 @@ def truncated_weighted_square_sum(fam: Family, coeffs, trunc: TruncationPolicy,
             term = weight * q * q
             total += term
             if x > root_bound and term > 0:
-                rho = to_mpf(_tail_weight_ratio_bound(fam, x))
+                rho = to_mpf(fam.tail_ratio_bound(x))
                 poly_growth = (mpf(x + 1 - root_bound) / (x - root_bound)) ** (2 * deg)
                 ratio_cap = rho * poly_growth
                 if ratio_cap < 1 and term * ratio_cap / (1 - ratio_cap) <= tol * total:
@@ -241,95 +218,7 @@ def fisher_closed(fam: Family, n: int, *, dps: int = DEFAULT_DPS,
     fam.check_degree(n)
     if n == 0:
         return Fraction(0), True
-    if isinstance(fam, Charlier):
-        return Fraction(n) / fam.mu, True
-    if isinstance(fam, Meixner):
-        g, mu = fam.gamma, fam.mu
-        value = (n * (1 - mu) ** 2 / (mu * (n + g - 1))
-                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
-                                           (2 - n - g,), mu)))
-        return value, True
-    if isinstance(fam, Kravchuk):
-        p, N = fam.p, fam.N
-        value = (Fraction(n, N - n + 1) / (p * (1 - p))
-                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
-                                           (Fraction(N - n + 2),), p / (p - 1))))
-        return value, True
-    if isinstance(fam, Hahn):
-        return _hahn_closed(fam, n, dps, accel_tol)
-    raise TypeError(f"unknown family {fam!r}")
-
-
-def _hahn_closed(fam: Hahn, n: int, dps: int, accel_tol) -> Tuple[mpf, bool]:
-    al, be, N = fam.alpha, fam.beta, fam.N
-    s = al + be
-    f1 = Fraction(math.factorial(n - 1))
-
-    # Leading factor: every Gamma ratio pairs up with an integer argument
-    # difference, so it reduces to Pochhammers and stays rational.
-    lead = (Fraction(n * n) * (s + 2 * n + 1)
-            * math.factorial(N - n - 1) / math.factorial(n)
-            * pochhammer(s + n + 1, n) ** 2 * pochhammer(s + 2, N - 1)
-            / (pochhammer(al + 1, n) * pochhammer(be + 1, n)
-               * pochhammer(s + n + 1, N) * math.factorial(N - 1)))
-
-    b1 = (f1 * (be + 1) * (s + N + 1)
-          * pochhammer(-s - n - N, n - 1) * pochhammer(be + 2, n - 1)
-          / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
-             * (s + 2) * (N + be))) ** 2
-    b2 = (Fraction(-1) ** (n - 1)
-          * pochhammer(al + 1, n - 1) * pochhammer((s + 3) / 2, n - 1)
-          * pochhammer(s + 1, n - 1) * pochhammer(Fraction(1 - N), n - 1)
-          / (f1 * pochhammer((s + 1) / 2, n - 1) * pochhammer(be + 1, n - 1)
-             * pochhammer(s + N + 1, n - 1)))
-    b3 = terminating_pfq(PFQSpec(
-        (Fraction(1 - n), Fraction(1), 1 - n - be, 1 - n - s - N,
-         2 - n - (s + 1) / 2),
-        (1 - n - al, 2 - n - (s + 3) / 2, 1 - n - s, Fraction(1 - n + N)),
-        Fraction(-1)))
-
-    c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1)
-          * pochhammer(-s - n - N, n - 1)
-          / (pochhammer(s + n + 2, n - 1) ** 2
-             * pochhammer(-s - n - 1, n - 1) ** 2 * (s + 2) ** 2))
-    # The two Gamma factors of the C product differ by the integer n-1 and
-    # combine into (s+2)_(n-1); the remaining 3F2 at -1 does not terminate.
-    c2 = (pochhammer(be + 2, n - 1) * (1 - N) * (al + 1)
-          * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
-          * (s + 2 * n + 1)
-          / (Fraction(math.factorial(n)) * (N + be) ** 2)
-          ) * pochhammer(s + 2, n - 1)
-    c3, converged = _accelerated_c3(s, n, dps, accel_tol)
-
-    d1 = (f1 * (N - 1) * (al + 1)
-          * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
-          / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
-             * (s + 2) * (N + be))) ** 2
-    d2 = (Fraction(-1) ** (n - 1)
-          * pochhammer((s + 3) / 2, n - 1) * pochhammer(be + 1, n - 1)
-          * pochhammer(s + N + 1, n - 1) * pochhammer(s + 1, n - 1)
-          / (f1 * pochhammer(Fraction(1 - N), n - 1) * pochhammer(al + 1, n - 1)
-             * pochhammer((s + 1) / 2, n - 1)))
-    d3 = terminating_pfq(PFQSpec(
-        (Fraction(1 - n), Fraction(1), Fraction(1 - n + N), 1 - n - al,
-         2 - n - (s + 1) / 2),
-        (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
-        Fraction(-1)))
-
-    terminating_part = b1 * b2 * b3 + d1 * d2 * d3
-    with mpmath.workdps(dps):
-        value = to_mpf(lead) * (to_mpf(terminating_part) + to_mpf(c1 * c2) * c3)
-    return value, converged
-
-
-@lru_cache(maxsize=None)
-def _accelerated_c3(s: Fraction, n: int, dps: int, accel_tol) -> Tuple[mpf, bool]:
-    # depends on the parameters only through s = alpha + beta and the degree
-    spec = PFQSpec(
-        (Fraction(1), (s + 3) / 2 + n, s + n + 1),
-        (Fraction(n + 1), (s + 1) / 2 + n),
-        Fraction(-1))
-    return accelerated_pfq_at_minus_one(spec, tol=accel_tol, dps=dps)
+    return fam.closed_form(n, dps, accel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +283,12 @@ def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
             elif method is Method.CLOSED:
                 value, converged = fisher_closed(fam, n, dps=dps)
                 values[method] = value
-                if isinstance(fam, Hahn):
+                if not fam.exact_closed_form:
                     flag = converged
         except _COMPUTE_ERRORS as exc:
             errors[method] = f"{type(exc).__name__}: {exc}"
     discrepancy = None
     if len(values) >= 2:
-        with mpmath.workdps(dps):
-            floats = [to_mpf(v) for v in values.values()]
-            discrepancy = mpf(0)
-            for i in range(len(floats)):
-                for j in range(i + 1, len(floats)):
-                    scale = max(abs(floats[i]), abs(floats[j]))
-                    if scale > 0:
-                        gap = abs(floats[i] - floats[j]) / scale
-                        if gap > discrepancy:
-                            discrepancy = gap
+        discrepancy = max(rel_gap(a, b, dps)
+                          for a, b in combinations(values.values(), 2))
     return FisherReport(fam, n, values, errors, discrepancy, flag)

@@ -97,11 +97,12 @@ def pochhammer(a, k: int):
     return out
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative integers")
-    return math.comb(n, k)
+def rel_gap(a, b, dps: int) -> mpf:
+    """|a - b| / max(|a|, |b|) at ``dps`` digits; 0 when both vanish."""
+    with mpmath.workdps(dps):
+        fa, fb = to_mpf(a), to_mpf(b)
+        scale = max(abs(fa), abs(fb))
+        return abs(fa - fb) / scale if scale > 0 else mpf(0)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import mpmath
 from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
 from .fisher import (
     DEFAULT_TRUNCATION,
+    FisherReport,
     Method,
     TruncationPolicy,
     fisher_report,
@@ -33,7 +34,8 @@ from .numerics import DEFAULT_DPS, to_fraction, to_mpf
 SWEEP_COLUMNS = ("curve", "family", "sweep", "sweep_value", "n", "params",
                  "method", "value", "converged", "error")
 
-_PARAM_NAMES = ("mu", "gamma", "p", "N", "alpha", "beta")
+#: every family parameter, in CSV ``params`` order
+PARAM_NAMES = ("mu", "gamma", "p", "N", "alpha", "beta")
 _INTEGER_VARS = ("n", "N")
 
 
@@ -46,10 +48,23 @@ def format_scalar(value, backend: str, dps: int) -> str:
         return mpmath.nstr(to_mpf(value), dps)
 
 
+def route_cells(report: FisherReport, method: Method, backend: str,
+                dps: int) -> Tuple[str, str, str]:
+    """CSV cells (value, converged, error) of one route of a report; a failed
+    route gives an empty value and ``false``, the closed route the Hahn flag."""
+    if method not in report.values:
+        return "", "false", report.errors.get(method, "unavailable")
+    value = format_scalar(report.values[method], backend, dps)
+    converged = True
+    if method is Method.CLOSED and report.hahn_c3_converged is not None:
+        converged = report.hahn_c3_converged
+    return value, str(converged).lower(), ""
+
+
 def format_params(family: Family) -> str:
     """Semicolon-separated fixed parameters, stable ordering."""
     parts = []
-    for name in _PARAM_NAMES:
+    for name in PARAM_NAMES:
         if hasattr(family, name):
             parts.append(f"{name}={getattr(family, name)}")
     return ";".join(parts)
@@ -70,7 +85,7 @@ class SweepSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.sweep != "n" and self.sweep not in _PARAM_NAMES:
+        if self.sweep != "n" and self.sweep not in PARAM_NAMES:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
 
 
@@ -131,16 +146,8 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
             row["n"] = str(degree)
             row["params"] = format_params(fam)
             row["method"] = method.value
-            if method in report.values:
-                row["value"] = format_scalar(report.values[method],
-                                             spec.backend, spec.dps)
-                if method is Method.CLOSED and report.hahn_c3_converged is not None:
-                    row["converged"] = str(report.hahn_c3_converged).lower()
-                else:
-                    row["converged"] = "true"
-            else:
-                row["error"] = report.errors.get(method, "unavailable")
-                row["converged"] = "false"
+            row["value"], row["converged"], row["error"] = route_cells(
+                report, method, spec.backend, spec.dps)
             rows.append(row)
     return rows
 
@@ -193,7 +200,7 @@ def load_figures(path: Optional[str] = None,
         for key, raw_value in options.items():
             if key in ("n", "N"):
                 fixed[key] = int(raw_value)
-            elif key in _PARAM_NAMES:
+            elif key in PARAM_NAMES:
                 fixed[key] = Fraction(raw_value)
             else:
                 raise ValueError(f"unknown key {key!r} in figure section {section!r}")

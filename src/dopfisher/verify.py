@@ -33,6 +33,7 @@ from .numerics import (
     PFQSpec,
     accelerated_pfq_at_minus_one,
     pochhammer,
+    rel_gap,
     terminating_pfq,
     to_mpf,
 )
@@ -74,13 +75,6 @@ def _max_n(fam, cap):
     return cap if top is None else min(cap, top)
 
 
-def _rel_gap(a, b, dps=DEFAULT_DPS) -> mpf:
-    with mpmath.workdps(dps):
-        fa, fb = to_mpf(a), to_mpf(b)
-        scale = max(abs(fa), abs(fb))
-        return abs(fa - fb) / scale if scale > 0 else mpf(0)
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def suite_numerics(dps, trunc) -> SuiteResult:
             k = rng.randint(0, 15)
             exact = pochhammer(a, k)
             approx = pochhammer(to_mpf(a), k)
-            out.check(_rel_gap(exact, approx, 30) <= mpf(10) ** (-25) or exact == approx == 0,
+            out.check(rel_gap(exact, approx, 30) <= mpf(10) ** (-25) or exact == approx == 0,
                       f"pochhammer backend gap at a={a}, k={k}")
         for _ in range(40):
             j, k = rng.randint(0, 20), rng.randint(0, 20)
@@ -111,7 +105,7 @@ def suite_numerics(dps, trunc) -> SuiteResult:
             exact = terminating_pfq(spec)
             approx = terminating_pfq(PFQSpec(spec.numerator, spec.denominator,
                                              to_mpf(spec.argument)))
-            out.check(_rel_gap(exact, approx, 30) <= mpf(10) ** (-25),
+            out.check(rel_gap(exact, approx, 30) <= mpf(10) ** (-25),
                       f"terminating pfq backend gap at {spec}")
             zero = PFQSpec(spec.numerator, spec.denominator, Fraction(0))
             out.check(terminating_pfq(zero) == 1, f"pfq at argument 0 not 1: {zero}")
@@ -292,9 +286,9 @@ def suite_charlier(dps, trunc) -> SuiteResult:
                       f"{fam}: expansion != n/mu at n={n}")
             out.check(fisher_closed(fam, n)[0] == law,
                       f"{fam}: closed form != n/mu at n={n}")
-            out.check(_rel_gap(fisher_direct(fam, n, trunc, dps=dps), law, dps) <= bound,
+            out.check(rel_gap(fisher_direct(fam, n, trunc, dps=dps), law, dps) <= bound,
                       f"{fam}: truncated direct sum off n/mu at n={n}")
-            out.check(_rel_gap(fisher_difference(fam, n, trunc, dps=dps), law, dps) <= bound,
+            out.check(rel_gap(fisher_difference(fam, n, trunc, dps=dps), law, dps) <= bound,
                       f"{fam}: truncated difference route off n/mu at n={n}")
     return out
 
@@ -327,9 +321,9 @@ def suite_hahn_closed_form(dps, trunc) -> SuiteResult:
             value, converged = fisher_closed(fam, n, dps=dps)
             exact = fisher_expansion(fam, n)
             out.notes.append(
-                f"{fam} n={n}: c3_converged={converged}, rel_gap={_rel_gap(value, exact, dps)}")
+                f"{fam} n={n}: c3_converged={converged}, rel_gap={rel_gap(value, exact, dps)}")
             if converged:
-                out.check(_rel_gap(value, exact, dps) <= bound,
+                out.check(rel_gap(value, exact, dps) <= bound,
                           f"{fam}: converged closed form off expansion at n={n}")
             else:
                 out.check(True, "")

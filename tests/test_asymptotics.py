@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from dopfisher.asymptotics import (
-    AsymptoteSpec,
     kravchuk_max_degree,
     kravchuk_max_degree_large_N,
     kravchuk_p_to_one,
@@ -110,17 +109,3 @@ class TestKravchukFormulas:
             gaps.append(abs(float(kravchuk_max_degree(N, F(1, 2))
                                   / kravchuk_max_degree_large_N(N, F(1, 2))) - 1))
         assert gaps[0] > gaps[1] > gaps[2]
-
-
-class TestAsymptoteSpec:
-    def test_variable_must_belong_to_family(self):
-        with pytest.raises(ValueError):
-            AsymptoteSpec("kravchuk", "mu->0", ())
-        with pytest.raises(ValueError):
-            AsymptoteSpec("charlier", "n->inf", ())
-
-    def test_evaluate_dispatch(self):
-        spec = AsymptoteSpec("meixner", "mu->0", (("gamma", F(2)), ("n", 1)))
-        assert spec.evaluate(mu=F(1, 100)) == 50
-        spec = AsymptoteSpec("kravchuk", "max-degree", (("p", F(1, 2)),))
-        assert spec.evaluate(N=3) == F(16, 3)

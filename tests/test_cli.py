@@ -75,6 +75,30 @@ class TestFisherCommand:
                                       "--p", "1/2", "--N", "3", "--n", "9"])
         assert code == 2
 
+    def test_route_failure_leaves_value_empty(self, capsys):
+        code, out, err = run_cli(capsys, ["fisher", "--family", "charlier",
+                                          "--mu", "2", "--n", "2",
+                                          "--hard-cap", "3", "--backend", "exact"])
+        assert code == 0
+        assert err.startswith("direct: TruncationCapExceeded")
+        _, rows = parse_csv(out)
+        fisher_cells = {r[3]: (r[4], r[5]) for r in rows}
+        assert fisher_cells["direct"] == ("", "false")
+        assert fisher_cells["expansion"] == ("1", "true")
+        # a sweep at the same point renders the same cells
+        code, out, _ = run_cli(capsys, ["sweep", "--family", "charlier",
+                                        "--mu", "2", "--sweep", "n", "--start", "2",
+                                        "--stop", "2", "--count", "1",
+                                        "--methods", "direct,expansion",
+                                        "--hard-cap", "3"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r[6], r[7], r[8]) for r in rows] == [
+            ("direct",) + fisher_cells["direct"],
+            ("expansion",) + fisher_cells["expansion"]]
+        assert err.splitlines()[0] == f"direct: {rows[0][9]}"
+        assert rows[1][9] == ""
+
     def test_missing_parameter_exits_64(self, capsys):
         code, _, err = run_cli(capsys, ["fisher", "--family", "charlier", "--n", "3"])
         assert code == 64
@@ -191,6 +215,21 @@ class TestSweepCommand:
         assert code == 0
         listed = [line.split(":")[0] for line in out.splitlines()]
         assert listed == [f"fig{i}" for i in range(1, 11)]
+
+    def test_figure_curve_methods_key(self, capsys, tmp_path):
+        config = tmp_path / "figures.cfg"
+        config.write_text("[figX.K]\nfamily = kravchuk\nsweep = n\np = 1/2\n"
+                          "N = 4\nvalues = 1 2\nmethods = closed\n")
+        argv = ["sweep", "--figure", "figX", "--figures-file", str(config)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[6] for r in rows] == ["closed", "closed"]
+        # --methods, when given, overrides the curve's key
+        code, out, _ = run_cli(capsys, argv + ["--methods", "expansion"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[6] for r in rows] == ["expansion", "expansion"]
 
     def test_unknown_figure(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--figure", "fig99"])

@@ -172,30 +172,43 @@ class TestNorms:
             expected = fam.reduced_norm(n).exact_ratio(fam.reduced_norm(n - 1))
             assert fam.recurrence_b(n) == expected
 
-    def test_recurrence_coeffs_container(self):
-        rc = Charlier(F(2)).recurrence_coeffs(4)
-        assert len(rc.a_seq) == len(rc.b_seq) == 5
-        assert rc.a_seq[0] == 2 and rc.b_seq[1] == 2
+
+class TestTailRatioBound:
+    @pytest.mark.parametrize("fam", [Charlier(F(2)), Meixner(F(1, 2), F(1, 2)),
+                                     Meixner(F(1), F(1, 3)), Meixner(F(3), F(3, 4))])
+    def test_bounds_every_later_weight_ratio(self, fam):
+        # gamma < 1, = 1 and > 1 for Meixner
+        for x in (0, 1, 5, 20):
+            bound = fam.tail_ratio_bound(x)
+            for y in range(x, x + 201):
+                assert bound >= 1 / fam.weight_ratio(y + 1)
+
+    @pytest.mark.parametrize("fam", [Kravchuk(F(1, 2), 10), Hahn(F(0), F(0), 9)])
+    def test_bounded_family_has_no_tail_bound(self, fam):
+        with pytest.raises(TypeError):
+            fam.tail_ratio_bound(0)
 
 
 class TestTableData:
     def test_charlier_row(self):
-        data = Charlier(F(2)).table_data()
+        fam = Charlier(F(2))
+        data = fam.table_data()
         assert data.sigma == (0, 1, 0)
         assert data.tau == (2, -1)
-        assert data.lambda_of_n(5) == 5
+        assert fam.lambda_n(5) == 5
 
     def test_kravchuk_row(self):
-        data = Kravchuk(F(1, 4), 6).table_data()
+        fam = Kravchuk(F(1, 4), 6)
+        data = fam.table_data()
         assert data.tau == (F(6, 4) / F(3, 4), F(-4, 3))
-        assert data.lambda_of_n(3) == 4
+        assert fam.lambda_n(3) == 4
 
     def test_hahn_row(self):
         fam = Hahn(F(3), F(-1, 2), 10)
         data = fam.table_data()
         assert fam.sigma(F(2)) == 2 * (10 + 3 - 2)
         assert data.tau == (F(1, 2) * 9, -(F(3) - F(1, 2) + 2))
-        assert data.lambda_of_n(2) == 2 * (2 + F(5, 2) + 1)
+        assert fam.lambda_n(2) == 2 * (2 + F(5, 2) + 1)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_difference_equation_holds_exactly(self, fam):
@@ -252,7 +265,6 @@ class TestDifferences:
     def test_degree_zero_diff_is_zero(self):
         for fam in ALL_FAMILIES:
             assert fam.forward_diff(0, F(3)) == 0
-            assert fam.backward_diff(0, F(3)) == 0
 
     def test_charlier_linear_diff(self):
         fam = Charlier(F(2))
@@ -346,11 +358,3 @@ class TestOrthogonality:
                     else:
                         gap = abs(total) / scale
                     assert gap <= bound
-
-
-class TestBackwardDiff:
-    @pytest.mark.parametrize("fam", ALL_FAMILIES)
-    def test_backward_is_shifted_forward(self, fam):
-        n = max_n(fam, 3)
-        for x in range(1, 6):
-            assert fam.backward_diff(n, F(x)) == fam.forward_diff(n, F(x - 1))

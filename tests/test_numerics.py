@@ -10,7 +10,6 @@ from dopfisher.numerics import (
     NonTerminatingSeries,
     PFQSpec,
     accelerated_pfq_at_minus_one,
-    binomial,
     is_nonpositive_integer,
     pochhammer,
     terminating_pfq,
@@ -43,20 +42,6 @@ class TestPochhammer:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             pochhammer(F(1), -1)
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(0, 0) == 1
-
-    def test_k_larger_than_n_is_zero(self):
-        assert binomial(3, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestTerminatingPFQ:
