@@ -43,6 +43,7 @@ from .numerics import DEFAULT_DPS, to_fraction
 from .sweeps import (
     PARAM_NAMES,
     SWEEP_COLUMNS,
+    FigureConfigError,
     SweepSpec,
     format_params,
     format_scalar,
@@ -212,23 +213,35 @@ def cmd_density(args, parser) -> int:
     return EXIT_OK
 
 
+#: flags that only a manual sweep reads
+_MANUAL_SWEEP_FLAGS = ("family",) + PARAM_NAMES + ("n", "sweep", "start", "stop",
+                                                   "count", "label")
+
+
 def cmd_sweep(args, parser) -> int:
     # without --methods, figure curves keep their own methods key
     methods = None if args.methods is None else _parse_methods(args.methods, parser)
     trunc = _trunc(args)
-    if args.figure:
-        if args.list_figures:
+    if args.figure or args.list_figures:
+        mode = "--figure" if args.figure else "--list-figures"
+        if args.figure and args.list_figures:
             raise SystemExit(parser.exit_with_usage("--figure and --list-figures clash"))
+        given = [f"--{k}" for k in _MANUAL_SWEEP_FLAGS if getattr(args, k) is not None]
+        if given:
+            raise SystemExit(parser.exit_with_usage(
+                f"{mode} does not take the manual-sweep flags {', '.join(given)}"))
         try:
+            if args.list_figures:
+                for fig_id, specs in load_figures(args.figures_file).items():
+                    labels = ", ".join(s.label for s in specs)
+                    print(f"{fig_id}: {labels}")
+                return EXIT_OK
             rows = run_figure(args.figure, path=args.figures_file, methods=methods,
                               backend=args.backend, dps=args.dps, trunc=trunc)
         except KeyError as exc:
             raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
-    elif args.list_figures:
-        for fig_id, specs in load_figures(args.figures_file).items():
-            labels = ", ".join(s.label for s in specs)
-            print(f"{fig_id}: {labels}")
-        return EXIT_OK
+        except FigureConfigError as exc:
+            raise SystemExit(parser.exit_with_usage(str(exc)))
     else:
         needed = [args.sweep, args.start, args.stop, args.count]
         if any(v is None for v in needed):
@@ -250,7 +263,7 @@ def cmd_sweep(args, parser) -> int:
             spec = SweepSpec(family=args.family, sweep=args.sweep, fixed=fixed,
                              grid=grid, methods=tuple(methods),
                              backend=args.backend, dps=args.dps, trunc=trunc,
-                             label=args.label)
+                             label="sweep" if args.label is None else args.label)
         except ValueError as exc:
             raise SystemExit(parser.exit_with_usage(str(exc)))
         rows = run_sweep(spec)
@@ -338,7 +351,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--start", type=Fraction)
     p_sweep.add_argument("--stop", type=Fraction)
     p_sweep.add_argument("--count", type=int)
-    p_sweep.add_argument("--label", default="sweep")
+    p_sweep.add_argument("--label", help="curve name of a manual sweep (default: sweep)")
     p_sweep.add_argument("--figure", help="run a stock figure configuration")
     p_sweep.add_argument("--figures-file", help="alternative figure config path")
     p_sweep.add_argument("--list-figures", action="store_true")

@@ -198,24 +198,32 @@ class Family:
         data = self.table_data()
         return -n * data.tau[1] - n * (n - 1) * data.sigma[2]
 
-    def eval_poly(self, n: int, x: Scalar):
-        """Monic degree-n polynomial value via the three-term recurrence.
+    def eval_points(self, n: int, xs) -> list:
+        """Monic degree-n polynomial values at every point of ``xs`` in one
+        three-term-recurrence pass, computing each a_m and b_m once.
 
-        Exact for Fraction/int ``x``; big-float for mpf ``x`` (callers set
+        Exact for Fraction/int points; big-float for mpf points (callers set
         the precision through an mpmath context).
         """
         self.check_degree(n)
+        prev = [x * 0 + 1 for x in xs]
         if n == 0:
-            return x * 0 + 1
-        prev = x * 0 + 1
-        cur = x - self.recurrence_a(0)
+            return prev
+        a = self.recurrence_a(0)
+        cur = [x - a for x in xs]
         for m in range(1, n):
-            prev, cur = cur, (x - self.recurrence_a(m)) * cur - self.recurrence_b(m) * prev
+            a, b = self.recurrence_a(m), self.recurrence_b(m)
+            prev, cur = cur, [(x - a) * c - b * q for x, c, q in zip(xs, cur, prev)]
         return cur
+
+    def eval_poly(self, n: int, x: Scalar):
+        """Monic degree-n polynomial value at one point (see eval_points)."""
+        return self.eval_points(n, (x,))[0]
 
     def forward_diff(self, n: int, x: Scalar):
         """Delta P_n(x) = P_n(x+1) - P_n(x)."""
-        return self.eval_poly(n, x + 1) - self.eval_poly(n, x)
+        low, high = self.eval_points(n, (x, x + 1))
+        return high - low
 
     def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
         """Exact monomial coefficients of the monic degree-n polynomial."""
@@ -240,6 +248,17 @@ def _poly_coeffs(fam: Family, n: int) -> Tuple[Fraction, ...]:
     for i, c in enumerate(pm):
         out[i] -= b * c
     return tuple(out)
+
+
+def _ladder_connection(n: int, r: Fraction) -> list:
+    # a_j = n (j+1)_(n-1-j) r^(n-1-j), walked down from a_(n-1) = n by
+    # a_(j-1) = a_j j r: one product per coefficient
+    out = [Fraction(0)] * n
+    a = Fraction(n)
+    for j in range(n - 1, -1, -1):
+        out[j] = a
+        a = a * j * r
+    return out
 
 
 def shift_coeffs(coeffs: Tuple[Fraction, ...], h: int = 1) -> Tuple[Fraction, ...]:
@@ -383,9 +402,7 @@ class Meixner(Family):
 
     def connection_coeffs(self, n):
         self.check_degree(n)
-        r = self.mu / (self.mu - 1)
-        return [n * pochhammer(Fraction(j + 1), n - 1 - j) * r ** (n - 1 - j)
-                for j in range(n)]
+        return _ladder_connection(n, self.mu / (self.mu - 1))
 
     def closed_form(self, n, dps, accel_tol):
         g, mu = self.gamma, self.mu
@@ -454,8 +471,7 @@ class Kravchuk(Family):
 
     def connection_coeffs(self, n):
         self.check_degree(n)
-        return [n * pochhammer(Fraction(j + 1), n - 1 - j) * self.p ** (n - 1 - j)
-                for j in range(n)]
+        return _ladder_connection(n, self.p)
 
     def closed_form(self, n, dps, accel_tol):
         p, N = self.p, self.N
@@ -519,6 +535,9 @@ class Hahn(Family):
         self.check_degree(n)
         al, be, N = self.alpha, self.beta, self.N
         s = al + be
+        if n == 0:
+            # (s+1)_N/(s+1) written cancelled so s = -1 stays finite
+            return NormValue(pochhammer(s + 2, N - 1) / math.factorial(N - 1))
         rational = (Fraction(math.factorial(n))
                     * pochhammer(al + 1, n) * pochhammer(be + 1, n)
                     * pochhammer(n + s + 1, N)

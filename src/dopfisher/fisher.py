@@ -154,8 +154,10 @@ def fisher_direct(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
     fam.check_degree(n)
     sup = fam.support()
     if sup.b is not None:
-        num = sum(fam.reduced_weight(x) * fam.forward_diff(n, Fraction(x)) ** 2
-                  for x in sup.points())
+        # P_n on a..b, one point past the support: Delta P_n(x) = vals[i+1] - vals[i]
+        vals = fam.eval_points(n, range(sup.a, sup.b + 1))
+        num = sum(fam.reduced_weight(x) * (vals[i + 1] - vals[i]) ** 2
+                  for i, x in enumerate(sup.points()))
         return num / fam.reduced_norm(n).rational
     if n == 0:
         return Fraction(0)
@@ -180,9 +182,9 @@ def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRU
     sup = fam.support()
     norm = fam.reduced_norm(n)
     if sup.b is not None:
-        boundary = fam.reduced_weight(sup.b - 1) * fam.eval_poly(n, Fraction(sup.b)) ** 2
-        expect = sum(fam.reduced_weight(x) * fam.eval_poly(n, Fraction(x)) ** 2
-                     * fam.weight_ratio(x)
+        vals = fam.eval_points(n, range(sup.a, sup.b + 1))  # P_n on a..b
+        boundary = fam.reduced_weight(sup.b - 1) * vals[-1] ** 2
+        expect = sum(fam.reduced_weight(x) * vals[x - sup.a] ** 2 * fam.weight_ratio(x)
                      for x in range(sup.a + 1, sup.b))
         return (boundary + expect) / norm.rational - 1
     if n == 0:
@@ -197,13 +199,20 @@ def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRU
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
-    """Ladder route: exact rational for every family with rational parameters."""
+    """Ladder route: exact rational for every family with rational parameters.
+
+    I = sum_j a_j^2 d_j^2/d_n^2, with each norm ratio taken from the
+    recurrence (d_j^2/d_(j-1)^2 = b_j) as the running product
+    1/(b_(j+1) ... b_n), accumulated from j = n-1 down to 0.
+    """
     fam.check_degree(n)
-    if n == 0:
-        return Fraction(0)
-    d_n = fam.reduced_norm(n)
-    return sum(a * a * fam.reduced_norm(j).exact_ratio(d_n)
-               for j, a in enumerate(fam.connection_coeffs(n)))
+    total = Fraction(0)
+    ratio = Fraction(1)
+    coeffs = fam.connection_coeffs(n)
+    for j in range(n - 1, -1, -1):
+        ratio /= fam.recurrence_b(j + 1)
+        total += coeffs[j] * coeffs[j] * ratio
+    return total
 
 
 def fisher_closed(fam: Family, n: int, *, dps: int = DEFAULT_DPS,

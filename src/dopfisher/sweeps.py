@@ -157,8 +157,16 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+class FigureConfigError(ValueError):
+    """A figure config file that cannot be read, or a curve it cannot define."""
+
+
 def _default_figures_text() -> str:
     return resources.files(__package__).joinpath("figures.cfg").read_text()
+
+
+def _first_line(exc: Exception) -> str:
+    return str(exc).splitlines()[0] if str(exc) else type(exc).__name__
 
 
 def load_figures(path: Optional[str] = None,
@@ -171,45 +179,66 @@ def load_figures(path: Optional[str] = None,
 
     Each section ``[figN.label]`` defines one curve with keys ``family``,
     ``sweep``, fixed parameters, and either ``grid = start:stop:count`` or an
-    explicit ``values`` list.
+    explicit ``values`` list.  A file that cannot be read or parsed, and a
+    section that does not define a curve, raise FigureConfigError.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep 'n' and 'N' distinct
-    if path is None:
-        parser.read_string(_default_figures_text())
-    else:
-        with open(path) as handle:
-            parser.read_string(handle.read())
+    try:
+        if path is None:
+            parser.read_string(_default_figures_text())
+        else:
+            with open(path) as handle:
+                parser.read_string(handle.read())
+    except (OSError, UnicodeError, configparser.Error) as exc:
+        raise FigureConfigError(
+            f"cannot read figure config {path!r}: {_first_line(exc)}") from exc
     figures: Dict[str, List[SweepSpec]] = {}
     for section in parser.sections():
         fig_id, _, label = section.partition(".")
-        options = dict(parser[section])
-        family = options.pop("family")
-        sweep = options.pop("sweep")
-        if "values" in options:
-            raw = options.pop("values").replace(",", " ").split()
-            integer = sweep in _INTEGER_VARS
-            grid = tuple(int(v) if integer else Fraction(v) for v in raw)
-        else:
-            start, stop, count = options.pop("grid").split(":")
-            grid = linear_grid(Fraction(start), Fraction(stop), int(count),
-                               integer=sweep in _INTEGER_VARS)
-        curve_methods = tuple(Method(m.strip()) for m in
-                              options.pop("methods", "expansion").split(","))
-        fixed: Dict[str, object] = {}
-        for key, raw_value in options.items():
-            if key in ("n", "N"):
-                fixed[key] = int(raw_value)
-            elif key in PARAM_NAMES:
-                fixed[key] = Fraction(raw_value)
-            else:
-                raise ValueError(f"unknown key {key!r} in figure section {section!r}")
-        spec = SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
-                         methods=methods and tuple(methods) or curve_methods,
-                         backend=backend, dps=dps, trunc=trunc,
-                         label=label or fig_id)
+        try:
+            spec = _curve_spec(dict(parser[section]), methods, backend, dps, trunc,
+                               label=label or fig_id)
+        except (ValueError, ZeroDivisionError, configparser.Error) as exc:
+            raise FigureConfigError(
+                f"figure section [{section}]: {_first_line(exc)}") from exc
         figures.setdefault(fig_id, []).append(spec)
     return figures
+
+
+def _curve_spec(options: Dict[str, str], methods, backend, dps, trunc,
+                label: str) -> SweepSpec:
+    """One figure-config section as a sweep; ValueError names what is wrong."""
+    missing = [repr(key) for key in ("family", "sweep") if key not in options]
+    if "grid" not in options and "values" not in options:
+        missing.append("'grid' or 'values'")
+    if missing:
+        raise ValueError(f"missing {'; '.join(missing)}")
+    family = options.pop("family")
+    sweep = options.pop("sweep")
+    integer = sweep in _INTEGER_VARS
+    if "values" in options:
+        raw = options.pop("values").replace(",", " ").split()
+        grid = tuple(int(v) if integer else Fraction(v) for v in raw)
+    else:
+        start, stop, count = options.pop("grid").split(":")
+        grid = linear_grid(Fraction(start), Fraction(stop), int(count),
+                           integer=integer)
+    curve_methods = tuple(Method(m.strip()) for m in
+                          options.pop("methods", "expansion").split(","))
+    fixed: Dict[str, object] = {}
+    for key, raw_value in options.items():
+        if key in ("n", "N"):
+            fixed[key] = int(raw_value)
+        elif key in PARAM_NAMES:
+            fixed[key] = Fraction(raw_value)
+        else:
+            raise ValueError(f"unknown key {key!r}")
+    if sweep != "n" and "n" not in fixed:
+        raise ValueError("parameter sweeps need a fixed degree 'n'")
+    return SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
+                     methods=methods and tuple(methods) or curve_methods,
+                     backend=backend, dps=dps, trunc=trunc, label=label)
 
 
 def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> List[Dict[str, str]]:

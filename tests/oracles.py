@@ -6,6 +6,10 @@ monomials, with inner products taken from the weight's moments.  Bounded
 supports use plain finite sums; the Poisson-type and negative-binomial-type
 weights use their classical falling-factorial moments, so every number stays
 an exact rational.
+
+The last section keeps the straightforward formulas that the fast exact
+routes replaced -- the pointwise recurrence, Pochhammer connection
+coefficients and norm-ratio expansion sum -- as references for them.
 """
 
 from fractions import Fraction
@@ -82,3 +86,40 @@ def brute_force_fisher_bounded(fam, n: int) -> Fraction:
                 * (eval_coeffs(coeffs, Fraction(x + 1)) - eval_coeffs(coeffs, Fraction(x))) ** 2
                 for x in sup.points())
     return total / norm
+
+
+# ---------------------------------------------------------------------------
+# Straightforward forms of the package's fast exact formulas
+# ---------------------------------------------------------------------------
+
+
+def rising(a, k: int) -> Fraction:
+    """(a)_k = a (a+1) ... (a+k-1)."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def pochhammer_connection(n: int, r: Fraction) -> list:
+    """Meixner/Kravchuk connection coefficients a_j = n (j+1)_(n-1-j) r^(n-1-j),
+    each one computed on its own."""
+    return [n * rising(Fraction(j + 1), n - 1 - j) * r ** (n - 1 - j)
+            for j in range(n)]
+
+
+def pointwise_value(fam, n: int, x) -> Fraction:
+    """P_n(x) by a three-term recurrence run for this one point."""
+    if n == 0:
+        return Fraction(1)
+    prev, cur = Fraction(1), x - fam.recurrence_a(0)
+    for m in range(1, n):
+        prev, cur = cur, (x - fam.recurrence_a(m)) * cur - fam.recurrence_b(m) * prev
+    return cur
+
+
+def norm_ratio_expansion(fam, n: int) -> Fraction:
+    """sum_j a_j^2 d_j^2/d_n^2 with every norm ratio taken from the norms."""
+    d_n = fam.reduced_norm(n)
+    return sum((a * a * fam.reduced_norm(j).exact_ratio(d_n)
+                for j, a in enumerate(fam.connection_coeffs(n))), Fraction(0))

@@ -235,6 +235,43 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, ["sweep", "--figure", "fig99"])
         assert code == 64
 
+    def test_missing_figures_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.cfg")
+        for mode in (["--figure", "fig1"], ["--list-figures"]):
+            code, out, err = run_cli(capsys, ["sweep", *mode, "--figures-file", missing])
+            assert code == 64 and out == ""
+            assert err.count("\n") == 1 and "absent.cfg" in err
+
+    def test_bad_methods_key_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "figures.cfg"
+        config.write_text("[figX.K]\nfamily = kravchuk\nsweep = n\np = 1/2\n"
+                          "N = 4\nvalues = 1 2\nmethods = bogus\n")
+        for mode in (["--figure", "figX"], ["--list-figures"]):
+            code, out, err = run_cli(capsys, ["sweep", *mode, "--figures-file", str(config)])
+            assert code == 64 and out == ""
+            assert err.count("\n") == 1 and "[figX.K]" in err and "bogus" in err
+
+    def test_curve_without_family_or_grid_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "figures.cfg"
+        config.write_text("[figX.K]\nsweep = n\np = 1/2\nN = 4\n")
+        code, _, err = run_cli(capsys, ["sweep", "--figure", "figX",
+                                        "--figures-file", str(config)])
+        assert code == 64
+        assert "missing 'family'; 'grid' or 'values'" in err
+
+    def test_figure_rejects_manual_sweep_flags(self, capsys):
+        for extra in (["--family", "hahn", "--mu", "3"], ["--n", "2"],
+                      ["--sweep", "p", "--start", "0", "--stop", "1", "--count", "2"],
+                      ["--label", "mine"]):
+            code, out, err = run_cli(capsys, ["sweep", "--figure", "fig4", *extra])
+            assert code == 64 and out == ""
+            assert all(flag in err for flag in extra if flag.startswith("--"))
+        # the flags every figure run may take stay allowed
+        code, out, _ = run_cli(capsys, ["sweep", "--figure", "fig4", "--methods",
+                                        "expansion", "--backend", "exact", "--dps",
+                                        "60", "--tail-tol", "1/1000", "--hard-cap", "99"])
+        assert code == 0 and out.count("\n") == 48
+
     def test_figure_one_approaches_levels(self, capsys):
         # the three degree-sweep curves head toward 3, 3 and 6
         rows = run_figure("fig1")

@@ -21,7 +21,7 @@ from dopfisher.families import (
 )
 from dopfisher.verify import truncated_inner
 
-from oracles import gram_schmidt_coeffs
+from oracles import gram_schmidt_coeffs, pochhammer_connection, pointwise_value
 
 F = Fraction
 
@@ -141,6 +141,16 @@ class TestNorms:
         # uniform weight: d_1^2 = N (N^2 - 1) / 12
         assert Hahn(F(0), F(0), 5).reduced_norm(1).rational == 10
 
+    @pytest.mark.parametrize("alpha, beta", [(F(-1, 2), F(-1, 2)), (F(-1, 3), F(-2, 3)),
+                                             (F(3), F(-1, 2)), (F(0), F(0))])
+    def test_hahn_degree_zero_is_the_total_weight(self, alpha, beta):
+        # d_0^2 = sum_x w(x), also on alpha + beta = -1 where the general
+        # formula reads 0/0
+        for N in (1, 2, 7, 12):
+            fam = Hahn(alpha, beta, N)
+            total = sum(fam.reduced_weight(x) for x in fam.support().points())
+            assert fam.reduced_norm(0).rational == total
+
     def test_meixner_symbolic_power(self):
         fam = Meixner(F(3, 2), F(1, 4))
         norm = fam.reduced_norm(2)
@@ -251,6 +261,21 @@ class TestEvalPoly:
             value = fam.eval_poly(3, mpf(5))
             assert abs(value - to_float_of(fam.eval_poly(3, F(5)))) < mpf(10) ** -35
 
+    @pytest.mark.parametrize("fam", ALL_FAMILIES + [Kravchuk(F(2, 7), 31),
+                                                    Hahn(F(-1, 2), F(-1, 2), 12)])
+    def test_one_pass_matches_pointwise_recurrence(self, fam):
+        # the routes' lattice a..b (one past a bounded support), else thirds
+        sup = fam.support()
+        if sup.b is None:
+            xs = [F(x, 3) for x in range(-3, 40)]
+        else:
+            xs = range(sup.a, sup.b + 1)
+        for n in range(max_n(fam, 12) + 1):
+            values = fam.eval_points(n, xs)
+            assert len(values) == len(xs)
+            for x, value in zip(xs, values):
+                assert value == pointwise_value(fam, n, x) == fam.eval_poly(n, x)
+
     def test_coeff_helpers(self):
         coeffs = (F(1), F(2), F(1))  # (x+1)^2
         assert shift_coeffs(coeffs, 1) == (F(4), F(4), F(1))
@@ -315,6 +340,16 @@ class TestConnectionCoeffs:
 
     def test_meixner_specialization(self):
         assert Meixner(F(2), F(1, 2)).connection_coeffs(2) == [-2, 2]
+
+    @pytest.mark.parametrize("fam, r", [
+        (Meixner(F(3, 2), F(1, 4)), F(-1, 3)),
+        (Meixner(F(7), F(19, 20)), F(-19)),
+        (Kravchuk(F(2, 3), 61), F(2, 3)),
+        (Kravchuk(F(1, 9), 61), F(1, 9)),
+    ])
+    def test_ladder_walk_matches_pochhammer_form(self, fam, r):
+        for n in range(61):
+            assert fam.connection_coeffs(n) == pochhammer_connection(n, r)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_defining_property(self, fam):

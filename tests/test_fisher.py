@@ -17,9 +17,14 @@ from dopfisher.fisher import (
     rakhmanov_density,
 )
 
-from oracles import brute_force_fisher_bounded
+from oracles import brute_force_fisher_bounded, norm_ratio_expansion
 
 F = Fraction
+
+
+def max_degree(fam, cap):
+    top = fam.max_degree()
+    return cap if top is None else min(cap, top)
 
 
 def rel_gap(a, b, dps=80):
@@ -125,6 +130,27 @@ class TestExpansion:
         value = fisher_expansion(fam, 1)
         assert value == F(2, 5)  # 1/(N p (1-p))
         assert fisher_direct(fam, 1) == value
+
+    @pytest.mark.parametrize("fam", [
+        Charlier(F(2)), Charlier(F(7, 3)),
+        Meixner(F(3, 2), F(1, 4)), Meixner(F(4), F(3, 4)), Meixner(F(1, 3), F(9, 10)),
+        Kravchuk(F(1, 2), 10), Kravchuk(F(2, 7), 23),
+        Hahn(F(3), F(-1, 2), 14), Hahn(F(0), F(0), 9), Hahn(F(-2, 3), F(5, 2), 17),
+    ])
+    def test_recurrence_product_matches_norm_ratios(self, fam):
+        # d_j^2/d_n^2 = 1/(b_(j+1) ... b_n) against the ratio of the norms
+        for n in range(max_degree(fam, 24) + 1):
+            assert fisher_expansion(fam, n) == norm_ratio_expansion(fam, n)
+
+    @pytest.mark.parametrize("fam, n", [(Hahn(F(-1, 2), F(-1, 2), 12), 4),
+                                        (Hahn(F(-1, 3), F(-2, 3), 30), 17)])
+    def test_alpha_plus_beta_minus_one(self, fam, n):
+        # on this line the general Hahn norm formula reads 0/0 at degree 0
+        value = fisher_expansion(fam, n)
+        assert value == fisher_direct(fam, n) == fisher_difference(fam, n)
+
+    def test_alpha_plus_beta_minus_one_value(self):
+        assert fisher_expansion(Hahn(F(-1, 2), F(-1, 2), 12), 4) == F(93824, 15015)
 
     @pytest.mark.parametrize("fam", [Charlier(F(2)), Charlier(F(5)),
                                      Meixner(F(3, 2), F(1, 4)),

@@ -1,0 +1,86 @@
+"""Property-based route agreement over random rational parameters.
+
+Bounded families: the three exact routes agree bit for bit.  Infinite
+supports: the exact closed form equals the expansion, and Charlier gives n/mu.
+Every value is positive, and zero exactly at degree 0.  Examples are drawn
+deterministically, so the suite stays reproducible.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
+from dopfisher.fisher import (
+    fisher_closed,
+    fisher_difference,
+    fisher_direct,
+    fisher_expansion,
+)
+
+F = Fraction
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def rationals(low, high):
+    """Rationals strictly inside (low, high) with small denominators."""
+    return st.fractions(min_value=low, max_value=high, max_denominator=12).filter(
+        lambda v: low < v < high)
+
+
+@st.composite
+def bounded_cases(draw):
+    N = draw(st.integers(min_value=1, max_value=14))
+    if draw(st.booleans()):
+        fam = Kravchuk(draw(rationals(0, 1)), N)
+    else:
+        fam = Hahn(draw(rationals(-1, 5)), draw(rationals(-1, 5)), N)
+    return fam, draw(st.integers(min_value=0, max_value=fam.max_degree()))
+
+
+@st.composite
+def infinite_cases(draw):
+    if draw(st.booleans()):
+        fam = Charlier(draw(rationals(0, 20)))
+    else:
+        fam = Meixner(draw(rationals(0, 10)), draw(rationals(0, 1)))
+    return fam, draw(st.integers(min_value=0, max_value=16))
+
+
+def assert_sign(value, n):
+    assert value == 0 if n == 0 else value > 0
+
+
+@PROPERTY
+@given(bounded_cases())
+def test_bounded_exact_routes_agree(case):
+    fam, n = case
+    value = fisher_expansion(fam, n)
+    assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
+    assert_sign(value, n)
+
+
+@PROPERTY
+@given(infinite_cases())
+def test_infinite_closed_form_equals_expansion(case):
+    fam, n = case
+    value = fisher_expansion(fam, n)
+    closed, converged = fisher_closed(fam, n)
+    assert converged and closed == value
+    if isinstance(fam, Charlier):
+        assert value == F(n) / fam.mu
+    assert_sign(value, n)
+
+
+@PROPERTY
+@given(st.integers(min_value=2, max_value=14), st.data())
+def test_hahn_alpha_plus_beta_minus_one(N, data):
+    # the line alpha + beta = -1, where reduced_norm(0) is a removable 0/0
+    alpha = data.draw(rationals(-1, 0))
+    fam = Hahn(alpha, -1 - alpha, N)
+    n = data.draw(st.integers(min_value=0, max_value=N - 1))
+    value = fisher_expansion(fam, n)
+    assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
+    assert_sign(value, n)
