@@ -23,6 +23,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
@@ -148,6 +149,16 @@ def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
+@contextmanager
+def _output(path):
+    """stdout for ``None`` or ``-``, else the file at ``path``, closed after use."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as stream:
+        yield stream
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -232,9 +243,10 @@ def cmd_sweep(args, parser) -> int:
                 f"{mode} does not take the manual-sweep flags {', '.join(given)}"))
         try:
             if args.list_figures:
-                for fig_id, specs in load_figures(args.figures_file).items():
-                    labels = ", ".join(s.label for s in specs)
-                    print(f"{fig_id}: {labels}")
+                listing = [f"{fig_id}: {', '.join(s.label for s in specs)}\n"
+                           for fig_id, specs in load_figures(args.figures_file).items()]
+                with _output(args.out) as stream:
+                    stream.writelines(listing)
                 return EXIT_OK
             rows = run_figure(args.figure, path=args.figures_file, methods=methods,
                               backend=args.backend, dps=args.dps, trunc=trunc)
@@ -267,15 +279,11 @@ def cmd_sweep(args, parser) -> int:
         except ValueError as exc:
             raise SystemExit(parser.exit_with_usage(str(exc)))
         rows = run_sweep(spec)
-    stream = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")
-    try:
+    with _output(args.out) as stream:
         out = _writer(stream)
         out.writerow(SWEEP_COLUMNS)
         for row in rows:
             out.writerow([row[c] for c in SWEEP_COLUMNS])
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -390,3 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -16,6 +16,7 @@ can restore it and the exact paths can cancel it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,11 +156,6 @@ class Family:
         """Family G and factor c with  Delta P_n = c * G-polynomial of degree n-1."""
         raise NotImplementedError
 
-    def connection_coeffs(self, n: int) -> list:
-        """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
-        expanded in the *same* family."""
-        raise NotImplementedError
-
     def closed_form(self, n: int, dps: int, accel_tol) -> Tuple[Scalar, bool]:
         """The paper's closed Fisher value at degree n >= 1; (value, converged)."""
         raise TypeError(f"unknown family {self!r}")
@@ -209,11 +205,11 @@ class Family:
         prev = [x * 0 + 1 for x in xs]
         if n == 0:
             return prev
-        a = self.recurrence_a(0)
-        cur = [x - a for x in xs]
+        a, b = self.recurrence_a_upto(n), self.recurrence_b_upto(n)
+        cur = [x - a[0] for x in xs]
         for m in range(1, n):
-            a, b = self.recurrence_a(m), self.recurrence_b(m)
-            prev, cur = cur, [(x - a) * c - b * q for x, c, q in zip(xs, cur, prev)]
+            am, bm = a[m], b[m]
+            prev, cur = cur, [(x - am) * c - bm * q for x, c, q in zip(xs, cur, prev)]
         return cur
 
     def eval_poly(self, n: int, x: Scalar):
@@ -228,26 +224,123 @@ class Family:
     def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
         """Exact monomial coefficients of the monic degree-n polynomial."""
         self.check_degree(n)
-        return _poly_coeffs(self, n)
+        return _tables(self).monomials(n)
+
+    def recurrence_a_upto(self, n: int) -> list:
+        """A list holding at least a_0 .. a_(n-1), each computed once per
+        family and shared by every caller (read it, never mutate it)."""
+        return _tables(self).a_upto(n)
+
+    def recurrence_b_upto(self, n: int) -> list:
+        """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
+        return _tables(self).b_upto(n)
+
+    def lattice_weights(self) -> list:
+        """Reduced weights at every point of a bounded support, walked up from
+        w(a) by the exact ratio: w(x) = w(x-1) / weight_ratio(x)."""
+        sup = self.support()
+        w = self.reduced_weight(sup.a)
+        out = [w]
+        for x in range(sup.a + 1, sup.b):
+            w = w / self.weight_ratio(x)
+            out.append(w)
+        return out
+
+    def connection_coeffs(self, n: int) -> list:
+        """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
+        expanded in the *same* family.
+
+        Delta applied to the three-term recurrence gives
+
+            Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
+
+        and multiplication by x acts on the P-basis as the Jacobi matrix,
+        x P_k = P_(k+1) + a_k P_k + b_k P_(k-1).  Starting from Delta P_0 = 0
+        and Delta P_1 = P_0, the step to degree m+1 costs O(m) exact
+        operations, so degree n costs O(n^2); the walk keeps its last two
+        vectors per family, so a sweep of increasing degrees pays one step each.
+        """
+        self.check_degree(n)
+        return list(_tables(self).delta(n))
 
 
-@lru_cache(maxsize=None)
-def _poly_coeffs(fam: Family, n: int) -> Tuple[Fraction, ...]:
-    if n == 0:
-        return (Fraction(1),)
-    if n == 1:
-        return (-fam.recurrence_a(0), Fraction(1))
-    pm = _poly_coeffs(fam, n - 2)
-    p = _poly_coeffs(fam, n - 1)
-    a = fam.recurrence_a(n - 1)
-    b = fam.recurrence_b(n - 1)
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(p):
-        out[i + 1] += c
-        out[i] -= a * c
-    for i, c in enumerate(pm):
-        out[i] -= b * c
-    return tuple(out)
+#: families whose tables stay cached; the least recently used one goes first
+_TABLE_CACHE_SIZE = 16
+
+
+class _Tables:
+    """One family's recurrence coefficients, monomial coefficients and
+    Delta-expansion walk, grown on demand under a lock.  List rows are only
+    ever appended, so a reader that finds its row needs no lock."""
+
+    def __init__(self, fam: Family):
+        self.fam = fam
+        self.a, self.b = [], []
+        self.monos = [(Fraction(1),)]
+        # the Delta-walk keeps its last two rows, Delta P_(k-1) and Delta P_k
+        self.delta_degree = 1
+        self.delta_rows = ((), (Fraction(1),))   # Delta P_0 = 0, Delta P_1 = P_0
+        self.lock = threading.RLock()
+
+    def grow(self, rows: list, n: int, make_row) -> list:
+        """rows, with make_row(m) appended for m = len(rows) .. n-1."""
+        if len(rows) < n:
+            with self.lock:
+                while len(rows) < n:
+                    rows.append(make_row(len(rows)))
+        return rows
+
+    def a_upto(self, n: int) -> list:
+        return self.grow(self.a, n, self.fam.recurrence_a)
+
+    def b_upto(self, n: int) -> list:
+        return self.grow(self.b, n, self.fam.recurrence_b)
+
+    def delta(self, n: int) -> Tuple[Fraction, ...]:
+        # degrees asked in increasing order extend the walk at O(m) each; a
+        # degree below the kept rows walks again from the start
+        with self.lock:
+            if n < self.delta_degree - 1:
+                self.delta_degree, self.delta_rows = 1, ((), (Fraction(1),))
+            while self.delta_degree < n:
+                row = self._delta_row(self.delta_degree + 1)
+                self.delta_degree += 1
+                self.delta_rows = (self.delta_rows[1], row)
+            return self.delta_rows[n - self.delta_degree + 1]
+
+    def monomials(self, n: int) -> Tuple[Fraction, ...]:
+        return self.grow(self.monos, n + 1, self._mono_row)[n]
+
+    def _delta_row(self, m: int) -> Tuple[Fraction, ...]:
+        # Delta P_m = (x + 1 - a_t) Delta P_t + P_t - b_t Delta P_(t-1), t = m-1,
+        # from the kept rows u, v of degrees t-1 and t.  With
+        # x P_k = P_(k+1) + a_k P_k + b_k P_(k-1), the P_k coefficient for k < t is
+        #     v_(k-1) + (a_k + 1 - a_t) v_k + b_(k+1) v_(k+1) - b_t u_k,
+        # and the leading one (k = t) is v_(t-1) + 1 = m.
+        t = m - 1
+        a, b = self.a_upto(m), self.b_upto(m)
+        u, v = self.delta_rows
+        u += (0,)
+        vp = (0,) + v + (0,)   # vp[k], vp[k+1], vp[k+2] = v_(k-1), v_k, v_(k+1)
+        shift, bt = 1 - a[t], b[t]
+        out = [vp[k] + (a[k] + shift) * vp[k + 1] + b[k + 1] * vp[k + 2] - bt * u[k]
+               for k in range(t)]
+        out.append(v[t - 1] + 1)
+        return tuple(out)
+
+    def _mono_row(self, m: int) -> Tuple[Fraction, ...]:
+        # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
+        # degrees t and t-1, the x^i coefficient is p_(i-1) - a_t p_i - b_t q_i
+        t = m - 1
+        a, b = self.a_upto(m), self.b_upto(m)
+        p = (0,) + self.monos[t] + (0,)   # p[i], p[i+1] = p_(i-1), p_i
+        q = (self.monos[t - 1] if t else ()) + (0, 0)
+        return tuple(p[i] - a[t] * p[i + 1] - b[t] * q[i] for i in range(m + 1))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tables(fam: Family) -> _Tables:
+    return _Tables(fam)
 
 
 def _ladder_connection(n: int, r: Fraction) -> list:
@@ -545,36 +638,37 @@ class Hahn(Family):
                        * pochhammer(n + s + 1, n) ** 2))
         return NormValue(rational)
 
-    def _coef_A(self, m):
+    def _coef_parts(self, m):
+        """A_m and C_m, with a_m = A_m + C_m and b_m = A_(m-1) C_m, as integer
+        (numerator, denominator) pairs.  Over d = lcm(den alpha, den beta),
+        alpha = p/d and beta = q/d, and the d^2 of each quotient cancels."""
         al, be, N = self.alpha, self.beta, self.N
-        s = al + be
+        d = math.lcm(al.denominator, be.denominator)
+        p = al.numerator * (d // al.denominator)
+        q = be.numerator * (d // be.denominator)
+        ds = p + q                      # d (alpha + beta)
         if m == 0:
-            # the (s+1) factor cancels; written cancelled so s = -1 stays finite
-            return (be + 1) * (N - 1) / (s + 2)
-        return ((m + s + 1) * (m + be + 1) * (N - 1 - m)
-                / ((2 * m + s + 1) * (2 * m + s + 2)))
-
-    def _coef_C(self, m):
-        al, be, N = self.alpha, self.beta, self.N
-        s = al + be
-        if m == 0:
-            return Fraction(0)
-        return (m * (m + s + N) * (m + al)
-                / ((2 * m + s) * (2 * m + s + 1)))
+            # the (s+1) factor of A_0 cancels; written cancelled so s = -1 stays finite
+            return ((d + q) * (N - 1), 2 * d + ds), (0, 1)
+        mid = d * (2 * m + 1) + ds      # d (2m + alpha + beta + 1), shared
+        return (((d * (m + 1) + ds) * (d * (m + 1) + q) * (N - 1 - m),
+                 mid * (d * (2 * m + 2) + ds)),
+                (m * (d * (m + N) + ds) * (d * m + p), (2 * d * m + ds) * mid))
 
     def recurrence_a(self, m):
-        return self._coef_A(m) + self._coef_C(m)
+        (an, ad), (cn, cd) = self._coef_parts(m)
+        return Fraction(an * cd + cn * ad, ad * cd)
 
     def recurrence_b(self, m):
-        return self._coef_A(m - 1) * self._coef_C(m)
+        if m == 0:
+            return Fraction(0)
+        (an, ad), _ = self._coef_parts(m - 1)
+        _, (cn, cd) = self._coef_parts(m)
+        return Fraction(an * cn, ad * cd)
 
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return Hahn(self.alpha + 1, self.beta + 1, self.N - 1), Fraction(n)
-
-    def connection_coeffs(self, n):
-        self.check_degree(n)
-        return list(_hahn_connection(self, n))
 
     def closed_form(self, n, dps, accel_tol):
         al, be, N = self.alpha, self.beta, self.N
@@ -638,28 +732,11 @@ class Hahn(Family):
         return value, converged
 
 
-@lru_cache(maxsize=None)
-def _hahn_connection(fam: Hahn, n: int) -> Tuple[Fraction, ...]:
-    # Delta h_n re-expanded in the same (alpha, beta, N) family: prefactor
-    # times a terminating 4F3 at unit argument, exact for rational parameters.
-    al, be, N = fam.alpha, fam.beta, fam.N
-    s = al + be
-    out = []
-    for j in range(n):
-        m = n - 1 - j
-        pref = (Fraction(math.comb(n - 1, j))
-                * pochhammer(Fraction(2 + j - N), m)
-                * pochhammer(2 + j + be, m)
-                / pochhammer(2 + j + n + s, m))
-        f43 = terminating_pfq(PFQSpec(
-            (Fraction(j - n + 1), Fraction(1 + j - N), j + be + 1, 2 + n + j + s),
-            (Fraction(2 + j - N), j + be + 2, 2 * j + s + 2),
-            Fraction(1)))
-        out.append(n * pref * f43)
-    return tuple(out)
+#: (alpha + beta, degree, dps, tolerance) keys of accelerated c3 values kept
+_ACCEL_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ACCEL_CACHE_SIZE)
 def _accelerated_c3(s: Fraction, n: int, dps: int, accel_tol) -> Tuple[mpf, bool]:
     # depends on the parameters only through s = alpha + beta and the degree
     spec = PFQSpec(

@@ -12,9 +12,13 @@ Routes:
 * ``difference`` -- the summation-by-parts identity coming from the family's
                     second-order difference equation, which trades the sum for
                     a boundary term plus an expectation of the weight ratio;
-* ``expansion``  -- the ladder route: Delta P_n expanded back in the same
-                    family, giving (1/d_n^2) sum_j a_j^2 d_j^2.  This is the
-                    authoritative exact value (terminating series only);
+* ``expansion``  -- Delta P_n expanded back in the same family, giving
+                    (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j come from Delta
+                    applied to the three-term recurrence (Charlier, Meixner
+                    and Kravchuk use their O(n) ladder products instead), and
+                    d_j^2/d_n^2 from the recurrence's b_m, so the route runs
+                    on rational arithmetic alone.  This is the authoritative
+                    exact value;
 * ``closed``     -- the per-family closed forms.  Charlier, Meixner and
                     Kravchuk are exact; the Hahn form contains one
                     non-terminating 3F2 at -1 that is Euler-accelerated and
@@ -156,8 +160,8 @@ def fisher_direct(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
     if sup.b is not None:
         # P_n on a..b, one point past the support: Delta P_n(x) = vals[i+1] - vals[i]
         vals = fam.eval_points(n, range(sup.a, sup.b + 1))
-        num = sum(fam.reduced_weight(x) * (vals[i + 1] - vals[i]) ** 2
-                  for i, x in enumerate(sup.points()))
+        num = sum(w * (vals[i + 1] - vals[i]) ** 2
+                  for i, w in enumerate(fam.lattice_weights()))
         return num / fam.reduced_norm(n).rational
     if n == 0:
         return Fraction(0)
@@ -183,9 +187,10 @@ def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRU
     norm = fam.reduced_norm(n)
     if sup.b is not None:
         vals = fam.eval_points(n, range(sup.a, sup.b + 1))  # P_n on a..b
-        boundary = fam.reduced_weight(sup.b - 1) * vals[-1] ** 2
-        expect = sum(fam.reduced_weight(x) * vals[x - sup.a] ** 2 * fam.weight_ratio(x)
-                     for x in range(sup.a + 1, sup.b))
+        weights = fam.lattice_weights()
+        boundary = weights[-1] * vals[-1] ** 2
+        expect = sum(weights[i] * vals[i] ** 2 * fam.weight_ratio(sup.a + i)
+                     for i in range(1, len(weights)))
         return (boundary + expect) / norm.rational - 1
     if n == 0:
         # Delta P_0 = 0 identically; skip the truncation residue
@@ -201,16 +206,17 @@ def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRU
 def fisher_expansion(fam: Family, n: int) -> Fraction:
     """Ladder route: exact rational for every family with rational parameters.
 
-    I = sum_j a_j^2 d_j^2/d_n^2, with each norm ratio taken from the
-    recurrence (d_j^2/d_(j-1)^2 = b_j) as the running product
-    1/(b_(j+1) ... b_n), accumulated from j = n-1 down to 0.
+    I = sum_j a_j^2 d_j^2/d_n^2, with a_j from ``connection_coeffs`` and each
+    norm ratio taken from the recurrence (d_j^2/d_(j-1)^2 = b_j) as the
+    running product 1/(b_(j+1) ... b_n), accumulated from j = n-1 down to 0.
     """
     fam.check_degree(n)
     total = Fraction(0)
     ratio = Fraction(1)
     coeffs = fam.connection_coeffs(n)
+    b = fam.recurrence_b_upto(n + 1)
     for j in range(n - 1, -1, -1):
-        ratio /= fam.recurrence_b(j + 1)
+        ratio /= b[j + 1]
         total += coeffs[j] * coeffs[j] * ratio
     return total
 

@@ -9,9 +9,11 @@ an exact rational.
 
 The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the pointwise recurrence, Pochhammer connection
-coefficients and norm-ratio expansion sum -- as references for them.
+coefficients, norm-ratio expansion sum, the Hahn 4F3 connection sum and the
+Fraction forms of the Hahn recurrence coefficients -- as references for them.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -123,3 +125,49 @@ def norm_ratio_expansion(fam, n: int) -> Fraction:
     d_n = fam.reduced_norm(n)
     return sum((a * a * fam.reduced_norm(j).exact_ratio(d_n)
                 for j, a in enumerate(fam.connection_coeffs(n))), Fraction(0))
+
+
+def hahn_connection_4f3(fam, n: int) -> list:
+    """The paper's Hahn connection coefficients: a_j = n (prefactor) times a
+    terminating 4F3 at unit argument, summed term by term."""
+    al, be, N = fam.alpha, fam.beta, fam.N
+    s = al + be
+    out = []
+    for j in range(n):
+        m = n - 1 - j
+        pref = (Fraction(math.comb(n - 1, j)) * rising(Fraction(2 + j - N), m)
+                * rising(2 + j + be, m) / rising(2 + j + n + s, m))
+        upper = (Fraction(j - n + 1), Fraction(1 + j - N), j + be + 1, 2 + n + j + s)
+        lower = (Fraction(2 + j - N), j + be + 2, 2 * j + s + 2)
+        f43 = Fraction(0)
+        for k in range(m + 1):   # (j-n+1)_k vanishes past k = n-1-j
+            term = Fraction(1, math.factorial(k))
+            for a in upper:
+                term *= rising(a, k)
+            for b in lower:
+                term /= rising(b, k)
+            f43 += term
+        out.append(n * pref * f43)
+    return out
+
+
+def hahn_recurrence(fam, m: int):
+    """(a_m, b_m) of the monic Hahn recurrence, a_m = A_m + C_m and
+    b_m = A_(m-1) C_m, from the Fraction forms of A_m and C_m."""
+    al, be, N = fam.alpha, fam.beta, fam.N
+    s = al + be
+
+    def coef_a(k):
+        if k == 0:
+            # the (s+1) factor cancels; written cancelled so s = -1 stays finite
+            return (be + 1) * (N - 1) / (s + 2)
+        return ((k + s + 1) * (k + be + 1) * (N - 1 - k)
+                / ((2 * k + s + 1) * (2 * k + s + 2)))
+
+    def coef_c(k):
+        if k == 0:
+            return Fraction(0)
+        return k * (k + s + N) * (k + al) / ((2 * k + s) * (2 * k + s + 1))
+
+    b = coef_a(m - 1) * coef_c(m) if m else Fraction(0)
+    return coef_a(m) + coef_c(m), b

@@ -1,9 +1,17 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import dopfisher
 from dopfisher.cli import main
 from dopfisher.sweeps import SWEEP_COLUMNS, load_figures, run_figure
+from dopfisher.verify import SUITES
 
 F = Fraction
 
@@ -216,6 +224,13 @@ class TestSweepCommand:
         listed = [line.split(":")[0] for line in out.splitlines()]
         assert listed == [f"fig{i}" for i in range(1, 11)]
 
+    def test_list_figures_out_file(self, capsys, tmp_path):
+        target = tmp_path / "figures.txt"
+        code, out, _ = run_cli(capsys, ["sweep", "--list-figures", "--out", str(target)])
+        assert code == 0 and out == ""
+        listed = [line.split(":")[0] for line in target.read_text().splitlines()]
+        assert listed == [f"fig{i}" for i in range(1, 11)]
+
     def test_figure_curve_methods_key(self, capsys, tmp_path):
         config = tmp_path / "figures.cfg"
         config.write_text("[figX.K]\nfamily = kravchuk\nsweep = n\np = 1/2\n"
@@ -310,6 +325,17 @@ class TestVerifyCommand:
                                         "--verbose"])
         assert code == 0
         assert "c3_converged=" in out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["dopfisher", "dopfisher.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(dopfisher.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", module, "verify", "--list-suites"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.split() == list(SUITES)
 
 
 class TestVerifyFailurePath:

@@ -8,6 +8,7 @@ from mpmath import mpf
 from dopfisher.families import (
     Charlier,
     DegreeOutOfRange,
+    Family,
     Hahn,
     Kravchuk,
     LatticeSupport,
@@ -21,7 +22,13 @@ from dopfisher.families import (
 )
 from dopfisher.verify import truncated_inner
 
-from oracles import gram_schmidt_coeffs, pochhammer_connection, pointwise_value
+from oracles import (
+    gram_schmidt_coeffs,
+    hahn_connection_4f3,
+    hahn_recurrence,
+    pochhammer_connection,
+    pointwise_value,
+)
 
 F = Fraction
 
@@ -360,6 +367,46 @@ class TestConnectionCoeffs:
                 xf = F(x)
                 expanded = sum(a * fam.eval_poly(j, xf) for j, a in enumerate(coeffs))
                 assert fam.forward_diff(n, xf) == expanded
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES)
+    def test_generic_walk_on_every_family(self, fam):
+        # the base-class Delta-recurrence, which Hahn uses, pinned on all four
+        # families: the defining property, and equality with the O(n) forms
+        for n in range(max_n(fam, 8) + 1):
+            coeffs = Family.connection_coeffs(fam, n)
+            assert coeffs == fam.connection_coeffs(n)
+            for x in range(n + 3):
+                xf = F(x)
+                expanded = sum(a * fam.eval_poly(j, xf) for j, a in enumerate(coeffs))
+                assert fam.forward_diff(n, xf) == expanded
+
+
+# includes the alpha + beta = -1 line and large denominators
+HAHN_GRID = [
+    Hahn(F(0), F(0), 20),
+    Hahn(F(3), F(-1, 2), 20),
+    Hahn(F(-1, 2), F(-1, 2), 12),
+    Hahn(F(-99, 100), F(-1, 100), 12),
+    Hahn(F(-99, 100), F(5, 7), 16),
+    Hahn(F(7, 3), F(11, 13), 24),
+    Hahn(F(40), F(0), 9),
+    Hahn(F(1, 2), F(2), 1),
+]
+
+
+class TestHahnAgainstReplacedFormulas:
+    @pytest.mark.parametrize("fam", HAHN_GRID)
+    def test_connection_coeffs_equal_4f3_sum(self, fam):
+        for n in range(fam.N):
+            assert fam.connection_coeffs(n) == hahn_connection_4f3(fam, n)
+
+    @pytest.mark.parametrize("fam", HAHN_GRID)
+    def test_recurrence_equals_fraction_form(self, fam):
+        a, b = fam.recurrence_a_upto(fam.N), fam.recurrence_b_upto(fam.N)
+        for m in range(fam.N):
+            expected = hahn_recurrence(fam, m)
+            assert (fam.recurrence_a(m), fam.recurrence_b(m)) == expected
+            assert (a[m], b[m]) == expected
 
 
 class TestOrthogonality:

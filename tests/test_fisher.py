@@ -269,6 +269,21 @@ class TestInvariants:
                     assert a == b == c
 
 
+class TestCacheBounds:
+    def test_caches_keyed_on_families_stay_bounded(self):
+        from dopfisher import families
+
+        tables, accel = families._tables, families._accelerated_c3
+        for i in range(2000):
+            fam = Hahn(F(i, 2001), F(1, 3), 6)
+            assert fisher_expansion(fam, 5) > 0
+            fam.poly_coeffs(3)
+            assert tables.cache_info().currsize <= families._TABLE_CACHE_SIZE
+        for i in range(families._ACCEL_CACHE_SIZE + 50):
+            accel(F(i, 997), 1, 50, F(1, 1000))
+            assert accel.cache_info().currsize <= families._ACCEL_CACHE_SIZE
+
+
 class TestConcurrency:
     def test_shared_family_is_safe_across_threads(self):
         # pure values plus an internal coefficient cache: concurrent readers
@@ -282,3 +297,33 @@ class TestConcurrency:
                 results = list(pool.map(lambda n: fisher_expansion(fam, n),
                                         list(range(12)) * 4))
                 assert results == expected * 4
+
+    def test_tables_grow_without_lost_rows_under_contention(self):
+        # many threads grow one family's tables and move its Delta-walk up and
+        # down at once, with a short switch interval; a lost or duplicated
+        # update would put a row at the wrong degree and change the values
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from dopfisher import families
+
+        fam = Hahn(F(5, 3), F(-2, 7), 30)
+
+        def work(n):
+            return fam.connection_coeffs(n), fam.poly_coeffs(n), fisher_expansion(fam, n)
+
+        expected = [work(n) for n in range(30)]
+        families._tables.cache_clear()
+        order = [n for k in range(8) for n in (range(30) if k % 2 else range(29, -1, -1))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, n) for n in order]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [expected[n] for n in order]
+        tables = families._tables(fam)
+        # rows for degrees 0..29; fisher_expansion(fam, 29) also reads b_30
+        assert (len(tables.monos), len(tables.a), len(tables.b)) == (30, 29, 30)

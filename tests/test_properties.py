@@ -2,8 +2,9 @@
 
 Bounded families: the three exact routes agree bit for bit.  Infinite
 supports: the exact closed form equals the expansion, and Charlier gives n/mu.
-Every value is positive, and zero exactly at degree 0.  Examples are drawn
-deterministically, so the suite stays reproducible.
+Every value is positive, and zero exactly at degree 0.  The integer kernel
+of the Hahn recurrence coefficients equals their Fraction form.  Examples are
+drawn deterministically, so the suite stays reproducible.
 """
 
 from fractions import Fraction
@@ -19,15 +20,17 @@ from dopfisher.fisher import (
     fisher_expansion,
 )
 
+from oracles import hahn_recurrence
+
 F = Fraction
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
-def rationals(low, high):
-    """Rationals strictly inside (low, high) with small denominators."""
-    return st.fractions(min_value=low, max_value=high, max_denominator=12).filter(
-        lambda v: low < v < high)
+def rationals(low, high, max_denominator=12):
+    """Rationals strictly inside (low, high), small denominators by default."""
+    return st.fractions(min_value=low, max_value=high,
+                        max_denominator=max_denominator).filter(lambda v: low < v < high)
 
 
 @st.composite
@@ -84,3 +87,14 @@ def test_hahn_alpha_plus_beta_minus_one(N, data):
     value = fisher_expansion(fam, n)
     assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
     assert_sign(value, n)
+
+
+@PROPERTY
+@given(rationals(-1, 50, 1000), st.data(), st.integers(min_value=1, max_value=30))
+def test_hahn_integer_kernel_equals_fraction_form(alpha, data, N):
+    # beta either free or on the alpha + beta = -1 line when that is in range
+    on_line = alpha < 0 and data.draw(st.booleans())
+    beta = -1 - alpha if on_line else data.draw(rationals(-1, 50, 1000))
+    fam = Hahn(alpha, beta, N)
+    for m in range(N):
+        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == hahn_recurrence(fam, m)
