@@ -46,7 +46,6 @@ from .numerics import (
     NonTerminatingSeries,
     PFQSpec,
     Scalar,
-    accelerated_pfq_at_minus_one,
     pochhammer,
     terminating_pfq,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "NormValue", "OutOfSupport", "PFQSpec", "ParameterDomainError",
     "SUITES", "Scalar", "SuiteResult", "SweepSpec",
     "TableOneData", "TruncationCapExceeded", "TruncationPolicy",
-    "accelerated_pfq_at_minus_one", "fisher_closed",
+    "fisher_closed",
     "fisher_difference", "fisher_direct", "fisher_expansion", "fisher_report",
     "kravchuk_max_degree", "kravchuk_max_degree_large_N", "kravchuk_p_to_one",
     "kravchuk_p_to_zero", "linear_grid", "load_figures", "make_family",

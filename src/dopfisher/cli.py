@@ -301,9 +301,6 @@ def cmd_verify(args, parser) -> int:
         status = "PASS" if result.ok else "FAIL"
         print(f"suite {result.name}: {status} "
               f"({result.passed} passed, {result.failed} failed)")
-        if args.verbose:
-            for note in result.notes:
-                print(f"  note: {note}")
         if not result.ok:
             all_ok = False
             print(f"  first failing case: {result.failures[0]}")
@@ -373,8 +370,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", action="append",
                           help="suite name (repeatable; default: all)")
     p_verify.add_argument("--list-suites", action="store_true")
-    p_verify.add_argument("--verbose", action="store_true",
-                          help="print per-case notes (e.g. convergence flags)")
     _add_numeric_flags(p_verify, default_backend="exact")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -29,7 +29,6 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
-    accelerated_pfq_at_minus_one,
     pochhammer,
     terminating_pfq,
     to_fraction,
@@ -120,8 +119,6 @@ class Family:
     """Shared machinery; concrete families supply the data hooks."""
 
     tag: str = ""
-    #: whether closed_form is an exact rational (False: an accelerated series)
-    exact_closed_form: bool = True
 
     # ---- data hooks ------------------------------------------------------
 
@@ -156,8 +153,8 @@ class Family:
         """Family G and factor c with  Delta P_n = c * G-polynomial of degree n-1."""
         raise NotImplementedError
 
-    def closed_form(self, n: int, dps: int, accel_tol) -> Tuple[Scalar, bool]:
-        """The paper's closed Fisher value at degree n >= 1; (value, converged)."""
+    def closed_form(self, n: int) -> Fraction:
+        """The paper's closed Fisher value at degree n >= 1, exact."""
         raise TypeError(f"unknown family {self!r}")
 
     def tail_ratio_bound(self, x: int) -> Fraction:
@@ -433,8 +430,8 @@ class Charlier(Family):
             return []
         return [Fraction(0)] * (n - 1) + [Fraction(n)]
 
-    def closed_form(self, n, dps, accel_tol):
-        return Fraction(n) / self.mu, True
+    def closed_form(self, n):
+        return Fraction(n) / self.mu
 
 
 @dataclass(frozen=True)
@@ -497,12 +494,11 @@ class Meixner(Family):
         self.check_degree(n)
         return _ladder_connection(n, self.mu / (self.mu - 1))
 
-    def closed_form(self, n, dps, accel_tol):
+    def closed_form(self, n):
         g, mu = self.gamma, self.mu
-        value = (n * (1 - mu) ** 2 / (mu * (n + g - 1))
-                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
-                                           (2 - n - g,), mu)))
-        return value, True
+        return (n * (1 - mu) ** 2 / (mu * (n + g - 1))
+                * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
+                                          (2 - n - g,), mu)))
 
 
 @dataclass(frozen=True)
@@ -566,12 +562,11 @@ class Kravchuk(Family):
         self.check_degree(n)
         return _ladder_connection(n, self.p)
 
-    def closed_form(self, n, dps, accel_tol):
+    def closed_form(self, n):
         p, N = self.p, self.N
-        value = (Fraction(n, N - n + 1) / (p * (1 - p))
-                 * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
-                                           (Fraction(N - n + 2),), p / (p - 1))))
-        return value, True
+        return (Fraction(n, N - n + 1) / (p * (1 - p))
+                * terminating_pfq(PFQSpec((Fraction(1 - n), Fraction(1)),
+                                          (Fraction(N - n + 2),), p / (p - 1))))
 
 
 @dataclass(frozen=True)
@@ -586,7 +581,6 @@ class Hahn(Family):
     N: int
 
     tag = "hahn"
-    exact_closed_form = False
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", to_fraction(self.alpha))
@@ -670,7 +664,7 @@ class Hahn(Family):
         self.check_ladder_degree(n)
         return Hahn(self.alpha + 1, self.beta + 1, self.N - 1), Fraction(n)
 
-    def closed_form(self, n, dps, accel_tol):
+    def closed_form(self, n):
         al, be, N = self.alpha, self.beta, self.N
         s = al + be
         f1 = Fraction(math.factorial(n - 1))
@@ -703,13 +697,16 @@ class Hahn(Family):
               / (pochhammer(s + n + 2, n - 1) ** 2
                  * pochhammer(-s - n - 1, n - 1) ** 2 * (s + 2) ** 2))
         # The two Gamma factors of the C product differ by the integer n-1 and
-        # combine into (s+2)_(n-1); the remaining 3F2 at -1 does not terminate.
+        # combine into (s+2)_(n-1).
         c2 = (pochhammer(be + 2, n - 1) * (1 - N) * (al + 1)
               * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
               * (s + 2 * n + 1)
               / (Fraction(math.factorial(n)) * (N + be) ** 2)
               ) * pochhammer(s + 2, n - 1)
-        c3, converged = _accelerated_c3(s, n, dps, accel_tol)
+        # c3 = 3F2(1, a+1, b; n+1, a; -1), a = (s+1)/2 + n, b = s+n+1, does not
+        # terminate, but its terms telescope, t_k = T_(k+1) - T_k with
+        # T_k = -(n+k)/(2a) (b)_k/(n+1)_k (-1)^k, so its Abel sum is -T_0.
+        c3 = Fraction(n) / (2 * n + s + 1)
 
         d1 = (f1 * (N - 1) * (al + 1)
               * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
@@ -726,24 +723,7 @@ class Hahn(Family):
             (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
             Fraction(-1)))
 
-        terminating_part = b1 * b2 * b3 + d1 * d2 * d3
-        with mpmath.workdps(dps):
-            value = to_mpf(lead) * (to_mpf(terminating_part) + to_mpf(c1 * c2) * c3)
-        return value, converged
-
-
-#: (alpha + beta, degree, dps, tolerance) keys of accelerated c3 values kept
-_ACCEL_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_ACCEL_CACHE_SIZE)
-def _accelerated_c3(s: Fraction, n: int, dps: int, accel_tol) -> Tuple[mpf, bool]:
-    # depends on the parameters only through s = alpha + beta and the degree
-    spec = PFQSpec(
-        (Fraction(1), (s + 3) / 2 + n, s + n + 1),
-        (Fraction(n + 1), (s + 1) / 2 + n),
-        Fraction(-1))
-    return accelerated_pfq_at_minus_one(spec, tol=accel_tol, dps=dps)
+        return lead * (b1 * b2 * b3 + d1 * d2 * d3 + c1 * c2 * c3)
 
 
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}

@@ -19,10 +19,9 @@ Routes:
                     d_j^2/d_n^2 from the recurrence's b_m, so the route runs
                     on rational arithmetic alone.  This is the authoritative
                     exact value;
-* ``closed``     -- the per-family closed forms.  Charlier, Meixner and
-                    Kravchuk are exact; the Hahn form contains one
-                    non-terminating 3F2 at -1 that is Euler-accelerated and
-                    reported with a convergence flag.
+* ``closed``     -- the per-family closed forms, exact for all four families.
+                    The one non-terminating 3F2 at -1 in the Hahn form
+                    telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
 The four agree bit-exactly wherever they are all exact, which is the main
 self-check of the package.
@@ -41,7 +40,6 @@ from mpmath import mpf
 
 from .families import Family, OutOfSupport, diff_coeffs, shift_coeffs
 from .numerics import (
-    DEFAULT_ACCEL_TOL,
     DEFAULT_DPS,
     DenominatorPole,
     Scalar,
@@ -221,19 +219,17 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     return total
 
 
-def fisher_closed(fam: Family, n: int, *, dps: int = DEFAULT_DPS,
-                  accel_tol: Scalar = DEFAULT_ACCEL_TOL):
-    """Per-family closed form; returns (value, converged).
+def fisher_closed(fam: Family, n: int) -> Fraction:
+    """Per-family closed form, an exact Fraction.
 
     Charlier: n/mu.  Meixner and Kravchuk: a prefactor times a terminating
-    2F1, exact.  Hahn: a sum of three factor products in which one 3F2 at -1
-    does not terminate; it is Euler-accelerated and its convergence flag is
-    passed through (the value is still reported when the flag is False).
+    2F1.  Hahn: a sum of three factor products, two with a terminating 5F4
+    and one with a 3F2 at -1 whose terms telescope to n/(2n+s+1).
     """
     fam.check_degree(n)
     if n == 0:
-        return Fraction(0), True
-    return fam.closed_form(n, dps, accel_tol)
+        return Fraction(0)
+    return fam.closed_form(n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,6 @@ class FisherReport:
     values: Dict[Method, Scalar]
     errors: Dict[Method, str]
     max_pairwise_rel_discrepancy: Optional[mpf]
-    hahn_c3_converged: Optional[bool]
 
 
 def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCATION,
@@ -286,7 +281,6 @@ def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
     chosen = tuple(methods) if methods else tuple(Method)
     values: Dict[Method, Scalar] = {}
     errors: Dict[Method, str] = {}
-    flag = None
     for method in chosen:
         try:
             if method is Method.DIRECT:
@@ -296,14 +290,11 @@ def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
             elif method is Method.EXPANSION:
                 values[method] = fisher_expansion(fam, n)
             elif method is Method.CLOSED:
-                value, converged = fisher_closed(fam, n, dps=dps)
-                values[method] = value
-                if not fam.exact_closed_form:
-                    flag = converged
+                values[method] = fisher_closed(fam, n)
         except _COMPUTE_ERRORS as exc:
             errors[method] = f"{type(exc).__name__}: {exc}"
     discrepancy = None
     if len(values) >= 2:
         discrepancy = max(rel_gap(a, b, dps)
                           for a, b in combinations(values.values(), 2))
-    return FisherReport(fam, n, values, errors, discrepancy, flag)
+    return FisherReport(fam, n, values, errors, discrepancy)

@@ -6,10 +6,15 @@ Two number backends are used throughout the package:
   closed form with rational parameters, and
 * arbitrary-precision floats (`mpmath.mpf`) with a declared working precision
   in decimal digits, used for truncated sums over infinite lattices and for
-  the one non-terminating series that needs summation by acceleration.
+  printing.
 
-Precision is controlled per call through a ``dps`` argument; the default is
-generous because some closed-form factors cancel tens of digits.
+Precision is controlled per call through a ``dps`` argument.  Every closed
+form is exact, so no Fisher value loses digits to cancellation; the 80-digit
+default is kept so that float output and truncated sums stay as they were.
+
+``accelerated_pfq_at_minus_one`` sums a non-terminating pFq at -1 by the
+iterated Euler transformation.  No route calls it; the benchmark harness
+wraps it by name, so it stays until that harness is restated.
 """
 
 from __future__ import annotations
@@ -40,7 +45,11 @@ class NonTerminatingSeries(ValueError):
 
 
 def to_fraction(x) -> Fraction:
-    """Exact conversion to Fraction (floats convert via their binary value)."""
+    """Exact conversion to Fraction.
+
+    Floats are refused: ``0.1`` has no exact decimal meaning as a float, so
+    parameters are passed as ``str`` ('1/10', '0.1') or ``Fraction``.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -48,7 +57,7 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x)
+        raise TypeError(f"float {x!r} is not exact; pass a str or a Fraction")
     if isinstance(x, mpf):
         numerator, denominator = mpmath.libmp.to_rational(x._mpf_)
         return Fraction(int(numerator), int(denominator))

@@ -51,14 +51,10 @@ def format_scalar(value, backend: str, dps: int) -> str:
 def route_cells(report: FisherReport, method: Method, backend: str,
                 dps: int) -> Tuple[str, str, str]:
     """CSV cells (value, converged, error) of one route of a report; a failed
-    route gives an empty value and ``false``, the closed route the Hahn flag."""
+    route gives an empty value and ``false``."""
     if method not in report.values:
         return "", "false", report.errors.get(method, "unavailable")
-    value = format_scalar(report.values[method], backend, dps)
-    converged = True
-    if method is Method.CLOSED and report.hahn_c3_converged is not None:
-        converged = report.hahn_c3_converged
-    return value, str(converged).lower(), ""
+    return format_scalar(report.values[method], backend, dps), "true", ""
 
 
 def format_params(family: Family) -> str:

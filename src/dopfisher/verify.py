@@ -45,7 +45,6 @@ class SuiteResult:
     passed: int = 0
     failed: int = 0
     failures: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -245,7 +244,7 @@ def suite_rakhmanov(dps, trunc) -> SuiteResult:
     # zero iff n = 0, every family and route
     for fam in _sample_families():
         for n in range(_max_n(fam, 3) + 1):
-            values = [fisher_expansion(fam, n), fisher_closed(fam, n, dps=dps)[0],
+            values = [fisher_expansion(fam, n), fisher_closed(fam, n),
                       fisher_direct(fam, n, trunc, dps=dps),
                       fisher_difference(fam, n, trunc, dps=dps)]
             for value in values:
@@ -284,7 +283,7 @@ def suite_charlier(dps, trunc) -> SuiteResult:
             law = Fraction(n) / mu
             out.check(fisher_expansion(fam, n) == law,
                       f"{fam}: expansion != n/mu at n={n}")
-            out.check(fisher_closed(fam, n)[0] == law,
+            out.check(fisher_closed(fam, n) == law,
                       f"{fam}: closed form != n/mu at n={n}")
             out.check(rel_gap(fisher_direct(fam, n, trunc, dps=dps), law, dps) <= bound,
                       f"{fam}: truncated direct sum off n/mu at n={n}")
@@ -299,34 +298,26 @@ def suite_closed_form(dps, trunc) -> SuiteResult:
         for mu in (Fraction(1, 4), Fraction(3, 4)):
             fam = Meixner(gamma, mu)
             for n in range(11):
-                out.check(fisher_closed(fam, n)[0] == fisher_expansion(fam, n),
+                out.check(fisher_closed(fam, n) == fisher_expansion(fam, n),
                           f"{fam}: closed form != expansion at n={n}")
     for p in (Fraction(1, 4), Fraction(1, 2)):
         for N in (6, 10):
             fam = Kravchuk(p, N)
             for n in range(N):
-                out.check(fisher_closed(fam, n)[0] == fisher_expansion(fam, n),
+                out.check(fisher_closed(fam, n) == fisher_expansion(fam, n),
                           f"{fam}: closed form != expansion at n={n}")
     return out
 
 
 def suite_hahn_closed_form(dps, trunc) -> SuiteResult:
     out = SuiteResult("hahn-closed-form")
-    bound = mpf(10) ** -8
     grids = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(-1, 2)),
              (Fraction(1), Fraction(2))]
     for al, be in grids:
         fam = Hahn(al, be, 8)
         for n in range(1, 8):
-            value, converged = fisher_closed(fam, n, dps=dps)
-            exact = fisher_expansion(fam, n)
-            out.notes.append(
-                f"{fam} n={n}: c3_converged={converged}, rel_gap={rel_gap(value, exact, dps)}")
-            if converged:
-                out.check(rel_gap(value, exact, dps) <= bound,
-                          f"{fam}: converged closed form off expansion at n={n}")
-            else:
-                out.check(True, "")
+            out.check(fisher_closed(fam, n) == fisher_expansion(fam, n),
+                      f"{fam}: closed form != expansion at n={n}")
     return out
 
 

@@ -10,12 +10,15 @@ an exact rational.
 The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the pointwise recurrence, Pochhammer connection
 coefficients, norm-ratio expansion sum, the Hahn 4F3 connection sum and the
-Fraction forms of the Hahn recurrence coefficients -- as references for them.
+Fraction forms of the Hahn recurrence coefficients -- as references for them,
+and mpmath's own 3F2 for the series the Hahn closed form sums in closed form.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import mpmath
 
 
 @lru_cache(maxsize=None)
@@ -171,3 +174,12 @@ def hahn_recurrence(fam, m: int):
 
     b = coef_a(m - 1) * coef_c(m) if m else Fraction(0)
     return coef_a(m) + coef_c(m), b
+
+
+def hahn_c3_hyp3f2(s, n: int):
+    """3F2(1, a+1, b; n+1, a; -1), a = (s+1)/2 + n, b = s+n+1, by mpmath's
+    hyp3f2 at 50 digits (its own summation of the non-terminating series)."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s.numerator) / s.denominator
+        a = (s + 1) / 2 + n
+        return mpmath.hyp3f2(1, a + 1, s + n + 1, n + 1, a, -1)

@@ -320,12 +320,6 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, ["verify", "--suite", "nope"])
         assert code == 64
 
-    def test_hahn_closed_form_verbose_reports_flags(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "--suite", "hahn-closed-form",
-                                        "--verbose"])
-        assert code == 0
-        assert "c3_converged=" in out
-
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["dopfisher", "dopfisher.cli"])

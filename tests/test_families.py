@@ -64,6 +64,11 @@ class TestDomainValidation:
         with pytest.raises(ParameterDomainError):
             Hahn(F(0), F(-3, 2), 5)
 
+    def test_float_parameter_refused(self):
+        with pytest.raises(TypeError, match="str or a Fraction"):
+            Charlier(0.1)
+        assert Charlier("0.1").mu == F(1, 10)
+
     def test_make_family(self):
         fam = make_family("kravchuk", p=F(1, 2), N=3)
         assert isinstance(fam, Kravchuk) and fam.N == 3

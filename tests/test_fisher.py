@@ -17,7 +17,12 @@ from dopfisher.fisher import (
     rakhmanov_density,
 )
 
-from oracles import brute_force_fisher_bounded, norm_ratio_expansion
+from oracles import (
+    brute_force_fisher_bounded,
+    hahn_c3_hyp3f2,
+    norm_ratio_expansion,
+    rising,
+)
 
 F = Fraction
 
@@ -164,46 +169,70 @@ class TestExpansion:
 
 class TestClosed:
     def test_charlier(self):
-        assert fisher_closed(Charlier(F(2)), 3) == (F(3, 2), True)
+        assert fisher_closed(Charlier(F(2)), 3) == F(3, 2)
 
     def test_kravchuk(self):
-        assert fisher_closed(Kravchuk(F(1, 2), 3), 2) == (F(16, 3), True)
+        assert fisher_closed(Kravchuk(F(1, 2), 3), 2) == F(16, 3)
 
     def test_degree_zero(self):
         for fam in [Charlier(F(2)), Meixner(F(2), F(1, 2)),
                     Kravchuk(F(1, 2), 3), Hahn(F(0), F(0), 5)]:
-            assert fisher_closed(fam, 0) == (F(0), True)
+            assert fisher_closed(fam, 0) == F(0)
 
     def test_meixner_matches_expansion_exactly(self):
         for gamma in (F(3, 2), F(2), F(4)):
             for mu in (F(1, 4), F(3, 4)):
                 fam = Meixner(gamma, mu)
                 for n in range(12):
-                    value, converged = fisher_closed(fam, n)
-                    assert converged
-                    assert value == fisher_expansion(fam, n)
+                    assert fisher_closed(fam, n) == fisher_expansion(fam, n)
 
     def test_kravchuk_matches_expansion_exactly(self):
         for p in (F(1, 4), F(1, 2), F(2, 3)):
             fam = Kravchuk(p, 9)
             for n in range(9):
-                value, converged = fisher_closed(fam, n)
-                assert converged
-                assert value == fisher_expansion(fam, n)
+                assert fisher_closed(fam, n) == fisher_expansion(fam, n)
 
     def test_meixner_large_degree_approaches_inverse_odds(self):
         # for mu = 1/4 the large-n level is (1-mu)/mu = 3
         fam = Meixner(F(3, 2), F(1, 4))
-        value, _ = fisher_closed(fam, 100)
+        value = fisher_closed(fam, 100)
         assert abs(value - 3) < F(3) * F(2, 100)
 
     def test_hahn_against_expansion(self):
         for al, be in [(F(0), F(0)), (F(3), F(-1, 2)), (F(1), F(2))]:
             fam = Hahn(al, be, 8)
             for n in range(1, 8):
-                value, converged = fisher_closed(fam, n, dps=60)
-                assert converged
-                assert rel_gap(value, fisher_expansion(fam, n), 60) <= mpf(10) ** -8
+                assert fisher_closed(fam, n) == fisher_expansion(fam, n)
+
+
+C3_GRID = [(s, n) for s in (F(-5, 3), F(-1), F(-1, 2), F(0), F(7, 6), F(3), F(8), F(10))
+           for n in (1, 2, 5, 13)]
+
+
+class TestHahnC3:
+    """The 3F2(1, a+1, b; n+1, a; -1) of the Hahn closed form, a = (s+1)/2 + n
+    and b = s+n+1, is the rational n/(2n+s+1)."""
+
+    @pytest.mark.parametrize("s, n", C3_GRID)
+    def test_hyp3f2_equals_rational(self, s, n):
+        value = F(n) / (2 * n + s + 1)
+        assert rel_gap(hahn_c3_hyp3f2(s, n), value, 50) <= mpf(10) ** -45
+
+    @pytest.mark.parametrize("s, n", C3_GRID)
+    def test_terms_telescope(self, s, n):
+        # t_k = T_(k+1) - T_k with T_k = -(n+k)/(2a) (b)_k/(n+1)_k (-1)^k,
+        # so the Abel sum is -T_0 = n/(2a) = n/(2n+s+1)
+        a, b = (s + 1) / 2 + n, s + n + 1
+
+        def ratio(k):
+            return rising(b, k) / rising(F(n + 1), k) * (-1) ** k
+
+        def T(k):
+            return -(n + k) / (2 * a) * ratio(k)
+
+        for k in range(40):
+            assert ratio(k) * (1 + k / a) == T(k + 1) - T(k)
+        assert -T(0) == F(n) / (2 * n + s + 1)
 
 
 class TestReport:
@@ -213,7 +242,6 @@ class TestReport:
         assert report.values[Method.EXPANSION] == F(3, 2)
         assert report.values[Method.CLOSED] == F(3, 2)
         assert report.max_pairwise_rel_discrepancy <= mpf(10) ** -25
-        assert report.hahn_c3_converged is None
 
     def test_kravchuk_four_way_exact(self):
         report = fisher_report(Kravchuk(F(1, 2), 12), 5)
@@ -227,8 +255,7 @@ class TestReport:
         assert report.values[Method.DIRECT] == expected
         assert report.values[Method.DIFFERENCE] == expected
         assert report.values[Method.EXPANSION] == expected
-        assert report.hahn_c3_converged is True
-        assert rel_gap(report.values[Method.CLOSED], expected) <= mpf(10) ** -8
+        assert report.values[Method.CLOSED] == expected
 
     def test_errors_collected_without_aborting(self):
         tiny = TruncationPolicy(tail_tol=F(1, 10**30), hard_cap=3)
@@ -251,7 +278,7 @@ class TestInvariants:
     @pytest.mark.parametrize("fam", FAMILIES)
     def test_nonnegative_and_zero_iff_degree_zero(self, fam):
         for n in range(4):
-            values = [fisher_expansion(fam, n), fisher_closed(fam, n)[0],
+            values = [fisher_expansion(fam, n), fisher_closed(fam, n),
                       fisher_direct(fam, n), fisher_difference(fam, n)]
             for value in values:
                 if n == 0:
@@ -273,15 +300,12 @@ class TestCacheBounds:
     def test_caches_keyed_on_families_stay_bounded(self):
         from dopfisher import families
 
-        tables, accel = families._tables, families._accelerated_c3
+        tables = families._tables
         for i in range(2000):
             fam = Hahn(F(i, 2001), F(1, 3), 6)
             assert fisher_expansion(fam, 5) > 0
             fam.poly_coeffs(3)
             assert tables.cache_info().currsize <= families._TABLE_CACHE_SIZE
-        for i in range(families._ACCEL_CACHE_SIZE + 50):
-            accel(F(i, 997), 1, 50, F(1, 1000))
-            assert accel.cache_info().currsize <= families._ACCEL_CACHE_SIZE
 
 
 class TestConcurrency:

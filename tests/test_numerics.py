@@ -13,6 +13,7 @@ from dopfisher.numerics import (
     is_nonpositive_integer,
     pochhammer,
     terminating_pfq,
+    to_fraction,
     to_mpf,
 )
 
@@ -98,6 +99,13 @@ class TestTerminatingPFQ:
                     assert abs(approx) < mpf(10) ** -35
                 else:
                     assert abs(approx - to_mpf(exact)) <= abs(to_mpf(exact)) * mpf(10) ** -35
+
+
+class TestToFraction:
+    def test_float_refused_even_when_exact(self):
+        with pytest.raises(TypeError, match="str or a Fraction"):
+            to_fraction(0.5)
+        assert to_fraction("0.5") == to_fraction(F(1, 2)) == F(1, 2)
 
 
 class TestIsNonpositiveInteger:

@@ -1,7 +1,9 @@
 """Property-based route agreement over random rational parameters.
 
-Bounded families: the three exact routes agree bit for bit.  Infinite
-supports: the exact closed form equals the expansion, and Charlier gives n/mu.
+Bounded families: the three exact routes agree bit for bit, and the Hahn
+closed form equals the expansion off alpha + beta = -1; on that line it
+either equals it or reports an error.  Infinite supports: the exact closed
+form equals the expansion, and Charlier gives n/mu.
 Every value is positive, and zero exactly at degree 0.  The integer kernel
 of the Hahn recurrence coefficients equals their Fraction form.  Examples are
 drawn deterministically, so the suite stays reproducible.
@@ -9,15 +11,17 @@ drawn deterministically, so the suite stays reproducible.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
+    Method,
     fisher_closed,
     fisher_difference,
     fisher_direct,
     fisher_expansion,
+    fisher_report,
 )
 
 from oracles import hahn_recurrence
@@ -70,8 +74,7 @@ def test_bounded_exact_routes_agree(case):
 def test_infinite_closed_form_equals_expansion(case):
     fam, n = case
     value = fisher_expansion(fam, n)
-    closed, converged = fisher_closed(fam, n)
-    assert converged and closed == value
+    assert fisher_closed(fam, n) == value
     if isinstance(fam, Charlier):
         assert value == F(n) / fam.mu
     assert_sign(value, n)
@@ -87,6 +90,19 @@ def test_hahn_alpha_plus_beta_minus_one(N, data):
     value = fisher_expansion(fam, n)
     assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
     assert_sign(value, n)
+    # the closed form's b2, d2 and 5F4s degenerate here: an error, never a wrong value
+    report = fisher_report(fam, n, methods=[Method.CLOSED])
+    assert report.values.get(Method.CLOSED, value) == value
+    assert (Method.CLOSED in report.values) != (Method.CLOSED in report.errors)
+
+
+@PROPERTY
+@given(rationals(-1, 50), rationals(-1, 50), st.integers(min_value=1, max_value=30))
+def test_hahn_closed_form_equals_expansion(alpha, beta, N):
+    assume(alpha + beta != -1)
+    fam = Hahn(alpha, beta, N)
+    for n in range(N):
+        assert fisher_closed(fam, n) == fisher_expansion(fam, n)
 
 
 @PROPERTY
