@@ -27,8 +27,7 @@ from .families import (
     TableOneData,
     make_family,
 )
-from .fisher import (
-    DEFAULT_TRUNCATION,
+from .fisher import (  # the two Truncation* names only for bench/ (ROADMAP item 3)
     FisherReport,
     Method,
     TruncationCapExceeded,
@@ -55,13 +54,12 @@ from .verify import SUITES, SuiteResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "Charlier", "DEFAULT_DPS", "DEFAULT_TRUNCATION",
+    "Charlier", "DEFAULT_DPS",
     "DegreeOutOfRange", "DenominatorPole", "Family", "FisherReport", "Hahn",
     "Kravchuk", "LatticeSupport", "Meixner", "Method", "NonTerminatingSeries",
     "NormValue", "OutOfSupport", "PFQSpec", "ParameterDomainError",
     "SUITES", "Scalar", "SuiteResult", "SweepSpec",
-    "TableOneData", "TruncationCapExceeded", "TruncationPolicy",
-    "fisher_closed",
+    "TableOneData", "fisher_closed",
     "fisher_difference", "fisher_direct", "fisher_expansion", "fisher_report",
     "kravchuk_max_degree", "kravchuk_max_degree_large_N", "kravchuk_p_to_one",
     "kravchuk_p_to_zero", "linear_grid", "load_figures", "make_family",

@@ -33,13 +33,7 @@ from .families import (
     ParameterDomainError,
     make_family,
 )
-from .fisher import (
-    DEFAULT_TRUNCATION,
-    Method,
-    TruncationPolicy,
-    fisher_report,
-    rakhmanov_density,
-)
+from .fisher import Method, fisher_report, rakhmanov_density
 from .numerics import DEFAULT_DPS, to_fraction
 from .sweeps import (
     PARAM_NAMES,
@@ -112,10 +106,6 @@ def _add_numeric_flags(parser, default_backend):
     parser.add_argument("--dps", type=_dps_arg, default=_default_dps(),
                         help="decimal digits of the float backend (>= 50; "
                              "default 80, env DOPFISHER_DPS)")
-    parser.add_argument("--tail-tol", type=Fraction, default=DEFAULT_TRUNCATION.tail_tol,
-                        help="relative tail tolerance of truncated sums")
-    parser.add_argument("--hard-cap", type=int, default=DEFAULT_TRUNCATION.hard_cap,
-                        help="lattice-point cap of truncated sums")
 
 
 def _family_from_args(args, parser):
@@ -141,10 +131,6 @@ def _parse_methods(raw: str, parser) -> List[Method]:
     return out
 
 
-def _trunc(args) -> TruncationPolicy:
-    return TruncationPolicy(tail_tol=args.tail_tol, hard_cap=args.hard_cap)
-
-
 def _writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
@@ -167,8 +153,7 @@ def _output(path):
 def cmd_fisher(args, parser) -> int:
     fam = _family_from_args(args, parser)
     methods = _parse_methods(args.methods, parser)
-    report = fisher_report(fam, args.n, _trunc(args), dps=args.dps,
-                           methods=methods)
+    report = fisher_report(fam, args.n, dps=args.dps, methods=methods)
     disc = ""
     if report.max_pairwise_rel_discrepancy is not None:
         disc = format_scalar(report.max_pairwise_rel_discrepancy, "float", 8)
@@ -232,7 +217,6 @@ _MANUAL_SWEEP_FLAGS = ("family",) + PARAM_NAMES + ("n", "sweep", "start", "stop"
 def cmd_sweep(args, parser) -> int:
     # without --methods, figure curves keep their own methods key
     methods = None if args.methods is None else _parse_methods(args.methods, parser)
-    trunc = _trunc(args)
     if args.figure or args.list_figures:
         mode = "--figure" if args.figure else "--list-figures"
         if args.figure and args.list_figures:
@@ -249,7 +233,7 @@ def cmd_sweep(args, parser) -> int:
                     stream.writelines(listing)
                 return EXIT_OK
             rows = run_figure(args.figure, path=args.figures_file, methods=methods,
-                              backend=args.backend, dps=args.dps, trunc=trunc)
+                              backend=args.backend, dps=args.dps)
         except KeyError as exc:
             raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
         except FigureConfigError as exc:
@@ -274,7 +258,7 @@ def cmd_sweep(args, parser) -> int:
                                integer=args.sweep in ("n", "N"))
             spec = SweepSpec(family=args.family, sweep=args.sweep, fixed=fixed,
                              grid=grid, methods=tuple(methods),
-                             backend=args.backend, dps=args.dps, trunc=trunc,
+                             backend=args.backend, dps=args.dps,
                              label="sweep" if args.label is None else args.label)
         except ValueError as exc:
             raise SystemExit(parser.exit_with_usage(str(exc)))
@@ -293,7 +277,7 @@ def cmd_verify(args, parser) -> int:
             print(name)
         return EXIT_OK
     try:
-        results = run_suites(args.suite or None, dps=args.dps, trunc=_trunc(args))
+        results = run_suites(args.suite or None, dps=args.dps)
     except KeyError as exc:
         raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
     all_ok = True

@@ -29,6 +29,7 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
+    over_common_denominator,
     pochhammer,
     terminating_pfq,
     to_fraction,
@@ -72,8 +73,9 @@ class NormValue:
     """A reduced norm  rational * exp(exp_coeff) * pow_base**pow_expo.
 
     Only the Charlier and Meixner families carry a non-trivial symbolic part
-    (e^mu and (1-mu)^-(gamma+2n) respectively); it cancels in every
-    same-family ratio, which is what keeps the expansion route exact.
+    (e^mu and (1-mu)^-(gamma+2n) respectively, and e^mu and (1-mu)^-gamma in
+    their total mass); it cancels in every same-family ratio, which is what
+    keeps every route exact.
     """
 
     rational: Fraction
@@ -158,8 +160,19 @@ class Family:
         raise TypeError(f"unknown family {self!r}")
 
     def tail_ratio_bound(self, x: int) -> Fraction:
-        """Upper bound on w(y+1)/w(y) valid for every y >= x (infinite supports)."""
+        """Upper bound on w(y+1)/w(y) valid for every y >= x (infinite supports).
+
+        Only the truncated-sum engine reads it; ROADMAP item 3 deletes both."""
         raise TypeError(f"no tail bound for bounded family {self.tag}")
+
+    def total_mass(self) -> NormValue:
+        """sum_x w(x) over an infinite support, its symbolic factor kept."""
+        raise TypeError(f"no factorial moments for bounded family {self.tag}")
+
+    def factorial_moments(self, k: int) -> list:
+        """sum_x w(x) x(x-1)...(x-j+1) / total_mass() for j = 0..k, exact
+        (infinite supports)."""
+        raise TypeError(f"no factorial moments for bounded family {self.tag}")
 
     # ---- shared machinery --------------------------------------------------
 
@@ -232,16 +245,19 @@ class Family:
         """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
         return _tables(self).b_upto(n)
 
+    def lattice_values(self, n: int) -> list:
+        """P_n at every point of a bounded support and one point past its
+        end, in one eval_points pass.  The family keeps the last degree's
+        values, so the direct and difference routes at one degree share the
+        pass (read the list, never mutate it)."""
+        self.check_degree(n)
+        return _tables(self).lattice(n)
+
     def lattice_weights(self) -> list:
         """Reduced weights at every point of a bounded support, walked up from
-        w(a) by the exact ratio: w(x) = w(x-1) / weight_ratio(x)."""
-        sup = self.support()
-        w = self.reduced_weight(sup.a)
-        out = [w]
-        for x in range(sup.a + 1, sup.b):
-            w = w / self.weight_ratio(x)
-            out.append(w)
-        return out
+        w(a) by the exact ratio: w(x) = w(x-1) / weight_ratio(x).  Computed
+        once per family (read the list, never mutate it)."""
+        return _tables(self).weights()
 
     def connection_coeffs(self, n: int) -> list:
         """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
@@ -277,6 +293,9 @@ class _Tables:
         # the Delta-walk keeps its last two rows, Delta P_(k-1) and Delta P_k
         self.delta_degree = 1
         self.delta_rows = ((), (Fraction(1),))   # Delta P_0 = 0, Delta P_1 = P_0
+        # bounded supports: the weights, and P_n on the lattice at the last degree
+        self.weight_row = None
+        self.lattice_degree, self.lattice_row = None, None
         self.lock = threading.RLock()
 
     def grow(self, rows: list, n: int, make_row) -> list:
@@ -304,6 +323,26 @@ class _Tables:
                 self.delta_degree += 1
                 self.delta_rows = (self.delta_rows[1], row)
             return self.delta_rows[n - self.delta_degree + 1]
+
+    def weights(self) -> list:
+        with self.lock:
+            if self.weight_row is None:
+                fam, sup = self.fam, self.fam.support()
+                w = fam.reduced_weight(sup.a)
+                row = [w]
+                for x in range(sup.a + 1, sup.b):
+                    w = w / fam.weight_ratio(x)
+                    row.append(w)
+                self.weight_row = row
+            return self.weight_row
+
+    def lattice(self, n: int) -> list:
+        with self.lock:
+            if self.lattice_degree != n:
+                sup = self.fam.support()
+                self.lattice_row = self.fam.eval_points(n, range(sup.a, sup.b + 1))
+                self.lattice_degree = n
+            return self.lattice_row
 
     def monomials(self, n: int) -> Tuple[Fraction, ...]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
@@ -352,12 +391,15 @@ def _ladder_connection(n: int, r: Fraction) -> list:
 
 
 def shift_coeffs(coeffs: Tuple[Fraction, ...], h: int = 1) -> Tuple[Fraction, ...]:
-    """Coefficients of q(x) = p(x + h) by binomial expansion."""
-    out = [Fraction(0)] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        for k in range(i + 1):
-            out[k] += c * math.comb(i, k) * Fraction(h) ** (i - k)
-    return tuple(out)
+    """Coefficients of q(x) = p(x + h) by binomial expansion, on integers
+    over the common denominator of the coefficients."""
+    ints, den = over_common_denominator(coeffs)
+    out = [0] * len(ints)
+    for i, c in enumerate(ints):
+        if c:
+            for k in range(i + 1):
+                out[k] += c * math.comb(i, k) * h ** (i - k)
+    return tuple(Fraction(v, den) for v in out)
 
 
 def diff_coeffs(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
@@ -408,6 +450,12 @@ class Charlier(Family):
 
     def tail_ratio_bound(self, x):
         return self.mu / (x + 1)  # decreasing in x
+
+    def total_mass(self):
+        return NormValue(Fraction(1), exp_coeff=self.mu)
+
+    def factorial_moments(self, k):
+        return [self.mu ** j for j in range(k + 1)]
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -473,6 +521,17 @@ class Meixner(Family):
     def tail_ratio_bound(self, x):
         # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
         return self.mu * max(Fraction(1), (self.gamma + x) / Fraction(x + 1))
+
+    def total_mass(self):
+        return NormValue(Fraction(1), pow_base=1 - self.mu, pow_expo=-self.gamma)
+
+    def factorial_moments(self, k):
+        # (gamma)_j r^j with r = mu/(1-mu), one factor per step
+        r = self.mu / (1 - self.mu)
+        out = [Fraction(1)]
+        for j in range(1, k + 1):
+            out.append(out[-1] * (self.gamma + j - 1) * r)
+        return out
 
     def reduced_norm(self, n):
         self.check_degree(n)

@@ -7,11 +7,13 @@ weight w and norm d_n^2, the quantity computed here is
 
 Routes:
 
-* ``direct``     -- the defining sum (exact over bounded supports, truncated
-                    under the big-float backend otherwise);
+* ``direct``     -- the defining sum: a finite sum over a bounded support,
+                    and over an infinite one the moment sum below of
+                    Delta P_n(x)^2;
 * ``difference`` -- the summation-by-parts identity coming from the family's
                     second-order difference equation, which trades the sum for
-                    a boundary term plus an expectation of the weight ratio;
+                    a boundary term plus an expectation of the weight ratio
+                    (over an infinite support, the moment sum of P_n(x+1)^2);
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
                     (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j come from Delta
                     applied to the three-term recurrence (Charlier, Meixner
@@ -23,8 +25,17 @@ Routes:
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
-The four agree bit-exactly wherever they are all exact, which is the main
-self-check of the package.
+On an infinite lattice (Charlier, Meixner) a polynomial is summed against the
+weight in closed form: x^k = sum_j S(k, j) x(x-1)...(x-j+1), with S the
+Stirling numbers of the second kind, turns its monomials into falling
+factorials, whose weighted sums the family supplies as factorial moments
+(``Family.factorial_moments``).  The weight's total mass (e^mu, or
+(1-mu)^-gamma) cancels exactly against the norm, so every route returns an
+exact Fraction for rational parameters.  This path uses monomial
+coefficients and moments only, no ladder and no connection coefficients, so
+it stays independent of ``expansion``.
+
+The four agree bit-exactly, which is the main self-check of the package.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .families import Family, OutOfSupport, diff_coeffs, shift_coeffs
 from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
-    Scalar,
+    over_common_denominator,
     rel_gap,
     to_mpf,
 )
@@ -55,6 +66,12 @@ class Method(enum.Enum):
     CLOSED = "closed"
 
 
+# ---------------------------------------------------------------------------
+# Truncated summation over infinite supports; no route calls it
+# ---------------------------------------------------------------------------
+
+
+# Kept for bench/selftest.py, which imports it; ROADMAP item 3 deletes it.
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Stopping rule for sums over infinite supports.
@@ -71,13 +88,9 @@ class TruncationPolicy:
 DEFAULT_TRUNCATION = TruncationPolicy()
 
 
+# Kept for bench/selftest.py, which imports it; ROADMAP item 3 deletes it.
 class TruncationCapExceeded(RuntimeError):
     """The truncated sum hit the hard cap before meeting its tail tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# Truncated summation over infinite supports
-# ---------------------------------------------------------------------------
 
 
 def _root_bound(coeffs) -> float:
@@ -104,7 +117,9 @@ def _root_bound(coeffs) -> float:
     return 2.0 * best + 1.0
 
 
-def truncated_weighted_square_sum(fam: Family, coeffs, trunc: TruncationPolicy,
+# Kept for bench/tracer.py, which wraps it by name; ROADMAP item 3 deletes it.
+def truncated_weighted_square_sum(fam: Family, coeffs,
+                                  trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                                   dps: int = DEFAULT_DPS) -> mpf:
     """sum_{x>=0} w(x) q(x)^2 for the polynomial q given by exact coefficients.
 
@@ -150,27 +165,49 @@ def truncated_weighted_square_sum(fam: Family, coeffs, trunc: TruncationPolicy,
 # ---------------------------------------------------------------------------
 
 
-def fisher_direct(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                  *, dps: int = DEFAULT_DPS):
-    """Defining sum; exact Fraction on bounded supports, mpf otherwise."""
+def moment_sum(fam: Family, p, q) -> Fraction:
+    """sum_x w(x) p(x) q(x) / total_mass over an infinite support, exact, for
+    polynomials given by their monomial coefficients.
+
+    The product's coefficients c_k meet the moments sum_j S(k, j) m_j, with
+    m_j the family's factorial moments and S(k, j) the Stirling numbers of
+    the second kind, built row by row.  Everything runs on integers over one
+    common denominator.
+    """
+    pn, pd = over_common_denominator(p)
+    qn, qd = over_common_denominator(q)
+    product = [0] * (len(pn) + len(qn) - 1)
+    for i, a in enumerate(pn):
+        if a:
+            for j, b in enumerate(qn):
+                product[i + j] += a * b
+    moments, md = over_common_denominator(fam.factorial_moments(len(product) - 1))
+    total = 0
+    row = [1]   # S(k, 0..k), here k = 0
+    for k, c in enumerate(product):
+        if k:
+            # S(k, j) = j S(k-1, j) + S(k-1, j-1)
+            row = [0] + [j * row[j] + row[j - 1] for j in range(1, k)] + [1]
+        if c:
+            total += c * sum(s * m for s, m in zip(row, moments))
+    return Fraction(total, pd * qd * md)
+
+
+def fisher_direct(fam: Family, n: int) -> Fraction:
+    """Defining sum, an exact Fraction on every support."""
     fam.check_degree(n)
-    sup = fam.support()
-    if sup.b is not None:
-        # P_n on a..b, one point past the support: Delta P_n(x) = vals[i+1] - vals[i]
-        vals = fam.eval_points(n, range(sup.a, sup.b + 1))
-        num = sum(w * (vals[i + 1] - vals[i]) ** 2
-                  for i, w in enumerate(fam.lattice_weights()))
-        return num / fam.reduced_norm(n).rational
-    if n == 0:
-        return Fraction(0)
-    total = truncated_weighted_square_sum(fam, diff_coeffs(fam.poly_coeffs(n)),
-                                          trunc, dps)
-    with mpmath.workdps(dps):
-        return total / fam.reduced_norm(n).to_float(dps)
+    norm = fam.reduced_norm(n)
+    if fam.support().b is None:
+        dp = diff_coeffs(fam.poly_coeffs(n))
+        return moment_sum(fam, dp, dp) * fam.total_mass().exact_ratio(norm)
+    # P_n on a..b, one point past the support: Delta P_n(x) = vals[i+1] - vals[i]
+    vals = fam.lattice_values(n)
+    num = sum(w * (vals[i + 1] - vals[i]) ** 2
+              for i, w in enumerate(fam.lattice_weights()))
+    return num / norm.rational
 
 
-def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                      *, dps: int = DEFAULT_DPS):
+def fisher_difference(fam: Family, n: int) -> Fraction:
     """Summation-by-parts route:
 
         I = (1/d_n^2) ( [w(x-1) P_n(x)^2]_a^b + <w(x-1)/w(x)> ) - 1,
@@ -183,22 +220,17 @@ def fisher_difference(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRU
     fam.check_degree(n)
     sup = fam.support()
     norm = fam.reduced_norm(n)
-    if sup.b is not None:
-        vals = fam.eval_points(n, range(sup.a, sup.b + 1))  # P_n on a..b
-        weights = fam.lattice_weights()
-        boundary = weights[-1] * vals[-1] ** 2
-        expect = sum(weights[i] * vals[i] ** 2 * fam.weight_ratio(sup.a + i)
-                     for i in range(1, len(weights)))
-        return (boundary + expect) / norm.rational - 1
-    if n == 0:
-        # Delta P_0 = 0 identically; skip the truncation residue
-        return Fraction(0)
-    # w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, i.e. a weighted square sum
-    # of the shifted polynomial; the boundary term vanishes at infinity.
-    shifted = shift_coeffs(fam.poly_coeffs(n), 1)
-    total = truncated_weighted_square_sum(fam, shifted, trunc, dps)
-    with mpmath.workdps(dps):
-        return total / norm.to_float(dps) - 1
+    if sup.b is None:
+        # w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, i.e. the moment sum of
+        # the shifted polynomial; the boundary term vanishes at infinity.
+        shifted = shift_coeffs(fam.poly_coeffs(n), 1)
+        return moment_sum(fam, shifted, shifted) * fam.total_mass().exact_ratio(norm) - 1
+    vals = fam.lattice_values(n)  # P_n on a..b
+    weights = fam.lattice_weights()
+    boundary = weights[-1] * vals[-1] ** 2
+    expect = sum(weights[i] * vals[i] ** 2 * fam.weight_ratio(sup.a + i)
+                 for i in range(1, len(weights)))
+    return (boundary + expect) / norm.rational - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
@@ -255,7 +287,7 @@ def rakhmanov_density(fam: Family, n: int, x: int, *, dps: int = DEFAULT_DPS):
         return to_mpf(numerator) / norm.to_float(dps)
 
 
-_COMPUTE_ERRORS = (DenominatorPole, TruncationCapExceeded, OutOfSupport,
+_COMPUTE_ERRORS = (DenominatorPole, OutOfSupport,
                    ZeroDivisionError, OverflowError)
 
 
@@ -265,13 +297,13 @@ class FisherReport:
 
     family: Family
     degree: int
-    values: Dict[Method, Scalar]
+    values: Dict[Method, Fraction]
     errors: Dict[Method, str]
     max_pairwise_rel_discrepancy: Optional[mpf]
 
 
-def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                  *, dps: int = DEFAULT_DPS, methods=None) -> FisherReport:
+def fisher_report(fam: Family, n: int, *, dps: int = DEFAULT_DPS,
+                  methods=None) -> FisherReport:
     """Run the requested routes (default: all four) and cross-compare.
 
     Per-route computational failures are recorded without aborting the
@@ -279,14 +311,14 @@ def fisher_report(fam: Family, n: int, trunc: TruncationPolicy = DEFAULT_TRUNCAT
     """
     fam.check_degree(n)
     chosen = tuple(methods) if methods else tuple(Method)
-    values: Dict[Method, Scalar] = {}
+    values: Dict[Method, Fraction] = {}
     errors: Dict[Method, str] = {}
     for method in chosen:
         try:
             if method is Method.DIRECT:
-                values[method] = fisher_direct(fam, n, trunc, dps=dps)
+                values[method] = fisher_direct(fam, n)
             elif method is Method.DIFFERENCE:
-                values[method] = fisher_difference(fam, n, trunc, dps=dps)
+                values[method] = fisher_difference(fam, n)
             elif method is Method.EXPANSION:
                 values[method] = fisher_expansion(fam, n)
             elif method is Method.CLOSED:

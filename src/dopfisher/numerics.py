@@ -5,12 +5,11 @@ Two number backends are used throughout the package:
 * exact rationals (`fractions.Fraction`), which stay bit-exact through every
   closed form with rational parameters, and
 * arbitrary-precision floats (`mpmath.mpf`) with a declared working precision
-  in decimal digits, used for truncated sums over infinite lattices and for
-  printing.
+  in decimal digits, used for the infinite-lattice density and for printing.
 
-Precision is controlled per call through a ``dps`` argument.  Every closed
-form is exact, so no Fisher value loses digits to cancellation; the 80-digit
-default is kept so that float output and truncated sums stay as they were.
+Precision is controlled per call through a ``dps`` argument.  Every Fisher
+route is exact, so no Fisher value loses digits to cancellation; the 80-digit
+default is kept so that float output stays as it was.
 
 ``accelerated_pfq_at_minus_one`` sums a non-terminating pFq at -1 by the
 iterated Euler transformation.  No route calls it; the benchmark harness
@@ -106,6 +105,14 @@ def pochhammer(a, k: int):
     return out
 
 
+def over_common_denominator(values) -> Tuple[list, int]:
+    """([v * den for v in values], den), den the lcm of the denominators of
+    the exact rationals ``values``: integer work in place of one gcd per
+    Fraction operation."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def rel_gap(a, b, dps: int) -> mpf:
     """|a - b| / max(|a|, |b|) at ``dps`` digits; 0 when both vanish."""
     with mpmath.workdps(dps):
@@ -166,6 +173,7 @@ def terminating_pfq(spec: PFQSpec):
     return total
 
 
+# Kept for bench/tracer.py, which wraps it by name; ROADMAP item 3 deletes it.
 def accelerated_pfq_at_minus_one(spec: PFQSpec,
                                  tol: Scalar = DEFAULT_ACCEL_TOL,
                                  dps: int = DEFAULT_DPS,

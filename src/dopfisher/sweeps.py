@@ -13,21 +13,16 @@ with one section per curve; see the README for the format.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 
 from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
-from .fisher import (
-    DEFAULT_TRUNCATION,
-    FisherReport,
-    Method,
-    TruncationPolicy,
-    fisher_report,
-)
+from .fisher import FisherReport, Method, fisher_report
 from .numerics import DEFAULT_DPS, to_fraction, to_mpf
 
 #: column order of every sweep row
@@ -66,9 +61,10 @@ def format_params(family: Family) -> str:
     return ";".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """One curve: a family, a swept variable and its grid."""
+    """One curve: a family, a swept variable and its grid.  Specs of the
+    stock figures share ``fixed`` and ``grid``: read them, never mutate them."""
 
     family: str
     sweep: str                              # 'n' or a parameter name
@@ -77,7 +73,6 @@ class SweepSpec:
     methods: Tuple[Method, ...] = (Method.EXPANSION,)
     backend: str = "exact"
     dps: int = DEFAULT_DPS
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION
     label: str = ""
 
     def __post_init__(self):
@@ -135,8 +130,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             continue
-        report = fisher_report(fam, degree, spec.trunc, dps=spec.dps,
-                               methods=spec.methods)
+        report = fisher_report(fam, degree, dps=spec.dps, methods=spec.methods)
         for method in spec.methods:
             row = dict(base)
             row["n"] = str(degree)
@@ -169,15 +163,30 @@ def load_figures(path: Optional[str] = None,
                  methods: Optional[Sequence[Method]] = None,
                  backend: str = "exact",
                  dps: int = DEFAULT_DPS,
-                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                  ) -> Dict[str, List[SweepSpec]]:
     """Parse the figure config into per-figure sweep lists (file order kept).
 
     Each section ``[figN.label]`` defines one curve with keys ``family``,
     ``sweep``, fixed parameters, and either ``grid = start:stop:count`` or an
     explicit ``values`` list.  A file that cannot be read or parsed, and a
-    section that does not define a curve, raise FigureConfigError.
+    section that does not define a curve, raise FigureConfigError.  The
+    stock ``figures.cfg`` (``path=None``) is parsed once per process; a file
+    at ``path`` is read on every call.  ``methods`` replaces every curve's
+    own methods.
     """
+    figures = _stock_figures() if path is None else _parse_figures(path)
+    return {fig_id: [replace(spec, methods=tuple(methods) if methods else spec.methods,
+                             backend=backend, dps=dps) for spec in specs]
+            for fig_id, specs in figures.items()}
+
+
+@lru_cache(maxsize=None)
+def _stock_figures() -> Dict[str, List[SweepSpec]]:
+    # shared by every caller, so load_figures hands out replaced copies
+    return _parse_figures(None)
+
+
+def _parse_figures(path: Optional[str]) -> Dict[str, List[SweepSpec]]:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep 'n' and 'N' distinct
     try:
@@ -193,8 +202,7 @@ def load_figures(path: Optional[str] = None,
     for section in parser.sections():
         fig_id, _, label = section.partition(".")
         try:
-            spec = _curve_spec(dict(parser[section]), methods, backend, dps, trunc,
-                               label=label or fig_id)
+            spec = _curve_spec(dict(parser[section]), label=label or fig_id)
         except (ValueError, ZeroDivisionError, configparser.Error) as exc:
             raise FigureConfigError(
                 f"figure section [{section}]: {_first_line(exc)}") from exc
@@ -202,8 +210,7 @@ def load_figures(path: Optional[str] = None,
     return figures
 
 
-def _curve_spec(options: Dict[str, str], methods, backend, dps, trunc,
-                label: str) -> SweepSpec:
+def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
     """One figure-config section as a sweep; ValueError names what is wrong."""
     missing = [repr(key) for key in ("family", "sweep") if key not in options]
     if "grid" not in options and "values" not in options:
@@ -233,8 +240,7 @@ def _curve_spec(options: Dict[str, str], methods, backend, dps, trunc,
     if sweep != "n" and "n" not in fixed:
         raise ValueError("parameter sweeps need a fixed degree 'n'")
     return SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
-                     methods=methods and tuple(methods) or curve_methods,
-                     backend=backend, dps=dps, trunc=trunc, label=label)
+                     methods=curve_methods, label=label)
 
 
 def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> List[Dict[str, str]]:

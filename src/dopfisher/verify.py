@@ -19,14 +19,12 @@ from mpmath import mpf
 from . import asymptotics
 from .families import Charlier, Hahn, Kravchuk, Meixner
 from .fisher import (
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     fisher_closed,
     fisher_difference,
     fisher_direct,
     fisher_expansion,
+    moment_sum,
     rakhmanov_density,
-    truncated_weighted_square_sum,
 )
 from .numerics import (
     DEFAULT_DPS,
@@ -79,7 +77,7 @@ def _max_n(fam, cap):
 # ---------------------------------------------------------------------------
 
 
-def suite_numerics(dps, trunc) -> SuiteResult:
+def suite_numerics(dps) -> SuiteResult:
     out = SuiteResult("numerics")
     rng = random.Random(20240811)
     # exact backend vs big-float backend at a declared 30 digits
@@ -118,7 +116,7 @@ def suite_numerics(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_weight_ratio(dps, trunc) -> SuiteResult:
+def suite_weight_ratio(dps) -> SuiteResult:
     out = SuiteResult("weight-ratio")
     for fam in _sample_families():
         sup = fam.support()
@@ -134,7 +132,7 @@ def suite_weight_ratio(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_recurrence_norms(dps, trunc) -> SuiteResult:
+def suite_recurrence_norms(dps) -> SuiteResult:
     out = SuiteResult("recurrence-norms")
     for fam in _sample_families():
         for n in range(1, _max_n(fam, 8) + 1):
@@ -144,7 +142,7 @@ def suite_recurrence_norms(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_difference_equation(dps, trunc) -> SuiteResult:
+def suite_difference_equation(dps) -> SuiteResult:
     out = SuiteResult("difference-equation")
     for fam in _sample_families():
         for n in range(_max_n(fam, 8) + 1):
@@ -161,7 +159,7 @@ def suite_difference_equation(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_ladder(dps, trunc) -> SuiteResult:
+def suite_ladder(dps) -> SuiteResult:
     out = SuiteResult("ladder")
     for fam in _sample_families():
         for n in range(1, _max_n(fam, 8) + 1):
@@ -173,23 +171,7 @@ def suite_ladder(dps, trunc) -> SuiteResult:
     return out
 
 
-def truncated_inner(fam, n, m, trunc=DEFAULT_TRUNCATION, dps=DEFAULT_DPS) -> mpf:
-    """<P_n, P_m> over an infinite support by polarization of square sums,
-    which inherits the rigorous tail bound of the square-sum engine."""
-    cp = fam.poly_coeffs(n)
-    cm = fam.poly_coeffs(m)
-    size = max(len(cp), len(cm))
-    cp = cp + (Fraction(0),) * (size - len(cp))
-    cm = cm + (Fraction(0),) * (size - len(cm))
-    plus = tuple(a + b for a, b in zip(cp, cm))
-    minus = tuple(a - b for a, b in zip(cp, cm))
-    with mpmath.workdps(dps):
-        s_plus = truncated_weighted_square_sum(fam, plus, trunc, dps)
-        s_minus = truncated_weighted_square_sum(fam, minus, trunc, dps)
-        return (s_plus - s_minus) / 4
-
-
-def suite_orthogonality(dps, trunc) -> SuiteResult:
+def suite_orthogonality(dps) -> SuiteResult:
     out = SuiteResult("orthogonality")
     # bounded supports: bit-exact
     bounded = [Kravchuk(Fraction(1, 4), 8), Kravchuk(Fraction(2, 3), 8),
@@ -205,26 +187,19 @@ def suite_orthogonality(dps, trunc) -> SuiteResult:
                 expect = fam.reduced_norm(n).rational if n == m else Fraction(0)
                 out.check(total == expect,
                           f"{fam}: orthogonality sum off at n={n}, m={m}: {total} != {expect}")
-    # infinite supports: truncated, 1e-25 relative
-    unbounded = [Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))]
-    bound = mpf(10) ** -25
-    for fam in unbounded:
+    # infinite supports: exact, through the weight's factorial moments
+    for fam in (Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))):
+        mass = fam.total_mass()
         for n in range(7):
             for m in range(n, 7):
-                with mpmath.workdps(dps):
-                    total = truncated_inner(fam, n, m, trunc, dps)
-                    scale = mpmath.sqrt(fam.reduced_norm(n).to_float(dps)
-                                        * fam.reduced_norm(m).to_float(dps))
-                    if n == m:
-                        gap = abs(total - fam.reduced_norm(n).to_float(dps)) / scale
-                    else:
-                        gap = abs(total) / scale
-                out.check(gap <= bound,
-                          f"{fam}: truncated orthogonality gap {gap} at n={n}, m={m}")
+                total = moment_sum(fam, fam.poly_coeffs(n), fam.poly_coeffs(m))
+                expect = fam.reduced_norm(n).exact_ratio(mass) if n == m else 0
+                out.check(total == expect,
+                          f"{fam}: orthogonality sum off at n={n}, m={m}: {total} != {expect}")
     return out
 
 
-def suite_rakhmanov(dps, trunc) -> SuiteResult:
+def suite_rakhmanov(dps) -> SuiteResult:
     out = SuiteResult("rakhmanov")
     # bounded: normalization is exact, density nonnegative
     for fam in [Kravchuk(Fraction(1, 2), 3), Hahn(Fraction(0), Fraction(0), 5)]:
@@ -232,21 +207,20 @@ def suite_rakhmanov(dps, trunc) -> SuiteResult:
             masses = [rakhmanov_density(fam, n, x) for x in fam.support().points()]
             out.check(all(v >= 0 for v in masses), f"{fam}: negative density at n={n}")
             out.check(sum(masses) == 1, f"{fam}: density sum != 1 at n={n}")
-    # infinite: truncated normalization within 1e-30
-    for fam in [Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))]:
+    # infinite: normalization is exact through the factorial moments
+    for fam in (Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))):
         for n in range(4):
-            with mpmath.workdps(dps):
-                total = truncated_weighted_square_sum(fam, fam.poly_coeffs(n), trunc, dps)
-                gap = abs(total / fam.reduced_norm(n).to_float(dps) - 1)
-            out.check(gap <= mpf(10) ** -30,
-                      f"{fam}: truncated normalization gap {gap} at n={n}")
-            out.check(rakhmanov_density(fam, n, 1) >= 0, f"{fam}: negative density, n={n}")
+            coeffs = fam.poly_coeffs(n)
+            total = (moment_sum(fam, coeffs, coeffs)
+                     * fam.total_mass().exact_ratio(fam.reduced_norm(n)))
+            out.check(total == 1, f"{fam}: density sum {total} != 1 at n={n}")
+            out.check(rakhmanov_density(fam, n, 1, dps=dps) >= 0,
+                      f"{fam}: negative density, n={n}")
     # zero iff n = 0, every family and route
     for fam in _sample_families():
         for n in range(_max_n(fam, 3) + 1):
             values = [fisher_expansion(fam, n), fisher_closed(fam, n),
-                      fisher_direct(fam, n, trunc, dps=dps),
-                      fisher_difference(fam, n, trunc, dps=dps)]
+                      fisher_direct(fam, n), fisher_difference(fam, n)]
             for value in values:
                 if n == 0:
                     out.check(value == 0, f"{fam}: nonzero route value {value} at n=0")
@@ -255,7 +229,7 @@ def suite_rakhmanov(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_three_way(dps, trunc) -> SuiteResult:
+def suite_three_way(dps) -> SuiteResult:
     out = SuiteResult("three-way")
     families = []
     for N in (2, 5, 9):
@@ -263,8 +237,10 @@ def suite_three_way(dps, trunc) -> SuiteResult:
             families.append(Kravchuk(p, N))
         for al, be in ((Fraction(0), Fraction(0)), (Fraction(3), Fraction(-1, 2))):
             families.append(Hahn(al, be, N))
+    families += [Charlier(Fraction(1, 2)), Charlier(Fraction(7, 3)),
+                 Meixner(Fraction(3, 2), Fraction(1, 2)), Meixner(Fraction(4), Fraction(9, 10))]
     for fam in families:
-        for n in range(fam.max_degree() + 1):
+        for n in range(_max_n(fam, 10) + 1):
             direct = fisher_direct(fam, n)
             difference = fisher_difference(fam, n)
             expansion = fisher_expansion(fam, n)
@@ -274,9 +250,8 @@ def suite_three_way(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_charlier(dps, trunc) -> SuiteResult:
+def suite_charlier(dps) -> SuiteResult:
     out = SuiteResult("charlier")
-    bound = mpf(10) ** -25
     for mu in (Fraction(1, 2), Fraction(2)):
         fam = Charlier(mu)
         for n in range(1, 11):
@@ -285,14 +260,14 @@ def suite_charlier(dps, trunc) -> SuiteResult:
                       f"{fam}: expansion != n/mu at n={n}")
             out.check(fisher_closed(fam, n) == law,
                       f"{fam}: closed form != n/mu at n={n}")
-            out.check(rel_gap(fisher_direct(fam, n, trunc, dps=dps), law, dps) <= bound,
-                      f"{fam}: truncated direct sum off n/mu at n={n}")
-            out.check(rel_gap(fisher_difference(fam, n, trunc, dps=dps), law, dps) <= bound,
-                      f"{fam}: truncated difference route off n/mu at n={n}")
+            out.check(fisher_direct(fam, n) == law,
+                      f"{fam}: direct sum != n/mu at n={n}")
+            out.check(fisher_difference(fam, n) == law,
+                      f"{fam}: difference route != n/mu at n={n}")
     return out
 
 
-def suite_closed_form(dps, trunc) -> SuiteResult:
+def suite_closed_form(dps) -> SuiteResult:
     out = SuiteResult("closed-form")
     for gamma in (Fraction(3, 2), Fraction(4)):
         for mu in (Fraction(1, 4), Fraction(3, 4)):
@@ -309,7 +284,7 @@ def suite_closed_form(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_hahn_closed_form(dps, trunc) -> SuiteResult:
+def suite_hahn_closed_form(dps) -> SuiteResult:
     out = SuiteResult("hahn-closed-form")
     grids = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(-1, 2)),
              (Fraction(1), Fraction(2))]
@@ -321,7 +296,7 @@ def suite_hahn_closed_form(dps, trunc) -> SuiteResult:
     return out
 
 
-def suite_asymptotes(dps, trunc) -> SuiteResult:
+def suite_asymptotes(dps) -> SuiteResult:
     out = SuiteResult("asymptotes")
     # top-degree closed value is exact
     for N in range(2, 11):
@@ -371,7 +346,7 @@ def suite_asymptotes(dps, trunc) -> SuiteResult:
     return out
 
 
-SUITES: Dict[str, Callable[[int, TruncationPolicy], SuiteResult]] = {
+SUITES: Dict[str, Callable[[int], SuiteResult]] = {
     "numerics": suite_numerics,
     "weight-ratio": suite_weight_ratio,
     "recurrence-norms": suite_recurrence_norms,
@@ -387,10 +362,10 @@ SUITES: Dict[str, Callable[[int, TruncationPolicy], SuiteResult]] = {
 }
 
 
-def run_suites(names: Optional[List[str]] = None, dps: int = DEFAULT_DPS,
-               trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> List[SuiteResult]:
+def run_suites(names: Optional[List[str]] = None,
+               dps: int = DEFAULT_DPS) -> List[SuiteResult]:
     chosen = list(SUITES) if not names else names
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites {unknown}; available: {list(SUITES)}")
-    return [SUITES[name](dps, trunc) for name in chosen]
+    return [SUITES[name](dps) for name in chosen]

@@ -5,7 +5,9 @@ polynomials are rebuilt by exact Gram-Schmidt orthogonalization of the
 monomials, with inner products taken from the weight's moments.  Bounded
 supports use plain finite sums; the Poisson-type and negative-binomial-type
 weights use their classical falling-factorial moments, so every number stays
-an exact rational.
+an exact rational.  For the package's own moment sums on infinite lattices
+there is also a plain truncated big-float sum over the lattice points, which
+uses no moment at all.
 
 The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the pointwise recurrence, Pochhammer connection
@@ -51,6 +53,39 @@ def normalized_moments(fam, k_max: int):
         raise ValueError(f"no moment formula for {tag}")
     return [sum(stirling2(k, j) * falling[j] for j in range(k + 1))
             for k in range(k_max + 1)]
+
+
+def truncated_square_sum(fam, coeffs, points: int, dps: int = 60):
+    """sum_{x < points} w(x) q(x)^2 over the Charlier or Meixner lattice at
+    ``dps`` digits, for q with monomial coefficients ``coeffs`` and the
+    reduced weight (w(0) = 1) walked up by its own term ratio.  There is no
+    tail bound: ``points`` must reach well past where the terms fall below
+    the wanted accuracy."""
+    def mpf(v):
+        return mpmath.mpf(v.numerator) / v.denominator
+
+    with mpmath.workdps(dps):
+        mu = mpf(fam.mu)
+        gamma = mpf(fam.gamma) if fam.tag == "meixner" else None
+        cs = [mpf(Fraction(c)) for c in coeffs]
+        weight, total = mpmath.mpf(1), mpmath.mpf(0)
+        for x in range(points):
+            q = mpmath.mpf(0)
+            for c in reversed(cs):
+                q = q * x + c
+            total += weight * q * q
+            # Charlier w(x+1)/w(x) = mu/(x+1); Meixner mu (gamma+x)/(x+1)
+            weight *= mu / (x + 1) if gamma is None else mu * (gamma + x) / (x + 1)
+        return total
+
+
+def forward_difference(coeffs):
+    """Monomial coefficients of q(x+1) - q(x), by the binomial theorem."""
+    out = [Fraction(0)] * max(len(coeffs) - 1, 1)
+    for i, c in enumerate(coeffs):
+        for k in range(i):
+            out[k] += c * math.comb(i, k)
+    return out
 
 
 def gram_schmidt_coeffs(fam, n: int):

@@ -14,9 +14,6 @@ checked as a strictly shrinking distance over the degrees 10..200.
 import time
 from fractions import Fraction
 
-import mpmath
-from mpmath import mpf
-
 from dopfisher.asymptotics import kravchuk_max_degree, kravchuk_p_to_zero, meixner_large_n
 from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
@@ -38,14 +35,6 @@ def _line(k, ok, detail):
     print(f"ACCEPTANCE {k}: {'PASS' if ok else 'FAIL'} -- {detail}")
 
 
-def rel_gap(a, b, dps=80):
-    with mpmath.workdps(dps):
-        fa = a if isinstance(a, mpf) else mpf(a.numerator) / a.denominator
-        fb = b if isinstance(b, mpf) else mpf(b.numerator) / b.denominator
-        scale = max(abs(fa), abs(fb))
-        return abs(fa - fb) / scale if scale else mpf(0)
-
-
 def test_criterion_1_charlier_closed_law():
     grid = [(n, mu) for n in range(1, 21) for mu in (F(1, 2), F(1), F(2), F(5))]
     start = time.perf_counter()
@@ -56,26 +45,19 @@ def test_criterion_1_charlier_closed_law():
         exact_ok &= fisher_expansion(fam, n) == law
         exact_ok &= fisher_closed(fam, n) == law
     exact_seconds = time.perf_counter() - start
-    # The defining-sum and summation-by-parts routes run on the infinite
-    # lattice and are big-float by construction; they carry the documented
-    # 1e-25 truncation accuracy instead of bit-equality.
+    # The defining-sum and summation-by-parts routes sum over the infinite
+    # lattice through the weight's factorial moments, exactly as well.
     start = time.perf_counter()
-    trunc_bound = mpf(10) ** -25
-    trunc_worst = mpf(0)
-    for n, mu in grid:
-        fam = Charlier(mu)
-        law = F(n) / mu
-        trunc_worst = max(trunc_worst,
-                          rel_gap(fisher_direct(fam, n), law),
-                          rel_gap(fisher_difference(fam, n), law))
-    trunc_seconds = time.perf_counter() - start
-    ok = exact_ok and exact_seconds < 1.0 and trunc_worst <= trunc_bound
-    _line(1, ok, f"80 cases; exact routes bit-equal to n/mu in {exact_seconds:.3f}s "
-                 f"(< 1 s); truncated routes worst gap {mpmath.nstr(trunc_worst, 3)} "
-                 f"(<= 1e-25) in {trunc_seconds:.1f}s")
+    moment_ok = all(fisher_direct(Charlier(mu), n) == fisher_difference(Charlier(mu), n)
+                    == F(n) / mu for n, mu in grid)
+    moment_seconds = time.perf_counter() - start
+    ok = exact_ok and exact_seconds < 1.0 and moment_ok
+    _line(1, ok, f"80 cases; expansion and closed bit-equal to n/mu in {exact_seconds:.3f}s "
+                 f"(< 1 s); direct and difference bit-equal: {moment_ok}, "
+                 f"in {moment_seconds:.2f}s")
     assert exact_ok
     assert exact_seconds < 1.0
-    assert trunc_worst <= trunc_bound
+    assert moment_ok
 
 
 def test_criterion_2_three_way_exact_agreement():

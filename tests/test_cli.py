@@ -84,28 +84,36 @@ class TestFisherCommand:
         assert code == 2
 
     def test_route_failure_leaves_value_empty(self, capsys):
-        code, out, err = run_cli(capsys, ["fisher", "--family", "charlier",
-                                          "--mu", "2", "--n", "2",
-                                          "--hard-cap", "3", "--backend", "exact"])
+        # Hahn closed divides by zero on alpha + beta = -1 at n >= 2
+        hahn = ["--family", "hahn", "--alpha=-1/2", "--beta=-1/2", "--N", "12"]
+        code, out, err = run_cli(capsys, ["fisher", *hahn, "--n", "4",
+                                          "--backend", "exact"])
         assert code == 0
-        assert err.startswith("direct: TruncationCapExceeded")
+        assert err.startswith("closed: ZeroDivisionError")
         _, rows = parse_csv(out)
         fisher_cells = {r[3]: (r[4], r[5]) for r in rows}
-        assert fisher_cells["direct"] == ("", "false")
-        assert fisher_cells["expansion"] == ("1", "true")
+        assert fisher_cells["closed"] == ("", "false")
+        assert fisher_cells["expansion"] == ("93824/15015", "true")
         # a sweep at the same point renders the same cells
-        code, out, _ = run_cli(capsys, ["sweep", "--family", "charlier",
-                                        "--mu", "2", "--sweep", "n", "--start", "2",
-                                        "--stop", "2", "--count", "1",
-                                        "--methods", "direct,expansion",
-                                        "--hard-cap", "3"])
+        code, out, _ = run_cli(capsys, ["sweep", *hahn, "--sweep", "n", "--start", "4",
+                                        "--stop", "4", "--count", "1",
+                                        "--methods", "closed,expansion"])
         assert code == 0
         _, rows = parse_csv(out)
         assert [(r[6], r[7], r[8]) for r in rows] == [
-            ("direct",) + fisher_cells["direct"],
+            ("closed",) + fisher_cells["closed"],
             ("expansion",) + fisher_cells["expansion"]]
-        assert err.splitlines()[0] == f"direct: {rows[0][9]}"
+        assert err.splitlines()[0] == f"closed: {rows[0][9]}"
         assert rows[1][9] == ""
+
+    def test_infinite_lattice_routes_print_rationals(self, capsys):
+        code, out, _ = run_cli(capsys, ["fisher", "--family", "meixner", "--gamma", "3/2",
+                                        "--mu", "1/2", "--n", "3", "--backend", "exact"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["direct", "difference", "expansion", "closed"]
+        assert len({r[4] for r in rows}) == 1 and "/" in rows[0][4]
+        assert all(r[5] == "true" and r[6] == "0.0" for r in rows)
 
     def test_missing_parameter_exits_64(self, capsys):
         code, _, err = run_cli(capsys, ["fisher", "--family", "charlier", "--n", "3"])
@@ -119,9 +127,10 @@ class TestFisherCommand:
         assert code == 64
 
     def test_dps_env_default(self, capsys, monkeypatch):
+        # Charlier mu = 3, n = 1 is 1/3: a decimal that never terminates
         monkeypatch.setenv("DOPFISHER_DPS", "60")
         code, out, _ = run_cli(capsys, ["fisher", "--family", "charlier",
-                                        "--mu", "2", "--n", "1",
+                                        "--mu", "3", "--n", "1",
                                         "--methods", "direct"])
         assert code == 0
         _, rows = parse_csv(out)
@@ -284,7 +293,7 @@ class TestSweepCommand:
         # the flags every figure run may take stay allowed
         code, out, _ = run_cli(capsys, ["sweep", "--figure", "fig4", "--methods",
                                         "expansion", "--backend", "exact", "--dps",
-                                        "60", "--tail-tol", "1/1000", "--hard-cap", "99"])
+                                        "60"])
         assert code == 0 and out.count("\n") == 48
 
     def test_figure_one_approaches_levels(self, capsys):
@@ -337,7 +346,7 @@ class TestVerifyFailurePath:
         from dopfisher import verify as verify_mod
         from dopfisher.verify import SuiteResult
 
-        def broken(dps, trunc):
+        def broken(dps):
             result = SuiteResult("broken")
             result.check(False, "family=charlier mu=2 n=3: forced failure for the exit-code path")
             return result

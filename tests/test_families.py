@@ -20,14 +20,13 @@ from dopfisher.families import (
     make_family,
     shift_coeffs,
 )
-from dopfisher.verify import truncated_inner
-
 from oracles import (
     gram_schmidt_coeffs,
     hahn_connection_4f3,
     hahn_recurrence,
     pochhammer_connection,
     pointwise_value,
+    truncated_square_sum,
 )
 
 F = Fraction
@@ -433,11 +432,16 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("fam", [Charlier(F(2)), Meixner(F(3, 2), F(1, 2))])
     def test_truncated_within_1e30(self, fam):
+        # <P_n, P_m> by polarization of the oracle's truncated square sums
         bound = mpf(10) ** -30
         with mpmath.workdps(80):
             for n in range(9):
                 for m in range(n, 9):
-                    total = truncated_inner(fam, n, m)
+                    cp, cm = padded(fam.poly_coeffs(n), fam.poly_coeffs(m))
+                    plus = [a + b for a, b in zip(cp, cm)]
+                    minus = [a - b for a, b in zip(cp, cm)]
+                    total = (truncated_square_sum(fam, plus, 300, 80)
+                             - truncated_square_sum(fam, minus, 300, 80)) / 4
                     scale = mpmath.sqrt(fam.reduced_norm(n).to_float(80)
                                         * fam.reduced_norm(m).to_float(80))
                     if n == m:
@@ -445,3 +449,42 @@ class TestOrthogonality:
                     else:
                         gap = abs(total) / scale
                     assert gap <= bound
+
+
+def padded(p, q):
+    size = max(len(p), len(q))
+    return (tuple(p) + (F(0),) * (size - len(p)), tuple(q) + (F(0),) * (size - len(q)))
+
+
+def falling_factorial(j):
+    """Monomial coefficients of x (x-1) ... (x-j+1)."""
+    coeffs = [F(1)]
+    for i in range(j):
+        coeffs = [(coeffs[k - 1] if k else 0) - (i * coeffs[k] if k < len(coeffs) else 0)
+                  for k in range(len(coeffs) + 1)]
+    return coeffs
+
+
+class TestFactorialMoments:
+    @pytest.mark.parametrize("fam", [Charlier(F(2)), Charlier(F(9, 2)),
+                                     Meixner(F(3, 2), F(1, 2)), Meixner(F(1, 3), F(2, 3)),
+                                     Meixner(F(4), F(1, 5))])
+    def test_hooks_match_the_truncated_oracle(self, fam):
+        # sum_x w(x) = total mass; sum_x w(x) x(x-1)...(x-j+1) by polarization
+        with mpmath.workdps(60):
+            mass = fam.total_mass().to_float(60)
+            assert abs(truncated_square_sum(fam, [F(1)], 600) / mass - 1) < mpf(10) ** -45
+            for j, moment in enumerate(fam.factorial_moments(8)):
+                f, one = padded(falling_factorial(j), [F(1)])
+                plus = [a + b for a, b in zip(f, one)]
+                minus = [a - b for a, b in zip(f, one)]
+                total = (truncated_square_sum(fam, plus, 600)
+                         - truncated_square_sum(fam, minus, 600)) / 4
+                assert abs(total / mass / moment - 1) < mpf(10) ** -45
+
+    @pytest.mark.parametrize("fam", [Kravchuk(F(1, 2), 10), Hahn(F(0), F(0), 9)])
+    def test_bounded_family_has_no_moments(self, fam):
+        with pytest.raises(TypeError):
+            fam.total_mass()
+        with pytest.raises(TypeError):
+            fam.factorial_moments(3)

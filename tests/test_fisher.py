@@ -4,24 +4,26 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
+from dopfisher.families import Charlier, Family, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
     Method,
-    TruncationCapExceeded,
-    TruncationPolicy,
     fisher_closed,
     fisher_difference,
     fisher_direct,
     fisher_expansion,
     fisher_report,
+    moment_sum,
     rakhmanov_density,
 )
 
 from oracles import (
     brute_force_fisher_bounded,
+    forward_difference,
+    gram_schmidt_coeffs,
     hahn_c3_hyp3f2,
     norm_ratio_expansion,
     rising,
+    truncated_square_sum,
 )
 
 F = Fraction
@@ -73,7 +75,8 @@ class TestRakhmanovDensity:
 
 class TestDirect:
     def test_charlier_truncated(self):
-        assert rel_gap(fisher_direct(Charlier(F(2)), 3), F(3, 2)) <= mpf(10) ** -25
+        # the infinite-lattice sum is exact: no truncation left
+        assert fisher_direct(Charlier(F(2)), 3) == F(3, 2)
 
     def test_kravchuk_exact(self):
         assert fisher_direct(Kravchuk(F(1, 2), 3), 2) == F(16, 3)
@@ -81,11 +84,6 @@ class TestDirect:
     def test_degree_zero(self):
         assert fisher_direct(Kravchuk(F(1, 2), 3), 0) == 0
         assert fisher_direct(Charlier(F(2)), 0) == 0
-
-    def test_hard_cap(self):
-        tiny = TruncationPolicy(tail_tol=F(1, 10**30), hard_cap=5)
-        with pytest.raises(TruncationCapExceeded):
-            fisher_direct(Charlier(F(2)), 2, tiny)
 
     @pytest.mark.parametrize("fam,n", [
         (Kravchuk(F(1, 4), 7), 3), (Kravchuk(F(1, 2), 5), 4),
@@ -104,7 +102,7 @@ class TestDifferenceRoute:
         assert fisher_difference(Charlier(F(2)), 0) == 0
 
     def test_charlier_linear_law(self):
-        assert rel_gap(fisher_difference(Charlier(F(2)), 1), F(1, 2)) <= mpf(10) ** -25
+        assert fisher_difference(Charlier(F(2)), 1) == F(1, 2)
 
     def test_hahn_uniform_degree_one(self):
         fam = Hahn(F(0), F(0), 5)
@@ -128,7 +126,7 @@ class TestExpansion:
         fam = Meixner(F(2), F(1, 2))
         value = fisher_expansion(fam, 1)
         assert value == F(1, 4)  # (1-mu)^2/(mu gamma)
-        assert rel_gap(fisher_direct(fam, 1), value) <= mpf(10) ** -25
+        assert fisher_direct(fam, 1) == value
 
     def test_kravchuk_degree_one(self):
         fam = Kravchuk(F(1, 2), 10)
@@ -163,8 +161,8 @@ class TestExpansion:
     def test_truncated_direct_matches_exact_expansion(self, fam):
         for n in range(1, 9):
             exact = fisher_expansion(fam, n)
-            assert rel_gap(fisher_direct(fam, n), exact) <= mpf(10) ** -25
-            assert rel_gap(fisher_difference(fam, n), exact) <= mpf(10) ** -25
+            assert fisher_direct(fam, n) == exact
+            assert fisher_difference(fam, n) == exact
 
 
 class TestClosed:
@@ -241,7 +239,8 @@ class TestReport:
         assert set(report.values) == set(Method)
         assert report.values[Method.EXPANSION] == F(3, 2)
         assert report.values[Method.CLOSED] == F(3, 2)
-        assert report.max_pairwise_rel_discrepancy <= mpf(10) ** -25
+        assert set(report.values.values()) == {F(3, 2)}
+        assert report.max_pairwise_rel_discrepancy == 0
 
     def test_kravchuk_four_way_exact(self):
         report = fisher_report(Kravchuk(F(1, 2), 12), 5)
@@ -258,17 +257,73 @@ class TestReport:
         assert report.values[Method.CLOSED] == expected
 
     def test_errors_collected_without_aborting(self):
-        tiny = TruncationPolicy(tail_tol=F(1, 10**30), hard_cap=3)
-        report = fisher_report(Charlier(F(2)), 2, tiny)
-        assert Method.DIRECT in report.errors
-        assert Method.DIFFERENCE in report.errors
-        assert report.values[Method.EXPANSION] == 1  # n/mu survives
-        assert report.values[Method.CLOSED] == 1
+        # Hahn closed divides by ((s+1)/2)_(n-1) = 0 on alpha + beta = -1, n >= 2
+        report = fisher_report(Hahn(F(-1, 2), F(-1, 2), 12), 4)
+        assert list(report.errors) == [Method.CLOSED]
+        assert report.errors[Method.CLOSED].startswith("ZeroDivisionError")
+        assert report.values == {m: F(93824, 15015) for m in
+                                 (Method.DIRECT, Method.DIFFERENCE, Method.EXPANSION)}
+        assert report.max_pairwise_rel_discrepancy == 0
 
     def test_method_subset(self):
         report = fisher_report(Charlier(F(2)), 2, methods=[Method.EXPANSION])
         assert list(report.values) == [Method.EXPANSION]
         assert report.max_pairwise_rel_discrepancy is None
+
+
+class TestMomentSums:
+    """The infinite-lattice direct and difference routes against a plain
+    truncated big-float sum over the lattice (tests/oracles.py), with P_n from
+    Gram-Schmidt; the total mass and the norm cancel in the ratio."""
+
+    GRID = [(Charlier(F(2)), 5), (Charlier(F(7, 2)), 8), (Charlier(F(1, 3)), 3),
+            (Meixner(F(3, 2), F(1, 2)), 6), (Meixner(F(4), F(1, 4)), 9),
+            (Meixner(F(1, 3), F(2, 3)), 4)]
+
+    @pytest.mark.parametrize("fam, n", GRID)
+    def test_oracle_agrees_to_1e40(self, fam, n):
+        p = gram_schmidt_coeffs(fam, n)
+        shifted = [a + b for a, b in zip(p, forward_difference(p) + [F(0)])]
+        with mpmath.workdps(60):
+            norm = truncated_square_sum(fam, p, 800)
+            direct = truncated_square_sum(fam, forward_difference(p), 800) / norm
+            difference = truncated_square_sum(fam, shifted, 800) / norm - 1
+        assert rel_gap(fisher_direct(fam, n), direct, 60) <= mpf(10) ** -40
+        assert rel_gap(fisher_difference(fam, n), difference, 60) <= mpf(10) ** -40
+
+    @pytest.mark.parametrize("fam", [Charlier(F(5, 7)), Meixner(F(7, 3), F(2, 9)),
+                                     Meixner(F(6), F(99, 100))])
+    def test_orthogonality_is_exact(self, fam):
+        mass = fam.total_mass()
+        for n in range(8):
+            for m in range(8):
+                total = moment_sum(fam, fam.poly_coeffs(n), fam.poly_coeffs(m))
+                assert total == (fam.reduced_norm(n).exact_ratio(mass) if n == m else 0)
+
+    @pytest.mark.parametrize("fam, n", [(Charlier(F(2)), 40), (Charlier(F(5, 7)), 60),
+                                        (Charlier(F(30)), 19), (Meixner(F(3, 2), F(1, 2)), 40),
+                                        (Meixner(F(2), F(999, 1000)), 3),
+                                        (Meixner(F(6), F(99, 100)), 4)])
+    def test_high_degree_and_mu_near_one_equal_expansion(self, fam, n):
+        assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
+
+    def test_report_makes_one_lattice_pass(self, monkeypatch):
+        # direct and difference share the P_n values of one recurrence pass
+        from dopfisher import families
+
+        degrees = []
+        original = Family.eval_points
+
+        def counted(self, n, xs):
+            degrees.append(n)
+            return original(self, n, xs)
+
+        families._tables.cache_clear()
+        monkeypatch.setattr(Family, "eval_points", counted)
+        for fam in (Kravchuk(F(1, 3), 17), Hahn(F(1, 2), F(2), 13)):
+            report = fisher_report(fam, 9, methods=[Method.DIRECT, Method.DIFFERENCE])
+            assert report.values[Method.DIRECT] == report.values[Method.DIFFERENCE]
+        assert degrees == [9, 9]
 
 
 class TestInvariants:
@@ -321,6 +376,33 @@ class TestConcurrency:
                 results = list(pool.map(lambda n: fisher_expansion(fam, n),
                                         list(range(12)) * 4))
                 assert results == expected * 4
+
+    def test_lattice_pass_is_shared_safely_across_threads(self):
+        # threads ask for different degrees of one bounded family at once, so
+        # the kept lattice pass is replaced under them; a pass read at the
+        # wrong degree would change the direct or difference value
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from dopfisher import families
+
+        fam = Kravchuk(F(2, 5), 24)
+        expected = [fisher_expansion(fam, n) for n in range(24)]
+        families._tables.cache_clear()
+        order = [n for k in range(6) for n in (range(24) if k % 2 else range(23, -1, -1))]
+
+        def work(n):
+            return fisher_direct(fam, n), fisher_difference(fam, n)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, n) for n in order]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [(expected[n], expected[n]) for n in order]
 
     def test_tables_grow_without_lost_rows_under_contention(self):
         # many threads grow one family's tables and move its Delta-walk up and

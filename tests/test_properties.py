@@ -3,7 +3,9 @@
 Bounded families: the three exact routes agree bit for bit, and the Hahn
 closed form equals the expansion off alpha + beta = -1; on that line it
 either equals it or reports an error.  Infinite supports: the exact closed
-form equals the expansion, and Charlier gives n/mu.
+form equals the expansion, Charlier gives n/mu, and the factorial-moment
+direct and difference routes equal the expansion bit for bit, Meixner mu up
+to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The integer kernel
 of the Hahn recurrence coefficients equals their Fraction form.  Examples are
 drawn deterministically, so the suite stays reproducible.
@@ -78,6 +80,25 @@ def test_infinite_closed_form_equals_expansion(case):
     if isinstance(fam, Charlier):
         assert value == F(n) / fam.mu
     assert_sign(value, n)
+
+
+@st.composite
+def moment_cases(draw):
+    if draw(st.booleans()):
+        fam = Charlier(draw(rationals(0, 30, 100)))
+    else:
+        mu = draw(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000),
+                               max_denominator=1000))
+        fam = Meixner(draw(rationals(0, 12, 100)), mu)
+    return fam, draw(st.integers(min_value=0, max_value=20))
+
+
+@PROPERTY
+@given(moment_cases())
+def test_infinite_moment_routes_equal_expansion(case):
+    fam, n = case
+    value = fisher_expansion(fam, n)
+    assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
 
 
 @PROPERTY
