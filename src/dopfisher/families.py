@@ -73,9 +73,9 @@ class NormValue:
     """A reduced norm  rational * exp(exp_coeff) * pow_base**pow_expo.
 
     Only the Charlier and Meixner families carry a non-trivial symbolic part
-    (e^mu and (1-mu)^-(gamma+2n) respectively, and e^mu and (1-mu)^-gamma in
-    their total mass); it cancels in every same-family ratio, which is what
-    keeps every route exact.
+    (e^mu and (1-mu)^-(gamma+2n) respectively); it cancels in every
+    same-family ratio, which is what keeps every route exact.  At degree 0
+    the norm is the weight's total mass.
     """
 
     rational: Fraction
@@ -165,14 +165,10 @@ class Family:
         Only the truncated-sum engine reads it; ROADMAP item 3 deletes both."""
         raise TypeError(f"no tail bound for bounded family {self.tag}")
 
-    def total_mass(self) -> NormValue:
-        """sum_x w(x) over an infinite support, its symbolic factor kept."""
-        raise TypeError(f"no factorial moments for bounded family {self.tag}")
-
     def factorial_moments(self, k: int) -> list:
-        """sum_x w(x) x(x-1)...(x-j+1) / total_mass() for j = 0..k, exact
-        (infinite supports)."""
-        raise TypeError(f"no factorial moments for bounded family {self.tag}")
+        """sum_x w(x) x(x-1)...(x-j+1) / sum_x w(x) for j = 0..k, exact; the
+        total mass sum_x w(x) is reduced_norm(0)."""
+        raise NotImplementedError
 
     # ---- shared machinery --------------------------------------------------
 
@@ -245,20 +241,6 @@ class Family:
         """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
         return _tables(self).b_upto(n)
 
-    def lattice_values(self, n: int) -> list:
-        """P_n at every point of a bounded support and one point past its
-        end, in one eval_points pass.  The family keeps the last degree's
-        values, so the direct and difference routes at one degree share the
-        pass (read the list, never mutate it)."""
-        self.check_degree(n)
-        return _tables(self).lattice(n)
-
-    def lattice_weights(self) -> list:
-        """Reduced weights at every point of a bounded support, walked up from
-        w(a) by the exact ratio: w(x) = w(x-1) / weight_ratio(x).  Computed
-        once per family (read the list, never mutate it)."""
-        return _tables(self).weights()
-
     def connection_coeffs(self, n: int) -> list:
         """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
         expanded in the *same* family.
@@ -293,9 +275,6 @@ class _Tables:
         # the Delta-walk keeps its last two rows, Delta P_(k-1) and Delta P_k
         self.delta_degree = 1
         self.delta_rows = ((), (Fraction(1),))   # Delta P_0 = 0, Delta P_1 = P_0
-        # bounded supports: the weights, and P_n on the lattice at the last degree
-        self.weight_row = None
-        self.lattice_degree, self.lattice_row = None, None
         self.lock = threading.RLock()
 
     def grow(self, rows: list, n: int, make_row) -> list:
@@ -323,26 +302,6 @@ class _Tables:
                 self.delta_degree += 1
                 self.delta_rows = (self.delta_rows[1], row)
             return self.delta_rows[n - self.delta_degree + 1]
-
-    def weights(self) -> list:
-        with self.lock:
-            if self.weight_row is None:
-                fam, sup = self.fam, self.fam.support()
-                w = fam.reduced_weight(sup.a)
-                row = [w]
-                for x in range(sup.a + 1, sup.b):
-                    w = w / fam.weight_ratio(x)
-                    row.append(w)
-                self.weight_row = row
-            return self.weight_row
-
-    def lattice(self, n: int) -> list:
-        with self.lock:
-            if self.lattice_degree != n:
-                sup = self.fam.support()
-                self.lattice_row = self.fam.eval_points(n, range(sup.a, sup.b + 1))
-                self.lattice_degree = n
-            return self.lattice_row
 
     def monomials(self, n: int) -> Tuple[Fraction, ...]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
@@ -451,9 +410,6 @@ class Charlier(Family):
     def tail_ratio_bound(self, x):
         return self.mu / (x + 1)  # decreasing in x
 
-    def total_mass(self):
-        return NormValue(Fraction(1), exp_coeff=self.mu)
-
     def factorial_moments(self, k):
         return [self.mu ** j for j in range(k + 1)]
 
@@ -521,9 +477,6 @@ class Meixner(Family):
     def tail_ratio_bound(self, x):
         # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
         return self.mu * max(Fraction(1), (self.gamma + x) / Fraction(x + 1))
-
-    def total_mass(self):
-        return NormValue(Fraction(1), pow_base=1 - self.mu, pow_expo=-self.gamma)
 
     def factorial_moments(self, k):
         # (gamma)_j r^j with r = mu/(1-mu), one factor per step
@@ -599,6 +552,13 @@ class Kravchuk(Family):
         if x < 1:
             raise OutOfSupport("weight ratio needs x >= 1")
         return Fraction(x) * (1 - self.p) / (self.p * (self.N - x + 1))
+
+    def factorial_moments(self, k):
+        # N(N-1)...(N-j+1) p^j, one factor per step
+        out = [Fraction(1)]
+        for j in range(1, k + 1):
+            out.append(out[-1] * (self.N - j + 1) * self.p)
+        return out
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -677,6 +637,14 @@ class Hahn(Family):
         return (x * (self.N + self.alpha - x)
                 / ((self.N - x) * (self.beta + x)))
 
+    def factorial_moments(self, k):
+        # (N-1)(N-2)...(N-j) (beta+1)_j / (alpha+beta+2)_j, one factor per step
+        s = self.alpha + self.beta
+        out = [Fraction(1)]
+        for j in range(1, k + 1):
+            out.append(out[-1] * (self.N - j) * (self.beta + j) / (s + 1 + j))
+        return out
+
     def reduced_norm(self, n):
         self.check_degree(n)
         al, be, N = self.alpha, self.beta, self.N
@@ -736,20 +704,20 @@ class Hahn(Family):
                 / (pochhammer(al + 1, n) * pochhammer(be + 1, n)
                    * pochhammer(s + n + 1, N) * math.factorial(N - 1)))
 
+        # (s+1)_(n-1)/((s+1)/2)_(n-1), a removable 0/0 on s = -1, written
+        # cancelled: both lose their first factor, (s+1) against (s+1)/2
+        ratio = 1 if n == 1 else 2 * pochhammer(s + 2, n - 2) / pochhammer((s + 3) / 2, n - 2)
+
         b1 = (f1 * (be + 1) * (s + N + 1)
               * pochhammer(-s - n - N, n - 1) * pochhammer(be + 2, n - 1)
               / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
                  * (s + 2) * (N + be))) ** 2
         b2 = (Fraction(-1) ** (n - 1)
               * pochhammer(al + 1, n - 1) * pochhammer((s + 3) / 2, n - 1)
-              * pochhammer(s + 1, n - 1) * pochhammer(Fraction(1 - N), n - 1)
-              / (f1 * pochhammer((s + 1) / 2, n - 1) * pochhammer(be + 1, n - 1)
-                 * pochhammer(s + N + 1, n - 1)))
-        b3 = terminating_pfq(PFQSpec(
-            (Fraction(1 - n), Fraction(1), 1 - n - be, 1 - n - s - N,
-             2 - n - (s + 1) / 2),
-            (1 - n - al, 2 - n - (s + 3) / 2, 1 - n - s, Fraction(1 - n + N)),
-            Fraction(-1)))
+              * ratio * pochhammer(Fraction(1 - N), n - 1)
+              / (f1 * pochhammer(be + 1, n - 1) * pochhammer(s + N + 1, n - 1)))
+        b3 = _hahn_5f4(n, s, (1 - n - be, 1 - n - s - N),
+                       (1 - n - al, 2 - n - (s + 3) / 2, Fraction(1 - n + N)))
 
         c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1)
               * pochhammer(-s - n - N, n - 1)
@@ -773,16 +741,34 @@ class Hahn(Family):
                  * (s + 2) * (N + be))) ** 2
         d2 = (Fraction(-1) ** (n - 1)
               * pochhammer((s + 3) / 2, n - 1) * pochhammer(be + 1, n - 1)
-              * pochhammer(s + N + 1, n - 1) * pochhammer(s + 1, n - 1)
-              / (f1 * pochhammer(Fraction(1 - N), n - 1) * pochhammer(al + 1, n - 1)
-                 * pochhammer((s + 1) / 2, n - 1)))
-        d3 = terminating_pfq(PFQSpec(
-            (Fraction(1 - n), Fraction(1), Fraction(1 - n + N), 1 - n - al,
-             2 - n - (s + 1) / 2),
-            (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
-            Fraction(-1)))
+              * pochhammer(s + N + 1, n - 1) * ratio
+              / (f1 * pochhammer(Fraction(1 - N), n - 1) * pochhammer(al + 1, n - 1)))
+        d3 = _hahn_5f4(n, s, (Fraction(1 - n + N), 1 - n - al),
+                       (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N))
 
         return lead * (b1 * b2 * b3 + d1 * d2 * d3 + c1 * c2 * c3)
+
+
+def _hahn_5f4(n: int, s: Fraction, upper: tuple, lower: tuple) -> Fraction:
+    """5F4(1-n, 1, *upper, u; *lower, l; -1) of the Hahn closed form, with
+    u = 2-n-(s+1)/2 and l = 1-n-s, summed term by term.
+
+    (u)_k/(l)_k is taken factor by factor.  Its last factor, (u+n-2)/(l+n-2)
+    = (-(s+1)/2)/(-(s+1)), is 1/2 for every s and is written so, which keeps
+    the removable 0/0 of s = -1 exact.  No other l+i vanishes: l+i = 0 needs
+    s = 1-n+i <= -2, and s > -2.
+    """
+    u, l = 2 - n - (s + 1) / 2, 1 - n - s
+    term = total = Fraction(1)
+    for i in range(n - 1):
+        ratio = Fraction(1, 2) if i == n - 2 else (u + i) / (l + i)
+        for a in upper:
+            ratio *= a + i
+        for b in lower:
+            ratio /= b + i
+        term *= (n - 1 - i) * ratio   # (1-n+i) (1+i) (-1) / (i+1)
+        total += term
+    return total
 
 
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}

@@ -7,13 +7,13 @@ weight w and norm d_n^2, the quantity computed here is
 
 Routes:
 
-* ``direct``     -- the defining sum: a finite sum over a bounded support,
-                    and over an infinite one the moment sum below of
+* ``direct``     -- the defining sum, taken as the moment sum below of
                     Delta P_n(x)^2;
-* ``difference`` -- the summation-by-parts identity coming from the family's
-                    second-order difference equation, which trades the sum for
-                    a boundary term plus an expectation of the weight ratio
-                    (over an infinite support, the moment sum of P_n(x+1)^2);
+* ``difference`` -- summation by parts: d_n^2 (I + 1) is sum_x w(x-1) P_n(x)^2
+                    plus, on a bounded support a..b, the boundary term
+                    w(b) P_n(b+1)^2.  With w(a-1) = 0 the two are one sum,
+                    sum_y w(y) P_n(y+1)^2, the moment sum of the shifted
+                    polynomial, so the boundary term is inside it;
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
                     (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j come from Delta
                     applied to the three-term recurrence (Charlier, Meixner
@@ -25,15 +25,16 @@ Routes:
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
-On an infinite lattice (Charlier, Meixner) a polynomial is summed against the
-weight in closed form: x^k = sum_j S(k, j) x(x-1)...(x-j+1), with S the
-Stirling numbers of the second kind, turns its monomials into falling
-factorials, whose weighted sums the family supplies as factorial moments
-(``Family.factorial_moments``).  The weight's total mass (e^mu, or
-(1-mu)^-gamma) cancels exactly against the norm, so every route returns an
-exact Fraction for rational parameters.  This path uses monomial
-coefficients and moments only, no ladder and no connection coefficients, so
-it stays independent of ``expansion``.
+A polynomial is summed against the weight in closed form on every lattice:
+x^k = sum_j S(k, j) x(x-1)...(x-j+1), with S the Stirling numbers of the
+second kind, turns its monomials into falling factorials, whose weighted sums
+the family supplies as factorial moments (``Family.factorial_moments``) of
+the Poisson, Pascal, binomial and hypergeometric weights.  The weight's total
+mass, ``reduced_norm(0)`` (e^mu and (1-mu)^-gamma on the infinite lattices),
+cancels exactly against the norm, so every route returns an exact Fraction
+for rational parameters, at a cost set by the degree and not by the lattice
+size.  This path uses monomial coefficients and moments only, no ladder and
+no connection coefficients, so it stays independent of ``expansion``.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -166,7 +167,7 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 
 
 def moment_sum(fam: Family, p, q) -> Fraction:
-    """sum_x w(x) p(x) q(x) / total_mass over an infinite support, exact, for
+    """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
     polynomials given by their monomial coefficients.
 
     The product's coefficients c_k meet the moments sum_j S(k, j) m_j, with
@@ -194,17 +195,10 @@ def moment_sum(fam: Family, p, q) -> Fraction:
 
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
-    """Defining sum, an exact Fraction on every support."""
+    """Defining sum: the moment sum of Delta P_n(x)^2, an exact Fraction."""
     fam.check_degree(n)
-    norm = fam.reduced_norm(n)
-    if fam.support().b is None:
-        dp = diff_coeffs(fam.poly_coeffs(n))
-        return moment_sum(fam, dp, dp) * fam.total_mass().exact_ratio(norm)
-    # P_n on a..b, one point past the support: Delta P_n(x) = vals[i+1] - vals[i]
-    vals = fam.lattice_values(n)
-    num = sum(w * (vals[i + 1] - vals[i]) ** 2
-              for i, w in enumerate(fam.lattice_weights()))
-    return num / norm.rational
+    dp = diff_coeffs(fam.poly_coeffs(n))
+    return moment_sum(fam, dp, dp) * fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -213,24 +207,15 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
         I = (1/d_n^2) ( [w(x-1) P_n(x)^2]_a^b + <w(x-1)/w(x)> ) - 1,
 
     with the expectation over the degree-n density and the convention
-    w(a-1) = 0.  The upper boundary term is nonzero for bounded supports and
-    must not be dropped.  The weight ratio comes from its closed form, so the
-    support edges where the sigma/tau quotient would be 0/0 are never touched.
+    w(a-1) = 0.  Since w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, the
+    expectation plus the upper boundary term w(b) P_n(b+1)^2 of a bounded
+    support is sum_y w(y) P_n(y+1)^2 (on an infinite support the boundary
+    term vanishes), which is the moment sum of the shifted polynomial.
     """
     fam.check_degree(n)
-    sup = fam.support()
-    norm = fam.reduced_norm(n)
-    if sup.b is None:
-        # w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, i.e. the moment sum of
-        # the shifted polynomial; the boundary term vanishes at infinity.
-        shifted = shift_coeffs(fam.poly_coeffs(n), 1)
-        return moment_sum(fam, shifted, shifted) * fam.total_mass().exact_ratio(norm) - 1
-    vals = fam.lattice_values(n)  # P_n on a..b
-    weights = fam.lattice_weights()
-    boundary = weights[-1] * vals[-1] ** 2
-    expect = sum(weights[i] * vals[i] ** 2 * fam.weight_ratio(sup.a + i)
-                 for i in range(1, len(weights)))
-    return (boundary + expect) / norm.rational - 1
+    shifted = shift_coeffs(fam.poly_coeffs(n), 1)
+    return (moment_sum(fam, shifted, shifted)
+            * fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n)) - 1)
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:

@@ -14,6 +14,8 @@ routes replaced -- the pointwise recurrence, Pochhammer connection
 coefficients, norm-ratio expansion sum, the Hahn 4F3 connection sum and the
 Fraction forms of the Hahn recurrence coefficients -- as references for them,
 and mpmath's own 3F2 for the series the Hahn closed form sums in closed form.
+The Hahn closed form as written before its removable 0/0s on
+alpha + beta = -1 were cancelled runs there on truncated Laurent series.
 """
 
 import math
@@ -218,3 +220,166 @@ def hahn_c3_hyp3f2(s, n: int):
         s = mpmath.mpf(s.numerator) / s.denominator
         a = (s + 1) / 2 + n
         return mpmath.hyp3f2(1, a + 1, s + n + 1, n + 1, a, -1)
+
+
+# ---------------------------------------------------------------------------
+# The Hahn closed form on alpha + beta = -1, through its removable 0/0s
+# ---------------------------------------------------------------------------
+
+
+class Laurent:
+    """eps^v (c_0 + c_1 eps + ...), with c_0 != 0 and only the terms in
+    ``coeffs`` known.  Products and quotients keep the shorter length;
+    a sum is known up to the first unknown term of either side, and loses
+    terms when its leading ones cancel."""
+
+    #: known terms of an exact constant (padded to full series precision,
+    #: or a sum with one would drop the other side's eps term)
+    TERMS = 2
+
+    def __init__(self, v: int, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+            v += 1
+        if not coeffs:
+            raise ArithmeticError("every known term cancelled")
+        self.v, self.coeffs = v, coeffs
+
+    @classmethod
+    def lift(cls, x):
+        if isinstance(x, cls):
+            return x
+        return cls(0, [Fraction(x)] + [Fraction(0)] * (cls.TERMS - 1))
+
+    def coeff(self, e: int) -> Fraction:
+        """The eps^e coefficient; it must be known."""
+        if e >= self.v + len(self.coeffs):
+            raise ArithmeticError(f"eps^{e} term is not known")
+        return self.coeffs[e - self.v] if e >= self.v else Fraction(0)
+
+    def __add__(self, other):
+        if not isinstance(other, Laurent) and other == 0:
+            return self
+        other = Laurent.lift(other)
+        lo = min(self.v, other.v)
+        hi = min(self.v + len(self.coeffs), other.v + len(other.coeffs))
+        return Laurent(lo, [self.coeff(e) + other.coeff(e) for e in range(lo, hi)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent(self.v, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = Laurent.lift(other)
+        size = min(len(self.coeffs), len(other.coeffs))
+        return Laurent(self.v + other.v,
+                       [sum(self.coeffs[i] * other.coeffs[k - i] for i in range(k + 1))
+                        for k in range(size)])
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        c = self.coeffs
+        out = [1 / c[0]]
+        for k in range(1, len(c)):
+            out.append(-sum(c[i] * out[k - i] for i in range(1, k + 1)) / c[0])
+        return Laurent(-self.v, out)
+
+    def __truediv__(self, other):
+        return self * Laurent.lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return Laurent.lift(other) * self.inverse()
+
+    def __pow__(self, k: int):
+        out = Laurent.lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def _pfq_terms(upper, lower, z, terms: int):
+    """The first ``terms`` terms of sum_k prod (a)_k / prod (b)_k z^k / k!."""
+    term = total = Fraction(1)
+    for k in range(terms - 1):
+        for a in upper:
+            term = term * (a + k)
+        for b in lower:
+            term = term / (b + k)
+        term = term * z / (k + 1)
+        total = total + term
+    return total
+
+
+def hahn_closed_on_the_line(alpha: Fraction, N: int, n: int) -> Fraction:
+    """The Hahn closed Fisher value at beta = -1 - alpha, degree n >= 1.
+
+    The closed form is taken as written before its removable 0/0s on this
+    line were cancelled: b2 and d2 with (s+1)_(n-1)/((s+1)/2)_(n-1), and
+    both 5F4s summed to their (1-n) termination through the 0/0 factor of
+    their last term.  It runs along beta = -1 - alpha + eps on truncated
+    Laurent series in eps, and the eps^0 coefficient is the value on the
+    line (every pole there is simple, so two known terms suffice).
+    """
+    eps = Laurent(1, [Fraction(1)] + [Fraction(0)] * (Laurent.TERMS - 1))
+    al, be = Fraction(alpha), -1 - Fraction(alpha) + eps
+    s = al + be
+    f1 = Fraction(math.factorial(n - 1))
+
+    lead = (Fraction(n * n) * (s + 2 * n + 1)
+            * math.factorial(N - n - 1) / math.factorial(n)
+            * rising(s + n + 1, n) ** 2 * rising(s + 2, N - 1)
+            / (rising(al + 1, n) * rising(be + 1, n)
+               * rising(s + n + 1, N) * math.factorial(N - 1)))
+
+    b1 = (f1 * (be + 1) * (s + N + 1)
+          * rising(-s - n - N, n - 1) * rising(be + 2, n - 1)
+          / (rising(s + n + 2, n - 1) * rising(-s - n - 1, n - 1)
+             * (s + 2) * (N + be))) ** 2
+    b2 = (Fraction(-1) ** (n - 1)
+          * rising(al + 1, n - 1) * rising((s + 3) / 2, n - 1)
+          * rising(s + 1, n - 1) * rising(Fraction(1 - N), n - 1)
+          / (f1 * rising((s + 1) / 2, n - 1) * rising(be + 1, n - 1)
+             * rising(s + N + 1, n - 1)))
+    b3 = _pfq_terms((Fraction(1 - n), Fraction(1), 1 - n - be, 1 - n - s - N,
+                     2 - n - (s + 1) / 2),
+                    (1 - n - al, 2 - n - (s + 3) / 2, 1 - n - s, Fraction(1 - n + N)),
+                    Fraction(-1), n)
+
+    c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1)
+          * rising(-s - n - N, n - 1)
+          / (rising(s + n + 2, n - 1) ** 2
+             * rising(-s - n - 1, n - 1) ** 2 * (s + 2) ** 2))
+    c2 = (rising(be + 2, n - 1) * (1 - N) * (al + 1)
+          * rising(-al - n, n - 1) * rising(Fraction(2 - N), n - 1)
+          * (s + 2 * n + 1)
+          / (Fraction(math.factorial(n)) * (N + be) ** 2)
+          ) * rising(s + 2, n - 1)
+    c3 = Fraction(n) / (2 * n + s + 1)
+
+    d1 = (f1 * (N - 1) * (al + 1)
+          * rising(-al - n, n - 1) * rising(Fraction(2 - N), n - 1)
+          / (rising(s + n + 2, n - 1) * rising(-s - n - 1, n - 1)
+             * (s + 2) * (N + be))) ** 2
+    d2 = (Fraction(-1) ** (n - 1)
+          * rising((s + 3) / 2, n - 1) * rising(be + 1, n - 1)
+          * rising(s + N + 1, n - 1) * rising(s + 1, n - 1)
+          / (f1 * rising(Fraction(1 - N), n - 1) * rising(al + 1, n - 1)
+             * rising((s + 1) / 2, n - 1)))
+    d3 = _pfq_terms((Fraction(1 - n), Fraction(1), Fraction(1 - n + N), 1 - n - al,
+                     2 - n - (s + 1) / 2),
+                    (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
+                    Fraction(-1), n)
+
+    value = Laurent.lift(lead * (b1 * b2 * b3 + d1 * d2 * d3 + c1 * c2 * c3))
+    if value.v < 0:
+        raise ArithmeticError("the closed form has a pole on the line")
+    return value.coeff(0)

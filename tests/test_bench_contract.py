@@ -4,9 +4,10 @@
 ``bench/selftest.py`` imports a few names from ``dopfisher``.  Both run in a
 fresh interpreter against ``src/``, so this test does the same: a change
 that deletes or renames one of those names fails here, not first in a
-benchmark run.  A traced pass of the ``truncated`` workload runs the same
-way, so a pass process that dies, or a value the harness would refuse,
-shows here too.
+benchmark run.  A traced pass of the ``truncated`` and of the ``exact-deep``
+workload runs the same way, so a pass process that dies, or a value the
+harness would refuse (the exact-deep one holds bounded ``direct`` and
+``difference`` values), shows here too.
 """
 
 import importlib.util
@@ -15,6 +16,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,9 +52,10 @@ def bench_module(name):
     return sys.modules[key]
 
 
-def test_traced_truncated_pass_runs_and_checks():
+@pytest.mark.parametrize("workload", ["truncated", "exact-deep"])
+def test_traced_pass_runs_and_checks(workload):
     workloads = bench_module("workloads")
-    calls = workloads.pass_calls("truncated", 1, 0)
+    calls = workloads.pass_calls(workload, 1, 0)
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "passrun.py"), str(ROOT / "src")],
         input=json.dumps({"calls": [c["argv"] for c in calls], "trace": True}),
@@ -60,7 +64,7 @@ def test_traced_truncated_pass_runs_and_checks():
     results = json.loads(done.stdout)["results"]
     assert len(results) == len(calls)
     failed = [(call["argv"], checked.failures) for call, result in zip(calls, results)
-              for checked in [workloads.check_call("truncated", call, result["rc"],
+              for checked in [workloads.check_call(workload, call, result["rc"],
                                                    result["out"], result["err"])]
               if checked.failed]
     assert failed == []

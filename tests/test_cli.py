@@ -83,13 +83,17 @@ class TestFisherCommand:
                                       "--p", "1/2", "--N", "3", "--n", "9"])
         assert code == 2
 
-    def test_route_failure_leaves_value_empty(self, capsys):
-        # Hahn closed divides by zero on alpha + beta = -1 at n >= 2
+    def test_route_failure_leaves_value_empty(self, capsys, monkeypatch):
+        # an injected failure inside the Hahn closed form
+        def fail(self, n):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(dopfisher.families.Hahn, "closed_form", fail)
         hahn = ["--family", "hahn", "--alpha=-1/2", "--beta=-1/2", "--N", "12"]
         code, out, err = run_cli(capsys, ["fisher", *hahn, "--n", "4",
                                           "--backend", "exact"])
         assert code == 0
-        assert err.startswith("closed: ZeroDivisionError")
+        assert err == "closed: ZeroDivisionError: injected\n"
         _, rows = parse_csv(out)
         fisher_cells = {r[3]: (r[4], r[5]) for r in rows}
         assert fisher_cells["closed"] == ("", "false")

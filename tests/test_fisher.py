@@ -21,6 +21,7 @@ from oracles import (
     forward_difference,
     gram_schmidt_coeffs,
     hahn_c3_hyp3f2,
+    hahn_closed_on_the_line,
     norm_ratio_expansion,
     rising,
     truncated_square_sum,
@@ -88,15 +89,18 @@ class TestDirect:
     @pytest.mark.parametrize("fam,n", [
         (Kravchuk(F(1, 4), 7), 3), (Kravchuk(F(1, 2), 5), 4),
         (Hahn(F(0), F(0), 6), 2), (Hahn(F(3), F(-1, 2), 6), 3),
+        (Kravchuk(F(2, 7), 23), 9), (Hahn(F(1, 3), F(5, 2), 21), 8),
     ])
     def test_matches_gram_schmidt_brute_force(self, fam, n):
-        assert fisher_direct(fam, n) == brute_force_fisher_bounded(fam, n)
+        # the plain lattice sum is the independent check of both moment routes
+        value = brute_force_fisher_bounded(fam, n)
+        assert fisher_direct(fam, n) == fisher_difference(fam, n) == value
 
 
 class TestDifferenceRoute:
     def test_degree_zero_reproduces_zero_exactly(self):
-        # bounded supports evaluate the boundary + expectation route in full;
-        # the exact zero validates the boundary convention
+        # on bounded supports the boundary term is inside the shifted moment
+        # sum; the exact zero validates that convention
         assert fisher_difference(Kravchuk(F(1, 2), 3), 0) == 0
         assert fisher_difference(Hahn(F(3), F(-1, 2), 7), 0) == 0
         assert fisher_difference(Charlier(F(2)), 0) == 0
@@ -202,6 +206,14 @@ class TestClosed:
             for n in range(1, 8):
                 assert fisher_closed(fam, n) == fisher_expansion(fam, n)
 
+    @pytest.mark.parametrize("alpha, N", [(F(-1, 2), 12), (F(-99, 100), 15), (F(-1, 3), 26)])
+    def test_hahn_on_alpha_plus_beta_minus_one_matches_laurent_oracle(self, alpha, N):
+        # the oracle runs the form before its 0/0s were cancelled, off the line
+        fam = Hahn(alpha, -1 - alpha, N)
+        for n in range(1, N):
+            value = hahn_closed_on_the_line(alpha, N, n)
+            assert fisher_closed(fam, n) == value == fisher_expansion(fam, n)
+
 
 C3_GRID = [(s, n) for s in (F(-5, 3), F(-1), F(-1, 2), F(0), F(7, 6), F(3), F(8), F(10))
            for n in (1, 2, 5, 13)]
@@ -256,11 +268,17 @@ class TestReport:
         assert report.values[Method.EXPANSION] == expected
         assert report.values[Method.CLOSED] == expected
 
-    def test_errors_collected_without_aborting(self):
-        # Hahn closed divides by ((s+1)/2)_(n-1) = 0 on alpha + beta = -1, n >= 2
-        report = fisher_report(Hahn(F(-1, 2), F(-1, 2), 12), 4)
+    def test_errors_collected_without_aborting(self, monkeypatch):
+        # an injected failure inside one route's family hook
+        def fail(self, n):
+            raise ZeroDivisionError("injected")
+
+        fam = Hahn(F(-1, 2), F(-1, 2), 12)
+        assert fisher_closed(fam, 4) == F(93824, 15015)
+        monkeypatch.setattr(Hahn, "closed_form", fail)
+        report = fisher_report(fam, 4)
         assert list(report.errors) == [Method.CLOSED]
-        assert report.errors[Method.CLOSED].startswith("ZeroDivisionError")
+        assert report.errors[Method.CLOSED] == "ZeroDivisionError: injected"
         assert report.values == {m: F(93824, 15015) for m in
                                  (Method.DIRECT, Method.DIFFERENCE, Method.EXPANSION)}
         assert report.max_pairwise_rel_discrepancy == 0
@@ -274,7 +292,8 @@ class TestReport:
 class TestMomentSums:
     """The infinite-lattice direct and difference routes against a plain
     truncated big-float sum over the lattice (tests/oracles.py), with P_n from
-    Gram-Schmidt; the total mass and the norm cancel in the ratio."""
+    Gram-Schmidt; the total mass, reduced_norm(0), and the norm cancel in the
+    ratio."""
 
     GRID = [(Charlier(F(2)), 5), (Charlier(F(7, 2)), 8), (Charlier(F(1, 3)), 3),
             (Meixner(F(3, 2), F(1, 2)), 6), (Meixner(F(4), F(1, 4)), 9),
@@ -294,7 +313,7 @@ class TestMomentSums:
     @pytest.mark.parametrize("fam", [Charlier(F(5, 7)), Meixner(F(7, 3), F(2, 9)),
                                      Meixner(F(6), F(99, 100))])
     def test_orthogonality_is_exact(self, fam):
-        mass = fam.total_mass()
+        mass = fam.reduced_norm(0)
         for n in range(8):
             for m in range(8):
                 total = moment_sum(fam, fam.poly_coeffs(n), fam.poly_coeffs(m))
@@ -307,8 +326,9 @@ class TestMomentSums:
     def test_high_degree_and_mu_near_one_equal_expansion(self, fam, n):
         assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
 
-    def test_report_makes_one_lattice_pass(self, monkeypatch):
-        # direct and difference share the P_n values of one recurrence pass
+    def test_bounded_routes_make_no_lattice_pass(self, monkeypatch):
+        # bounded direct and difference are moment sums too: no P_n values on
+        # the lattice, so their cost does not grow with N
         from dopfisher import families
 
         degrees = []
@@ -323,7 +343,12 @@ class TestMomentSums:
         for fam in (Kravchuk(F(1, 3), 17), Hahn(F(1, 2), F(2), 13)):
             report = fisher_report(fam, 9, methods=[Method.DIRECT, Method.DIFFERENCE])
             assert report.values[Method.DIRECT] == report.values[Method.DIFFERENCE]
-        assert degrees == [9, 9]
+        assert degrees == []
+
+    @pytest.mark.parametrize("fam, n", [(Kravchuk(F(1, 3), 2000), 10),
+                                        (Hahn(F(1, 2), F(5, 3), 1500), 8)])
+    def test_large_lattice_equals_expansion(self, fam, n):
+        assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
 
 
 class TestInvariants:
@@ -379,8 +404,8 @@ class TestConcurrency:
 
     def test_lattice_pass_is_shared_safely_across_threads(self):
         # threads ask for different degrees of one bounded family at once, so
-        # the kept lattice pass is replaced under them; a pass read at the
-        # wrong degree would change the direct or difference value
+        # the shared monomial rows grow under them; a row read at the wrong
+        # degree would change the direct or difference value
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
