@@ -11,10 +11,11 @@ Subcommands:
 * ``verify``  -- run the invariant suites and report per-suite pass/fail.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter-domain error,
-64 usage error.  Output is UTF-8 CSV with a header row; the exact backend
-prints rationals as ``p/q`` in lowest terms, the float backend prints
-round-trippable decimals at the working precision (``--dps``, default 80,
-overridable through the ``DOPFISHER_DPS`` environment variable).
+64 usage error.  Output is UTF-8 CSV with a header row.  Exact values are
+rounded once when printed: ``--backend exact`` prints rationals as ``p/q``
+in lowest terms, ``--backend float`` round-trippable decimals at the working
+precision (``--dps``, default 80, overridable through the ``DOPFISHER_DPS``
+environment variable).  ``verify`` prints counts only and takes neither flag.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
+import mpmath
+
 from .families import (
     DegreeOutOfRange,
     OutOfSupport,
@@ -34,7 +37,7 @@ from .families import (
     make_family,
 )
 from .fisher import Method, fisher_report, rakhmanov_density
-from .numerics import DEFAULT_DPS, to_fraction
+from .numerics import DEFAULT_DPS, to_fraction, to_mpf
 from .sweeps import (
     PARAM_NAMES,
     SWEEP_COLUMNS,
@@ -153,10 +156,12 @@ def _output(path):
 def cmd_fisher(args, parser) -> int:
     fam = _family_from_args(args, parser)
     methods = _parse_methods(args.methods, parser)
-    report = fisher_report(fam, args.n, dps=args.dps, methods=methods)
+    report = fisher_report(fam, args.n, methods=methods)
     disc = ""
     if report.max_pairwise_rel_discrepancy is not None:
-        disc = format_scalar(report.max_pairwise_rel_discrepancy, "float", 8)
+        # 80 digits first: the 8 printed ones are then those of the exact value
+        with mpmath.workdps(DEFAULT_DPS):
+            disc = format_scalar(to_mpf(report.max_pairwise_rel_discrepancy), "float", 8)
     out = _writer(sys.stdout)
     out.writerow(FISHER_COLUMNS)
     for method in methods:
@@ -277,7 +282,7 @@ def cmd_verify(args, parser) -> int:
             print(name)
         return EXIT_OK
     try:
-        results = run_suites(args.suite or None, dps=args.dps)
+        results = run_suites(args.suite or None)
     except KeyError as exc:
         raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
     all_ok = True
@@ -354,7 +359,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", action="append",
                           help="suite name (repeatable; default: all)")
     p_verify.add_argument("--list-suites", action="store_true")
-    _add_numeric_flags(p_verify, default_backend="exact")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -9,8 +9,8 @@ the forward difference back into the same family.
 Weights and norms are *reduced*: a per-family constant (e^-mu for Charlier,
 Gamma(alpha+1)Gamma(beta+1) for Hahn, ...) is factored out so that every
 quantity entering a ratio is an exact rational for rational parameters.
-`NormValue` keeps the factored constant symbolically, so the big-float paths
-can restore it and the exact paths can cancel it.
+`NormValue` keeps the factored constant symbolically, so the exact paths can
+cancel it; it is restored only for the infinite-lattice density.
 """
 
 from __future__ import annotations
@@ -204,8 +204,7 @@ class Family:
         """Monic degree-n polynomial values at every point of ``xs`` in one
         three-term-recurrence pass, computing each a_m and b_m once.
 
-        Exact for Fraction/int points; big-float for mpf points (callers set
-        the precision through an mpmath context).
+        Exact for Fraction/int points.
         """
         self.check_degree(n)
         prev = [x * 0 + 1 for x in xs]
@@ -430,9 +429,7 @@ class Charlier(Family):
 
     def connection_coeffs(self, n):
         self.check_degree(n)
-        if n == 0:
-            return []
-        return [Fraction(0)] * (n - 1) + [Fraction(n)]
+        return _ladder_connection(n, Fraction(0))
 
     def closed_form(self, n):
         return Fraction(n) / self.mu

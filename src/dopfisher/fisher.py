@@ -55,7 +55,6 @@ from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
     over_common_denominator,
-    rel_gap,
     to_mpf,
 )
 
@@ -278,17 +277,24 @@ _COMPUTE_ERRORS = (DenominatorPole, OutOfSupport,
 
 @dataclass
 class FisherReport:
-    """Values of every requested route plus their worst pairwise discrepancy."""
+    """Values of every requested route plus their worst pairwise discrepancy
+    |a - b| / max(|a|, |b|), exact (None with fewer than two values)."""
 
     family: Family
     degree: int
     values: Dict[Method, Fraction]
     errors: Dict[Method, str]
-    max_pairwise_rel_discrepancy: Optional[mpf]
+    max_pairwise_rel_discrepancy: Optional[Fraction]
 
 
-def fisher_report(fam: Family, n: int, *, dps: int = DEFAULT_DPS,
-                  methods=None) -> FisherReport:
+def _rel_gap(a: Fraction, b: Fraction) -> Fraction:
+    # equal values (the usual case, both zero included) cost one comparison
+    if a == b:
+        return Fraction(0)
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def fisher_report(fam: Family, n: int, *, methods=None) -> FisherReport:
     """Run the requested routes (default: all four) and cross-compare.
 
     Per-route computational failures are recorded without aborting the
@@ -312,6 +318,5 @@ def fisher_report(fam: Family, n: int, *, dps: int = DEFAULT_DPS,
             errors[method] = f"{type(exc).__name__}: {exc}"
     discrepancy = None
     if len(values) >= 2:
-        discrepancy = max(rel_gap(a, b, dps)
-                          for a, b in combinations(values.values(), 2))
+        discrepancy = max(_rel_gap(a, b) for a, b in combinations(values.values(), 2))
     return FisherReport(fam, n, values, errors, discrepancy)

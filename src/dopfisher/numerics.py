@@ -1,19 +1,14 @@
-"""Scalar backends and hypergeometric building blocks.
+"""Exact scalars and hypergeometric building blocks.
 
-Two number backends are used throughout the package:
-
-* exact rationals (`fractions.Fraction`), which stay bit-exact through every
-  closed form with rational parameters, and
-* arbitrary-precision floats (`mpmath.mpf`) with a declared working precision
-  in decimal digits, used for the infinite-lattice density and for printing.
-
-Precision is controlled per call through a ``dps`` argument.  Every Fisher
-route is exact, so no Fisher value loses digits to cancellation; the 80-digit
-default is kept so that float output stays as it was.
-
-``accelerated_pfq_at_minus_one`` sums a non-terminating pFq at -1 by the
-iterated Euler transformation.  No route calls it; the benchmark harness
-wraps it by name, so it stays until that harness is restated.
+Every Fisher value and closed form is an exact rational (`fractions.Fraction`).
+Big floats (`mpmath.mpf`, precision in decimal digits) appear in three places
+only: where a decimal is printed (``sweeps.format_scalar``, also for the
+``discrepancy`` cell of ``cli``); the infinite-lattice density, whose
+normalisation is irrational (``fisher.rakhmanov_density``,
+``families.NormValue.to_float``); and the truncated-sum engine and
+``accelerated_pfq_at_minus_one`` (the iterated Euler transformation of a pFq
+at -1), which no route calls and the benchmark harness wraps by name until
+ROADMAP item 3 restates it.
 """
 
 from __future__ import annotations
@@ -26,13 +21,14 @@ from typing import Optional, Tuple, Union
 import mpmath
 from mpmath import mpf
 
-#: Default decimal working precision of the big-float backend.
+#: Default decimal working precision of printed decimals and of the
+#: infinite-lattice density.
 DEFAULT_DPS = 80
 
 #: Default relative tolerance for declaring an accelerated series converged.
 DEFAULT_ACCEL_TOL = Fraction(1, 10**16)
 
-Scalar = Union[int, Fraction, mpf]
+Scalar = Union[int, Fraction]
 
 
 class DenominatorPole(ArithmeticError):
@@ -44,33 +40,21 @@ class NonTerminatingSeries(ValueError):
 
 
 def to_fraction(x) -> Fraction:
-    """Exact conversion to Fraction.
+    """Exact conversion of a Fraction, int or str to Fraction.
 
-    Floats are refused: ``0.1`` has no exact decimal meaning as a float, so
-    parameters are passed as ``str`` ('1/10', '0.1') or ``Fraction``.
+    Anything else is refused, floats included: ``0.1`` has no exact decimal
+    meaning as a float, so parameters are passed as ``str`` ('1/10', '0.1')
+    or ``Fraction``.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError(f"float {x!r} is not exact; pass a str or a Fraction")
-    if isinstance(x, mpf):
-        numerator, denominator = mpmath.libmp.to_rational(x._mpf_)
-        return Fraction(int(numerator), int(denominator))
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+    raise TypeError(f"{type(x).__name__} {x!r} is not exact; pass a str or a Fraction")
 
 
-def to_mpf(x, dps: Optional[int] = None) -> mpf:
-    """Convert a scalar to mpf, rounding once at ``dps`` digits.
-
-    With ``dps=None`` the current mpmath context precision is used.
-    """
-    if dps is not None:
-        with mpmath.workdps(dps):
-            return to_mpf(x)
+def to_mpf(x) -> mpf:
+    """Convert a scalar to mpf at the current mpmath context precision."""
     if isinstance(x, mpf):
         return +x
     if isinstance(x, int):
@@ -85,21 +69,17 @@ def is_nonpositive_integer(x) -> bool:
         return x <= 0
     if isinstance(x, Fraction):
         return x.denominator == 1 and x <= 0
-    if isinstance(x, mpf):
-        return x <= 0 and x == mpmath.floor(x)
-    if isinstance(x, float):
-        return x <= 0 and x == math.floor(x)
     return False
 
 
-def pochhammer(a, k: int):
+def pochhammer(a, k: int) -> Fraction:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
 
     Exact for int/Fraction input.
     """
     if k < 0:
         raise ValueError("pochhammer order must be a nonnegative integer")
-    out = Fraction(1) if not isinstance(a, mpf) else mpf(1)
+    out = Fraction(1)
     for i in range(k):
         out *= a + i
     return out
@@ -111,14 +91,6 @@ def over_common_denominator(values) -> Tuple[list, int]:
     Fraction operation."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def rel_gap(a, b, dps: int) -> mpf:
-    """|a - b| / max(|a|, |b|) at ``dps`` digits; 0 when both vanish."""
-    with mpmath.workdps(dps):
-        fa, fb = to_mpf(a), to_mpf(b)
-        scale = max(abs(fa), abs(fb))
-        return abs(fa - fb) / scale if scale > 0 else mpf(0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +113,7 @@ class PFQSpec:
         return min(lengths) if lengths else None
 
 
-def terminating_pfq(spec: PFQSpec):
+def terminating_pfq(spec: PFQSpec) -> Fraction:
     """Evaluate a terminating pFq by the term-ratio recurrence.
 
     Exact under rational inputs.  Lower-parameter poles at or past the
@@ -159,10 +131,7 @@ def terminating_pfq(spec: PFQSpec):
                 raise DenominatorPole(
                     f"lower parameter {b} vanishes at term {pole} <= {m}")
     z = spec.argument
-    values = spec.numerator + spec.denominator + (z,)
-    one = mpf(1) if any(isinstance(v, (mpf, float)) for v in values) else Fraction(1)
-    term = one
-    total = one
+    term = total = Fraction(1)
     for k in range(m):
         for a in spec.numerator:
             term = term * (a + k)

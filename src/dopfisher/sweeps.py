@@ -130,7 +130,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             continue
-        report = fisher_report(fam, degree, dps=spec.dps, methods=spec.methods)
+        report = fisher_report(fam, degree, methods=spec.methods)
         for method in spec.methods:
             row = dict(base)
             row["n"] = str(degree)

@@ -333,6 +333,19 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, ["verify", "--suite", "nope"])
         assert code == 64
 
+    @pytest.mark.parametrize("flags", [["--dps", "60"], ["--backend", "exact"]])
+    def test_precision_flags_are_not_verify_options(self, capsys, flags):
+        # verify prints counts only, so it takes no backend or precision
+        code, out, err = run_cli(capsys, ["verify", "--suite", "charlier", *flags])
+        assert code == 64 and out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+    def test_help_lists_no_precision_flags(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--help"])
+        assert code == 0
+        assert "--suite" in out
+        assert "--dps" not in out and "--backend" not in out
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["dopfisher", "dopfisher.cli"])
@@ -350,7 +363,7 @@ class TestVerifyFailurePath:
         from dopfisher import verify as verify_mod
         from dopfisher.verify import SuiteResult
 
-        def broken(dps):
+        def broken():
             result = SuiteResult("broken")
             result.check(False, "family=charlier mu=2 n=3: forced failure for the exit-code path")
             return result

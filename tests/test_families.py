@@ -266,12 +266,6 @@ class TestEvalPoly:
             coeffs = fam.poly_coeffs(max_n(fam, 7))
             assert coeffs[-1] == 1
 
-    def test_bigfloat_evaluation(self):
-        fam = Charlier(F(2))
-        with mpmath.workdps(40):
-            value = fam.eval_poly(3, mpf(5))
-            assert abs(value - to_float_of(fam.eval_poly(3, F(5)))) < mpf(10) ** -35
-
     @pytest.mark.parametrize("fam", ALL_FAMILIES + [Kravchuk(F(2, 7), 31),
                                                     Hahn(F(-1, 2), F(-1, 2), 12)])
     def test_one_pass_matches_pointwise_recurrence(self, fam):
@@ -291,10 +285,6 @@ class TestEvalPoly:
         coeffs = (F(1), F(2), F(1))  # (x+1)^2
         assert shift_coeffs(coeffs, 1) == (F(4), F(4), F(1))
         assert diff_coeffs(coeffs) == (F(3), F(2))  # (x+2)^2 - (x+1)^2
-
-
-def to_float_of(fr):
-    return mpf(fr.numerator) / fr.denominator
 
 
 class TestDifferences:

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from dopfisher.cli import main
 from dopfisher.families import Charlier, Family, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
     Method,
@@ -287,6 +288,20 @@ class TestReport:
         report = fisher_report(Charlier(F(2)), 2, methods=[Method.EXPANSION])
         assert list(report.values) == [Method.EXPANSION]
         assert report.max_pairwise_rel_discrepancy is None
+
+    def test_nonzero_discrepancy_is_exact_and_printed(self, monkeypatch, capsys):
+        # a closed form off by one part in 10^6: |a - b| / max(|a|, |b|)
+        # is (1/10^6) / (1000001/10^6) against the three exact routes
+        monkeypatch.setattr(Charlier, "closed_form",
+                            lambda self, n: Fraction(n) / self.mu * F(1000001, 1000000))
+        report = fisher_report(Charlier(F(2)), 3)
+        assert report.values[Method.CLOSED] == F(3, 2) * F(1000001, 1000000)
+        assert type(report.max_pairwise_rel_discrepancy) is Fraction
+        assert report.max_pairwise_rel_discrepancy == F(1, 1000001)
+        assert main(["fisher", "--family", "charlier", "--mu", "2", "--n", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[-1] == "9.99999e-7" for row in rows)
 
 
 class TestMomentSums:
