@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 verification failure, 2 parameter-domain error,
 rounded once when printed: ``--backend exact`` prints rationals as ``p/q``
 in lowest terms, ``--backend float`` round-trippable decimals at the working
 precision (``--dps``, default 80, overridable through the ``DOPFISHER_DPS``
-environment variable).  ``verify`` prints counts only and takes neither flag.
+environment variable, read on every call).  ``verify`` prints counts only
+and takes neither flag.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 import mpmath
@@ -106,7 +108,7 @@ def _dps_arg(raw: str) -> int:
 def _add_numeric_flags(parser, default_backend):
     parser.add_argument("--backend", choices=["exact", "float"],
                         default=default_backend)
-    parser.add_argument("--dps", type=_dps_arg, default=_default_dps(),
+    parser.add_argument("--dps", type=_dps_arg, default=None,
                         help="decimal digits of the float backend (>= 50; "
                              "default 80, env DOPFISHER_DPS)")
 
@@ -364,12 +366,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)   # on the first call, not at import: importers may never call main
+def _shared_parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if getattr(args, "dps", 0) is None:   # per call: the parser is shared
+        args.dps = _default_dps()
     try:
         return args.func(args, parser)
     except SystemExit as exc:

@@ -29,7 +29,6 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
-    over_common_denominator,
     pochhammer,
     terminating_pfq,
     to_fraction,
@@ -227,7 +226,12 @@ class Family:
         return high - low
 
     def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
-        """Exact monomial coefficients of the monic degree-n polynomial."""
+        """Monomial coefficients of monic P_n, as Fractions from its integer ``poly_row``."""
+        nums, den = self.poly_row(n)
+        return tuple(Fraction(c, den) for c in nums)
+
+    def poly_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
+        """``poly_coeffs`` as (integer numerators, one denominator), lowest terms."""
         self.check_degree(n)
         return _tables(self).monomials(n)
 
@@ -265,12 +269,13 @@ _TABLE_CACHE_SIZE = 16
 class _Tables:
     """One family's recurrence coefficients, monomial coefficients and
     Delta-expansion walk, grown on demand under a lock.  List rows are only
-    ever appended, so a reader that finds its row needs no lock."""
+    ever appended, so a reader that finds its row needs no lock.  Monomial
+    rows are integer numerators over one denominator, reduced once per row."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
-        self.monos = [(Fraction(1),)]
+        self.monos = [((1,), 1)]
         # the Delta-walk keeps its last two rows, Delta P_(k-1) and Delta P_k
         self.delta_degree = 1
         self.delta_rows = ((), (Fraction(1),))   # Delta P_0 = 0, Delta P_1 = P_0
@@ -302,7 +307,7 @@ class _Tables:
                 self.delta_rows = (self.delta_rows[1], row)
             return self.delta_rows[n - self.delta_degree + 1]
 
-    def monomials(self, n: int) -> Tuple[Fraction, ...]:
+    def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
 
     def _delta_row(self, m: int) -> Tuple[Fraction, ...]:
@@ -322,14 +327,20 @@ class _Tables:
         out.append(v[t - 1] + 1)
         return tuple(out)
 
-    def _mono_row(self, m: int) -> Tuple[Fraction, ...]:
+    def _mono_row(self, m: int) -> Tuple[Tuple[int, ...], int]:
         # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
-        # degrees t and t-1, the x^i coefficient is p_(i-1) - a_t p_i - b_t q_i
+        # degrees t and t-1 over pd, qd, the x^i coefficient p_(i-1) - a_t p_i
+        # - b_t q_i is taken over den = lcm(pd den(a_t), qd den(b_t))
         t = m - 1
-        a, b = self.a_upto(m), self.b_upto(m)
-        p = (0,) + self.monos[t] + (0,)   # p[i], p[i+1] = p_(i-1), p_i
-        q = (self.monos[t - 1] if t else ()) + (0, 0)
-        return tuple(p[i] - a[t] * p[i + 1] - b[t] * q[i] for i in range(m + 1))
+        at, bt = self.a_upto(m)[t], self.b_upto(m)[t]
+        (pn, pd), (qn, qd) = self.monos[t], self.monos[t - 1] if t else ((), 1)
+        den = math.lcm(pd * at.denominator, qd * bt.denominator)
+        sp, sb = den // pd, den // (qd * bt.denominator) * bt.numerator
+        sa = sp // at.denominator * at.numerator
+        p, q = (0,) + pn + (0,), qn + (0, 0)   # p[i], p[i+1] = p_(i-1), p_i
+        out = [p[i] * sp - sa * p[i + 1] - sb * q[i] for i in range(m + 1)]
+        g = math.gcd(den, *out)
+        return tuple(c // g for c in out), den // g
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -348,19 +359,18 @@ def _ladder_connection(n: int, r: Fraction) -> list:
     return out
 
 
-def shift_coeffs(coeffs: Tuple[Fraction, ...], h: int = 1) -> Tuple[Fraction, ...]:
-    """Coefficients of q(x) = p(x + h) by binomial expansion, on integers
-    over the common denominator of the coefficients."""
-    ints, den = over_common_denominator(coeffs)
-    out = [0] * len(ints)
-    for i, c in enumerate(ints):
+def shift_coeffs(coeffs, h: int = 1) -> tuple:
+    """Coefficients of q(x) = p(x + h) by binomial expansion; integer
+    coefficients (a ``poly_row``'s numerators) stay integers."""
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
         if c:
             for k in range(i + 1):
                 out[k] += c * math.comb(i, k) * h ** (i - k)
-    return tuple(Fraction(v, den) for v in out)
+    return tuple(out)
 
 
-def diff_coeffs(coeffs: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+def diff_coeffs(coeffs) -> tuple:
     """Coefficients of the forward difference p(x+1) - p(x); degree drops by one."""
     shifted = shift_coeffs(coeffs, 1)
     out = [s - c for s, c in zip(shifted, coeffs)]

@@ -167,7 +167,7 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 
 def moment_sum(fam: Family, p, q) -> Fraction:
     """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
-    polynomials given by their monomial coefficients.
+    polynomials given by their exact monomial coefficients (ints or Fractions).
 
     The product's coefficients c_k meet the moments sum_j S(k, j) m_j, with
     m_j the family's factorial moments and S(k, j) the Stirling numbers of
@@ -195,9 +195,10 @@ def moment_sum(fam: Family, p, q) -> Fraction:
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
     """Defining sum: the moment sum of Delta P_n(x)^2, an exact Fraction."""
-    fam.check_degree(n)
-    dp = diff_coeffs(fam.poly_coeffs(n))
-    return moment_sum(fam, dp, dp) * fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
+    nums, den = fam.poly_row(n)   # P_n(x) = sum_k nums[k] x^k / den
+    dp = diff_coeffs(nums)
+    ratio = fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
+    return moment_sum(fam, dp, dp) * (ratio / (den * den))
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -211,10 +212,10 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
     support is sum_y w(y) P_n(y+1)^2 (on an infinite support the boundary
     term vanishes), which is the moment sum of the shifted polynomial.
     """
-    fam.check_degree(n)
-    shifted = shift_coeffs(fam.poly_coeffs(n), 1)
-    return (moment_sum(fam, shifted, shifted)
-            * fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n)) - 1)
+    nums, den = fam.poly_row(n)
+    shifted = shift_coeffs(nums, 1)
+    ratio = fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
+    return moment_sum(fam, shifted, shifted) * (ratio / (den * den)) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:

@@ -10,7 +10,8 @@ there is also a plain truncated big-float sum over the lattice points, which
 uses no moment at all.
 
 The last section keeps the straightforward formulas that the fast exact
-routes replaced -- the pointwise recurrence, Pochhammer connection
+routes replaced -- the pointwise recurrence, the monomial recurrence in
+Fraction arithmetic (for the integer rows of ``poly_row``), Pochhammer connection
 coefficients, norm-ratio expansion sum, the Hahn 4F3 connection sum and the
 Fraction forms of the Hahn recurrence coefficients -- as references for them,
 and mpmath's own 3F2 for the series the Hahn closed form sums in closed form.
@@ -158,6 +159,21 @@ def pointwise_value(fam, n: int, x) -> Fraction:
     for m in range(1, n):
         prev, cur = cur, (x - fam.recurrence_a(m)) * cur - fam.recurrence_b(m) * prev
     return cur
+
+
+def recurrence_monomials(fam, n: int) -> tuple:
+    """Monomial coefficients of P_n from P_(m+1) = (x - a_m) P_m - b_m P_(m-1),
+    in plain Fraction arithmetic, asking the family for each a_m and b_m."""
+    prev, cur = [], [Fraction(1)]
+    for m in range(n):
+        a, b = fam.recurrence_a(m), fam.recurrence_b(m) if m else 0
+        nxt = [Fraction(0)] + cur   # x P_m
+        for i, c in enumerate(cur):
+            nxt[i] -= a * c
+        for i, c in enumerate(prev):
+            nxt[i] -= b * c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 def norm_ratio_expansion(fam, n: int) -> Fraction:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dopfisher
+from dopfisher import cli
 from dopfisher.cli import main
 from dopfisher.sweeps import SWEEP_COLUMNS, load_figures, run_figure
 from dopfisher.verify import SUITES
@@ -140,6 +141,44 @@ class TestFisherCommand:
         _, rows = parse_csv(out)
         digits = len(rows[0][4].replace(".", "").lstrip("0"))
         assert 50 <= digits <= 62
+
+    def test_dps_env_read_on_every_call(self, capsys, monkeypatch):
+        # the parser is shared by every call in a process, so its default
+        # must not freeze the environment of the call that built it
+        argv = ["fisher", "--family", "charlier", "--mu", "3", "--n", "1",
+                "--methods", "direct"]
+
+        def digits():
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            _, rows = parse_csv(out)
+            return len(rows[0][4].replace(".", "").lstrip("0"))
+
+        monkeypatch.delenv("DOPFISHER_DPS", raising=False)
+        assert digits() == 80
+        monkeypatch.setenv("DOPFISHER_DPS", "60")
+        assert 50 <= digits() <= 62
+        monkeypatch.setenv("DOPFISHER_DPS", "30")  # below the contract: default
+        assert digits() == 80
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["fisher", "--help"],
+        ["sweep", "--help"],
+        ["fisher", "--family", "charlier", "--mu", "2"],
+        ["fisher", "--family", "charlier", "--mu", "2", "--n", "1", "--dps", "10"],
+    ], ids=["help", "fisher-help", "sweep-help", "missing-n", "dps-below-contract"])
+    def test_same_output_on_every_call_and_from_a_fresh_parser(self, capsys, argv):
+        cli._shared_parser.cache_clear()  # the first call below builds it
+        first = run_cli(capsys, argv)
+        second = run_cli(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert first == second == (exc.value.code, captured.out, captured.err)
+        assert first[0] in (0, 64)
 
 
 class TestEvalAndDensity:

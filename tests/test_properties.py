@@ -6,10 +6,12 @@ supports: the exact closed form equals the expansion, Charlier gives n/mu,
 and the factorial-moment direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The integer kernel
-of the Hahn recurrence coefficients equals their Fraction form.  Examples are
-drawn deterministically, so the suite stays reproducible.
+of the Hahn recurrence coefficients equals their Fraction form, and so do the
+integer monomial rows, which stay in lowest terms.  Examples are drawn
+deterministically, so the suite stays reproducible.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from dopfisher.fisher import (
     fisher_expansion,
 )
 
-from oracles import hahn_recurrence
+from oracles import hahn_recurrence, recurrence_monomials
 
 F = Fraction
 
@@ -129,3 +131,31 @@ def test_hahn_integer_kernel_equals_fraction_form(alpha, data, N):
     fam = Hahn(alpha, beta, N)
     for m in range(N):
         assert (fam.recurrence_a(m), fam.recurrence_b(m)) == hahn_recurrence(fam, m)
+
+
+@st.composite
+def any_family_cases(draw):
+    tag = draw(st.sampled_from(["charlier", "meixner", "kravchuk", "hahn"]))
+    if tag == "charlier":
+        fam = Charlier(draw(rationals(0, 20)))
+    elif tag == "meixner":
+        fam = Meixner(draw(rationals(0, 10)), draw(rationals(0, 1)))
+    elif tag == "kravchuk":
+        fam = Kravchuk(draw(rationals(0, 1)), draw(st.integers(min_value=1, max_value=30)))
+    else:
+        fam = Hahn(draw(rationals(-1, 5)), draw(rationals(-1, 5)),
+                   draw(st.integers(min_value=1, max_value=30)))
+    top = 25 if fam.max_degree() is None else min(25, fam.max_degree())
+    return fam, draw(st.integers(min_value=0, max_value=top))
+
+
+@PROPERTY
+@given(any_family_cases())
+def test_monomial_rows_equal_fraction_recurrence(case):
+    fam, n = case
+    assert fam.poly_coeffs(n) == recurrence_monomials(fam, n)
+    # every stored row is in lowest terms: without the gcd per row, the
+    # factors of each step's common denominator would pile up degree by degree
+    for m in range(n + 1):
+        nums, den = fam.poly_row(m)
+        assert den > 0 and nums[-1] == den and math.gcd(den, *nums) == 1
