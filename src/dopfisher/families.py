@@ -29,6 +29,7 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
+    over_common_denominator,
     pochhammer,
     terminating_pfq,
     to_fraction,
@@ -235,6 +236,12 @@ class Family:
         self.check_degree(n)
         return _tables(self).monomials(n)
 
+    def moment_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        """The raw moments sum_x w(x) x^i / sum_x w(x) for i = 0..k at least,
+        from ``factorial_moments``, as (integer numerators, one denominator);
+        kept per family and extended on demand."""
+        return _tables(self).moments(k)
+
     def recurrence_a_upto(self, n: int) -> list:
         """A list holding at least a_0 .. a_(n-1), each computed once per
         family and shared by every caller (read it, never mutate it)."""
@@ -244,9 +251,10 @@ class Family:
         """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
         return _tables(self).b_upto(n)
 
-    def connection_coeffs(self, n: int) -> list:
+    def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
         """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
-        expanded in the *same* family.
+        expanded in the *same* family, as (integer numerators, one
+        denominator) in lowest terms.
 
         Delta applied to the three-term recurrence gives
 
@@ -254,12 +262,13 @@ class Family:
 
         and multiplication by x acts on the P-basis as the Jacobi matrix,
         x P_k = P_(k+1) + a_k P_k + b_k P_(k-1).  Starting from Delta P_0 = 0
-        and Delta P_1 = P_0, the step to degree m+1 costs O(m) exact
+        and Delta P_1 = P_0, the step to degree m+1 costs O(m) integer
         operations, so degree n costs O(n^2); the walk keeps its last two
-        vectors per family, so a sweep of increasing degrees pays one step each.
+        rows per family, so a sweep of increasing degrees pays one step each.
+        Families with a ladder relation override this with its O(n) product.
         """
         self.check_degree(n)
-        return list(_tables(self).delta(n))
+        return _tables(self).delta(n)
 
 
 #: families whose tables stay cached; the least recently used one goes first
@@ -267,18 +276,20 @@ _TABLE_CACHE_SIZE = 16
 
 
 class _Tables:
-    """One family's recurrence coefficients, monomial coefficients and
-    Delta-expansion walk, grown on demand under a lock.  List rows are only
-    ever appended, so a reader that finds its row needs no lock.  Monomial
-    rows are integer numerators over one denominator, reduced once per row."""
+    """One family's recurrence coefficients, monomial rows, Delta-expansion
+    walk and raw moments, grown on demand under a lock.  List rows are only
+    ever appended and the walk and the moment row are replaced whole, so a
+    reader needs no lock.  Every row is integer numerators over one
+    denominator, reduced by one gcd per row; the raw moments keep the lcm of
+    their factorial moments' denominators."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
         self.monos = [((1,), 1)]
-        # the Delta-walk keeps its last two rows, Delta P_(k-1) and Delta P_k
-        self.delta_degree = 1
-        self.delta_rows = ((), (Fraction(1),))   # Delta P_0 = 0, Delta P_1 = P_0
+        self.walk = _WALK_START
+        self.raw = ((), 1)   # raw moments E x^i, i = 0, 1, ..., over one denominator
+        self.stirling = []   # S(i, 0..i) for the last i of the raw moments
         self.lock = threading.RLock()
 
     def grow(self, rows: list, n: int, make_row) -> list:
@@ -295,37 +306,55 @@ class _Tables:
     def b_upto(self, n: int) -> list:
         return self.grow(self.b, n, self.fam.recurrence_b)
 
-    def delta(self, n: int) -> Tuple[Fraction, ...]:
+    def delta(self, n: int) -> Tuple[Tuple[int, ...], int]:
         # degrees asked in increasing order extend the walk at O(m) each; a
         # degree below the kept rows walks again from the start
         with self.lock:
-            if n < self.delta_degree - 1:
-                self.delta_degree, self.delta_rows = 1, ((), (Fraction(1),))
-            while self.delta_degree < n:
-                row = self._delta_row(self.delta_degree + 1)
-                self.delta_degree += 1
-                self.delta_rows = (self.delta_rows[1], row)
-            return self.delta_rows[n - self.delta_degree + 1]
+            if n < self.walk[0] - 1:
+                self.walk = _WALK_START
+            while self.walk[0] < n:
+                self.walk = self._delta_step(*self.walk)
+            degree, u, v, _ = self.walk
+            return (u, v)[n - degree + 1]
 
     def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
 
-    def _delta_row(self, m: int) -> Tuple[Fraction, ...]:
-        # Delta P_m = (x + 1 - a_t) Delta P_t + P_t - b_t Delta P_(t-1), t = m-1,
+    def moments(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        row = self.raw
+        if len(row[0]) <= k:
+            with self.lock:
+                if len(self.raw[0]) <= k:
+                    self.raw = self._raw_moments(k)
+                row = self.raw
+        return row
+
+    def _delta_step(self, t: int, u: tuple, v: tuple, lcm: int) -> tuple:
+        # Delta P_m = (x + 1 - a_t) Delta P_t + P_t - b_t Delta P_(t-1), m = t+1,
         # from the kept rows u, v of degrees t-1 and t.  With
         # x P_k = P_(k+1) + a_k P_k + b_k P_(k-1), the P_k coefficient for k < t is
         #     v_(k-1) + (a_k + 1 - a_t) v_k + b_(k+1) v_(k+1) - b_t u_k,
-        # and the leading one (k = t) is v_(t-1) + 1 = m.
-        t = m - 1
+        # and the leading one (k = t) is v_(t-1) + 1 = m.  Over L, the lcm of
+        # the denominators of a_0..a_t and b_1..b_t (a_(t-1) is in the walk's
+        # lcm already past its first step), every a_k and b_(k+1) is an
+        # integer, and the row is taken over den = lcm(vd L, ud den(b_t)).
+        m = t + 1
         a, b = self.a_upto(m), self.b_upto(m)
-        u, v = self.delta_rows
-        u += (0,)
-        vp = (0,) + v + (0,)   # vp[k], vp[k+1], vp[k+2] = v_(k-1), v_k, v_(k+1)
-        shift, bt = 1 - a[t], b[t]
-        out = [vp[k] + (a[k] + shift) * vp[k + 1] + b[k + 1] * vp[k + 2] - bt * u[k]
+        (un, ud), (vn, vd) = u, v
+        at, bt = a[t], b[t]
+        lcm = math.lcm(lcm, a[t - 1].denominator, at.denominator, bt.denominator)
+        den = math.lcm(vd * lcm, ud * bt.denominator)
+        sv, su = den // (vd * lcm), den // (ud * bt.denominator) * bt.numerator
+        shift = lcm - lcm // at.denominator * at.numerator
+        al = [lcm // x.denominator * x.numerator + shift for x in a[:t]]
+        bl = [lcm // x.denominator * x.numerator for x in b[1:m]]
+        un += (0,)
+        vp = (0,) + vn + (0,)   # vp[k], vp[k+1], vp[k+2] = v_(k-1), v_k, v_(k+1)
+        out = [sv * (lcm * vp[k] + al[k] * vp[k + 1] + bl[k] * vp[k + 2]) - su * un[k]
                for k in range(t)]
-        out.append(v[t - 1] + 1)
-        return tuple(out)
+        out.append(m * den)
+        g = math.gcd(den, *out)
+        return m, v, (tuple(c // g for c in out), den // g), lcm
 
     def _mono_row(self, m: int) -> Tuple[Tuple[int, ...], int]:
         # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
@@ -342,21 +371,49 @@ class _Tables:
         g = math.gcd(den, *out)
         return tuple(c // g for c in out), den // g
 
+    def _raw_moments(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        # E x^i = sum_j S(i, j) m_j, with m_j the factorial moments and S the
+        # Stirling numbers of the second kind, S(i, j) = j S(i-1, j) + S(i-1, j-1),
+        # continued from the kept row.  The lcm of the factorial moments'
+        # denominators only gains factors as k grows, so the kept numerators
+        # move to the new denominator by one integer factor.
+        nums, den = self.raw
+        fm, fd = over_common_denominator(self.fam.factorial_moments(k))
+        scale = fd // den
+        nums = [c * scale for c in nums]
+        row = self.stirling
+        for i in range(len(nums), k + 1):
+            row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1] if i else [1]
+            nums.append(sum(s * f for s, f in zip(row, fm)))
+        self.stirling = row
+        return tuple(nums), fd
+
+
+# degree 1 of the Delta-walk: Delta P_0 = 0 and Delta P_1 = P_0, and the lcm
+# of the recurrence denominators it has used
+_WALK_START = (1, ((), 1), ((1,), 1), 1)
+
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tables(fam: Family) -> _Tables:
     return _Tables(fam)
 
 
-def _ladder_connection(n: int, r: Fraction) -> list:
-    # a_j = n (j+1)_(n-1-j) r^(n-1-j), walked down from a_(n-1) = n by
-    # a_(j-1) = a_j j r: one product per coefficient
-    out = [Fraction(0)] * n
-    a = Fraction(n)
+def _ladder_connection(n: int, r: Fraction) -> Tuple[Tuple[int, ...], int]:
+    # a_j = n (j+1)_(n-1-j) r^(n-1-j), r = num/den, over den^(n-1): numerator
+    # n (j+1)_(n-1-j) num^(n-1-j) den^j, walked down from n den^(n-1) by the
+    # exact step c_(j-1) = c_j / den * j num, then one gcd for the row
+    if n == 0:
+        return (), 1
+    num, den = r.numerator, r.denominator
+    top = den ** (n - 1)
+    out = [0] * n
+    c = n * top
     for j in range(n - 1, -1, -1):
-        out[j] = a
-        a = a * j * r
-    return out
+        out[j] = c
+        c = c // den * (j * num)
+    g = math.gcd(top, *out)
+    return tuple(c // g for c in out), top // g
 
 
 def shift_coeffs(coeffs, h: int = 1) -> tuple:
@@ -437,7 +494,7 @@ class Charlier(Family):
         self.check_ladder_degree(n)
         return self, Fraction(n)
 
-    def connection_coeffs(self, n):
+    def connection_row(self, n):
         self.check_degree(n)
         return _ladder_connection(n, Fraction(0))
 
@@ -500,16 +557,24 @@ class Meixner(Family):
                          pow_expo=-(self.gamma + 2 * n))
 
     def recurrence_a(self, m):
-        return (m + (m + self.gamma) * self.mu) / (1 - self.mu)
+        # (m + (m + gamma) mu) / (1 - mu), with gamma = g/gd and mu = u/ud
+        g, gd, u, ud = self._parts()
+        return Fraction(m * gd * ud + (m * gd + g) * u, gd * (ud - u))
 
     def recurrence_b(self, m):
-        return m * (m + self.gamma - 1) * self.mu / (1 - self.mu) ** 2
+        # m (m + gamma - 1) mu / (1 - mu)^2
+        g, gd, u, ud = self._parts()
+        return Fraction(m * (m * gd + g - gd) * u * ud, gd * (ud - u) ** 2)
+
+    def _parts(self):
+        return (self.gamma.numerator, self.gamma.denominator,
+                self.mu.numerator, self.mu.denominator)
 
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return Meixner(self.gamma + 1, self.mu), Fraction(n)
 
-    def connection_coeffs(self, n):
+    def connection_row(self, n):
         self.check_degree(n)
         return _ladder_connection(n, self.mu / (self.mu - 1))
 
@@ -575,16 +640,20 @@ class Kravchuk(Family):
         return NormValue(rational)
 
     def recurrence_a(self, m):
-        return self.p * (self.N - m) + m * (1 - self.p)
+        # p (N - m) + m (1 - p), with p = u/d
+        u, d = self.p.numerator, self.p.denominator
+        return Fraction(u * (self.N - m) + m * (d - u), d)
 
     def recurrence_b(self, m):
-        return m * self.p * (1 - self.p) * (self.N - m + 1)
+        # m p (1 - p) (N - m + 1)
+        u, d = self.p.numerator, self.p.denominator
+        return Fraction(m * u * (d - u) * (self.N - m + 1), d * d)
 
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return Kravchuk(self.p, self.N - 1), Fraction(n)
 
-    def connection_coeffs(self, n):
+    def connection_row(self, n):
         self.check_degree(n)
         return _ladder_connection(n, self.p)
 

@@ -15,12 +15,13 @@ Routes:
                     sum_y w(y) P_n(y+1)^2, the moment sum of the shifted
                     polynomial, so the boundary term is inside it;
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
-                    (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j come from Delta
-                    applied to the three-term recurrence (Charlier, Meixner
-                    and Kravchuk use their O(n) ladder products instead), and
-                    d_j^2/d_n^2 from the recurrence's b_m, so the route runs
-                    on rational arithmetic alone.  This is the authoritative
-                    exact value;
+                    (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j are an integer row
+                    over one denominator, from Delta applied to the
+                    three-term recurrence (Charlier, Meixner and Kravchuk
+                    supply their O(n) ladder products instead), and
+                    d_j^2/d_n^2 comes from the recurrence's b_m, so the route
+                    runs on integers and reduces only its result.  This is
+                    the authoritative exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
@@ -29,7 +30,8 @@ A polynomial is summed against the weight in closed form on every lattice:
 x^k = sum_j S(k, j) x(x-1)...(x-j+1), with S the Stirling numbers of the
 second kind, turns its monomials into falling factorials, whose weighted sums
 the family supplies as factorial moments (``Family.factorial_moments``) of
-the Poisson, Pascal, binomial and hypergeometric weights.  The weight's total
+the Poisson, Pascal, binomial and hypergeometric weights, and keeps as raw
+moments (``Family.moment_row``) for every later call.  The weight's total
 mass, ``reduced_norm(0)`` (e^mu and (1-mu)^-gamma on the infinite lattices),
 cancels exactly against the norm, so every route returns an exact Fraction
 for rational parameters, at a cost set by the degree and not by the lattice
@@ -169,10 +171,10 @@ def moment_sum(fam: Family, p, q) -> Fraction:
     """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
     polynomials given by their exact monomial coefficients (ints or Fractions).
 
-    The product's coefficients c_k meet the moments sum_j S(k, j) m_j, with
-    m_j the family's factorial moments and S(k, j) the Stirling numbers of
-    the second kind, built row by row.  Everything runs on integers over one
-    common denominator.
+    The product's coefficients c_k meet the family's raw moments
+    sum_j S(k, j) m_j (``Family.moment_row``), with m_j its factorial moments
+    and S(k, j) the Stirling numbers of the second kind.  Everything runs on
+    integers over one common denominator.
     """
     pn, pd = over_common_denominator(p)
     qn, qd = over_common_denominator(q)
@@ -181,16 +183,8 @@ def moment_sum(fam: Family, p, q) -> Fraction:
         if a:
             for j, b in enumerate(qn):
                 product[i + j] += a * b
-    moments, md = over_common_denominator(fam.factorial_moments(len(product) - 1))
-    total = 0
-    row = [1]   # S(k, 0..k), here k = 0
-    for k, c in enumerate(product):
-        if k:
-            # S(k, j) = j S(k-1, j) + S(k-1, j-1)
-            row = [0] + [j * row[j] + row[j - 1] for j in range(1, k)] + [1]
-        if c:
-            total += c * sum(s * m for s, m in zip(row, moments))
-    return Fraction(total, pd * qd * md)
+    moments, md = fam.moment_row(len(product) - 1)
+    return Fraction(sum(c * m for c, m in zip(product, moments)), pd * qd * md)
 
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
@@ -221,19 +215,22 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
 def fisher_expansion(fam: Family, n: int) -> Fraction:
     """Ladder route: exact rational for every family with rational parameters.
 
-    I = sum_j a_j^2 d_j^2/d_n^2, with a_j from ``connection_coeffs`` and each
-    norm ratio taken from the recurrence (d_j^2/d_(j-1)^2 = b_j) as the
-    running product 1/(b_(j+1) ... b_n), accumulated from j = n-1 down to 0.
+    I = sum_j a_j^2 d_j^2/d_n^2, with the a_j from ``connection_row`` and each
+    norm ratio taken from the recurrence (d_j^2/d_(j-1)^2 = b_j), summed in
+    Horner form: T_0 = a_0^2, T_j = T_(j-1)/b_j + a_j^2 and I = T_(n-1)/b_n.
+    T runs as one integer numerator/denominator pair over the row's
+    denominator squared, and only the result is reduced.
     """
-    fam.check_degree(n)
-    total = Fraction(0)
-    ratio = Fraction(1)
-    coeffs = fam.connection_coeffs(n)
+    cn, cd = fam.connection_row(n)
+    if n == 0:
+        return Fraction(0)
     b = fam.recurrence_b_upto(n + 1)
-    for j in range(n - 1, -1, -1):
-        ratio /= b[j + 1]
-        total += coeffs[j] * coeffs[j] * ratio
-    return total
+    tn, td = cn[0] * cn[0], 1
+    for j in range(1, n):
+        bn, bd = b[j].numerator, b[j].denominator
+        tn = tn * bd + cn[j] * cn[j] * td * bn
+        td *= bn
+    return Fraction(tn * b[n].denominator, td * b[n].numerator * cd * cd)
 
 
 def fisher_closed(fam: Family, n: int) -> Fraction:

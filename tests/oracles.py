@@ -10,11 +10,13 @@ there is also a plain truncated big-float sum over the lattice points, which
 uses no moment at all.
 
 The last section keeps the straightforward formulas that the fast exact
-routes replaced -- the pointwise recurrence, the monomial recurrence in
-Fraction arithmetic (for the integer rows of ``poly_row``), Pochhammer connection
-coefficients, norm-ratio expansion sum, the Hahn 4F3 connection sum and the
-Fraction forms of the Hahn recurrence coefficients -- as references for them,
-and mpmath's own 3F2 for the series the Hahn closed form sums in closed form.
+routes replaced -- the pointwise recurrence, the monomial recurrence and the
+Delta-walk in Fraction arithmetic (for the integer rows of ``poly_row`` and
+``connection_row``), Pochhammer connection coefficients, the norm-ratio
+expansion sum, the running-product expansion sum, the Hahn 4F3 connection
+sum and the textbook Fraction forms of the Meixner, Kravchuk and Hahn
+recurrence coefficients -- as references for them, and mpmath's own 3F2 for
+the series the Hahn closed form sums in closed form.
 The Hahn closed form as written before its removable 0/0s on
 alpha + beta = -1 were cancelled runs there on truncated Laurent series.
 """
@@ -176,11 +178,57 @@ def recurrence_monomials(fam, n: int) -> tuple:
     return tuple(cur)
 
 
+def as_fractions(row) -> list:
+    """The Fractions of an integer row (numerators, denominator), such as
+    ``poly_row`` or ``connection_row`` return."""
+    nums, den = row
+    return [Fraction(c, den) for c in nums]
+
+
+def delta_walk_connection(fam, n: int) -> list:
+    """Connection coefficients a_j of Delta P_n = sum_j a_j P_j by Delta applied
+    to the three-term recurrence, in plain Fraction arithmetic, asking the
+    family for each a_m and b_m:
+
+        Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
+
+    with x P_k = P_(k+1) + a_k P_k + b_k P_(k-1)."""
+    if n == 0:
+        return []
+    a = [fam.recurrence_a(k) for k in range(n)]
+    b = [fam.recurrence_b(k) for k in range(n)]
+    prev, cur = [], [Fraction(1)]   # Delta P_0, Delta P_1
+    for m in range(1, n):
+        nxt = [Fraction(0)] * (m + 1)
+        for k, c in enumerate(cur):
+            # x P_k = P_(k+1) + a_k P_k + b_k P_(k-1)
+            nxt[k + 1] += c
+            nxt[k] += (a[k] + 1 - a[m]) * c
+            if k:
+                nxt[k - 1] += b[k] * c
+        nxt[m] += 1   # + P_m
+        for k, c in enumerate(prev):
+            nxt[k] -= b[m] * c
+        prev, cur = cur, nxt
+    return cur
+
+
 def norm_ratio_expansion(fam, n: int) -> Fraction:
     """sum_j a_j^2 d_j^2/d_n^2 with every norm ratio taken from the norms."""
     d_n = fam.reduced_norm(n)
     return sum((a * a * fam.reduced_norm(j).exact_ratio(d_n)
-                for j, a in enumerate(fam.connection_coeffs(n))), Fraction(0))
+                for j, a in enumerate(as_fractions(fam.connection_row(n)))), Fraction(0))
+
+
+def running_product_expansion(fam, n: int) -> Fraction:
+    """sum_j a_j^2 d_j^2/d_n^2 with the norm ratios as the running product
+    1/(b_(j+1) ... b_n), accumulated in Fraction arithmetic from j = n-1 down."""
+    total, ratio = Fraction(0), Fraction(1)
+    coeffs = as_fractions(fam.connection_row(n))
+    for j in range(n - 1, -1, -1):
+        ratio /= fam.recurrence_b(j + 1)
+        total += coeffs[j] * coeffs[j] * ratio
+    return total
 
 
 def hahn_connection_4f3(fam, n: int) -> list:
@@ -227,6 +275,20 @@ def hahn_recurrence(fam, m: int):
 
     b = coef_a(m - 1) * coef_c(m) if m else Fraction(0)
     return coef_a(m) + coef_c(m), b
+
+
+def meixner_recurrence(fam, m: int):
+    """(a_m, b_m) of the monic Meixner recurrence, the textbook Fraction forms
+    a_m = (m + (m + gamma) mu)/(1 - mu), b_m = m (m + gamma - 1) mu/(1 - mu)^2."""
+    g, mu = fam.gamma, fam.mu
+    return (m + (m + g) * mu) / (1 - mu), m * (m + g - 1) * mu / (1 - mu) ** 2
+
+
+def kravchuk_recurrence(fam, m: int):
+    """(a_m, b_m) of the monic Kravchuk recurrence, the textbook Fraction forms
+    a_m = p (N - m) + m (1 - p), b_m = m p (1 - p) (N - m + 1)."""
+    p, N = fam.p, fam.N
+    return p * (N - m) + m * (1 - p), m * p * (1 - p) * (N - m + 1)
 
 
 def hahn_c3_hyp3f2(s, n: int):

@@ -21,6 +21,7 @@ from dopfisher.families import (
     shift_coeffs,
 )
 from oracles import (
+    as_fractions,
     gram_schmidt_coeffs,
     hahn_connection_4f3,
     hahn_recurrence,
@@ -337,10 +338,10 @@ class TestLadder:
 
 class TestConnectionCoeffs:
     def test_charlier_single_term(self):
-        assert Charlier(F(2)).connection_coeffs(3) == [0, 0, 3]
+        assert as_fractions(Charlier(F(2)).connection_row(3)) == [0, 0, 3]
 
     def test_meixner_specialization(self):
-        assert Meixner(F(2), F(1, 2)).connection_coeffs(2) == [-2, 2]
+        assert as_fractions(Meixner(F(2), F(1, 2)).connection_row(2)) == [-2, 2]
 
     @pytest.mark.parametrize("fam, r", [
         (Meixner(F(3, 2), F(1, 4)), F(-1, 3)),
@@ -350,12 +351,12 @@ class TestConnectionCoeffs:
     ])
     def test_ladder_walk_matches_pochhammer_form(self, fam, r):
         for n in range(61):
-            assert fam.connection_coeffs(n) == pochhammer_connection(n, r)
+            assert as_fractions(fam.connection_row(n)) == pochhammer_connection(n, r)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_defining_property(self, fam):
         for n in range(max_n(fam, 6) + 1):
-            coeffs = fam.connection_coeffs(n)
+            coeffs = as_fractions(fam.connection_row(n))
             assert len(coeffs) == n
             for x in range(n + 3):
                 xf = F(x)
@@ -364,11 +365,13 @@ class TestConnectionCoeffs:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_generic_walk_on_every_family(self, fam):
-        # the base-class Delta-recurrence, which Hahn uses, pinned on all four
-        # families: the defining property, and equality with the O(n) forms
+        # the base-class Delta-walk, which Hahn uses, pinned on all four
+        # families: the defining property, and equality with the O(n) ladder
+        # rows that Charlier, Meixner and Kravchuk override it with
         for n in range(max_n(fam, 8) + 1):
-            coeffs = Family.connection_coeffs(fam, n)
-            assert coeffs == fam.connection_coeffs(n)
+            row = Family.connection_row(fam, n)
+            assert row == fam.connection_row(n)
+            coeffs = as_fractions(row)
             for x in range(n + 3):
                 xf = F(x)
                 expanded = sum(a * fam.eval_poly(j, xf) for j, a in enumerate(coeffs))
@@ -392,7 +395,7 @@ class TestHahnAgainstReplacedFormulas:
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_connection_coeffs_equal_4f3_sum(self, fam):
         for n in range(fam.N):
-            assert fam.connection_coeffs(n) == hahn_connection_4f3(fam, n)
+            assert as_fractions(fam.connection_row(n)) == hahn_connection_4f3(fam, n)
 
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_recurrence_equals_fraction_form(self, fam):

@@ -456,7 +456,7 @@ class TestConcurrency:
         fam = Hahn(F(5, 3), F(-2, 7), 30)
 
         def work(n):
-            return fam.connection_coeffs(n), fam.poly_coeffs(n), fisher_expansion(fam, n)
+            return fam.connection_row(n), fam.poly_coeffs(n), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
         families._tables.cache_clear()

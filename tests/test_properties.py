@@ -5,19 +5,23 @@ closed form equals the expansion, on alpha + beta = -1 too.  Infinite
 supports: the exact closed form equals the expansion, Charlier gives n/mu,
 and the factorial-moment direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
-Every value is positive, and zero exactly at degree 0.  The integer kernel
-of the Hahn recurrence coefficients equals their Fraction form, and so do the
-integer monomial rows, which stay in lowest terms.  Examples are drawn
+Every value is positive, and zero exactly at degree 0.  The integer kernels
+of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
+Fraction forms; the integer monomial and connection rows equal their plain
+Fraction recurrences and stay in lowest terms; the integer expansion sum
+equals the running-product Fraction loop; and the per-family raw moment row,
+grown in any order, equals the oracle's moments.  Examples are drawn
 deterministically, so the suite stays reproducible.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
+from dopfisher import families
+from dopfisher.families import Charlier, Family, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
     fisher_closed,
     fisher_difference,
@@ -25,7 +29,16 @@ from dopfisher.fisher import (
     fisher_expansion,
 )
 
-from oracles import hahn_recurrence, recurrence_monomials
+from oracles import (
+    as_fractions,
+    delta_walk_connection,
+    hahn_recurrence,
+    kravchuk_recurrence,
+    meixner_recurrence,
+    normalized_moments,
+    recurrence_monomials,
+    running_product_expansion,
+)
 
 F = Fraction
 
@@ -81,14 +94,17 @@ def test_infinite_closed_form_equals_expansion(case):
     assert_sign(value, n)
 
 
+def meixner_mu():
+    """Meixner mu in [1/1000, 999/1000], denominators up to 1000."""
+    return st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000)
+
+
 @st.composite
 def moment_cases(draw):
     if draw(st.booleans()):
         fam = Charlier(draw(rationals(0, 30, 100)))
     else:
-        mu = draw(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000),
-                               max_denominator=1000))
-        fam = Meixner(draw(rationals(0, 12, 100)), mu)
+        fam = Meixner(draw(rationals(0, 12, 100)), draw(meixner_mu()))
     return fam, draw(st.integers(min_value=0, max_value=20))
 
 
@@ -133,13 +149,29 @@ def test_hahn_integer_kernel_equals_fraction_form(alpha, data, N):
         assert (fam.recurrence_a(m), fam.recurrence_b(m)) == hahn_recurrence(fam, m)
 
 
+@PROPERTY
+@given(rationals(0, 50, 1000), meixner_mu())
+def test_meixner_integer_recurrence_equals_fraction_form(gamma, mu):
+    fam = Meixner(gamma, mu)
+    for m in range(30):
+        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == meixner_recurrence(fam, m)
+
+
+@PROPERTY
+@given(rationals(0, 1, 1000), st.integers(min_value=1, max_value=60))
+def test_kravchuk_integer_recurrence_equals_fraction_form(p, N):
+    fam = Kravchuk(p, N)
+    for m in range(N + 1):
+        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == kravchuk_recurrence(fam, m)
+
+
 @st.composite
 def any_family_cases(draw):
     tag = draw(st.sampled_from(["charlier", "meixner", "kravchuk", "hahn"]))
     if tag == "charlier":
         fam = Charlier(draw(rationals(0, 20)))
     elif tag == "meixner":
-        fam = Meixner(draw(rationals(0, 10)), draw(rationals(0, 1)))
+        fam = Meixner(draw(rationals(0, 10)), draw(meixner_mu()))
     elif tag == "kravchuk":
         fam = Kravchuk(draw(rationals(0, 1)), draw(st.integers(min_value=1, max_value=30)))
     else:
@@ -159,3 +191,54 @@ def test_monomial_rows_equal_fraction_recurrence(case):
     for m in range(n + 1):
         nums, den = fam.poly_row(m)
         assert den > 0 and nums[-1] == den and math.gcd(den, *nums) == 1
+
+
+# degree 0 on every family, and Meixner at mu = 999/1000
+KERNEL_EXAMPLES = [(Charlier(F(7, 2)), 0), (Meixner(F(3, 2), F(999, 1000)), 0),
+                   (Kravchuk(F(2, 7), 5), 0), (Hahn(F(1, 3), F(5, 2), 6), 0),
+                   (Meixner(F(5, 3), F(999, 1000)), 25)]
+
+
+def with_examples(test):
+    for case in KERNEL_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@PROPERTY
+@given(any_family_cases())
+@with_examples
+def test_connection_rows_equal_fraction_delta_walk(case):
+    # the family's row (the ladder product on Charlier, Meixner and Kravchuk)
+    # and the base-class integer Delta-walk, on every family
+    fam, n = case
+    expected = delta_walk_connection(fam, n)
+    for row_of in (fam.connection_row, lambda m: Family.connection_row(fam, m)):
+        assert as_fractions(row_of(n)) == expected
+        # every row in lowest terms, so no common factor piles up degree by degree
+        for m in range(n + 1):
+            nums, den = row_of(m)
+            assert den > 0 and len(nums) == m and math.gcd(den, *nums) == 1
+
+
+@PROPERTY
+@given(any_family_cases())
+@with_examples
+def test_expansion_sum_equals_running_product(case):
+    fam, n = case
+    assert fisher_expansion(fam, n) == running_product_expansion(fam, n)
+
+
+@PROPERTY
+@given(any_family_cases(), st.lists(st.integers(min_value=0, max_value=40),
+                                    min_size=1, max_size=4))
+def test_moment_rows_grow_to_the_oracle_moments(case, orders):
+    # a fresh family's raw moment row, extended in the drawn order, always
+    # holds the oracle's moments: the kept numerators follow the denominator
+    fam, _ = case
+    expected = normalized_moments(fam, max(orders))
+    families._tables.cache_clear()
+    for k in orders:
+        nums, den = fam.moment_row(k)
+        assert len(nums) > k
+        assert [F(c, den) for c in nums[:k + 1]] == expected[:k + 1]
