@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Tuple
 
 import mpmath
@@ -29,8 +30,10 @@ from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
     Scalar,
+    horner_ratio_sum,
     over_common_denominator,
     pochhammer,
+    shifted_products,
     terminating_pfq,
     to_fraction,
     to_mpf,
@@ -735,32 +738,42 @@ class Hahn(Family):
                        * pochhammer(n + s + 1, n) ** 2))
         return NormValue(rational)
 
-    def _coef_parts(self, m):
-        """A_m and C_m, with a_m = A_m + C_m and b_m = A_(m-1) C_m, as integer
-        (numerator, denominator) pairs.  Over d = lcm(den alpha, den beta),
-        alpha = p/d and beta = q/d, and the d^2 of each quotient cancels."""
-        al, be, N = self.alpha, self.beta, self.N
+    def _parts(self):
+        """(d, p, q) with d = lcm(den alpha, den beta), alpha = p/d and
+        beta = q/d: over d, the d^2 of each quotient of A_m and C_m cancels."""
+        al, be = self.alpha, self.beta
         d = math.lcm(al.denominator, be.denominator)
-        p = al.numerator * (d // al.denominator)
-        q = be.numerator * (d // be.denominator)
-        ds = p + q                      # d (alpha + beta)
+        return d, al.numerator * (d // al.denominator), be.numerator * (d // be.denominator)
+
+    def _coef_a(self, m):
+        """A_m, with a_m = A_m + C_m and b_m = A_(m-1) C_m, as an integer
+        (numerator, denominator) pair."""
+        d, p, q = self._parts()
+        ds, N = p + q, self.N           # ds = d (alpha + beta)
         if m == 0:
             # the (s+1) factor of A_0 cancels; written cancelled so s = -1 stays finite
-            return ((d + q) * (N - 1), 2 * d + ds), (0, 1)
-        mid = d * (2 * m + 1) + ds      # d (2m + alpha + beta + 1), shared
-        return (((d * (m + 1) + ds) * (d * (m + 1) + q) * (N - 1 - m),
-                 mid * (d * (2 * m + 2) + ds)),
-                (m * (d * (m + N) + ds) * (d * m + p), (2 * d * m + ds) * mid))
+            return (d + q) * (N - 1), 2 * d + ds
+        return ((d * (m + 1) + ds) * (d * (m + 1) + q) * (N - 1 - m),
+                (d * (2 * m + 1) + ds) * (d * (2 * m + 2) + ds))
+
+    def _coef_c(self, m):
+        """C_m (see ``_coef_a``) as an integer (numerator, denominator) pair."""
+        if m == 0:
+            return 0, 1
+        d, p, q = self._parts()
+        ds, N = p + q, self.N
+        return m * (d * (m + N) + ds) * (d * m + p), (2 * d * m + ds) * (d * (2 * m + 1) + ds)
 
     def recurrence_a(self, m):
-        (an, ad), (cn, cd) = self._coef_parts(m)
+        an, ad = self._coef_a(m)
+        cn, cd = self._coef_c(m)
         return Fraction(an * cd + cn * ad, ad * cd)
 
     def recurrence_b(self, m):
         if m == 0:
             return Fraction(0)
-        (an, ad), _ = self._coef_parts(m - 1)
-        _, (cn, cd) = self._coef_parts(m)
+        an, ad = self._coef_a(m - 1)
+        cn, cd = self._coef_c(m)
         return Fraction(an * cn, ad * cd)
 
     def ladder_target(self, n):
@@ -827,24 +840,26 @@ class Hahn(Family):
 
 def _hahn_5f4(n: int, s: Fraction, upper: tuple, lower: tuple) -> Fraction:
     """5F4(1-n, 1, *upper, u; *lower, l; -1) of the Hahn closed form, with
-    u = 2-n-(s+1)/2 and l = 1-n-s, summed term by term.
+    u = 2-n-(s+1)/2 and l = 1-n-s, as a Horner sum over one denominator
+    (``horner_ratio_sum``).
 
-    (u)_k/(l)_k is taken factor by factor.  Its last factor, (u+n-2)/(l+n-2)
-    = (-(s+1)/2)/(-(s+1)), is 1/2 for every s and is written so, which keeps
-    the removable 0/0 of s = -1 exact.  No other l+i vanishes: l+i = 0 needs
-    s = 1-n+i <= -2, and s > -2.
+    The term ratio at i is (n-1-i) (u+i)/(l+i) prod (a+i) / prod (b+i), since
+    (1-n+i) (1+i) (-1) / (i+1) = n-1-i.  With s = sn/sd, (u+i)/(l+i) is the
+    integer pair (2 sd (2-n+i) - sn - sd, 2 (sd (1-n+i) - sn)).  Its last
+    factor, (u+n-2)/(l+n-2) = (-(s+1)/2)/(-(s+1)), is 1/2 for every s and is
+    written so, which keeps the removable 0/0 of s = -1 exact.  No other l+i
+    vanishes: l+i = 0 needs s = 1-n+i <= -2, and s > -2.
     """
-    u, l = 2 - n - (s + 1) / 2, 1 - n - s
-    term = total = Fraction(1)
-    for i in range(n - 1):
-        ratio = Fraction(1, 2) if i == n - 2 else (u + i) / (l + i)
-        for a in upper:
-            ratio *= a + i
-        for b in lower:
-            ratio /= b + i
-        term *= (n - 1 - i) * ratio   # (1-n+i) (1+i) (-1) / (i+1)
-        total += term
-    return total
+    sn, sd = s.numerator, s.denominator
+    an, ad = over_common_denominator(upper)
+    bn, bd = over_common_denominator(lower)
+    scale_n, scale_d = bd ** len(bn), ad ** len(an)
+    # (u+i)/(l+i) for i = n-2 down to 0, with c = 2-n+i
+    ul = chain([(1, 2)], ((2 * sd * c - sn - sd, 2 * (sd * (c - 1) - sn))
+                          for c in range(-1, 1 - n, -1)))
+    return horner_ratio_sum(
+        (k * un * scale_n * up, ln * scale_d * down) for k, (un, ln), up, down in
+        zip(range(1, n), ul, shifted_products(an, ad, n - 1), shifted_products(bn, bd, n - 1)))
 
 
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}

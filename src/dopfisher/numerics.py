@@ -9,6 +9,13 @@ normalisation is irrational (``fisher.rakhmanov_density``,
 ``accelerated_pfq_at_minus_one`` (the iterated Euler transformation of a pFq
 at -1), which no route calls and the benchmark harness wraps by name until
 ROADMAP item 3 restates it.
+
+The exact kernels run on integers and reduce once: ``pochhammer`` takes
+(p/q)_k as prod (p + i q) over q^k, and ``terminating_pfq`` (and the Hahn
+5F4 in ``families``) sums a terminating series in Horner form from its last
+term, ``1 + r_0 (1 + r_1 (1 + ...))``, with every term ratio an integer pair
+over one denominator per parameter set (``horner_ratio_sum``), so one
+``Fraction`` is built per sum instead of one gcd per operation.
 """
 
 from __future__ import annotations
@@ -75,14 +82,13 @@ def is_nonpositive_integer(x) -> bool:
 def pochhammer(a, k: int) -> Fraction:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
 
-    Exact for int/Fraction input.
+    Exact for int/Fraction input: with a = p/q, (a)_k = prod (p + i q) / q^k,
+    an integer product reduced once.
     """
     if k < 0:
         raise ValueError("pochhammer order must be a nonnegative integer")
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + k * q, q)), q ** k)
 
 
 def over_common_denominator(values) -> Tuple[list, int]:
@@ -91,6 +97,26 @@ def over_common_denominator(values) -> Tuple[list, int]:
     Fraction operation."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def horner_ratio_sum(ratios) -> Fraction:
+    """1 + r_0 (1 + r_1 (1 + ... (1 + r_(m-1)))), the sum of the terms
+    t_0 = 1, t_(k+1) = r_k t_k, as one integer numerator and denominator
+    reduced once at the end.  ``ratios`` yields each r_k = rn_k/rd_k as an
+    integer pair (rn_k, rd_k), rd_k != 0, from the last, k = m-1, down to
+    k = 0, so the pairs are never held all at once."""
+    num = den = 1
+    for rn, rd in ratios:
+        num = rd * den + rn * num
+        den *= rd
+    return Fraction(num, den)
+
+
+def shifted_products(nums, den: int, m: int):
+    """prod (v + k den) over the integers v in ``nums`` (not empty), for
+    k = m-1 down to 0: the numerators of prod (v/den + k) over den^len(nums),
+    in the order ``horner_ratio_sum`` takes its ratios."""
+    return map(math.prod, zip(*(range(v + (m - 1) * den, v - den, -den) for v in nums)))
 
 
 @dataclass(frozen=True)
@@ -114,11 +140,15 @@ class PFQSpec:
 
 
 def terminating_pfq(spec: PFQSpec) -> Fraction:
-    """Evaluate a terminating pFq by the term-ratio recurrence.
+    """Evaluate a terminating pFq exactly, as a Horner sum of its term ratios.
 
-    Exact under rational inputs.  Lower-parameter poles at or past the
-    termination index are harmless (every affected term is zero); a pole
-    strictly inside the summed range raises DenominatorPole.
+    With m the termination index and r_k = t_(k+1)/t_k the term ratio, the
+    sum is 1 + r_0 (1 + r_1 (1 + ... (1 + r_(m-1)))).  The upper parameters
+    are put over one integer denominator and the lower ones over another,
+    so each r_k is an integer pair and only the result is reduced.
+    Lower-parameter poles at or past the termination index are harmless
+    (every affected term is zero); a pole strictly inside the summed range
+    raises DenominatorPole.
     """
     m = spec.termination_index()
     if m is None:
@@ -130,16 +160,15 @@ def terminating_pfq(spec: PFQSpec) -> Fraction:
             if pole <= m:
                 raise DenominatorPole(
                     f"lower parameter {b} vanishes at term {pole} <= {m}")
+    # r_k = prod (a + k) / prod (b + k) z / (k+1), where k+1 is the factor of
+    # one more lower parameter, 1 (k! = (1)_k); the sets sit over ad^p and bd^(q+1)
+    an, ad = over_common_denominator(spec.numerator)
+    bn, bd = over_common_denominator((*spec.denominator, 1))
     z = spec.argument
-    term = total = Fraction(1)
-    for k in range(m):
-        for a in spec.numerator:
-            term = term * (a + k)
-        for b in spec.denominator:
-            term = term / (b + k)
-        term = term * z / (k + 1)
-        total = total + term
-    return total
+    zn = z.numerator * bd ** len(bn)
+    zd = z.denominator * ad ** len(an)
+    return horner_ratio_sum((zn * up, zd * down) for up, down in
+                            zip(shifted_products(an, ad, m), shifted_products(bn, bd, m)))
 
 
 # Kept for bench/tracer.py, which wraps it by name; ROADMAP item 3 deletes it.

@@ -10,13 +10,16 @@ there is also a plain truncated big-float sum over the lattice points, which
 uses no moment at all.
 
 The last section keeps the straightforward formulas that the fast exact
-routes replaced -- the pointwise recurrence, the monomial recurrence and the
-Delta-walk in Fraction arithmetic (for the integer rows of ``poly_row`` and
-``connection_row``), Pochhammer connection coefficients, the norm-ratio
-expansion sum, the running-product expansion sum, the Hahn 4F3 connection
-sum and the textbook Fraction forms of the Meixner, Kravchuk and Hahn
-recurrence coefficients -- as references for them, and mpmath's own 3F2 for
-the series the Hahn closed form sums in closed form.
+routes replaced -- the Pochhammer product, and the terminating pFq and the
+Hahn 5F4 summed term by term (for the integer Horner kernels of
+``numerics`` and ``families._hahn_5f4``); the pointwise recurrence, the
+monomial recurrence and the Delta-walk in Fraction arithmetic (for the
+integer rows of ``poly_row`` and ``connection_row``), Pochhammer
+connection coefficients, the norm-ratio expansion sum, the running-product
+expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
+forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
+references for them, and mpmath's own 3F2 for the series the Hahn closed
+form sums in closed form.
 The Hahn closed form as written before its removable 0/0s on
 alpha + beta = -1 were cancelled runs there on truncated Laurent series.
 """
@@ -26,6 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+
+from dopfisher.numerics import DenominatorPole, NonTerminatingSeries
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +149,57 @@ def rising(a, k: int) -> Fraction:
     for i in range(k):
         out *= a + i
     return out
+
+
+def _pfq_terms(upper, lower, z, terms: int):
+    """The first ``terms`` terms of sum_k prod (a)_k / prod (b)_k z^k / k!,
+    one Fraction operation (and gcd) per factor."""
+    term = total = Fraction(1)
+    for k in range(terms - 1):
+        for a in upper:
+            term = term * (a + k)
+        for b in lower:
+            term = term / (b + k)
+        term = term * z / (k + 1)
+        total = total + term
+    return total
+
+
+def terminating_pfq_terms(spec) -> Fraction:
+    """A terminating pFq summed term by term up to its termination index m,
+    the smallest -a over the nonpositive-integer upper parameters a.
+
+    Raises NonTerminatingSeries when there is no such a, and DenominatorPole
+    when a lower parameter b = -j vanishes inside the sum, that is, when the
+    ratio of term j+1 divides by b + j = 0 with j < m."""
+    def nonpositive_integer(x):
+        return Fraction(x).denominator == 1 and x <= 0
+
+    ends = [-int(a) for a in spec.numerator if nonpositive_integer(a)]
+    if not ends:
+        raise NonTerminatingSeries(f"no nonpositive-integer upper parameter in {spec}")
+    m = min(ends)
+    if any(nonpositive_integer(b) and -b < m for b in spec.denominator):
+        raise DenominatorPole(f"a lower parameter vanishes before term {m}: {spec}")
+    return _pfq_terms(spec.numerator, spec.denominator, spec.argument, m + 1)
+
+
+def hahn_5f4_terms(n: int, s: Fraction, upper: tuple, lower: tuple) -> Fraction:
+    """5F4(1-n, 1, *upper, u; *lower, l; -1) of the Hahn closed form, with
+    u = 2-n-(s+1)/2 and l = 1-n-s, summed term by term in Fraction arithmetic.
+    The last term's factor (u+n-2)/(l+n-2) is 1/2 for every s and is written
+    so, which keeps the removable 0/0 of s = -1 exact."""
+    u, l = 2 - n - (s + 1) / 2, 1 - n - s
+    term = total = Fraction(1)
+    for i in range(n - 1):
+        ratio = Fraction(1, 2) if i == n - 2 else (u + i) / (l + i)
+        for a in upper:
+            ratio *= a + i
+        for b in lower:
+            ratio /= b + i
+        term *= (n - 1 - i) * ratio   # (1-n+i) (1+i) (-1) / (i+1)
+        total += term
+    return total
 
 
 def pochhammer_connection(n: int, r: Fraction) -> list:
@@ -382,19 +438,6 @@ class Laurent:
         for _ in range(k):
             out = out * self
         return out
-
-
-def _pfq_terms(upper, lower, z, terms: int):
-    """The first ``terms`` terms of sum_k prod (a)_k / prod (b)_k z^k / k!."""
-    term = total = Fraction(1)
-    for k in range(terms - 1):
-        for a in upper:
-            term = term * (a + k)
-        for b in lower:
-            term = term / (b + k)
-        term = term * z / (k + 1)
-        total = total + term
-    return total
 
 
 def hahn_closed_on_the_line(alpha: Fraction, N: int, n: int) -> Fraction:

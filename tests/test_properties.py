@@ -9,13 +9,16 @@ Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
 Fraction forms; the integer monomial and connection rows equal their plain
 Fraction recurrences and stay in lowest terms; the integer expansion sum
-equals the running-product Fraction loop; and the per-family raw moment row,
-grown in any order, equals the oracle's moments.  Examples are drawn
-deterministically, so the suite stays reproducible.
+equals the running-product Fraction loop; the per-family raw moment row,
+grown in any order, equals the oracle's moments; and the integer Horner
+kernels of the terminating pFq and the Hahn 5F4, and the one-reduction
+Pochhammer product, equal their term-by-term Fraction forms.  Examples are
+drawn deterministically, so the suite stays reproducible.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,16 +31,26 @@ from dopfisher.fisher import (
     fisher_direct,
     fisher_expansion,
 )
+from dopfisher.numerics import (
+    DenominatorPole,
+    NonTerminatingSeries,
+    PFQSpec,
+    pochhammer,
+    terminating_pfq,
+)
 
 from oracles import (
     as_fractions,
     delta_walk_connection,
+    hahn_5f4_terms,
     hahn_recurrence,
     kravchuk_recurrence,
     meixner_recurrence,
     normalized_moments,
     recurrence_monomials,
+    rising,
     running_product_expansion,
+    terminating_pfq_terms,
 )
 
 F = Fraction
@@ -242,3 +255,93 @@ def test_moment_rows_grow_to_the_oracle_moments(case, orders):
         nums, den = fam.moment_row(k)
         assert len(nums) > k
         assert [F(c, den) for c in nums[:k + 1]] == expected[:k + 1]
+
+
+def pfq_parameters():
+    """Small rationals, integer-valued ones (negative included) often."""
+    return st.one_of(st.fractions(min_value=-12, max_value=12, max_denominator=6),
+                     st.integers(min_value=-12, max_value=12).map(F))
+
+
+@st.composite
+def pfq_specs(draw):
+    # up to three terminating upper parameters -m (the smallest m ends the
+    # series; none at all leaves it non-terminating), free upper and lower
+    # parameters, and a lower pole -j before, at or after termination
+    upper = ([F(-m) for m in draw(st.lists(st.integers(min_value=0, max_value=14),
+                                           max_size=3))]
+             + draw(st.lists(pfq_parameters(), max_size=3)))
+    lower = draw(st.lists(pfq_parameters().filter(lambda b: b > 0 or b.denominator > 1),
+                          max_size=3))
+    if draw(st.booleans()):
+        lower.append(F(-draw(st.integers(min_value=0, max_value=16))))
+    upper, lower = draw(st.permutations(upper)), draw(st.permutations(lower))
+    z = F(draw(st.integers(min_value=-30, max_value=30)),
+          draw(st.integers(min_value=1, max_value=9)))
+    if draw(st.booleans()):
+        # int inputs wherever a value is integral
+        upper, lower = ([int(v) if v.denominator == 1 else v for v in vs]
+                        for vs in (upper, lower))
+        z = int(z) if z.denominator == 1 else z
+    return PFQSpec(tuple(upper), tuple(lower), z)
+
+
+def pfq_outcome(evaluate, spec):
+    try:
+        return evaluate(spec)
+    except (DenominatorPole, NonTerminatingSeries) as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(pfq_specs())
+# Meixner(23/4, 19/20) at n = 259: the closed form's 2F1
+@example(PFQSpec((F(-258), F(1)), (F(-257) - F(23, 4),), F(19, 20)))
+# lower poles: after termination (harmless), at the last summed term (raises)
+@example(PFQSpec((F(-3), F(1, 2)), (F(-3),), F(2)))
+@example(PFQSpec((F(-3), F(1, 2)), (F(-2),), F(2)))
+# int inputs, z = 0, and two terminating upper parameters
+@example(PFQSpec((-4, 2), (3,), -1))
+@example(PFQSpec((F(-5), F(7, 3)), (F(1, 2),), F(0)))
+@example(PFQSpec((F(-6), F(-2), F(3, 4)), (F(-4), F(5, 2)), F(-3, 2)))
+def test_terminating_pfq_equals_term_by_term(spec):
+    value = pfq_outcome(terminating_pfq, spec)
+    assert value == pfq_outcome(terminating_pfq_terms, spec)
+    if not isinstance(value, type):
+        assert type(value) is Fraction
+
+
+@PROPERTY
+@given(st.booleans(), st.data(), st.integers(min_value=2, max_value=30))
+def test_hahn_5f4_equals_term_by_term(on_line, data, N):
+    # both 5F4s of Hahn.closed_form, on the alpha + beta = -1 line (where the
+    # last term's factor is a removable 0/0, written as 1/2) and off it
+    alpha = data.draw(rationals(-1, 0) if on_line else rationals(-1, 20))
+    beta = -1 - alpha if on_line else data.draw(rationals(-1, 20))
+    fam = Hahn(alpha, beta, N)
+    n = data.draw(st.integers(min_value=1, max_value=N - 1))
+    kernel, calls = families._hahn_5f4, []
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(families, "_hahn_5f4", recording):
+        fam.closed_form(n)
+    assert len(calls) == 2
+    for args in calls:
+        assert kernel(*args) == hahn_5f4_terms(*args)
+
+
+@PROPERTY
+@given(st.one_of(st.fractions(min_value=-15, max_value=15, max_denominator=12),
+                 st.integers(min_value=-15, max_value=15)),
+       st.integers(min_value=0, max_value=25))
+@example(F(-7, 3), 9)     # negative, not an integer
+@example(F(-4), 9)        # a vanishing factor
+@example(-4, 9)
+@example(F(5, 2), 0)
+@example(3, 0)
+def test_pochhammer_equals_rising(a, k):
+    value = pochhammer(a, k)
+    assert type(value) is Fraction and value == rising(a, k)
