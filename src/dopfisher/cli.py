@@ -13,10 +13,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 parameter-domain error,
 64 usage error.  Output is UTF-8 CSV with a header row.  Exact values are
 rounded once when printed: ``--backend exact`` prints rationals as ``p/q``
-in lowest terms, ``--backend float`` round-trippable decimals at the working
-precision (``--dps``, default 80, overridable through the ``DOPFISHER_DPS``
-environment variable, read on every call).  ``verify`` prints counts only
-and takes neither flag.
+in lowest terms, ``--backend float`` decimals rounded once to ``--dps``
+significant digits, ties away from zero (default 80, overridable through the
+``DOPFISHER_DPS`` environment variable, read on every call).  ``verify``
+prints counts only and takes neither flag.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional
-
-import mpmath
 
 from .families import (
     DegreeOutOfRange,
@@ -39,7 +38,7 @@ from .families import (
     make_family,
 )
 from .fisher import Method, fisher_report, rakhmanov_density
-from .numerics import DEFAULT_DPS, to_fraction, to_mpf
+from .numerics import DEFAULT_DPS, to_fraction
 from .sweeps import (
     PARAM_NAMES,
     SWEEP_COLUMNS,
@@ -66,7 +65,17 @@ FISHER_COLUMNS = ("family", "n", "params", "method", "value", "converged",
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code moved off 2 (which is the
-    parameter-domain code here) to the sysexits-style 64."""
+    parameter-domain code here) to the sysexits-style 64, and with the help
+    width given once: argparse's default formatter reads the terminal size
+    again for every ``add_argument`` (it builds a formatter to check each
+    one), so ``build_parser`` reads it once and hands it to every parser."""
+
+    def __init__(self, *args, width: int, **kwargs):
+        self.width = width   # before argparse's __init__, which adds -h
+        super().__init__(*args, **kwargs)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=self.width)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -161,9 +170,7 @@ def cmd_fisher(args, parser) -> int:
     report = fisher_report(fam, args.n, methods=methods)
     disc = ""
     if report.max_pairwise_rel_discrepancy is not None:
-        # 80 digits first: the 8 printed ones are then those of the exact value
-        with mpmath.workdps(DEFAULT_DPS):
-            disc = format_scalar(to_mpf(report.max_pairwise_rel_discrepancy), "float", 8)
+        disc = format_scalar(report.max_pairwise_rel_discrepancy, "float", 8)
     out = _writer(sys.stdout)
     out.writerow(FISHER_COLUMNS)
     for method in methods:
@@ -303,13 +310,17 @@ def cmd_verify(args, parser) -> int:
 
 
 def build_parser() -> _Parser:
+    # the width argparse's formatter would compute for itself
+    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
         prog="dopfisher",
         description="Relative Fisher information of the classical discrete "
                     "orthogonal polynomial families.",
         epilog="Exit codes: 0 success, 1 verification failure, "
-               "2 parameter-domain error, 64 usage error.")
-    sub = parser.add_subparsers(dest="command", required=True)
+               "2 parameter-domain error, 64 usage error.",
+        width=width)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(_Parser, width=width))
 
     p_fisher = sub.add_parser("fisher", help="evaluate one polynomial's Fisher "
                                              "information by every route")

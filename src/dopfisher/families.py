@@ -23,9 +23,6 @@ from functools import lru_cache
 from itertools import chain
 from typing import Optional, Tuple
 
-import mpmath
-from mpmath import mpf
-
 from .numerics import (
     DEFAULT_DPS,
     PFQSpec,
@@ -101,7 +98,8 @@ class NormValue:
             raise ValueError("power factors leave a non-integer exponent")
         return ratio * self.pow_base ** int(expo)
 
-    def to_float(self, dps: int = DEFAULT_DPS) -> mpf:
+    def to_float(self, dps: int = DEFAULT_DPS) -> "mpmath.mpf":
+        import mpmath
         with mpmath.workdps(dps):
             out = to_mpf(self.rational)
             if self.exp_coeff:
@@ -784,54 +782,49 @@ class Hahn(Family):
         al, be, N = self.alpha, self.beta, self.N
         s = al + be
         f1 = Fraction(math.factorial(n - 1))
+        # every Pochhammer of order n-1 below, built once; those of order n
+        # and n-2 are one factor away from one of them
+        m = n - 1
+        al1, be1, be2 = pochhammer(al + 1, m), pochhammer(be + 1, m), pochhammer(be + 2, m)
+        half, s2, sN = pochhammer((s + 3) / 2, m), pochhammer(s + 2, m), pochhammer(s + N + 1, m)
+        up, down, far = (pochhammer(s + n + 2, m), pochhammer(-s - n - 1, m),
+                         pochhammer(-s - n - N, m))
+        one_N, two_N = pochhammer(Fraction(1 - N), m), pochhammer(Fraction(2 - N), m)
+        aln = pochhammer(-al - n, m)
 
         # Leading factor: every Gamma ratio pairs up with an integer argument
-        # difference, so it reduces to Pochhammers and stays rational.
-        lead = (Fraction(n * n) * (s + 2 * n + 1)
-                * math.factorial(N - n - 1) / math.factorial(n)
-                * pochhammer(s + n + 1, n) ** 2 * pochhammer(s + 2, N - 1)
-                / (pochhammer(al + 1, n) * pochhammer(be + 1, n)
-                   * pochhammer(s + n + 1, N) * math.factorial(N - 1)))
+        # difference, so it reduces to Pochhammers and stays rational.  The
+        # factors of length N cancel and are written so:
+        # (N-n-1)!/(N-1)! = 1/(N-n)_n and (s+2)_(N-1)/(s+n+1)_N = (s+2)_(n-1)/(s+N+1)_n.
+        lead = (Fraction(n * n) * (s + 2 * n + 1) * ((s + n + 1) * up) ** 2 * s2
+                / (math.factorial(n) * math.perm(N - 1, n)
+                   * al1 * (al + n) * be1 * (be + n) * sN * (s + N + n)))
 
         # (s+1)_(n-1)/((s+1)/2)_(n-1), a removable 0/0 on s = -1, written
-        # cancelled: both lose their first factor, (s+1) against (s+1)/2
-        ratio = 1 if n == 1 else 2 * pochhammer(s + 2, n - 2) / pochhammer((s + 3) / 2, n - 2)
+        # cancelled: both lose their first factor, (s+1) against (s+1)/2, which
+        # leaves 2 (s+2)_(n-2)/((s+3)/2)_(n-2) = (s+2)_(n-1) (s+2n-1)/((s+n) ((s+3)/2)_(n-1))
+        ratio = 1 if n == 1 else s2 * (s + 2 * n - 1) / ((s + n) * half)
 
-        b1 = (f1 * (be + 1) * (s + N + 1)
-              * pochhammer(-s - n - N, n - 1) * pochhammer(be + 2, n - 1)
-              / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
-                 * (s + 2) * (N + be))) ** 2
-        b2 = (Fraction(-1) ** (n - 1)
-              * pochhammer(al + 1, n - 1) * pochhammer((s + 3) / 2, n - 1)
-              * ratio * pochhammer(Fraction(1 - N), n - 1)
-              / (f1 * pochhammer(be + 1, n - 1) * pochhammer(s + N + 1, n - 1)))
+        b1 = (f1 * (be + 1) * (s + N + 1) * far * be2
+              / (up * down * (s + 2) * (N + be))) ** 2
+        b2 = Fraction(-1) ** (n - 1) * al1 * half * ratio * one_N / (f1 * be1 * sN)
         b3 = _hahn_5f4(n, s, (1 - n - be, 1 - n - s - N),
                        (1 - n - al, 2 - n - (s + 3) / 2, Fraction(1 - n + N)))
 
-        c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1)
-              * pochhammer(-s - n - N, n - 1)
-              / (pochhammer(s + n + 2, n - 1) ** 2
-                 * pochhammer(-s - n - 1, n - 1) ** 2 * (s + 2) ** 2))
+        c1 = (2 * Fraction(-1) ** n * f1 ** 2 * (be + 1) * (s + N + 1) * far
+              / (up * down * (s + 2)) ** 2)
         # The two Gamma factors of the C product differ by the integer n-1 and
         # combine into (s+2)_(n-1).
-        c2 = (pochhammer(be + 2, n - 1) * (1 - N) * (al + 1)
-              * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
-              * (s + 2 * n + 1)
-              / (Fraction(math.factorial(n)) * (N + be) ** 2)
-              ) * pochhammer(s + 2, n - 1)
+        c2 = (be2 * (1 - N) * (al + 1) * aln * two_N * (s + 2 * n + 1)
+              / (Fraction(math.factorial(n)) * (N + be) ** 2)) * s2
         # c3 = 3F2(1, a+1, b; n+1, a; -1), a = (s+1)/2 + n, b = s+n+1, does not
         # terminate, but its terms telescope, t_k = T_(k+1) - T_k with
         # T_k = -(n+k)/(2a) (b)_k/(n+1)_k (-1)^k, so its Abel sum is -T_0.
         c3 = Fraction(n) / (2 * n + s + 1)
 
-        d1 = (f1 * (N - 1) * (al + 1)
-              * pochhammer(-al - n, n - 1) * pochhammer(Fraction(2 - N), n - 1)
-              / (pochhammer(s + n + 2, n - 1) * pochhammer(-s - n - 1, n - 1)
-                 * (s + 2) * (N + be))) ** 2
-        d2 = (Fraction(-1) ** (n - 1)
-              * pochhammer((s + 3) / 2, n - 1) * pochhammer(be + 1, n - 1)
-              * pochhammer(s + N + 1, n - 1) * ratio
-              / (f1 * pochhammer(Fraction(1 - N), n - 1) * pochhammer(al + 1, n - 1)))
+        d1 = (f1 * (N - 1) * (al + 1) * aln * two_N
+              / (up * down * (s + 2) * (N + be))) ** 2
+        d2 = Fraction(-1) ** (n - 1) * half * be1 * sN * ratio / (f1 * one_N * al1)
         d3 = _hahn_5f4(n, s, (Fraction(1 - n + N), 1 - n - al),
                        (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N))
 

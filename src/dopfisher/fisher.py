@@ -33,10 +33,12 @@ the family supplies as factorial moments (``Family.factorial_moments``) of
 the Poisson, Pascal, binomial and hypergeometric weights, and keeps as raw
 moments (``Family.moment_row``) for every later call.  The weight's total
 mass, ``reduced_norm(0)`` (e^mu and (1-mu)^-gamma on the infinite lattices),
-cancels exactly against the norm, so every route returns an exact Fraction
-for rational parameters, at a cost set by the degree and not by the lattice
-size.  This path uses monomial coefficients and moments only, no ladder and
-no connection coefficients, so it stays independent of ``expansion``.
+cancels exactly against the norm: d_0^2/d_n^2 is 1/(b_1 ... b_n), from the
+three-term recurrence.  So every route returns an exact Fraction for
+rational parameters, at a cost set by the degree and not by the lattice
+size.  This path uses monomial coefficients, moments and the recurrence's
+b_m only, no ladder and no connection coefficients, so it stays independent
+of ``expansion``'s connection rows.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -44,13 +46,11 @@ The four agree bit-exactly, which is the main self-check of the package.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Optional
-
-import mpmath
-from mpmath import mpf
 
 from .families import Family, OutOfSupport, diff_coeffs, shift_coeffs
 from .numerics import (
@@ -122,13 +122,15 @@ def _root_bound(coeffs) -> float:
 # Kept for bench/tracer.py, which wraps it by name; ROADMAP item 3 deletes it.
 def truncated_weighted_square_sum(fam: Family, coeffs,
                                   trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                                  dps: int = DEFAULT_DPS) -> mpf:
+                                  dps: int = DEFAULT_DPS) -> "mpmath.mpf":
     """sum_{x>=0} w(x) q(x)^2 for the polynomial q given by exact coefficients.
 
     The sum stops once x clears every root of q and the geometric majorant
     t(x) * Q/(1-Q), with Q bounding every later term ratio, drops below
     ``tail_tol`` relative to the running sum.
     """
+    import mpmath
+    from mpmath import mpf
     coeffs = tuple(coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -187,12 +189,21 @@ def moment_sum(fam: Family, p, q) -> Fraction:
     return Fraction(sum(c * m for c, m in zip(product, moments)), pd * qd * md)
 
 
+def _norm_ratio(fam: Family, n: int, den: int) -> Fraction:
+    """(d_0^2/d_n^2) / den^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
+    recurrence: one integer product of the b_m's numerators and one of their
+    denominators, reduced once.  The norms themselves would build products
+    of length N on Kravchuk and Hahn that cancel down to these n factors."""
+    b = fam.recurrence_b_upto(n + 1)[1:n + 1]
+    return Fraction(math.prod(x.denominator for x in b),
+                    math.prod(x.numerator for x in b) * den * den)
+
+
 def fisher_direct(fam: Family, n: int) -> Fraction:
     """Defining sum: the moment sum of Delta P_n(x)^2, an exact Fraction."""
     nums, den = fam.poly_row(n)   # P_n(x) = sum_k nums[k] x^k / den
     dp = diff_coeffs(nums)
-    ratio = fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
-    return moment_sum(fam, dp, dp) * (ratio / (den * den))
+    return moment_sum(fam, dp, dp) * _norm_ratio(fam, n, den)
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -208,8 +219,7 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
     """
     nums, den = fam.poly_row(n)
     shifted = shift_coeffs(nums, 1)
-    ratio = fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
-    return moment_sum(fam, shifted, shifted) * (ratio / (den * den)) - 1
+    return moment_sum(fam, shifted, shifted) * _norm_ratio(fam, n, den) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
@@ -265,6 +275,7 @@ def rakhmanov_density(fam: Family, n: int, x: int, *, dps: int = DEFAULT_DPS):
     norm = fam.reduced_norm(n)
     if fam.support().b is not None:
         return numerator / norm.rational
+    import mpmath
     with mpmath.workdps(dps):
         return to_mpf(numerator) / norm.to_float(dps)
 

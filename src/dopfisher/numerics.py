@@ -1,14 +1,17 @@
 """Exact scalars and hypergeometric building blocks.
 
-Every Fisher value and closed form is an exact rational (`fractions.Fraction`).
-Big floats (`mpmath.mpf`, precision in decimal digits) appear in three places
-only: where a decimal is printed (``sweeps.format_scalar``, also for the
-``discrepancy`` cell of ``cli``); the infinite-lattice density, whose
+Every Fisher value and closed form is an exact rational (`fractions.Fraction`),
+and a rational is printed as a decimal straight from its numerator and
+denominator (``sweeps.format_scalar``), so no route and no rational output
+needs big floats.  Big floats (`mpmath.mpf`, precision in decimal digits) are
+computed in two places only, and mpmath is imported inside the functions that
+compute them, never at package import: the infinite-lattice density, whose
 normalisation is irrational (``fisher.rakhmanov_density``,
-``families.NormValue.to_float``); and the truncated-sum engine and
-``accelerated_pfq_at_minus_one`` (the iterated Euler transformation of a pFq
-at -1), which no route calls and the benchmark harness wraps by name until
-ROADMAP item 3 restates it.
+``families.NormValue.to_float``, printed by ``mpmath.nstr``); and the
+truncated-sum engine and ``accelerated_pfq_at_minus_one`` (the iterated Euler
+transformation of a pFq at -1), which no route calls; the benchmark harness
+wraps them by name until ROADMAP item 3 restates it, and the ``numerics``
+verify suite anchors the latter at ln 2.
 
 The exact kernels run on integers and reduce once: ``pochhammer`` takes
 (p/q)_k as prod (p + i q) over q^k, and ``terminating_pfq`` (and the Hahn
@@ -24,9 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
-
-import mpmath
-from mpmath import mpf
 
 #: Default decimal working precision of printed decimals and of the
 #: infinite-lattice density.
@@ -60,8 +60,9 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"{type(x).__name__} {x!r} is not exact; pass a str or a Fraction")
 
 
-def to_mpf(x) -> mpf:
+def to_mpf(x) -> "mpmath.mpf":
     """Convert a scalar to mpf at the current mpmath context precision."""
+    from mpmath import mpf
     if isinstance(x, mpf):
         return +x
     if isinstance(x, int):
@@ -195,8 +196,9 @@ def accelerated_pfq_at_minus_one(spec: PFQSpec,
     if spec.termination_index() is not None:
         return terminating_pfq(spec), True
 
+    import mpmath
     work = dps + 30
-    value, converged = mpf(0), False
+    value, converged = mpmath.mpf(0), False
     for _ in range(5):
         value, converged, lost = _euler_diagonal(spec, tol, work, max_terms)
         if lost + 10 <= work - dps:
@@ -207,6 +209,8 @@ def accelerated_pfq_at_minus_one(spec: PFQSpec,
 
 
 def _euler_diagonal(spec, tol, work_dps, max_terms):
+    import mpmath
+    from mpmath import mpf
     with mpmath.workdps(work_dps):
         num = [to_mpf(a) for a in spec.numerator]
         den = [to_mpf(b) for b in spec.denominator]

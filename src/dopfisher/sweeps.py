@@ -13,13 +13,12 @@ with one section per curve; see the README for the format.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import mpmath
 
 from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
 from .fisher import FisherReport, Method, fisher_report
@@ -35,12 +34,67 @@ _INTEGER_VARS = ("n", "N")
 
 
 def format_scalar(value, backend: str, dps: int) -> str:
-    """Render a scalar for CSV: lowest-terms `p/q` under the exact backend
-    (when the value is rational), round-trippable decimal otherwise."""
-    if backend == "exact" and isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+    """Render a scalar for CSV: a rational (int or Fraction) as lowest-terms
+    `p/q` under the exact backend and as its ``dps``-digit decimal
+    (``_decimal_text``) under the float backend; an mpf, which only the
+    infinite-lattice density produces, by ``mpmath.nstr`` at ``dps`` digits."""
+    if isinstance(value, (int, Fraction)):
+        return str(Fraction(value)) if backend == "exact" else _decimal_text(value, dps)
+    import mpmath
     with mpmath.workdps(dps):
         return mpmath.nstr(to_mpf(value), dps)
+
+
+#: log10(2), to estimate a decimal exponent from bit lengths
+_LOG10_2 = math.log10(2)
+
+
+def _decimal_text(value, dps: int) -> str:
+    """The exact rational ``value`` rounded once to ``dps`` significant
+    digits, ties away from zero, in ``mpmath.nstr``'s layout: fixed notation
+    when the leading digit's exponent e has min(-(dps//3), -5) < e < dps,
+    else ``d.ddd`` with ``e+N``/``e-N``; trailing zeros stripped down to
+    ``.0``; zero is ``0.0``.  Integer arithmetic only: with x = |value|,
+    the digits are x 10^(dps-1-e) rounded, e found from bit lengths."""
+    value = Fraction(value)
+    a, b = abs(value.numerator), value.denominator
+    if not a:
+        return "0.0"
+    e = math.floor((a.bit_length() - b.bit_length()) * _LOG10_2)   # off by one at most
+    low, high = 10 ** (dps - 1), 10 ** dps
+    while True:
+        shift = dps - 1 - e
+        num, den = (a * 10 ** shift, b) if shift >= 0 else (a, b * 10 ** -shift)
+        q, r = divmod(num, den)
+        if q < low:
+            e -= 1
+        elif q >= high:
+            e += 1
+        else:
+            break
+    if 2 * r >= den:
+        q += 1
+        if q == high:   # a carry into a new leading digit, 9.99...95 -> 10
+            q, e = low, e + 1
+    digits = _digit_string(q, dps)
+    if min(-(dps // 3), -5) < e < dps:
+        text, suffix = (digits[:e + 1] + "." + digits[e + 1:] if e >= 0
+                        else "0." + "0" * (-e - 1) + digits), ""
+    else:
+        text, suffix = digits[0] + "." + digits[1:], f"e{e:+d}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return ("-" if value < 0 else "") + text + suffix
+
+
+def _digit_string(q: int, width: int) -> str:
+    # str() refuses ints past sys.get_int_max_str_digits() (4300 by default),
+    # so a long digit string is built from halves
+    if width <= 4000:
+        return f"{q:0{width}d}"
+    high, low = divmod(q, 10 ** (width // 2))
+    return _digit_string(high, width - width // 2) + _digit_string(low, width // 2)
 
 
 def route_cells(report: FisherReport, method: Method, backend: str,

@@ -20,10 +20,16 @@ expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
 forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
 references for them, and mpmath's own 3F2 for the series the Hahn closed
 form sums in closed form.
-The Hahn closed form as written before its removable 0/0s on
-alpha + beta = -1 were cancelled runs there on truncated Laurent series.
+The Hahn closed form as written before any cancellation (its products of
+length N, and its removable 0/0s on alpha + beta = -1, where it runs on
+truncated Laurent series) and the norm ratio d_0^2/d_n^2 taken from the
+norms themselves are references for the cancelled forms.
+
+Last, printed decimals: a rational rounded by the ``decimal`` module and
+laid out as ``mpmath.nstr`` lays out its digits.
 """
 
+import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -443,15 +449,27 @@ class Laurent:
 def hahn_closed_on_the_line(alpha: Fraction, N: int, n: int) -> Fraction:
     """The Hahn closed Fisher value at beta = -1 - alpha, degree n >= 1.
 
-    The closed form is taken as written before its removable 0/0s on this
-    line were cancelled: b2 and d2 with (s+1)_(n-1)/((s+1)/2)_(n-1), and
-    both 5F4s summed to their (1-n) termination through the 0/0 factor of
-    their last term.  It runs along beta = -1 - alpha + eps on truncated
-    Laurent series in eps, and the eps^0 coefficient is the value on the
-    line (every pole there is simple, so two known terms suffice).
+    ``hahn_closed_uncancelled`` runs along beta = -1 - alpha + eps on
+    truncated Laurent series in eps, and the eps^0 coefficient is the value
+    on the line (every pole there is simple, so two known terms suffice).
     """
     eps = Laurent(1, [Fraction(1)] + [Fraction(0)] * (Laurent.TERMS - 1))
-    al, be = Fraction(alpha), -1 - Fraction(alpha) + eps
+    value = Laurent.lift(hahn_closed_uncancelled(Fraction(alpha), -1 - Fraction(alpha) + eps,
+                                                 N, n))
+    if value.v < 0:
+        raise ArithmeticError("the closed form has a pole on the line")
+    return value.coeff(0)
+
+
+def hahn_closed_uncancelled(al, be, N: int, n: int):
+    """The Hahn closed Fisher value at degree n >= 1, as written before any
+    cancellation: the leading factor with (N-n-1)!/(N-1)! and
+    (s+2)_(N-1)/(s+n+1)_N, products of length N; b2 and d2 with
+    (s+1)_(n-1)/((s+1)/2)_(n-1), a removable 0/0 on alpha + beta = -1; both
+    5F4s summed term by term to their (1-n) termination, through the 0/0
+    factor of their last term on that line; every Pochhammer built on its
+    own.  ``al`` and ``be`` are Fractions, or Laurent series for the line.
+    """
     s = al + be
     f1 = Fraction(math.factorial(n - 1))
 
@@ -500,7 +518,42 @@ def hahn_closed_on_the_line(alpha: Fraction, N: int, n: int) -> Fraction:
                     (2 - n - (s + 3) / 2, 1 - n - be, 1 - n - s - N, 1 - n - s),
                     Fraction(-1), n)
 
-    value = Laurent.lift(lead * (b1 * b2 * b3 + d1 * d2 * d3 + c1 * c2 * c3))
-    if value.v < 0:
-        raise ArithmeticError("the closed form has a pole on the line")
-    return value.coeff(0)
+    return lead * (b1 * b2 * b3 + d1 * d2 * d3 + c1 * c2 * c3)
+
+
+def norm_ratio_from_norms(fam, n: int) -> Fraction:
+    """d_0^2/d_n^2 from the reduced norms themselves, whose Kravchuk and Hahn
+    forms carry factorials and Pochhammers of length N."""
+    return fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))
+
+
+# ---------------------------------------------------------------------------
+# Printed decimals
+# ---------------------------------------------------------------------------
+
+
+def decimal_layout(value: Fraction, dps: int) -> str:
+    """``value`` rounded to ``dps`` significant digits by ``decimal`` (one
+    correctly rounded division, ROUND_HALF_UP: ties away from zero), in
+    mpmath.nstr's layout: fixed notation for a leading-digit exponent e
+    with min(-(dps//3), -5) < e < dps, else one digit before the point and
+    ``e+N``/``e-N``; no trailing zeros after the point, except one ``0``
+    right after it; zero as ``0.0``."""
+    if value == 0:
+        return "0.0"
+    context = decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_UP)
+    rounded = context.divide(decimal.Decimal(value.numerator),
+                             decimal.Decimal(value.denominator))
+    sign, digit_tuple, _ = rounded.as_tuple()
+    digits = "".join(map(str, digit_tuple)).rstrip("0")
+    e = rounded.adjusted()
+    if min(-(dps // 3), -5) < e < dps:
+        if e < 0:
+            whole, frac = "0", "0" * (-e - 1) + digits
+        else:
+            whole, frac = digits[:e + 1].ljust(e + 1, "0"), digits[e + 1:]
+        suffix = ""
+    else:
+        whole, frac = digits[0], digits[1:]
+        suffix = f"e+{e}" if e > 0 else f"e{e}"
+    return ("-" if sign else "") + whole + "." + (frac or "0") + suffix

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -179,6 +181,17 @@ class TestSharedParser:
         captured = capsys.readouterr()
         assert first == second == (exc.value.code, captured.out, captured.err)
         assert first[0] in (0, 64)
+
+    @pytest.mark.parametrize("columns", ["50", "80", "120"])
+    def test_help_width_is_argparse_default(self, monkeypatch, columns):
+        # the width read once per build is the one argparse reads per formatter
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser()
+        parsers = [parser, *parser._subparsers._group_actions[0].choices.values()]
+        ours = [(p.format_help(), p.format_usage()) for p in parsers]
+        monkeypatch.setattr(cli._Parser, "_get_formatter",
+                            argparse.ArgumentParser._get_formatter)
+        assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
 
 
 class TestEvalAndDensity:
@@ -395,6 +408,64 @@ class TestModuleEntryPoints:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout.split() == list(SUITES)
+
+
+#: run in a fresh interpreter: every call, then the modules of mpmath loaded
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+import dopfisher.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(dopfisher.cli.main(argv))
+    codes.append(sorted(m for m in sys.modules if m.partition(".")[0] == "mpmath"))
+print(json.dumps(codes))
+"""
+
+
+class TestImportGraph:
+    """Every rational path prints without mpmath: the exact routes never use
+    it, and rationals are printed from their integers.  Only the
+    infinite-lattice density computes in big floats."""
+
+    RATIONAL_CALLS = [
+        ["fisher", "--family=hahn", "--alpha=1/2", "--beta=2/3", "--N=12", "--n=5",
+         "--backend=exact"],
+        ["fisher", "--family=meixner", "--gamma=3/2", "--mu=1/3", "--n=6"],
+        ["eval", "--family=kravchuk", "--p=1/3", "--N=9", "--n=4", "--x-start=0",
+         "--x-stop=9", "--backend=float"],
+        ["density", "--family=hahn", "--alpha=0", "--beta=1/2", "--N=6", "--n=2", "--all",
+         "--backend=float"],
+        ["sweep", "--figure", "fig1"],
+        ["sweep", "--family=charlier", "--sweep=mu", "--start=1/2", "--stop=3", "--count=4",
+         "--n=3", "--backend=float"],
+    ]
+
+    def test_rational_paths_never_import_mpmath(self):
+        src = str(Path(dopfisher.__file__).resolve().parents[1])
+        calls = self.RATIONAL_CALLS + [["density", "--family=charlier", "--mu=2", "--n=1",
+                                        "--x=1"]]
+        done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(calls)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)
+        codes, loaded = results[::2], results[1::2]
+        assert codes == [0] * len(calls)
+        assert loaded[:-1] == [[]] * len(self.RATIONAL_CALLS)
+        # the guard sees mpmath once the infinite-lattice density needs it
+        assert "mpmath" in loaded[-1]
+
+    def test_infinite_lattice_density_prints_nstr_digits(self, capsys):
+        code, out, _ = run_cli(capsys, ["density", "--family", "charlier", "--mu", "7/3",
+                                        "--n", "4", "--x-start", "0", "--x-stop", "2",
+                                        "--dps", "50"])
+        assert code == 0
+        assert out == (
+            "family,n,params,x,density\n"
+            "charlier,4,mu=7/3,0,0.11976836154446324887170056017252475631955287154242\n"
+            "charlier,4,mu=7/3,1,0.14258138279102767722821495258633899561851532326478\n"
+            "charlier,4,mu=7/3,2,0.016430806969251760899632389774235255685562242014322\n")
 
 
 class TestVerifyFailurePath:

@@ -402,6 +402,21 @@ class TestCacheBounds:
             fam.poly_coeffs(3)
             assert tables.cache_info().currsize <= families._TABLE_CACHE_SIZE
 
+    @pytest.mark.parametrize("fam", [Hahn(F(1, 2), F(2, 3), 10 ** 6),
+                                     Kravchuk(F(1, 3), 10 ** 6)], ids=["hahn", "kravchuk"])
+    def test_large_lattice_costs_what_the_degree_costs(self, fam):
+        # every route at N = 10^6 holds integers of a few hundred bits; the
+        # norms' factorials and Pochhammers of length N would take megabytes
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            report = fisher_report(fam, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
+        assert peak < 100_000
+
 
 class TestConcurrency:
     def test_shared_family_is_safe_across_threads(self):

@@ -12,8 +12,12 @@ Fraction recurrences and stay in lowest terms; the integer expansion sum
 equals the running-product Fraction loop; the per-family raw moment row,
 grown in any order, equals the oracle's moments; and the integer Horner
 kernels of the terminating pFq and the Hahn 5F4, and the one-reduction
-Pochhammer product, equal their term-by-term Fraction forms.  Examples are
-drawn deterministically, so the suite stays reproducible.
+Pochhammer product, equal their term-by-term Fraction forms.  The
+cancelled forms that keep the cost set by the degree and not by the lattice
+size -- the norm ratio d_0^2/d_n^2 from the recurrence and the Hahn closed
+form without its products of length N -- equal the forms written with those
+products.  Examples are drawn deterministically, so the suite stays
+reproducible.
 """
 
 import math
@@ -23,7 +27,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopfisher import families
+from dopfisher import families, fisher
 from dopfisher.families import Charlier, Family, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
     fisher_closed,
@@ -43,9 +47,11 @@ from oracles import (
     as_fractions,
     delta_walk_connection,
     hahn_5f4_terms,
+    hahn_closed_uncancelled,
     hahn_recurrence,
     kravchuk_recurrence,
     meixner_recurrence,
+    norm_ratio_from_norms,
     normalized_moments,
     recurrence_monomials,
     rising,
@@ -152,6 +158,17 @@ def test_hahn_closed_form_equals_expansion(alpha, beta, N):
 
 
 @PROPERTY
+@given(rationals(-1, 50, 1000), rationals(-1, 50, 1000), st.integers(min_value=2, max_value=12))
+def test_hahn_closed_form_equals_uncancelled_form(alpha, beta, N):
+    # off alpha + beta = -1, where the uncancelled form has its removable 0/0s
+    if alpha + beta == -1:
+        beta += F(1, 2)
+    fam = Hahn(alpha, beta, N)
+    for n in range(1, N):
+        assert fam.closed_form(n) == hahn_closed_uncancelled(alpha, beta, N, n)
+
+
+@PROPERTY
 @given(rationals(-1, 50, 1000), st.data(), st.integers(min_value=1, max_value=30))
 def test_hahn_integer_kernel_equals_fraction_form(alpha, data, N):
     # beta either free or on the alpha + beta = -1 line when that is in range
@@ -232,6 +249,16 @@ def test_connection_rows_equal_fraction_delta_walk(case):
         for m in range(n + 1):
             nums, den = row_of(m)
             assert den > 0 and len(nums) == m and math.gcd(den, *nums) == 1
+
+
+@PROPERTY
+@given(any_family_cases())
+@with_examples
+def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
+    # the one-reduction product 1/(b_1 ... b_n) of direct and difference
+    fam, n = case
+    assert fisher._norm_ratio(fam, n, 1) == norm_ratio_from_norms(fam, n)
+    assert fisher._norm_ratio(fam, n, 6) == norm_ratio_from_norms(fam, n) / 36
 
 
 @PROPERTY
