@@ -37,7 +37,7 @@ from .families import (
     ParameterDomainError,
     make_family,
 )
-from .fisher import Method, fisher_report, rakhmanov_density
+from .fisher import Method, fisher_report, rakhmanov_densities
 from .numerics import DEFAULT_DPS, to_fraction
 from .sweeps import (
     PARAM_NAMES,
@@ -216,8 +216,7 @@ def cmd_density(args, parser) -> int:
             "density needs --x, --x-start/--x-stop, or --all"))
     out = _writer(sys.stdout)
     out.writerow(["family", "n", "params", "x", "density"])
-    for x in points:
-        value = rakhmanov_density(fam, args.n, x, dps=args.dps)
+    for x, value in zip(points, rakhmanov_densities(fam, args.n, points, dps=args.dps)):
         out.writerow([fam.tag, args.n, format_params(fam), x,
                       format_scalar(value, args.backend, args.dps)])
     return EXIT_OK

@@ -20,7 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 from typing import Optional, Tuple
 
 from .numerics import (
@@ -166,9 +167,9 @@ class Family:
         Only the truncated-sum engine reads it; ROADMAP item 3 deletes both."""
         raise TypeError(f"no tail bound for bounded family {self.tag}")
 
-    def factorial_moments(self, k: int) -> list:
-        """sum_x w(x) x(x-1)...(x-j+1) / sum_x w(x) for j = 0..k, exact; the
-        total mass sum_x w(x) is reduced_norm(0)."""
+    def factorial_ratio(self, j: int) -> Tuple[int, int]:
+        """m_j/m_(j-1) as an integer pair, j >= 1, for the factorial moments
+        m_j = sum_x w(x) x(x-1)...(x-j+1) / sum_x w(x) (the mass is reduced_norm(0))."""
         raise NotImplementedError
 
     # ---- shared machinery --------------------------------------------------
@@ -237,11 +238,11 @@ class Family:
         self.check_degree(n)
         return _tables(self).monomials(n)
 
-    def moment_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        """The raw moments sum_x w(x) x^i / sum_x w(x) for i = 0..k at least,
-        from ``factorial_moments``, as (integer numerators, one denominator);
-        kept per family and extended on demand."""
-        return _tables(self).moments(k)
+    def factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        """The factorial moments m_j (``factorial_ratio``) for j = 0..k at
+        least, as (integer numerators, one denominator); kept per family and
+        rebuilt longer on demand."""
+        return _tables(self).factorials(k)
 
     def recurrence_a_upto(self, n: int) -> list:
         """A list holding at least a_0 .. a_(n-1), each computed once per
@@ -278,19 +279,17 @@ _TABLE_CACHE_SIZE = 16
 
 class _Tables:
     """One family's recurrence coefficients, monomial rows, Delta-expansion
-    walk and raw moments, grown on demand under a lock.  List rows are only
-    ever appended and the walk and the moment row are replaced whole, so a
-    reader needs no lock.  Every row is integer numerators over one
-    denominator, reduced by one gcd per row; the raw moments keep the lcm of
-    their factorial moments' denominators."""
+    walk and factorial moments, grown on demand under a lock.  List rows are
+    only ever appended and the walk and the moment row are replaced whole, so
+    a reader needs no lock.  Every row is integer numerators over one
+    denominator, reduced by one gcd per row."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
         self.monos = [((1,), 1)]
         self.walk = _WALK_START
-        self.raw = ((), 1)   # raw moments E x^i, i = 0, 1, ..., over one denominator
-        self.stirling = []   # S(i, 0..i) for the last i of the raw moments
+        self.falling = ((1,), 1)   # factorial moments m_0, m_1, ... over one denominator
         self.lock = threading.RLock()
 
     def grow(self, rows: list, n: int, make_row) -> list:
@@ -321,13 +320,13 @@ class _Tables:
     def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
 
-    def moments(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        row = self.raw
+    def factorials(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        row = self.falling
         if len(row[0]) <= k:
             with self.lock:
-                if len(self.raw[0]) <= k:
-                    self.raw = self._raw_moments(k)
-                row = self.raw
+                if len(self.falling[0]) <= k:
+                    self.falling = self._factorial_row(k)
+                row = self.falling
         return row
 
     def _delta_step(self, t: int, u: tuple, v: tuple, lcm: int) -> tuple:
@@ -372,22 +371,16 @@ class _Tables:
         g = math.gcd(den, *out)
         return tuple(c // g for c in out), den // g
 
-    def _raw_moments(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        # E x^i = sum_j S(i, j) m_j, with m_j the factorial moments and S the
-        # Stirling numbers of the second kind, S(i, j) = j S(i-1, j) + S(i-1, j-1),
-        # continued from the kept row.  The lcm of the factorial moments'
-        # denominators only gains factors as k grows, so the kept numerators
-        # move to the new denominator by one integer factor.
-        nums, den = self.raw
-        fm, fd = over_common_denominator(self.fam.factorial_moments(k))
-        scale = fd // den
-        nums = [c * scale for c in nums]
-        row = self.stirling
-        for i in range(len(nums), k + 1):
-            row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1] if i else [1]
-            nums.append(sum(s * f for s, f in zip(row, fm)))
-        self.stirling = row
-        return tuple(nums), fd
+    def _factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        # m_j = prod_(i<=j) num_i/den_i over D = den_1 ... den_k: the numerator
+        # (num_1 ... num_j)(den_(j+1) ... den_k) is a prefix product of the
+        # numerators times a suffix product of the denominators
+        ratios = [self.fam.factorial_ratio(j) for j in range(1, k + 1)]
+        head = accumulate((num for num, _ in ratios), mul, initial=1)
+        tail = list(accumulate((den for _, den in reversed(ratios)), mul, initial=1))
+        row = [a * b for a, b in zip(head, reversed(tail))]
+        g = math.gcd(*row)
+        return tuple(c // g for c in row), row[0] // g
 
 
 # degree 1 of the Delta-walk: Delta P_0 = 0 and Delta P_1 = P_0, and the lcm
@@ -415,26 +408,6 @@ def _ladder_connection(n: int, r: Fraction) -> Tuple[Tuple[int, ...], int]:
         c = c // den * (j * num)
     g = math.gcd(top, *out)
     return tuple(c // g for c in out), top // g
-
-
-def shift_coeffs(coeffs, h: int = 1) -> tuple:
-    """Coefficients of q(x) = p(x + h) by binomial expansion; integer
-    coefficients (a ``poly_row``'s numerators) stay integers."""
-    out = [0] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c:
-            for k in range(i + 1):
-                out[k] += c * math.comb(i, k) * h ** (i - k)
-    return tuple(out)
-
-
-def diff_coeffs(coeffs) -> tuple:
-    """Coefficients of the forward difference p(x+1) - p(x); degree drops by one."""
-    shifted = shift_coeffs(coeffs, 1)
-    out = [s - c for s, c in zip(shifted, coeffs)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +450,8 @@ class Charlier(Family):
     def tail_ratio_bound(self, x):
         return self.mu / (x + 1)  # decreasing in x
 
-    def factorial_moments(self, k):
-        return [self.mu ** j for j in range(k + 1)]
+    def factorial_ratio(self, j):
+        return self.mu.numerator, self.mu.denominator
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -543,13 +516,10 @@ class Meixner(Family):
         # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
         return self.mu * max(Fraction(1), (self.gamma + x) / Fraction(x + 1))
 
-    def factorial_moments(self, k):
-        # (gamma)_j r^j with r = mu/(1-mu), one factor per step
-        r = self.mu / (1 - self.mu)
-        out = [Fraction(1)]
-        for j in range(1, k + 1):
-            out.append(out[-1] * (self.gamma + j - 1) * r)
-        return out
+    def factorial_ratio(self, j):
+        # (gamma + j - 1) mu/(1 - mu), with gamma = g/gd and mu = u/ud
+        g, gd, u, ud = self._parts()
+        return (g + (j - 1) * gd) * u, gd * (ud - u)
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -626,12 +596,9 @@ class Kravchuk(Family):
             raise OutOfSupport("weight ratio needs x >= 1")
         return Fraction(x) * (1 - self.p) / (self.p * (self.N - x + 1))
 
-    def factorial_moments(self, k):
-        # N(N-1)...(N-j+1) p^j, one factor per step
-        out = [Fraction(1)]
-        for j in range(1, k + 1):
-            out.append(out[-1] * (self.N - j + 1) * self.p)
-        return out
+    def factorial_ratio(self, j):
+        # (N - j + 1) p, with p = u/d; zero past j = N, where the support ends
+        return (self.N - j + 1) * self.p.numerator, self.p.denominator
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -714,13 +681,11 @@ class Hahn(Family):
         return (x * (self.N + self.alpha - x)
                 / ((self.N - x) * (self.beta + x)))
 
-    def factorial_moments(self, k):
-        # (N-1)(N-2)...(N-j) (beta+1)_j / (alpha+beta+2)_j, one factor per step
-        s = self.alpha + self.beta
-        out = [Fraction(1)]
-        for j in range(1, k + 1):
-            out.append(out[-1] * (self.N - j) * (self.beta + j) / (s + 1 + j))
-        return out
+    def factorial_ratio(self, j):
+        # (N - j) (beta + j)/(alpha + beta + 1 + j) over d (``_parts``); zero
+        # past j = N-1, where the support ends
+        d, p, q = self._parts()
+        return (self.N - j) * (q + j * d), p + q + (1 + j) * d
 
     def reduced_norm(self, n):
         self.check_degree(n)

@@ -7,12 +7,12 @@ weight w and norm d_n^2, the quantity computed here is
 
 Routes:
 
-* ``direct``     -- the defining sum, taken as the moment sum below of
+* ``direct``     -- the defining sum, taken as the Newton sum below of
                     Delta P_n(x)^2;
 * ``difference`` -- summation by parts: d_n^2 (I + 1) is sum_x w(x-1) P_n(x)^2
                     plus, on a bounded support a..b, the boundary term
                     w(b) P_n(b+1)^2.  With w(a-1) = 0 the two are one sum,
-                    sum_y w(y) P_n(y+1)^2, the moment sum of the shifted
+                    sum_y w(y) P_n(y+1)^2, the Newton sum of the shifted
                     polynomial, so the boundary term is inside it;
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
                     (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j are an integer row
@@ -26,19 +26,20 @@ Routes:
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
-A polynomial is summed against the weight in closed form on every lattice:
-x^k = sum_j S(k, j) x(x-1)...(x-j+1), with S the Stirling numbers of the
-second kind, turns its monomials into falling factorials, whose weighted sums
-the family supplies as factorial moments (``Family.factorial_moments``) of
-the Poisson, Pascal, binomial and hypergeometric weights, and keeps as raw
-moments (``Family.moment_row``) for every later call.  The weight's total
-mass, ``reduced_norm(0)`` (e^mu and (1-mu)^-gamma on the infinite lattices),
-cancels exactly against the norm: d_0^2/d_n^2 is 1/(b_1 ... b_n), from the
-three-term recurrence.  So every route returns an exact Fraction for
-rational parameters, at a cost set by the degree and not by the lattice
-size.  This path uses monomial coefficients, moments and the recurrence's
-b_m only, no ladder and no connection coefficients, so it stays independent
-of ``expansion``'s connection rows.
+A polynomial c of degree K is summed against the weight in closed form on
+every lattice by Newton's formula c(x) = sum_j Delta^j c(0) x(x-1)...(x-j+1)/j!,
+j = 0..K: the weighted sums of the falling factorials are the factorial
+moments m_j of the Poisson, Pascal, binomial and hypergeometric weights, which
+each family keeps as one integer row built from its ratios m_j/m_(j-1)
+(``Family.factorial_ratio``).  ``direct`` and ``difference`` thus need P_n
+only at the integer nodes 0..2n+1 (Horner on the integer monomial row), and
+the Delta^j c(0) are the first column of the nodes' difference table.  The
+weight's total mass, ``reduced_norm(0)``, cancels exactly against the norm:
+d_0^2/d_n^2 is 1/(b_1 ... b_n), from the three-term recurrence.  So every
+route returns an exact Fraction for rational parameters, at a cost set by
+the degree and not by the lattice size.  This path uses monomial
+coefficients, moments and the recurrence's b_m only, no ladder and no
+connection coefficients, so it stays independent of ``expansion``'s rows.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -49,10 +50,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Optional
+from itertools import combinations, repeat
+from operator import add, mul, sub
+from typing import Dict, Optional, Tuple
 
-from .families import Family, OutOfSupport, diff_coeffs, shift_coeffs
+from .families import Family, OutOfSupport
 from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
@@ -169,41 +171,59 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
+def _values(nums, xs) -> list:
+    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
+    out = [0] * len(xs)
+    for c in reversed(nums):
+        out = list(map(add, map(mul, out, xs), repeat(c)))
+    return out
+
+
+def _newton_sum(fam: Family, values) -> Tuple[int, int]:
+    """(t, d) with t/d = sum_x w(x) c(x) / sum_x w(x) for the polynomial c of
+    degree at most K with the integer values c(0..K) = ``values``.
+
+    Newton's formula gives sum_j Delta^j c(0) m_j/j!; over K! and the
+    factorial row's denominator D (m_j = M_j/D), t is the integer dot product
+    sum_j Delta^j c(0) M_j K!/j!, in Horner form T = T j + Delta^j c(0) M_j.
+    """
+    k = len(values) - 1
+    moments, md = fam.factorial_row(k)
+    total, diffs = 0, values
+    for j in range(k + 1):
+        total = total * j + diffs[0] * moments[j]
+        diffs = list(map(sub, diffs[1:], diffs))
+    return total, math.factorial(k) * md
+
+
 def moment_sum(fam: Family, p, q) -> Fraction:
     """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
-    polynomials given by their exact monomial coefficients (ints or Fractions).
-
-    The product's coefficients c_k meet the family's raw moments
-    sum_j S(k, j) m_j (``Family.moment_row``), with m_j its factorial moments
-    and S(k, j) the Stirling numbers of the second kind.  Everything runs on
-    integers over one common denominator.
-    """
+    polynomials given by their exact monomial coefficients (ints or Fractions):
+    the Newton sum of p q from its values at 0 .. deg p + deg q."""
     pn, pd = over_common_denominator(p)
     qn, qd = over_common_denominator(q)
-    product = [0] * (len(pn) + len(qn) - 1)
-    for i, a in enumerate(pn):
-        if a:
-            for j, b in enumerate(qn):
-                product[i + j] += a * b
-    moments, md = fam.moment_row(len(product) - 1)
-    return Fraction(sum(c * m for c, m in zip(product, moments)), pd * qd * md)
+    nodes = range(len(pn) + len(qn) - 1)
+    t, d = _newton_sum(fam, [a * b for a, b in zip(_values(pn, nodes), _values(qn, nodes))])
+    return Fraction(t, d * pd * qd)
 
 
-def _norm_ratio(fam: Family, n: int, den: int) -> Fraction:
-    """(d_0^2/d_n^2) / den^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
+def _norm_ratio(fam: Family, n: int, num: int, den: int) -> Fraction:
+    """(num/den) d_0^2/d_n^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
     recurrence: one integer product of the b_m's numerators and one of their
     denominators, reduced once.  The norms themselves would build products
     of length N on Kravchuk and Hahn that cancel down to these n factors."""
     b = fam.recurrence_b_upto(n + 1)[1:n + 1]
-    return Fraction(math.prod(x.denominator for x in b),
-                    math.prod(x.numerator for x in b) * den * den)
+    return Fraction(num * math.prod(x.denominator for x in b),
+                    den * math.prod(x.numerator for x in b))
 
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
-    """Defining sum: the moment sum of Delta P_n(x)^2, an exact Fraction."""
+    """Defining sum: the Newton sum of Delta P_n(x)^2, of degree 2n-2, from
+    P_n at 0 .. 2n-1, an exact Fraction."""
     nums, den = fam.poly_row(n)   # P_n(x) = sum_k nums[k] x^k / den
-    dp = diff_coeffs(nums)
-    return moment_sum(fam, dp, dp) * _norm_ratio(fam, n, den)
+    v = _values(nums, range(max(2 * n, 2)))
+    t, d = _newton_sum(fam, [(b - a) ** 2 for a, b in zip(v, v[1:])])
+    return _norm_ratio(fam, n, t, d * den * den)
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -214,12 +234,12 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
     with the expectation over the degree-n density and the convention
     w(a-1) = 0.  Since w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, the
     expectation plus the upper boundary term w(b) P_n(b+1)^2 of a bounded
-    support is sum_y w(y) P_n(y+1)^2 (on an infinite support the boundary
-    term vanishes), which is the moment sum of the shifted polynomial.
+    support (none on an infinite one) is sum_y w(y) P_n(y+1)^2: the Newton
+    sum of P_n(x+1)^2, of degree 2n, from P_n at 1 .. 2n+1.
     """
     nums, den = fam.poly_row(n)
-    shifted = shift_coeffs(nums, 1)
-    return moment_sum(fam, shifted, shifted) * _norm_ratio(fam, n, den) - 1
+    t, d = _newton_sum(fam, [v * v for v in _values(nums, range(1, 2 * n + 2))])
+    return _norm_ratio(fam, n, t, d * den * den) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
@@ -268,16 +288,31 @@ def rakhmanov_density(fam: Family, n: int, x: int, *, dps: int = DEFAULT_DPS):
     the normalization constant is irrational, so the value is an mpf; the
     rational part is computed exactly and rounded once.
     """
+    return next(rakhmanov_densities(fam, n, (x,), dps=dps))
+
+
+def rakhmanov_densities(fam: Family, n: int, xs, *, dps: int = DEFAULT_DPS):
+    """``rakhmanov_density`` at each point of the integer sequence xs, in
+    order: the norm (rounded once on an infinite support) once, P_n in one
+    ``eval_points`` pass, and the weight walked between adjacent points by
+    w(x) = w(x-1)/weight_ratio(x), which raises OutOfSupport off the support.
+    """
     fam.check_degree(n)
-    weight = fam.reduced_weight(x)  # raises OutOfSupport
-    p = fam.eval_poly(n, Fraction(x))
-    numerator = weight * p * p
+    values = fam.eval_points(n, xs)
     norm = fam.reduced_norm(n)
-    if fam.support().b is not None:
-        return numerator / norm.rational
-    import mpmath
-    with mpmath.workdps(dps):
-        return to_mpf(numerator) / norm.to_float(dps)
+    bounded = fam.support().b is not None
+    if not bounded:
+        import mpmath
+        scale = norm.to_float(dps)
+    for i, (x, p) in enumerate(zip(xs, values)):
+        adjacent = i and x == xs[i - 1] + 1
+        weight = weight / fam.weight_ratio(x) if adjacent else fam.reduced_weight(x)
+        if bounded:
+            yield weight * p * p / norm.rational
+        else:
+            with mpmath.workdps(dps):
+                value = to_mpf(weight * p * p) / scale
+            yield value
 
 
 _COMPUTE_ERRORS = (DenominatorPole, OutOfSupport,

@@ -4,8 +4,9 @@ Nothing here touches the package's recurrences, ladders or closed forms: the
 polynomials are rebuilt by exact Gram-Schmidt orthogonalization of the
 monomials, with inner products taken from the weight's moments.  Bounded
 supports use plain finite sums; the Poisson-type and negative-binomial-type
-weights use their classical falling-factorial moments, so every number stays
-an exact rational.  For the package's own moment sums on infinite lattices
+weights use their classical falling-factorial moments, turned into raw
+moments by Stirling numbers of the second kind, so every number stays an
+exact rational.  For the package's own moment sums on infinite lattices
 there is also a plain truncated big-float sum over the lattice points, which
 uses no moment at all.
 
@@ -19,7 +20,11 @@ connection coefficients, the norm-ratio expansion sum, the running-product
 expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
 forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
 references for them, and mpmath's own 3F2 for the series the Hahn closed
-form sums in closed form.
+form sums in closed form.  The textbook Fraction forms of the four
+factorial moments, their Stirling sums and the monomial coefficients of
+q(x+1) and q(x+1) - q(x) are references for the Newton sums of ``direct``,
+``difference`` and ``moment_sum``; the density of one lattice
+point taken on its own is the reference for the batched density.
 The Hahn closed form as written before any cancellation (its products of
 length N, and its removable 0/0s on alpha + beta = -1, where it runs on
 truncated Laurent series) and the norm ratio d_0^2/d_n^2 taken from the
@@ -49,25 +54,42 @@ def stirling2(k: int, j: int) -> int:
     return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
 
 
-def normalized_moments(fam, k_max: int):
-    """[E x^0, ..., E x^k_max] under the weight, normalized to total mass 1."""
-    support = fam.support()
-    if support.b is not None:
-        total = sum(fam.reduced_weight(x) for x in support.points())
-        return [sum(fam.reduced_weight(x) * Fraction(x) ** k for x in support.points()) / total
-                for k in range(k_max + 1)]
-    # infinite supports: falling-factorial moments are elementary
-    tag = fam.tag
-    if tag == "charlier":
-        falling = [fam.mu ** j for j in range(k_max + 1)]
-    elif tag == "meixner":
-        ratio = fam.mu / (1 - fam.mu)
-        falling = [Fraction(1)]
-        for j in range(1, k_max + 1):
-            falling.append(falling[-1] * (fam.gamma + j - 1) * ratio)
-    else:
-        raise ValueError(f"no moment formula for {tag}")
+def factorial_moments(fam, k: int) -> list:
+    """sum_x w(x) x(x-1)...(x-j+1) / sum_x w(x) for j = 0..k, the textbook
+    Fraction forms, one factor per step: mu^j (Poisson), (gamma)_j r^j with
+    r = mu/(1-mu) (Pascal), N(N-1)...(N-j+1) p^j (binomial) and
+    (N-1)(N-2)...(N-j) (beta+1)_j/(alpha+beta+2)_j (hypergeometric)."""
+    out = [Fraction(1)]
+    for j in range(1, k + 1):
+        if fam.tag == "charlier":
+            step = fam.mu
+        elif fam.tag == "meixner":
+            step = (fam.gamma + j - 1) * fam.mu / (1 - fam.mu)
+        elif fam.tag == "kravchuk":
+            step = (fam.N - j + 1) * fam.p
+        else:
+            step = (fam.N - j) * (fam.beta + j) / (fam.alpha + fam.beta + 1 + j)
+        out.append(out[-1] * step)
+    return out
+
+
+def stirling_raw_moments(fam, k_max: int) -> list:
+    """[E x^0, ..., E x^k_max] as sum_j S(k, j) m_j over the factorial moments
+    m_j, with S the Stirling numbers of the second kind."""
+    falling = factorial_moments(fam, k_max)
     return [sum(stirling2(k, j) * falling[j] for j in range(k + 1))
+            for k in range(k_max + 1)]
+
+
+def normalized_moments(fam, k_max: int):
+    """[E x^0, ..., E x^k_max] under the weight, normalized to total mass 1:
+    plain lattice sums on a bounded support; on the infinite ones, where the
+    falling-factorial moments are elementary, ``stirling_raw_moments``."""
+    support = fam.support()
+    if support.b is None:
+        return stirling_raw_moments(fam, k_max)
+    total = sum(fam.reduced_weight(x) for x in support.points())
+    return [sum(fam.reduced_weight(x) * Fraction(x) ** k for x in support.points()) / total
             for k in range(k_max + 1)]
 
 
@@ -95,13 +117,21 @@ def truncated_square_sum(fam, coeffs, points: int, dps: int = 60):
         return total
 
 
-def forward_difference(coeffs):
-    """Monomial coefficients of q(x+1) - q(x), by the binomial theorem."""
-    out = [Fraction(0)] * max(len(coeffs) - 1, 1)
+def shift_coeffs(coeffs, h: int = 1) -> tuple:
+    """Monomial coefficients of q(x + h), by the binomial theorem."""
+    out = [0] * len(coeffs)
     for i, c in enumerate(coeffs):
-        for k in range(i):
-            out[k] += c * math.comb(i, k)
-    return out
+        for k in range(i + 1):
+            out[k] += c * math.comb(i, k) * h ** (i - k)
+    return tuple(out)
+
+
+def diff_coeffs(coeffs) -> tuple:
+    """Monomial coefficients of q(x+1) - q(x); the degree drops by one."""
+    out = [s - c for s, c in zip(shift_coeffs(coeffs, 1), coeffs)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def gram_schmidt_coeffs(fam, n: int):
@@ -238,6 +268,18 @@ def recurrence_monomials(fam, n: int) -> tuple:
             nxt[i] -= b * c
         prev, cur = cur, nxt
     return tuple(cur)
+
+
+def density_per_point(fam, n: int, x: int, dps: int):
+    """w(x) P_n(x)^2 / d_n^2 with the weight, the value and the norm computed
+    for this one point: exact on a bounded support, else rounded once at
+    ``dps`` digits against the norm rounded at ``dps`` digits."""
+    numerator = fam.reduced_weight(x) * pointwise_value(fam, n, Fraction(x)) ** 2
+    norm = fam.reduced_norm(n)
+    if fam.support().b is not None:
+        return numerator / norm.rational
+    with mpmath.workdps(dps):
+        return mpmath.mpf(numerator.numerator) / numerator.denominator / norm.to_float(dps)
 
 
 def as_fractions(row) -> list:

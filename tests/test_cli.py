@@ -13,8 +13,12 @@ import pytest
 import dopfisher
 from dopfisher import cli
 from dopfisher.cli import main
-from dopfisher.sweeps import SWEEP_COLUMNS, load_figures, run_figure
+from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
+from dopfisher.numerics import DEFAULT_DPS
+from dopfisher.sweeps import SWEEP_COLUMNS, format_scalar, load_figures, run_figure
 from dopfisher.verify import SUITES
+
+from oracles import density_per_point
 
 F = Fraction
 
@@ -223,6 +227,51 @@ class TestEvalAndDensity:
         assert code == 0
         _, rows = parse_csv(out)
         assert [r[4] for r in rows] == ["1/8", "3/8", "3/8", "1/8"]
+
+    @pytest.mark.parametrize("argv, fam, xs", [
+        (["--family=kravchuk", "--p=2/7", "--N=9", "--n=4", "--all"], Kravchuk(F(2, 7), 9), range(10)),
+        (["--family=hahn", "--alpha=1/2", "--beta=-2/3", "--N=12", "--n=5", "--all"],
+         Hahn(F(1, 2), F(-2, 3), 12), range(12)),
+        (["--family=hahn", "--alpha=-1/3", "--beta=-2/3", "--N=7", "--n=3", "--all",
+          "--backend=float"], Hahn(F(-1, 3), F(-2, 3), 7), range(7)),
+        (["--family=charlier", "--mu=7/3", "--n=3", "--x-start=2", "--x-stop=9"],
+         Charlier(F(7, 3)), range(2, 10)),
+        (["--family=meixner", "--gamma=5/2", "--mu=9/10", "--n=4", "--x-start=0", "--x-stop=5",
+          "--dps=55"], Meixner(F(5, 2), F(9, 10)), range(6)),
+    ])
+    def test_density_rows_equal_the_per_point_formula(self, capsys, argv, fam, xs):
+        # the norm once, P_n in one pass and the weight walked point to point
+        # print what w(x) P_n(x)^2 / d_n^2 taken for each point alone prints
+        code, out, _ = run_cli(capsys, ["density"] + argv)
+        assert code == 0
+        n = int(next(a for a in argv if a.startswith("--n="))[4:])
+        dps = int(next((a[6:] for a in argv if a.startswith("--dps=")), DEFAULT_DPS))
+        backend = "float" if "--backend=float" in argv else "exact"
+        _, rows = parse_csv(out)
+        assert [(int(r[3]), r[4]) for r in rows] == [
+            (x, format_scalar(density_per_point(fam, n, x, dps), backend, dps)) for x in xs]
+
+    def test_density_range_stops_at_the_support_end(self, capsys):
+        # rows up to the last lattice point, then the domain error
+        code, out, _ = run_cli(capsys, ["density", "--family=kravchuk", "--p=2/7", "--N=9",
+                                        "--n=4", "--x-start=7", "--x-stop=12"])
+        assert code == 2
+        _, rows = parse_csv(out)
+        fam = Kravchuk(F(2, 7), 9)
+        assert [r[4] for r in rows] == [str(density_per_point(fam, 4, x, 80)) for x in (7, 8, 9)]
+
+    def test_density_all_takes_one_norm_and_one_weight(self, capsys, monkeypatch):
+        # the per-point path took both at every one of the N points
+        calls = {}
+        for name in ("reduced_norm", "reduced_weight"):
+            def counted(self, arg, _name=name, _original=getattr(Hahn, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self, arg)
+            monkeypatch.setattr(Hahn, name, counted)
+        code, out, _ = run_cli(capsys, ["density", "--family=hahn", "--alpha=1/2",
+                                        "--beta=2/3", "--N=60", "--n=5", "--all"])
+        assert code == 0 and len(parse_csv(out)[1]) == 60
+        assert calls == {"reduced_norm": 1, "reduced_weight": 1}
 
     def test_density_all_rejected_on_infinite_support(self, capsys):
         code, _, _ = run_cli(capsys, ["density", "--family", "charlier",

@@ -16,17 +16,18 @@ from dopfisher.families import (
     NormValue,
     OutOfSupport,
     ParameterDomainError,
-    diff_coeffs,
     make_family,
-    shift_coeffs,
 )
 from oracles import (
     as_fractions,
+    diff_coeffs,
+    factorial_moments,
     gram_schmidt_coeffs,
     hahn_connection_4f3,
     hahn_recurrence,
     pochhammer_connection,
     pointwise_value,
+    shift_coeffs,
     truncated_square_sum,
 )
 
@@ -463,11 +464,14 @@ class TestFactorialMoments:
                                      Meixner(F(3, 2), F(1, 2)), Meixner(F(1, 3), F(2, 3)),
                                      Meixner(F(4), F(1, 5))])
     def test_hooks_match_the_truncated_oracle(self, fam):
-        # sum_x w(x) = reduced_norm(0); sum_x w(x) x(x-1)...(x-j+1) by polarization
+        # sum_x w(x) = reduced_norm(0); sum_x w(x) x(x-1)...(x-j+1) by
+        # polarization, against the textbook forms and the family's row
+        moments = factorial_moments(fam, 8)
+        assert as_fractions(fam.factorial_row(8))[:9] == moments
         with mpmath.workdps(60):
             mass = fam.reduced_norm(0).to_float(60)
             assert abs(truncated_square_sum(fam, [F(1)], 600) / mass - 1) < mpf(10) ** -45
-            for j, moment in enumerate(fam.factorial_moments(8)):
+            for j, moment in enumerate(moments):
                 f, one = padded(falling_factorial(j), [F(1)])
                 plus = [a + b for a, b in zip(f, one)]
                 minus = [a - b for a, b in zip(f, one)]
@@ -484,5 +488,7 @@ class TestFactorialMoments:
         points = fam.support().points()
         mass = sum(fam.reduced_weight(x) for x in points)
         assert fam.reduced_norm(0).rational == mass
-        for j, moment in enumerate(fam.factorial_moments(len(points) + 2)):
+        moments = factorial_moments(fam, len(points) + 2)
+        assert as_fractions(fam.factorial_row(len(points) + 2))[:len(points) + 3] == moments
+        for j, moment in enumerate(moments):
             assert moment == sum(fam.reduced_weight(x) * math.perm(x, j) for x in points) / mass

@@ -19,12 +19,13 @@ from dopfisher.fisher import (
 
 from oracles import (
     brute_force_fisher_bounded,
-    forward_difference,
+    diff_coeffs,
     gram_schmidt_coeffs,
     hahn_c3_hyp3f2,
     hahn_closed_on_the_line,
     norm_ratio_expansion,
     rising,
+    shift_coeffs,
     truncated_square_sum,
 )
 
@@ -317,11 +318,10 @@ class TestMomentSums:
     @pytest.mark.parametrize("fam, n", GRID)
     def test_oracle_agrees_to_1e40(self, fam, n):
         p = gram_schmidt_coeffs(fam, n)
-        shifted = [a + b for a, b in zip(p, forward_difference(p) + [F(0)])]
         with mpmath.workdps(60):
             norm = truncated_square_sum(fam, p, 800)
-            direct = truncated_square_sum(fam, forward_difference(p), 800) / norm
-            difference = truncated_square_sum(fam, shifted, 800) / norm - 1
+            direct = truncated_square_sum(fam, diff_coeffs(p), 800) / norm
+            difference = truncated_square_sum(fam, shift_coeffs(p), 800) / norm - 1
         assert rel_gap(fisher_direct(fam, n), direct, 60) <= mpf(10) ** -40
         assert rel_gap(fisher_difference(fam, n), difference, 60) <= mpf(10) ** -40
 

@@ -9,8 +9,10 @@ Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
 Fraction forms; the integer monomial and connection rows equal their plain
 Fraction recurrences and stay in lowest terms; the integer expansion sum
-equals the running-product Fraction loop; the per-family raw moment row,
-grown in any order, equals the oracle's moments; and the integer Horner
+equals the running-product Fraction loop; the per-family factorial moment
+row, grown in any order, equals the textbook moments; the Newton sums of
+``moment_sum``, ``direct`` and ``difference`` equal coefficient products met
+with the oracle's raw moments, on every family; and the integer Horner
 kernels of the terminating pFq and the Hahn 5F4, and the one-reduction
 Pochhammer product, equal their term-by-term Fraction forms.  The
 cancelled forms that keep the cost set by the degree and not by the lattice
@@ -46,6 +48,8 @@ from dopfisher.numerics import (
 from oracles import (
     as_fractions,
     delta_walk_connection,
+    diff_coeffs,
+    factorial_moments,
     hahn_5f4_terms,
     hahn_closed_uncancelled,
     hahn_recurrence,
@@ -56,6 +60,7 @@ from oracles import (
     recurrence_monomials,
     rising,
     running_product_expansion,
+    shift_coeffs,
     terminating_pfq_terms,
 )
 
@@ -257,8 +262,8 @@ def test_connection_rows_equal_fraction_delta_walk(case):
 def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
     # the one-reduction product 1/(b_1 ... b_n) of direct and difference
     fam, n = case
-    assert fisher._norm_ratio(fam, n, 1) == norm_ratio_from_norms(fam, n)
-    assert fisher._norm_ratio(fam, n, 6) == norm_ratio_from_norms(fam, n) / 36
+    assert fisher._norm_ratio(fam, n, 1, 1) == norm_ratio_from_norms(fam, n)
+    assert fisher._norm_ratio(fam, n, 5, 36) == norm_ratio_from_norms(fam, n) * F(5, 36)
 
 
 @PROPERTY
@@ -272,16 +277,69 @@ def test_expansion_sum_equals_running_product(case):
 @PROPERTY
 @given(any_family_cases(), st.lists(st.integers(min_value=0, max_value=40),
                                     min_size=1, max_size=4))
-def test_moment_rows_grow_to_the_oracle_moments(case, orders):
-    # a fresh family's raw moment row, extended in the drawn order, always
-    # holds the oracle's moments: the kept numerators follow the denominator
+def test_factorial_rows_grow_to_the_oracle_moments(case, orders):
+    # a fresh family's factorial moment row, asked for in the drawn order,
+    # always holds the textbook moments: a longer one is rebuilt whole
     fam, _ = case
-    expected = normalized_moments(fam, max(orders))
+    expected = factorial_moments(fam, max(orders))
     families._tables.cache_clear()
     for k in orders:
-        nums, den = fam.moment_row(k)
-        assert len(nums) > k
+        nums, den = fam.factorial_row(k)
+        assert len(nums) > k and math.gcd(den, *nums) == 1
         assert [F(c, den) for c in nums[:k + 1]] == expected[:k + 1]
+
+
+def polynomials():
+    """Monomial coefficients of a random rational polynomial of degree <= 9."""
+    return st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20),
+                    min_size=1, max_size=10)
+
+
+def product_coeffs(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def oracle_sum(fam, p, q):
+    """sum_k c_k E x^k for c = p q, with the oracle's moments."""
+    c = product_coeffs(p, q)
+    return sum(ck * m for ck, m in zip(c, normalized_moments(fam, len(c) - 1)))
+
+
+@PROPERTY
+@given(any_family_cases(), polynomials(), polynomials())
+# Kravchuk with deg p q > N, where the factorial moments vanish past N;
+# Hahn on alpha + beta = -1; Meixner at mu = 99/100
+@example((Kravchuk(F(2, 7), 3), 0), [F(1, 3)] * 4, [F(-2), F(5, 2), F(0), F(1)])
+@example((Hahn(F(-1, 3), F(-2, 3), 6), 0), [F(1), F(-7, 2), F(2, 5)], [F(3, 4)] * 6)
+@example((Meixner(F(5, 2), F(99, 100)), 0), [F(2, 3), F(1), F(-1)], [F(7), F(0), F(1, 9)])
+def test_moment_sum_equals_coefficient_sum(case, p, q):
+    # the Newton sum over the factorial row against sum_k c_k E x^k, with the
+    # moments from lattice sums (bounded) or Stirling numbers (infinite)
+    fam, _ = case
+    assert fisher.moment_sum(fam, p, q) == oracle_sum(fam, p, q)
+
+
+@PROPERTY
+@given(any_family_cases())
+@with_examples
+@example((Charlier(F(7, 2)), 1))
+@example((Meixner(F(5, 3), F(99, 100)), 1))
+@example((Kravchuk(F(2, 7), 2), 1))
+@example((Hahn(F(-1, 3), F(-2, 3), 4), 0))
+@example((Hahn(F(-1, 3), F(-2, 3), 4), 1))
+def test_direct_and_difference_equal_coefficient_sums(case):
+    # the routes' Newton sums from node values against the monomial
+    # coefficients of Delta P_n and P_n(x+1), squared and met with the moments
+    fam, n = case
+    p = fam.poly_coeffs(n)
+    ratio = norm_ratio_from_norms(fam, n)
+    dp, shifted = diff_coeffs(p), shift_coeffs(p)
+    assert fisher_direct(fam, n) == oracle_sum(fam, dp, dp) * ratio
+    assert fisher_difference(fam, n) == oracle_sum(fam, shifted, shifted) * ratio - 1
 
 
 def pfq_parameters():
