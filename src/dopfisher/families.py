@@ -20,8 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
-from operator import mul
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from typing import Optional, Tuple
 
 from .numerics import (
@@ -157,6 +157,11 @@ class Family:
         """Family G and factor c with  Delta P_n = c * G-polynomial of degree n-1."""
         raise NotImplementedError
 
+    def ladder_ratio(self) -> Optional[Fraction]:
+        """r with  Delta P_n = sum_j n (j+1)_(n-1-j) r^(n-1-j) P_j, the ladder
+        row, so a_(j-1)/a_j = j r; None where no such row exists (Hahn)."""
+        return None
+
     def closed_form(self, n: int) -> Fraction:
         """The paper's closed Fisher value at degree n >= 1, exact."""
         raise TypeError(f"unknown family {self!r}")
@@ -239,10 +244,30 @@ class Family:
         return _tables(self).monomials(n)
 
     def factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        """The factorial moments m_j (``factorial_ratio``) for j = 0..k at
-        least, as (integer numerators, one denominator); kept per family and
-        rebuilt longer on demand."""
-        return _tables(self).factorials(k)
+        """The factorial moments m_j (``factorial_ratio``) for j = 0..k, as
+        (integer numerators, one denominator) in lowest terms."""
+        # m_j = prod_(i<=j) num_i/den_i over D = den_1 ... den_k: the numerator
+        # (num_1 ... num_j)(den_(j+1) ... den_k) is a prefix product of the
+        # numerators times a suffix product of the denominators
+        ratios = [self.factorial_ratio(j) for j in range(1, k + 1)]
+        head = accumulate((num for num, _ in ratios), mul, initial=1)
+        tail = list(accumulate((den for _, den in reversed(ratios)), mul, initial=1))
+        row = [a * b for a, b in zip(head, reversed(tail))]
+        g = math.gcd(*row)
+        return tuple(c // g for c in row), row[0] // g
+
+    def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        """(L, den) with sum_x L_x c(x) / den = sum_x w(x) c(x) / sum_x w(x)
+        for every polynomial c of degree at most k (see ``_Tables``)."""
+        tables = _tables(self)
+        return tables.kept("quad", k, tables.quadrature_row)
+
+    def node_values(self, n: int) -> Tuple[Tuple[int, ...], int]:
+        """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as (integer
+        numerators, the ``poly_row`` denominator)."""
+        self.check_degree(n)
+        tables = _tables(self)
+        return tables.kept("nodes", n, tables.node_values)
 
     def recurrence_a_upto(self, n: int) -> list:
         """A list holding at least a_0 .. a_(n-1), each computed once per
@@ -256,18 +281,14 @@ class Family:
     def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
         """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
         expanded in the *same* family, as (integer numerators, one
-        denominator) in lowest terms.
-
-        Delta applied to the three-term recurrence gives
-
+        denominator) in lowest terms, for every family.  Delta applied to the
+        three-term recurrence gives
             Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
-
         and multiplication by x acts on the P-basis as the Jacobi matrix,
         x P_k = P_(k+1) + a_k P_k + b_k P_(k-1).  Starting from Delta P_0 = 0
         and Delta P_1 = P_0, the step to degree m+1 costs O(m) integer
         operations, so degree n costs O(n^2); the walk keeps its last two
         rows per family, so a sweep of increasing degrees pays one step each.
-        Families with a ladder relation override this with its O(n) product.
         """
         self.check_degree(n)
         return _tables(self).delta(n)
@@ -279,18 +300,36 @@ _TABLE_CACHE_SIZE = 16
 
 class _Tables:
     """One family's recurrence coefficients, monomial rows, Delta-expansion
-    walk and factorial moments, grown on demand under a lock.  List rows are
-    only ever appended and the walk and the moment row are replaced whole, so
-    a reader needs no lock.  Every row is integer numerators over one
-    denominator, reduced by one gcd per row."""
+    walk, quadrature row and node values, grown on demand.  List rows are only
+    ever appended, under a lock, and the others are replaced whole (a race
+    builds one twice, alike), so a reader needs no lock.  Every row is integer
+    numerators over one denominator, monomial and walk rows in lowest terms.
+
+    The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
+    Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
+    (t! D) with L_x = sum_(j>=x) (-1)^(j-x) C(j,x) M_j t!/j!, for the factorial
+    row m_j = M_j/D and t the last j <= k with m_j != 0 (N on Kravchuk, N-1 on
+    Hahn: on a bounded lattice the row ends with the support).  It is the
+    transposed difference table: z = [s_t], s_j = M_j t!/j!, then for each
+    j = t-1 .. 0, z = [s_j - z_0, z_0 - z_1, ..., z_(last-1) - z_last, z_last].
+    It and P_n at its nodes 0 .. t+1 (one Horner pass on the monomial row) are
+    kept for the last k and n asked for: ``direct`` and ``difference`` share them."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
         self.monos = [((1,), 1)]
         self.walk = _WALK_START
-        self.falling = ((1,), 1)   # factorial moments m_0, m_1, ... over one denominator
+        self.quad = self.nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
         self.lock = threading.RLock()
+
+    def kept(self, name: str, key: int, make) -> tuple:
+        """The row kept under ``name`` if made for ``key``, else make(key) in its place."""
+        row = getattr(self, name)
+        if row[0] != key:
+            row = (key, *make(key))
+            setattr(self, name, row)
+        return row[1:]
 
     def grow(self, rows: list, n: int, make_row) -> list:
         """rows, with make_row(m) appended for m = len(rows) .. n-1."""
@@ -319,15 +358,6 @@ class _Tables:
 
     def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
-
-    def factorials(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        row = self.falling
-        if len(row[0]) <= k:
-            with self.lock:
-                if len(self.falling[0]) <= k:
-                    self.falling = self._factorial_row(k)
-                row = self.falling
-        return row
 
     def _delta_step(self, t: int, u: tuple, v: tuple, lcm: int) -> tuple:
         # Delta P_m = (x + 1 - a_t) Delta P_t + P_t - b_t Delta P_(t-1), m = t+1,
@@ -371,16 +401,22 @@ class _Tables:
         g = math.gcd(den, *out)
         return tuple(c // g for c in out), den // g
 
-    def _factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        # m_j = prod_(i<=j) num_i/den_i over D = den_1 ... den_k: the numerator
-        # (num_1 ... num_j)(den_(j+1) ... den_k) is a prefix product of the
-        # numerators times a suffix product of the denominators
-        ratios = [self.fam.factorial_ratio(j) for j in range(1, k + 1)]
-        head = accumulate((num for num, _ in ratios), mul, initial=1)
-        tail = list(accumulate((den for _, den in reversed(ratios)), mul, initial=1))
-        row = [a * b for a, b in zip(head, reversed(tail))]
-        g = math.gcd(*row)
-        return tuple(c // g for c in row), row[0] // g
+    def node_values(self, n: int) -> Tuple[Tuple[int, ...], int]:
+        nums, den = self.monomials(n)
+        return horner_values(nums, range(len(self.fam.quadrature_row(2 * n)[0]) + 1)), den
+
+    def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        # the transposed difference table of the class docstring, with
+        # f = t!/j! walked up from 1
+        moments, md = self.fam.factorial_row(k)
+        t = k
+        while not moments[t]:
+            t -= 1
+        f, z = 1, [moments[t]]
+        for j in range(t - 1, -1, -1):
+            f *= j + 1
+            z = [moments[j] * f - z[0], *map(sub, z, z[1:]), z[-1]]
+        return tuple(z), f * md
 
 
 # degree 1 of the Delta-walk: Delta P_0 = 0 and Delta P_1 = P_0, and the lcm
@@ -393,21 +429,12 @@ def _tables(fam: Family) -> _Tables:
     return _Tables(fam)
 
 
-def _ladder_connection(n: int, r: Fraction) -> Tuple[Tuple[int, ...], int]:
-    # a_j = n (j+1)_(n-1-j) r^(n-1-j), r = num/den, over den^(n-1): numerator
-    # n (j+1)_(n-1-j) num^(n-1-j) den^j, walked down from n den^(n-1) by the
-    # exact step c_(j-1) = c_j / den * j num, then one gcd for the row
-    if n == 0:
-        return (), 1
-    num, den = r.numerator, r.denominator
-    top = den ** (n - 1)
-    out = [0] * n
-    c = n * top
-    for j in range(n - 1, -1, -1):
-        out[j] = c
-        c = c // den * (j * num)
-    g = math.gcd(top, *out)
-    return tuple(c // g for c in out), top // g
+def horner_values(nums, xs) -> list:
+    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
+    out = [0] * len(xs)
+    for c in reversed(nums):
+        out = list(map(add, map(mul, out, xs), repeat(c)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +495,8 @@ class Charlier(Family):
         self.check_ladder_degree(n)
         return self, Fraction(n)
 
-    def connection_row(self, n):
-        self.check_degree(n)
-        return _ladder_connection(n, Fraction(0))
+    def ladder_ratio(self):
+        return Fraction(0)
 
     def closed_form(self, n):
         return Fraction(n) / self.mu
@@ -545,9 +571,8 @@ class Meixner(Family):
         self.check_ladder_degree(n)
         return Meixner(self.gamma + 1, self.mu), Fraction(n)
 
-    def connection_row(self, n):
-        self.check_degree(n)
-        return _ladder_connection(n, self.mu / (self.mu - 1))
+    def ladder_ratio(self):
+        return self.mu / (self.mu - 1)
 
     def closed_form(self, n):
         g, mu = self.gamma, self.mu
@@ -621,9 +646,8 @@ class Kravchuk(Family):
         self.check_ladder_degree(n)
         return Kravchuk(self.p, self.N - 1), Fraction(n)
 
-    def connection_row(self, n):
-        self.check_degree(n)
-        return _ladder_connection(n, self.p)
+    def ladder_ratio(self):
+        return self.p
 
     def closed_form(self, n):
         p, N = self.p, self.N

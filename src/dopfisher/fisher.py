@@ -7,39 +7,37 @@ weight w and norm d_n^2, the quantity computed here is
 
 Routes:
 
-* ``direct``     -- the defining sum, taken as the Newton sum below of
-                    Delta P_n(x)^2;
+* ``direct``     -- the defining sum, Delta P_n(x)^2 against the quadrature
+                    row below;
 * ``difference`` -- summation by parts: d_n^2 (I + 1) is sum_x w(x-1) P_n(x)^2
                     plus, on a bounded support a..b, the boundary term
                     w(b) P_n(b+1)^2.  With w(a-1) = 0 the two are one sum,
-                    sum_y w(y) P_n(y+1)^2, the Newton sum of the shifted
-                    polynomial, so the boundary term is inside it;
+                    sum_y w(y) P_n(y+1)^2, the shifted polynomial against the
+                    same row, so the boundary term is inside it;
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
-                    (1/d_n^2) sum_j a_j^2 d_j^2.  The a_j are an integer row
-                    over one denominator, from Delta applied to the
-                    three-term recurrence (Charlier, Meixner and Kravchuk
-                    supply their O(n) ladder products instead), and
-                    d_j^2/d_n^2 comes from the recurrence's b_m, so the route
-                    runs on integers and reduces only its result.  This is
-                    the authoritative exact value;
+                    (1/d_n^2) sum_j a_j^2 d_j^2, with d_j^2/d_n^2 from the
+                    recurrence's b_m.  On Charlier, Meixner and Kravchuk the
+                    a_j are a ladder row and the terms a term-ratio stream,
+                    the terms and the kernel (``horner_ratio_sum``) of the
+                    closed forms, which the paper derived this way; on Hahn
+                    the a_j are a row from Delta applied to the recurrence.
+                    The authoritative exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
-A polynomial c of degree K is summed against the weight in closed form on
-every lattice by Newton's formula c(x) = sum_j Delta^j c(0) x(x-1)...(x-j+1)/j!,
-j = 0..K: the weighted sums of the falling factorials are the factorial
-moments m_j of the Poisson, Pascal, binomial and hypergeometric weights, which
-each family keeps as one integer row built from its ratios m_j/m_(j-1)
-(``Family.factorial_ratio``).  ``direct`` and ``difference`` thus need P_n
-only at the integer nodes 0..2n+1 (Horner on the integer monomial row), and
-the Delta^j c(0) are the first column of the nodes' difference table.  The
-weight's total mass, ``reduced_norm(0)``, cancels exactly against the norm:
-d_0^2/d_n^2 is 1/(b_1 ... b_n), from the three-term recurrence.  So every
-route returns an exact Fraction for rational parameters, at a cost set by
-the degree and not by the lattice size.  This path uses monomial
-coefficients, moments and the recurrence's b_m only, no ladder and no
-connection coefficients, so it stays independent of ``expansion``'s rows.
+Sums against the weight are closed-form on every lattice: by Newton's formula
+c(x) = sum_j Delta^j c(0) x(x-1)...(x-j+1)/j!, the expectation E c of a
+polynomial needs only the factorial moments m_j (``Family.factorial_ratio``),
+and transposed it is one integer quadrature row, E c = sum_x L_x c(x) / den
+over the nodes x = 0, 1, ... (``Family.quadrature_row``).  ``direct`` and
+``difference`` share the row at k = 2n and P_n at its nodes, so each is one
+dot product.  The mass ``reduced_norm(0)`` cancels against the norm,
+d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
+set by the degree and not by the lattice size.  This path uses no ladder and
+no connection coefficients: on the ladder families, where ``expansion`` and
+``closed`` sum the same terms, ``direct`` and ``difference`` remain the
+independent check.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -50,14 +48,15 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import add, mul, sub
-from typing import Dict, Optional, Tuple
+from itertools import combinations
+from operator import mul
+from typing import Dict, Optional
 
-from .families import Family, OutOfSupport
+from .families import Family, OutOfSupport, horner_values
 from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
+    horner_ratio_sum,
     over_common_denominator,
     to_mpf,
 )
@@ -171,40 +170,16 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
-def _values(nums, xs) -> list:
-    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
-    out = [0] * len(xs)
-    for c in reversed(nums):
-        out = list(map(add, map(mul, out, xs), repeat(c)))
-    return out
-
-
-def _newton_sum(fam: Family, values) -> Tuple[int, int]:
-    """(t, d) with t/d = sum_x w(x) c(x) / sum_x w(x) for the polynomial c of
-    degree at most K with the integer values c(0..K) = ``values``.
-
-    Newton's formula gives sum_j Delta^j c(0) m_j/j!; over K! and the
-    factorial row's denominator D (m_j = M_j/D), t is the integer dot product
-    sum_j Delta^j c(0) M_j K!/j!, in Horner form T = T j + Delta^j c(0) M_j.
-    """
-    k = len(values) - 1
-    moments, md = fam.factorial_row(k)
-    total, diffs = 0, values
-    for j in range(k + 1):
-        total = total * j + diffs[0] * moments[j]
-        diffs = list(map(sub, diffs[1:], diffs))
-    return total, math.factorial(k) * md
-
-
 def moment_sum(fam: Family, p, q) -> Fraction:
     """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
     polynomials given by their exact monomial coefficients (ints or Fractions):
-    the Newton sum of p q from its values at 0 .. deg p + deg q."""
+    the quadrature row of degree deg p + deg q met with p q at its nodes."""
     pn, pd = over_common_denominator(p)
     qn, qd = over_common_denominator(q)
-    nodes = range(len(pn) + len(qn) - 1)
-    t, d = _newton_sum(fam, [a * b for a, b in zip(_values(pn, nodes), _values(qn, nodes))])
-    return Fraction(t, d * pd * qd)
+    row, den = fam.quadrature_row(len(pn) + len(qn) - 2)
+    nodes = range(len(row))
+    t = sum(map(mul, row, map(mul, horner_values(pn, nodes), horner_values(qn, nodes))))
+    return Fraction(t, den * pd * qd)
 
 
 def _norm_ratio(fam: Family, n: int, num: int, den: int) -> Fraction:
@@ -218,43 +193,44 @@ def _norm_ratio(fam: Family, n: int, num: int, den: int) -> Fraction:
 
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
-    """Defining sum: the Newton sum of Delta P_n(x)^2, of degree 2n-2, from
-    P_n at 0 .. 2n-1, an exact Fraction."""
-    nums, den = fam.poly_row(n)   # P_n(x) = sum_k nums[k] x^k / den
-    v = _values(nums, range(max(2 * n, 2)))
-    t, d = _newton_sum(fam, [(b - a) ** 2 for a, b in zip(v, v[1:])])
-    return _norm_ratio(fam, n, t, d * den * den)
+    """Defining sum: sum_x L_x Delta P_n(x)^2 over the quadrature row L at
+    k = 2n, from P_n at its nodes, an exact Fraction."""
+    (v, vd), (row, den) = fam.node_values(n), fam.quadrature_row(2 * n)
+    t = sum(map(mul, row, [(b - a) ** 2 for a, b in zip(v, v[1:])]))
+    return _norm_ratio(fam, n, t, den * vd * vd)
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
     """Summation-by-parts route:
-
         I = (1/d_n^2) ( [w(x-1) P_n(x)^2]_a^b + <w(x-1)/w(x)> ) - 1,
-
     with the expectation over the degree-n density and the convention
     w(a-1) = 0.  Since w(x) P_n(x)^2 w(x-1)/w(x) = w(x-1) P_n(x)^2, the
     expectation plus the upper boundary term w(b) P_n(b+1)^2 of a bounded
-    support (none on an infinite one) is sum_y w(y) P_n(y+1)^2: the Newton
-    sum of P_n(x+1)^2, of degree 2n, from P_n at 1 .. 2n+1.
-    """
-    nums, den = fam.poly_row(n)
-    t, d = _newton_sum(fam, [v * v for v in _values(nums, range(1, 2 * n + 2))])
-    return _norm_ratio(fam, n, t, d * den * den) - 1
+    support (none on an infinite one) is sum_y w(y) P_n(y+1)^2: L_x P_n(x+1)^2
+    summed over the quadrature row L at k = 2n, as in ``direct``."""
+    (v, vd), (row, den) = fam.node_values(n), fam.quadrature_row(2 * n)
+    t = sum(map(mul, row, [x * x for x in v[1:]]))
+    return _norm_ratio(fam, n, t, den * vd * vd) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
-    """Ladder route: exact rational for every family with rational parameters.
-
-    I = sum_j a_j^2 d_j^2/d_n^2, with the a_j from ``connection_row`` and each
-    norm ratio taken from the recurrence (d_j^2/d_(j-1)^2 = b_j), summed in
-    Horner form: T_0 = a_0^2, T_j = T_(j-1)/b_j + a_j^2 and I = T_(n-1)/b_n.
-    T runs as one integer numerator/denominator pair over the row's
-    denominator squared, and only the result is reduced.
+    """Ladder route, exact for every family with rational parameters: I is
+    sum_j t_j, t_j = a_j^2 d_j^2/d_n^2 = a_j^2/(b_(j+1) ... b_n).  On a
+    ladder row (``Family.ladder_ratio`` r, a_(j-1)/a_j = j r), t_(n-1) = n^2/b_n
+    and t_(j-1)/t_j = (j r)^2/b_j: a ``horner_ratio_sum`` whose every step is
+    big times small.  Otherwise the a_j come from ``connection_row``, summed as
+    T_0 = a_0^2, T_j = T_(j-1)/b_j + a_j^2, I = T_(n-1)/b_n, one integer pair
+    over the row's denominator squared.  Only the result is reduced.
     """
-    cn, cd = fam.connection_row(n)
+    fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    b = fam.recurrence_b_upto(n + 1)
+    b, r = fam.recurrence_b_upto(n + 1), fam.ladder_ratio()
+    if r is not None:
+        rn, rd = r.numerator ** 2, r.denominator ** 2
+        return Fraction(n * n * b[n].denominator, b[n].numerator) * horner_ratio_sum(
+            (j * j * rn * b[j].denominator, rd * b[j].numerator) for j in range(1, n))
+    cn, cd = fam.connection_row(n)
     tn, td = cn[0] * cn[0], 1
     for j in range(1, n):
         bn, bd = b[j].numerator, b[j].denominator

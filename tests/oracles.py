@@ -22,9 +22,10 @@ forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
 references for them, and mpmath's own 3F2 for the series the Hahn closed
 form sums in closed form.  The textbook Fraction forms of the four
 factorial moments, their Stirling sums and the monomial coefficients of
-q(x+1) and q(x+1) - q(x) are references for the Newton sums of ``direct``,
-``difference`` and ``moment_sum``; the density of one lattice
-point taken on its own is the reference for the batched density.
+q(x+1) and q(x+1) - q(x) are references for the quadrature-row sums of
+``direct``, ``difference`` and ``moment_sum``, and so is Newton's formula
+summed straight from a difference table of the node values; the density of
+one lattice point taken on its own is the reference for the batched density.
 The Hahn closed form as written before any cancellation (its products of
 length N, and its removable 0/0s on alpha + beta = -1, where it runs on
 truncated Laurent series) and the norm ratio d_0^2/d_n^2 taken from the
@@ -52,6 +53,24 @@ def stirling2(k: int, j: int) -> int:
     if j == 0 or j > k:
         return 0
     return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+
+
+def newton_sum(fam, values) -> tuple:
+    """(t, d) with t/d = sum_x w(x) c(x) / sum_x w(x) for the polynomial c of
+    degree at most K with the integer values c(0..K) = ``values``.
+
+    Newton's formula gives sum_j Delta^j c(0) m_j/j!; over K! and the
+    factorial row's denominator D (m_j = M_j/D), t is the integer dot product
+    sum_j Delta^j c(0) M_j K!/j!, in Horner form T = T j + Delta^j c(0) M_j,
+    with the Delta^j c(0) the first column of the values' difference table.
+    """
+    k = len(values) - 1
+    moments, md = fam.factorial_row(k)
+    total, diffs = 0, list(values)
+    for j in range(k + 1):
+        total = total * j + diffs[0] * moments[j]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total, math.factorial(k) * md
 
 
 def factorial_moments(fam, k: int) -> list:
@@ -324,11 +343,13 @@ def norm_ratio_expansion(fam, n: int) -> Fraction:
                 for j, a in enumerate(as_fractions(fam.connection_row(n)))), Fraction(0))
 
 
-def running_product_expansion(fam, n: int) -> Fraction:
+def running_product_expansion(fam, n: int, coeffs=None) -> Fraction:
     """sum_j a_j^2 d_j^2/d_n^2 with the norm ratios as the running product
-    1/(b_(j+1) ... b_n), accumulated in Fraction arithmetic from j = n-1 down."""
+    1/(b_(j+1) ... b_n), accumulated in Fraction arithmetic from j = n-1 down,
+    for the a_j in ``coeffs`` (default: the family's ``connection_row``)."""
     total, ratio = Fraction(0), Fraction(1)
-    coeffs = as_fractions(fam.connection_row(n))
+    if coeffs is None:
+        coeffs = as_fractions(fam.connection_row(n))
     for j in range(n - 1, -1, -1):
         ratio /= fam.recurrence_b(j + 1)
         total += coeffs[j] * coeffs[j] * ratio

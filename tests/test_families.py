@@ -8,7 +8,6 @@ from mpmath import mpf
 from dopfisher.families import (
     Charlier,
     DegreeOutOfRange,
-    Family,
     Hahn,
     Kravchuk,
     LatticeSupport,
@@ -351,6 +350,7 @@ class TestConnectionCoeffs:
         (Kravchuk(F(1, 9), 61), F(1, 9)),
     ])
     def test_ladder_walk_matches_pochhammer_form(self, fam, r):
+        assert fam.ladder_ratio() == r
         for n in range(61):
             assert as_fractions(fam.connection_row(n)) == pochhammer_connection(n, r)
 
@@ -366,13 +366,16 @@ class TestConnectionCoeffs:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_generic_walk_on_every_family(self, fam):
-        # the base-class Delta-walk, which Hahn uses, pinned on all four
-        # families: the defining property, and equality with the O(n) ladder
-        # rows that Charlier, Meixner and Kravchuk override it with
+        # the Delta-walk, the one connection row of every family, pinned on
+        # all four: the defining property, and equality with the ladder row
+        # n (j+1)_(n-1-j) r^(n-1-j) where the family has one (the paper's
+        # 4F3 coefficients on Hahn, which has none)
+        r = fam.ladder_ratio()
+        assert (r is None) == isinstance(fam, Hahn)
         for n in range(max_n(fam, 8) + 1):
-            row = Family.connection_row(fam, n)
-            assert row == fam.connection_row(n)
-            coeffs = as_fractions(row)
+            coeffs = as_fractions(fam.connection_row(n))
+            assert coeffs == (hahn_connection_4f3(fam, n) if r is None
+                              else pochhammer_connection(n, r))
             for x in range(n + 3):
                 xf = F(x)
                 expanded = sum(a * fam.eval_poly(j, xf) for j, a in enumerate(coeffs))

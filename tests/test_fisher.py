@@ -366,6 +366,49 @@ class TestMomentSums:
         assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
 
 
+class TestWorkPerReport:
+    """Work counted in calls, so the check holds on any host."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    @pytest.mark.parametrize("fam, n", [(Charlier(F(7, 3)), 9), (Meixner(F(5, 2), F(3, 7)), 8),
+                                        (Kravchuk(F(2, 7), 6), 5), (Hahn(F(1, 2), F(2), 7), 6)])
+    def test_report_builds_one_row_and_one_node_pass(self, monkeypatch, fam, n):
+        # direct and difference share one factorial row, one quadrature row
+        # and one Horner pass over the nodes
+        from dopfisher import families
+
+        calls = {}
+        self.count(monkeypatch, Family, "factorial_row", calls)
+        self.count(monkeypatch, families._Tables, "quadrature_row", calls)
+        self.count(monkeypatch, families, "horner_values", calls)
+        families._tables.cache_clear()
+        report = fisher_report(fam, n)
+        assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
+        assert calls == {"factorial_row": 1, "quadrature_row": 1, "horner_values": 1}
+
+    @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
+                                     Kravchuk(F(2, 7), 12)])
+    def test_ladder_expansion_takes_no_connection_row(self, monkeypatch, fam):
+        from dopfisher import families
+
+        calls = {}
+        self.count(monkeypatch, type(fam), "connection_row", calls)
+        self.count(monkeypatch, families._Tables, "delta", calls)
+        families._tables.cache_clear()
+        assert [fisher_expansion(fam, n) for n in range(12)] == \
+            [fisher_closed(fam, n) for n in range(12)]
+        assert calls == {}
+
+
 class TestInvariants:
     FAMILIES = [Charlier(F(2)), Meixner(F(3, 2), F(1, 2)),
                 Kravchuk(F(1, 4), 6), Hahn(F(3), F(-1, 2), 6)]

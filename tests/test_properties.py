@@ -9,12 +9,15 @@ Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
 Fraction forms; the integer monomial and connection rows equal their plain
 Fraction recurrences and stay in lowest terms; the integer expansion sum
-equals the running-product Fraction loop; the per-family factorial moment
-row, grown in any order, equals the textbook moments; the Newton sums of
-``moment_sum``, ``direct`` and ``difference`` equal coefficient products met
-with the oracle's raw moments, on every family; and the integer Horner
-kernels of the terminating pFq and the Hahn 5F4, and the one-reduction
-Pochhammer product, equal their term-by-term Fraction forms.  The
+equals the running-product Fraction loop, and on the ladder families the
+term-ratio stream equals it over the Pochhammer connection rows; the
+per-family factorial moment row equals the textbook moments; the quadrature
+row, asked for at any k in any order, sums like Newton's formula from a
+difference table; the sums of ``moment_sum``, ``direct`` and ``difference``
+equal coefficient products met with the oracle's raw moments, on every
+family; and the integer Horner kernels of the terminating pFq and the
+Hahn 5F4, and the one-reduction Pochhammer product, equal their
+term-by-term Fraction forms.  The
 cancelled forms that keep the cost set by the degree and not by the lattice
 size -- the norm ratio d_0^2/d_n^2 from the recurrence and the Hahn closed
 form without its products of length N -- equal the forms written with those
@@ -23,6 +26,7 @@ reproducible.
 """
 
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -30,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dopfisher import families, fisher
-from dopfisher.families import Charlier, Family, Hahn, Kravchuk, Meixner
+from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
 from dopfisher.fisher import (
     fisher_closed,
     fisher_difference,
@@ -41,6 +45,7 @@ from dopfisher.numerics import (
     DenominatorPole,
     NonTerminatingSeries,
     PFQSpec,
+    over_common_denominator,
     pochhammer,
     terminating_pfq,
 )
@@ -55,8 +60,10 @@ from oracles import (
     hahn_recurrence,
     kravchuk_recurrence,
     meixner_recurrence,
+    newton_sum,
     norm_ratio_from_norms,
     normalized_moments,
+    pochhammer_connection,
     recurrence_monomials,
     rising,
     running_product_expansion,
@@ -244,16 +251,13 @@ def with_examples(test):
 @given(any_family_cases())
 @with_examples
 def test_connection_rows_equal_fraction_delta_walk(case):
-    # the family's row (the ladder product on Charlier, Meixner and Kravchuk)
-    # and the base-class integer Delta-walk, on every family
+    # the integer Delta-walk, the one connection row of every family
     fam, n = case
-    expected = delta_walk_connection(fam, n)
-    for row_of in (fam.connection_row, lambda m: Family.connection_row(fam, m)):
-        assert as_fractions(row_of(n)) == expected
-        # every row in lowest terms, so no common factor piles up degree by degree
-        for m in range(n + 1):
-            nums, den = row_of(m)
-            assert den > 0 and len(nums) == m and math.gcd(den, *nums) == 1
+    assert as_fractions(fam.connection_row(n)) == delta_walk_connection(fam, n)
+    # every row in lowest terms, so no common factor piles up degree by degree
+    for m in range(n + 1):
+        nums, den = fam.connection_row(m)
+        assert den > 0 and len(nums) == m and math.gcd(den, *nums) == 1
 
 
 @PROPERTY
@@ -275,11 +279,29 @@ def test_expansion_sum_equals_running_product(case):
 
 
 @PROPERTY
+@given(any_family_cases().filter(lambda case: case[0].tag != "hahn"))
+# n = 0, 1 and 2, Meixner at mu = 99/100 and 999/1000, Kravchuk at n = N-1
+@example((Charlier(F(7, 2)), 0))
+@example((Charlier(F(7, 2)), 1))
+@example((Meixner(F(5, 3), F(99, 100)), 2))
+@example((Meixner(F(5, 3), F(999, 1000)), 25))
+@example((Kravchuk(F(2, 7), 2), 1))
+@example((Kravchuk(F(2, 7), 9), 8))
+@example((Kravchuk(F(1, 3), 1), 0))
+def test_ladder_stream_equals_running_product_of_pochhammer_rows(case):
+    # the term-ratio stream of the ladder families against each a_j taken on
+    # its own and each norm ratio as a running product of b_m, in Fractions
+    fam, n = case
+    coeffs = pochhammer_connection(n, fam.ladder_ratio())
+    assert fisher_expansion(fam, n) == running_product_expansion(fam, n, coeffs)
+
+
+@PROPERTY
 @given(any_family_cases(), st.lists(st.integers(min_value=0, max_value=40),
                                     min_size=1, max_size=4))
 def test_factorial_rows_grow_to_the_oracle_moments(case, orders):
     # a fresh family's factorial moment row, asked for in the drawn order,
-    # always holds the textbook moments: a longer one is rebuilt whole
+    # always holds the textbook moments
     fam, _ = case
     expected = factorial_moments(fam, max(orders))
     families._tables.cache_clear()
@@ -293,6 +315,37 @@ def polynomials():
     """Monomial coefficients of a random rational polynomial of degree <= 9."""
     return st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20),
                     min_size=1, max_size=10)
+
+
+def last_moment(fam, k):
+    """The last j <= k with a nonzero factorial moment: N on Kravchuk, N-1 on Hahn."""
+    cut = {"kravchuk": 0, "hahn": -1}.get(fam.tag)
+    return k if cut is None else min(k, fam.N + cut)
+
+
+@PROPERTY
+@given(any_family_cases(), polynomials(),
+       st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3))
+# Kravchuk with k > N and Hahn with k >= N, where the row is cut; Hahn on
+# alpha + beta = -1; k = 0; a smaller k asked for after a larger one
+@example((Kravchuk(F(2, 7), 3), 0), [F(1, 3), F(-2), F(5, 2)], [6])
+@example((Hahn(F(7, 3), F(11, 6), 4), 0), [F(-1, 2), F(0), F(1), F(3, 7)], [1, 0])
+@example((Hahn(F(-1, 3), F(-2, 3), 6), 0), [F(1), F(-7, 2), F(2, 5)], [3])
+@example((Meixner(F(5, 2), F(99, 100)), 0), [F(7, 3)], [0])
+@example((Charlier(F(9, 4)), 0), [F(2), F(-1, 6)], [9, 2, 0])
+def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
+    # the transposed difference table against Newton's formula summed from
+    # the difference table of the values, for c of degree deg c + extra
+    fam, _ = case
+    families._tables.cache_clear()
+    cn, cd = over_common_denominator(c)
+    for extra in extras:
+        k = len(cn) - 1 + extra
+        row, den = fam.quadrature_row(k)
+        assert len(row) == last_moment(fam, k) + 1
+        values = [sum(a * x ** i for i, a in enumerate(cn)) for x in range(k + 1)]
+        t, d = newton_sum(fam, values)
+        assert F(sum(map(operator.mul, row, values)), den * cd) == F(t, d * cd)
 
 
 def product_coeffs(p, q):
