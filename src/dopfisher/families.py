@@ -20,8 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
-from operator import add, mul, sub
+from itertools import accumulate, chain
+from operator import mul, sub
 from typing import Optional, Tuple
 
 from .numerics import (
@@ -234,14 +234,11 @@ class Family:
         return high - low
 
     def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
-        """Monomial coefficients of monic P_n, as Fractions from its integer ``poly_row``."""
-        nums, den = self.poly_row(n)
-        return tuple(Fraction(c, den) for c in nums)
-
-    def poly_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        """``poly_coeffs`` as (integer numerators, one denominator), lowest terms."""
+        """Monomial coefficients of monic P_n, as Fractions from its integer
+        monomial row (numerators over one denominator, lowest terms)."""
         self.check_degree(n)
-        return _tables(self).monomials(n)
+        nums, den = _tables(self).monomials(n)
+        return tuple(Fraction(c, den) for c in nums)
 
     def factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """The factorial moments m_j (``factorial_ratio``) for j = 0..k, as
@@ -262,9 +259,10 @@ class Family:
         tables = _tables(self)
         return tables.kept("quad", k, tables.quadrature_row)
 
-    def node_values(self, n: int) -> Tuple[Tuple[int, ...], int]:
+    def node_values(self, n: int) -> Tuple[list, int]:
         """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as (integer
-        numerators, the ``poly_row`` denominator)."""
+        numerators, one denominator) in lowest terms, from the recurrence in n
+        at the ends and the difference equation in between (see ``_Tables``)."""
         self.check_degree(n)
         tables = _tables(self)
         return tables.kept("nodes", n, tables.node_values)
@@ -303,7 +301,8 @@ class _Tables:
     walk, quadrature row and node values, grown on demand.  List rows are only
     ever appended, under a lock, and the others are replaced whole (a race
     builds one twice, alike), so a reader needs no lock.  Every row is integer
-    numerators over one denominator, monomial and walk rows in lowest terms.
+    numerators over one denominator, monomial, walk and node rows in lowest
+    terms.
 
     The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
     Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
@@ -312,8 +311,20 @@ class _Tables:
     Hahn: on a bounded lattice the row ends with the support).  It is the
     transposed difference table: z = [s_t], s_j = M_j t!/j!, then for each
     j = t-1 .. 0, z = [s_j - z_0, z_0 - z_1, ..., z_(last-1) - z_last, z_last].
-    It and P_n at its nodes 0 .. t+1 (one Horner pass on the monomial row) are
-    kept for the last k and n asked for: ``direct`` and ``difference`` share them."""
+
+    P_n at the row's nodes 0 .. t+1 is V/D, V integers: at 0, 1 and t+1 from
+    the three-term recurrence in n, run on integers (``_end_values``), and at
+    2 .. t from the difference equation sigma Delta Nabla P + tau Delta P +
+    lambda_n P = 0 read as a recurrence in x,
+        (sigma + tau)(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
+    with sigma, tau and lambda_n scaled to integers by one constant, so each
+    step is two big times small products and one exact division.  sigma + tau
+    vanishes only at the last support point (N on Kravchuk, N-1 on Hahn).  The
+    steps divide by it at x = 1 .. t-1, below that point since t is at most
+    it, and the last node t+1, which a step from x = t would need, comes from
+    the recurrence in n.  No monomial row is built and no Horner pass made.
+    The row and the node values are kept for the last k and n asked for:
+    ``direct`` and ``difference`` share them."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -401,9 +412,42 @@ class _Tables:
         g = math.gcd(den, *out)
         return tuple(c // g for c in out), den // g
 
-    def node_values(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        nums, den = self.monomials(n)
-        return horner_values(nums, range(len(self.fam.quadrature_row(2 * n)[0]) + 1)), den
+    def node_values(self, n: int) -> Tuple[list, int]:
+        # the steps in x of the class docstring, over the ends' denominator
+        t = len(self.fam.quadrature_row(2 * n)[0]) - 1
+        ends, den = self._end_values(n, (0, 1, t + 1) if t else (0, 1))
+        data = self.fam.table_data()
+        coeffs = (*data.sigma, *data.tau, self.fam.lambda_n(n))
+        c = math.lcm(*(f.denominator for f in coeffs))
+        s0, s1, s2, t0, t1, lam = (f.numerator * (c // f.denominator) for f in coeffs)
+        v = ends[:2]
+        for x in range(1, t):
+            sig, tx = (s2 * x + s1) * x + s0, t1 * x + t0
+            v.append(((2 * sig + tx - lam) * v[-1] - sig * v[-2]) // (sig + tx))
+        # the chain's D is not in lowest terms, and on Hahn far from it (N =
+        # 400, n = 200: 5556 bits against 1008), so one gcd shrinks the
+        # values that direct and difference square
+        v += ends[2:]
+        g = math.gcd(den, *v)
+        return [x // g for x in v], den // g
+
+    def _end_values(self, n: int, xs: tuple) -> Tuple[list, int]:
+        # D_m P_m at each x of xs by P_(m+1) = (x - a_m) P_m - b_m P_(m-1), with
+        # D_(m+1) = lcm(D_m den(a_m), D_(m-1) den(b_m)) and no gcd taken, so D_m
+        # is a multiple of every coefficient denominator of P_m and D_m P_m(x)
+        # is an integer at every integer x.  With r = D_m/D_(m-1), q = D_(m+1)/D_m
+        # = lcm(r den(a_m), den(b_m))/r, and the step is q/den(a_m) (x den(a_m) -
+        # num(a_m)) V_m - (q r/den(b_m)) num(b_m) V_(m-1): big times small only.
+        a, b = self.a_upto(n), self.b_upto(n)
+        prev, cur = [0] * len(xs), [1] * len(xs)
+        den = r = 1
+        for m in range(n):
+            (na, da), (nb, db) = a[m].as_integer_ratio(), b[m].as_integer_ratio()
+            q = math.lcm(r * da, db) // r
+            s, u = q // da, q * r // db * nb
+            prev, cur = cur, [s * (x * da - na) * v - u * w for x, v, w in zip(xs, cur, prev)]
+            den, r = den * q, q
+        return cur, den
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         # the transposed difference table of the class docstring, with
@@ -427,14 +471,6 @@ _WALK_START = (1, ((), 1), ((1,), 1), 1)
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tables(fam: Family) -> _Tables:
     return _Tables(fam)
-
-
-def horner_values(nums, xs) -> list:
-    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
-    out = [0] * len(xs)
-    for c in reversed(nums):
-        out = list(map(add, map(mul, out, xs), repeat(c)))
-    return out
 
 
 # ---------------------------------------------------------------------------

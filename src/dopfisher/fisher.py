@@ -32,7 +32,11 @@ polynomial needs only the factorial moments m_j (``Family.factorial_ratio``),
 and transposed it is one integer quadrature row, E c = sum_x L_x c(x) / den
 over the nodes x = 0, 1, ... (``Family.quadrature_row``).  ``direct`` and
 ``difference`` share the row at k = 2n and P_n at its nodes, so each is one
-dot product.  The mass ``reduced_norm(0)`` cancels against the norm,
+dot product.  The node values need no monomial coefficients: the difference
+equation sigma Delta Nabla P_n + tau Delta P_n + lambda_n P_n = 0 is a
+three-term recurrence in x, run on integers from the values at 0 and 1, and
+those and the last node come from the recurrence in n (``Family.node_values``).
+The mass ``reduced_norm(0)`` cancels against the norm,
 d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
 set by the degree and not by the lattice size.  This path uses no ladder and
 no connection coefficients: on the ladder families, where ``expansion`` and
@@ -48,11 +52,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import add, mul
 from typing import Dict, Optional
 
-from .families import Family, OutOfSupport, horner_values
+from .families import Family, OutOfSupport
 from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
@@ -170,6 +174,14 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
+def _horner_values(nums, xs) -> list:
+    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
+    out = [0] * len(xs)
+    for c in reversed(nums):
+        out = list(map(add, map(mul, out, xs), repeat(c)))
+    return out
+
+
 def moment_sum(fam: Family, p, q) -> Fraction:
     """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
     polynomials given by their exact monomial coefficients (ints or Fractions):
@@ -178,7 +190,7 @@ def moment_sum(fam: Family, p, q) -> Fraction:
     qn, qd = over_common_denominator(q)
     row, den = fam.quadrature_row(len(pn) + len(qn) - 2)
     nodes = range(len(row))
-    t = sum(map(mul, row, map(mul, horner_values(pn, nodes), horner_values(qn, nodes))))
+    t = sum(map(mul, row, map(mul, _horner_values(pn, nodes), _horner_values(qn, nodes))))
     return Fraction(t, den * pd * qd)
 
 

@@ -15,9 +15,10 @@ routes replaced -- the Pochhammer product, and the terminating pFq and the
 Hahn 5F4 summed term by term (for the integer Horner kernels of
 ``numerics`` and ``families._hahn_5f4``); the pointwise recurrence, the
 monomial recurrence and the Delta-walk in Fraction arithmetic (for the
-integer rows of ``poly_row`` and ``connection_row``), Pochhammer
-connection coefficients, the norm-ratio expansion sum, the running-product
-expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
+integer monomial rows and ``connection_row``), Horner on the monomial row
+at the quadrature nodes (for ``node_values``, which runs the difference
+equation instead), Pochhammer connection coefficients, the norm-ratio
+expansion sum, the running-product expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
 forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
 references for them, and mpmath's own 3F2 for the series the Hahn closed
 form sums in closed form.  The textbook Fraction forms of the four
@@ -42,6 +43,7 @@ from functools import lru_cache
 
 import mpmath
 
+from dopfisher import families
 from dopfisher.numerics import DenominatorPole, NonTerminatingSeries
 
 
@@ -274,6 +276,16 @@ def pointwise_value(fam, n: int, x) -> Fraction:
     return cur
 
 
+def horner_node_values(fam, n: int) -> list:
+    """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as Fractions:
+    Horner on the integer monomial row, over its one denominator."""
+    nums, den = families._tables(fam).monomials(n)
+    values = [0] * (len(fam.quadrature_row(2 * n)[0]) + 1)
+    for c in reversed(nums):
+        values = [v * x + c for x, v in enumerate(values)]
+    return [Fraction(v, den) for v in values]
+
+
 def recurrence_monomials(fam, n: int) -> tuple:
     """Monomial coefficients of P_n from P_(m+1) = (x - a_m) P_m - b_m P_(m-1),
     in plain Fraction arithmetic, asking the family for each a_m and b_m."""
@@ -303,7 +315,7 @@ def density_per_point(fam, n: int, x: int, dps: int):
 
 def as_fractions(row) -> list:
     """The Fractions of an integer row (numerators, denominator), such as
-    ``poly_row`` or ``connection_row`` return."""
+    ``connection_row`` returns."""
     nums, den = row
     return [Fraction(c, den) for c in nums]
 

@@ -13,8 +13,9 @@ equals the running-product Fraction loop, and on the ladder families the
 term-ratio stream equals it over the Pochhammer connection rows; the
 per-family factorial moment row equals the textbook moments; the quadrature
 row, asked for at any k in any order, sums like Newton's formula from a
-difference table; the sums of ``moment_sum``, ``direct`` and ``difference``
-equal coefficient products met with the oracle's raw moments, on every
+difference table; the node values from the difference equation equal
+Horner on the monomial row; the sums of ``moment_sum``, ``direct`` and
+``difference`` equal coefficient products met with the oracle's raw moments, on every
 family; and the integer Horner kernels of the terminating pFq and the
 Hahn 5F4, and the one-reduction Pochhammer product, equal their
 term-by-term Fraction forms.  The
@@ -58,6 +59,7 @@ from oracles import (
     hahn_5f4_terms,
     hahn_closed_uncancelled,
     hahn_recurrence,
+    horner_node_values,
     kravchuk_recurrence,
     meixner_recurrence,
     newton_sum,
@@ -231,7 +233,7 @@ def test_monomial_rows_equal_fraction_recurrence(case):
     # every stored row is in lowest terms: without the gcd per row, the
     # factors of each step's common denominator would pile up degree by degree
     for m in range(n + 1):
-        nums, den = fam.poly_row(m)
+        nums, den = families._tables(fam).monomials(m)
         assert den > 0 and nums[-1] == den and math.gcd(den, *nums) == 1
 
 
@@ -346,6 +348,30 @@ def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
         values = [sum(a * x ** i for i, a in enumerate(cn)) for x in range(k + 1)]
         t, d = newton_sum(fam, values)
         assert F(sum(map(operator.mul, row, values)), den * cd) == F(t, d * cd)
+
+
+@PROPERTY
+@given(any_family_cases())
+# Kravchuk with 2n >= N, where the last node lies past sigma + tau = 0, and
+# with 2n < N; Hahn on alpha + beta = -1 and with N = 1 and 2; n = 0 and 1;
+# Meixner at mu = 999/1000
+@example((Kravchuk(F(2, 7), 9), 6))
+@example((Kravchuk(F(3, 5), 20), 7))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 5))
+@example((Hahn(F(1, 2), F(5, 3), 1), 0))
+@example((Hahn(F(1, 2), F(5, 3), 2), 1))
+@example((Charlier(F(7, 2)), 0))
+@example((Meixner(F(3, 2), F(2, 5)), 1))
+@example((Meixner(F(5, 3), F(999, 1000)), 20))
+def test_node_values_equal_horner_on_the_monomial_row(case):
+    # the recurrence in n at the ends and the difference equation in between
+    # against Horner on the monomial row, at every node, in lowest terms
+    fam, n = case
+    families._tables.cache_clear()
+    nums, den = fam.node_values(n)
+    assert len(nums) == last_moment(fam, 2 * n) + 2
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert [F(v, den) for v in nums] == horner_node_values(fam, n)
 
 
 def product_coeffs(p, q):
