@@ -19,7 +19,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import mul, sub
 from typing import Optional, Tuple
@@ -276,20 +276,30 @@ class Family:
         """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
         return _tables(self).b_upto(n)
 
+    def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
+        """(num e_m, den e_m, num f_m, den f_m), denominators positive, with
+        P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) for m >= 1, Q the monic
+        polynomials of ``ladder_target``.  Delta P_k = k Q_(k-1) put into
+        Delta applied to the three-term recurrence,
+            Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
+        with x Q_k = Q_(k+1) + a'_k Q_k + b'_k Q_(k-1), gives
+        e_m = m (a_m - 1 - a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1).  Here
+        they come from the ladder row (``ladder_ratio`` r, a_(j-1)/a_j = j r):
+        e_m = -m r and f_m = 0; Hahn, which has no ladder row, overrides."""
+        r = self.ladder_ratio()
+        return -m * r.numerator, r.denominator, 0, 1
+
     def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
         """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
         expanded in the *same* family, as (integer numerators, one
-        denominator) in lowest terms, for every family.  Delta applied to the
-        three-term recurrence gives
-            Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
-        and multiplication by x acts on the P-basis as the Jacobi matrix,
-        x P_k = P_(k+1) + a_k P_k + b_k P_(k-1).  Starting from Delta P_0 = 0
-        and Delta P_1 = P_0, the step to degree m+1 costs O(m) integer
-        operations, so degree n costs O(n^2); the walk keeps its last two
-        rows per family, so a sweep of increasing degrees pays one step each.
+        denominator) in lowest terms, for every family.  Delta P_n = n Q_(n-1)
+        and, by ``structure_pair``, Q_(n-1) = sum_j C_j P_j with C_(n-1) = 1
+        and C_j = -e_(j+1) C_(j+1) - f_(j+2) C_(j+2): a_j = n C_j, one
+        backward recurrence in j at O(n) big times small steps (see
+        ``_Tables``).
         """
         self.check_degree(n)
-        return _tables(self).delta(n)
+        return _tables(self).connection_row(n)
 
 
 #: families whose tables stay cached; the least recently used one goes first
@@ -297,12 +307,12 @@ _TABLE_CACHE_SIZE = 16
 
 
 class _Tables:
-    """One family's recurrence coefficients, monomial rows, Delta-expansion
-    walk, quadrature row and node values, grown on demand.  List rows are only
-    ever appended, under a lock, and the others are replaced whole (a race
-    builds one twice, alike), so a reader needs no lock.  Every row is integer
-    numerators over one denominator, monomial, walk and node rows in lowest
-    terms.
+    """One family's recurrence coefficients, structure pairs, monomial rows,
+    quadrature row and node values, grown on demand.  List rows are only ever
+    appended, under a lock, and the others are replaced whole (a race builds
+    one twice, alike), so a reader needs no lock.  Every row is integer
+    numerators over one denominator, monomial, connection and node rows in
+    lowest terms.
 
     The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
     Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
@@ -324,13 +334,22 @@ class _Tables:
     it, and the last node t+1, which a step from x = t would need, comes from
     the recurrence in n.  No monomial row is built and no Horner pass made.
     The row and the node values are kept for the last k and n asked for:
-    ``direct`` and ``difference`` share them."""
+    ``direct`` and ``difference`` share them.
+
+    The connection row runs C_(m-1) = -e_m C_m - f_(m+1) C_(m+1) down from
+    C_(n-1) = 1 (``Family.connection_row``) on integers X_m = D_m C_m, with
+    the lcm chain of ``_end_values`` run down in m: D_(n-1) = 1 and
+    D_(m-1) = lcm(D_m den(e_m), D_(m+1) den(f_(m+1))), no gcd taken, so each
+    step is big times small.  The row is then lifted to the one denominator
+    D_0 (D_0/D_m is a prefix product of the steps' factors) and reduced by
+    one gcd.  The structure pairs are kept per family, so a degree sweep
+    computes each once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
         self.monos = [((1,), 1)]
-        self.walk = _WALK_START
+        self.pairs = [(0, 1, 0, 1)]   # m = 0: P_0 = Q_0
         self.quad = self.nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
         self.lock = threading.RLock()
 
@@ -356,46 +375,30 @@ class _Tables:
     def b_upto(self, n: int) -> list:
         return self.grow(self.b, n, self.fam.recurrence_b)
 
-    def delta(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        # degrees asked in increasing order extend the walk at O(m) each; a
-        # degree below the kept rows walks again from the start
-        with self.lock:
-            if n < self.walk[0] - 1:
-                self.walk = _WALK_START
-            while self.walk[0] < n:
-                self.walk = self._delta_step(*self.walk)
-            degree, u, v, _ = self.walk
-            return (u, v)[n - degree + 1]
-
     def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
 
-    def _delta_step(self, t: int, u: tuple, v: tuple, lcm: int) -> tuple:
-        # Delta P_m = (x + 1 - a_t) Delta P_t + P_t - b_t Delta P_(t-1), m = t+1,
-        # from the kept rows u, v of degrees t-1 and t.  With
-        # x P_k = P_(k+1) + a_k P_k + b_k P_(k-1), the P_k coefficient for k < t is
-        #     v_(k-1) + (a_k + 1 - a_t) v_k + b_(k+1) v_(k+1) - b_t u_k,
-        # and the leading one (k = t) is v_(t-1) + 1 = m.  Over L, the lcm of
-        # the denominators of a_0..a_t and b_1..b_t (a_(t-1) is in the walk's
-        # lcm already past its first step), every a_k and b_(k+1) is an
-        # integer, and the row is taken over den = lcm(vd L, ud den(b_t)).
-        m = t + 1
-        a, b = self.a_upto(m), self.b_upto(m)
-        (un, ud), (vn, vd) = u, v
-        at, bt = a[t], b[t]
-        lcm = math.lcm(lcm, a[t - 1].denominator, at.denominator, bt.denominator)
-        den = math.lcm(vd * lcm, ud * bt.denominator)
-        sv, su = den // (vd * lcm), den // (ud * bt.denominator) * bt.numerator
-        shift = lcm - lcm // at.denominator * at.numerator
-        al = [lcm // x.denominator * x.numerator + shift for x in a[:t]]
-        bl = [lcm // x.denominator * x.numerator for x in b[1:m]]
-        un += (0,)
-        vp = (0,) + vn + (0,)   # vp[k], vp[k+1], vp[k+2] = v_(k-1), v_k, v_(k+1)
-        out = [sv * (lcm * vp[k] + al[k] * vp[k + 1] + bl[k] * vp[k + 2]) - su * un[k]
-               for k in range(t)]
-        out.append(m * den)
-        g = math.gcd(den, *out)
-        return m, v, (tuple(c // g for c in out), den // g), lcm
+    def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
+        # the recurrence in m of the class docstring; with r = D_m/D_(m+1) and
+        # q = D_(m-1)/D_m = lcm(r den(e_m), den(f_(m+1)))/r, the step is
+        # X_(m-1) = -(q/den(e_m)) num(e_m) X_m - (q r/den(f_(m+1))) num(f_(m+1)) X_(m+1);
+        # C_n = 0, so f_n is taken as 0/1
+        if n == 0:
+            return (), 1
+        pairs = self.grow(self.pairs, n, self.fam.structure_pair)
+        above, x, xs, qs = 0, 1, [1], []
+        fn, fd, r = 0, 1, 1
+        for m in range(n - 1, 0, -1):
+            en, ed, next_fn, next_fd = pairs[m]
+            q = math.lcm(r * ed, fd) // r
+            above, x = x, -(q // ed * en) * x - (q * r // fd * fn) * above
+            xs.append(x)
+            qs.append(q)
+            fn, fd, r = next_fn, next_fd, q
+        lifts = list(accumulate(reversed(qs), mul, initial=1))   # D_0/D_j, j = 0..n-1
+        row = [n * x * lift for x, lift in zip(reversed(xs), lifts)]
+        g = math.gcd(lifts[-1], *row)
+        return tuple(c // g for c in row), lifts[-1] // g
 
     def _mono_row(self, m: int) -> Tuple[Tuple[int, ...], int]:
         # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
@@ -461,11 +464,6 @@ class _Tables:
             f *= j + 1
             z = [moments[j] * f - z[0], *map(sub, z, z[1:]), z[-1]]
         return tuple(z), f * md
-
-
-# degree 1 of the Delta-walk: Delta P_0 = 0 and Delta P_1 = P_0, and the lcm
-# of the recurrence denominators it has used
-_WALK_START = (1, ((), 1), ((1,), 1), 1)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -580,7 +578,7 @@ class Meixner(Family):
 
     def factorial_ratio(self, j):
         # (gamma + j - 1) mu/(1 - mu), with gamma = g/gd and mu = u/ud
-        g, gd, u, ud = self._parts()
+        g, gd, u, ud = self._parts
         return (g + (j - 1) * gd) * u, gd * (ud - u)
 
     def reduced_norm(self, n):
@@ -591,15 +589,19 @@ class Meixner(Family):
 
     def recurrence_a(self, m):
         # (m + (m + gamma) mu) / (1 - mu), with gamma = g/gd and mu = u/ud
-        g, gd, u, ud = self._parts()
+        g, gd, u, ud = self._parts
         return Fraction(m * gd * ud + (m * gd + g) * u, gd * (ud - u))
 
     def recurrence_b(self, m):
         # m (m + gamma - 1) mu / (1 - mu)^2
-        g, gd, u, ud = self._parts()
+        g, gd, u, ud = self._parts
         return Fraction(m * (m * gd + g - gd) * u * ud, gd * (ud - u) ** 2)
 
+    @cached_property
     def _parts(self):
+        """(g, gd, u, ud) with gamma = g/gd and mu = u/ud, read once per family
+        (kept outside the dataclass fields, so equality, hash and repr are
+        the parameters' alone)."""
         return (self.gamma.numerator, self.gamma.denominator,
                 self.mu.numerator, self.mu.denominator)
 
@@ -744,7 +746,7 @@ class Hahn(Family):
     def factorial_ratio(self, j):
         # (N - j) (beta + j)/(alpha + beta + 1 + j) over d (``_parts``); zero
         # past j = N-1, where the support ends
-        d, p, q = self._parts()
+        d, p, q = self._parts
         return (self.N - j) * (q + j * d), p + q + (1 + j) * d
 
     def reduced_norm(self, n):
@@ -761,9 +763,11 @@ class Hahn(Family):
                        * pochhammer(n + s + 1, n) ** 2))
         return NormValue(rational)
 
+    @cached_property
     def _parts(self):
         """(d, p, q) with d = lcm(den alpha, den beta), alpha = p/d and
-        beta = q/d: over d, the d^2 of each quotient of A_m and C_m cancels."""
+        beta = q/d: over d, the d^2 of each quotient of A_m and C_m cancels.
+        Computed once per family, as Meixner's."""
         al, be = self.alpha, self.beta
         d = math.lcm(al.denominator, be.denominator)
         return d, al.numerator * (d // al.denominator), be.numerator * (d // be.denominator)
@@ -771,7 +775,7 @@ class Hahn(Family):
     def _coef_a(self, m):
         """A_m, with a_m = A_m + C_m and b_m = A_(m-1) C_m, as an integer
         (numerator, denominator) pair."""
-        d, p, q = self._parts()
+        d, p, q = self._parts
         ds, N = p + q, self.N           # ds = d (alpha + beta)
         if m == 0:
             # the (s+1) factor of A_0 cancels; written cancelled so s = -1 stays finite
@@ -783,7 +787,7 @@ class Hahn(Family):
         """C_m (see ``_coef_a``) as an integer (numerator, denominator) pair."""
         if m == 0:
             return 0, 1
-        d, p, q = self._parts()
+        d, p, q = self._parts
         ds, N = p + q, self.N
         return m * (d * (m + N) + ds) * (d * m + p), (2 * d * m + ds) * (d * (2 * m + 1) + ds)
 
@@ -798,6 +802,22 @@ class Hahn(Family):
         an, ad = self._coef_a(m - 1)
         cn, cd = self._coef_c(m)
         return Fraction(an * cn, ad * cd)
+
+    def structure_pair(self, m):
+        # with s = alpha + beta, over d (``_parts``), the generic form reduces to
+        # e_m = -m (2m^2 + 2m (s+1) + (beta+1) s + N (beta-alpha)) / ((s+2m) (s+2m+2)),
+        # f_m = m (m-1) (m-N) (m+alpha) (m+beta) (m+N+s) / ((s+2m)^2 (s+2m-1) (s+2m+1)),
+        # f_1 = 0; every denominator is positive for m >= 1 (f's from m = 2),
+        # also on s = -1, since s > -2.  Over d, f's numerator has three
+        # factors of d against four below, hence its lone d
+        d, p, q = self._parts
+        ds, N = p + q, self.N
+        e = (-m * (2 * m * d * (m * d + ds + d) + (q + d) * ds + N * d * (q - p)),
+             (ds + 2 * m * d) * (ds + 2 * m * d + 2 * d))
+        if m == 1:
+            return (*e, 0, 1)
+        return (*e, m * (m - 1) * (m - N) * d * (m * d + p) * (m * d + q) * (d * (m + N) + ds),
+                (ds + 2 * m * d) ** 2 * (ds + (2 * m - 1) * d) * (ds + (2 * m + 1) * d))
 
     def ladder_target(self, n):
         self.check_ladder_degree(n)

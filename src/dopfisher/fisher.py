@@ -20,7 +20,9 @@ Routes:
                     a_j are a ladder row and the terms a term-ratio stream,
                     the terms and the kernel (``horner_ratio_sum``) of the
                     closed forms, which the paper derived this way; on Hahn
-                    the a_j are a row from Delta applied to the recurrence.
+                    the a_j are a row from one backward recurrence in j, the
+                    second structure relation P_m = Q_m + e_m Q_(m-1) +
+                    f_m Q_(m-2) with Q the ladder target's polynomials.
                     The authoritative exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
@@ -230,7 +232,9 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     sum_j t_j, t_j = a_j^2 d_j^2/d_n^2 = a_j^2/(b_(j+1) ... b_n).  On a
     ladder row (``Family.ladder_ratio`` r, a_(j-1)/a_j = j r), t_(n-1) = n^2/b_n
     and t_(j-1)/t_j = (j r)^2/b_j: a ``horner_ratio_sum`` whose every step is
-    big times small.  Otherwise the a_j come from ``connection_row``, summed as
+    big times small.  Otherwise (Hahn) the a_j come from ``connection_row``,
+    the recurrence C_j = -e_(j+1) C_(j+1) - f_(j+2) C_(j+2), a_j = n C_j, from
+    the family's ``structure_pair``, at O(n) big times small steps, summed as
     T_0 = a_0^2, T_j = T_(j-1)/b_j + a_j^2, I = T_(n-1)/b_n, one integer pair
     over the row's denominator squared.  Only the result is reduced.
     """

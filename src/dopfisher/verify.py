@@ -147,6 +147,17 @@ def suite_ladder() -> SuiteResult:
                 xf = Fraction(x)
                 out.check(fam.forward_diff(n, xf) == factor * target.eval_poly(n - 1, xf),
                           f"{fam}: ladder mismatch at n={n}, x={x}")
+        # the structure relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) that
+        # the connection rows run on, Q the ladder target's polynomials
+        target, _ = fam.ladder_target(1)
+        for m in range(1, _max_n(target, 8) + 1):
+            en, ed, fn, fd = fam.structure_pair(m)
+            for x in range(0, 11):
+                xf = Fraction(x)
+                q = [target.eval_poly(k, xf) if k >= 0 else 0 for k in (m, m - 1, m - 2)]
+                out.check(fam.eval_poly(m, xf) == q[0] + Fraction(en, ed) * q[1]
+                          + Fraction(fn, fd) * q[2],
+                          f"{fam}: structure relation mismatch at m={m}, x={x}")
     return out
 
 

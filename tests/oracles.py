@@ -15,7 +15,8 @@ routes replaced -- the Pochhammer product, and the terminating pFq and the
 Hahn 5F4 summed term by term (for the integer Horner kernels of
 ``numerics`` and ``families._hahn_5f4``); the pointwise recurrence, the
 monomial recurrence and the Delta-walk in Fraction arithmetic (for the
-integer monomial rows and ``connection_row``), Horner on the monomial row
+integer monomial rows and ``connection_row``), the structure pair e_m, f_m
+from both families' recurrence coefficients (for ``structure_pair``), Horner on the monomial row
 at the quadrature nodes (for ``node_values``, which runs the difference
 equation instead), Pochhammer connection coefficients, the norm-ratio
 expansion sum, the running-product expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
@@ -346,6 +347,17 @@ def delta_walk_connection(fam, n: int) -> list:
             nxt[k] -= b[m] * c
         prev, cur = cur, nxt
     return cur
+
+
+def structure_pair_from_recurrences(fam, m: int) -> tuple:
+    """(e_m, f_m) with P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2), m >= 1, Q the
+    monic polynomials of the ladder target, in the generic form from both
+    families' recurrence coefficients, asked for one by one:
+    e_m = m (a_m - 1 - a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1)."""
+    target, _ = fam.ladder_target(m)
+    e = m * (fam.recurrence_a(m) - 1 - target.recurrence_a(m - 1))
+    f = (m - 1) * fam.recurrence_b(m) - m * target.recurrence_b(m - 1)
+    return e, f
 
 
 def norm_ratio_expansion(fam, n: int) -> Fraction:

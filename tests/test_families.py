@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -91,6 +92,23 @@ class TestDomainValidation:
         with pytest.raises(DegreeOutOfRange):
             Hahn(F(0), F(0), 5).reduced_norm(5)
         Charlier(F(2)).eval_poly(40, F(1))  # unbounded degree is fine
+
+
+class TestParameterParts:
+    @pytest.mark.parametrize("fam", [Meixner(F(5, 3), F(2, 7)), Hahn(F(7, 3), F(11, 6), 40)])
+    def test_parts_are_kept_once_outside_the_fields(self, fam):
+        # the integer parts are read once per family and kept beside the
+        # fields, so equality, hash, repr and the tables' cache key still see
+        # the parameters alone
+        from dopfisher import families
+
+        fresh = type(fam)(*(getattr(fam, f.name) for f in dataclasses.fields(fam)))
+        fam.recurrence_a(3)
+        assert "_parts" in vars(fam) and "_parts" not in vars(fresh)
+        assert fam._parts is fam._parts
+        assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(fam)] == list(families._REQUIRED[fam.tag])
+        assert families._tables(fam) is families._tables(fresh)
 
 
 class TestWeights:
@@ -366,8 +384,9 @@ class TestConnectionCoeffs:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_generic_walk_on_every_family(self, fam):
-        # the Delta-walk, the one connection row of every family, pinned on
-        # all four: the defining property, and equality with the ladder row
+        # the backward recurrence in j, the one connection row of every
+        # family, pinned on all four: the defining property, and equality
+        # with the ladder row
         # n (j+1)_(n-1-j) r^(n-1-j) where the family has one (the paper's
         # 4F3 coefficients on Hahn, which has none)
         r = fam.ladder_ratio()

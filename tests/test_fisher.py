@@ -402,11 +402,30 @@ class TestWorkPerReport:
 
         calls = {}
         self.count(monkeypatch, type(fam), "connection_row", calls)
-        self.count(monkeypatch, families._Tables, "delta", calls)
+        self.count(monkeypatch, families._Tables, "connection_row", calls)
+        self.count(monkeypatch, type(fam), "structure_pair", calls)
         families._tables.cache_clear()
         assert [fisher_expansion(fam, n) for n in range(12)] == \
             [fisher_closed(fam, n) for n in range(12)]
         assert calls == {}
+
+    def test_hahn_degree_sweep_computes_each_structure_pair_once(self, monkeypatch):
+        # the pairs are kept per family, so a sweep n = 1..40 asks the hook
+        # for m = 1..39 once each, and every row still equals the closed form
+        from dopfisher import families
+
+        fam, seen = Hahn(F(7, 3), F(11, 13), 45), []
+        original = Hahn.structure_pair
+
+        def counted(self, m):
+            seen.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(Hahn, "structure_pair", counted)
+        families._tables.cache_clear()
+        for n in range(1, 41):
+            assert fisher_expansion(fam, n) == fisher_closed(fam, n)
+        assert seen == list(range(1, 40))
 
 
 class TestInvariants:
@@ -503,9 +522,10 @@ class TestConcurrency:
         assert results == [(expected[n], expected[n]) for n in order]
 
     def test_tables_grow_without_lost_rows_under_contention(self):
-        # many threads grow one family's tables and move its Delta-walk up and
-        # down at once, with a short switch interval; a lost or duplicated
-        # update would put a row at the wrong degree and change the values
+        # many threads grow one family's tables (recurrence coefficients,
+        # structure pairs, monomial rows) up and down the degrees at once, with
+        # a short switch interval; a lost or duplicated update would put a row
+        # at the wrong degree and change the values
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -529,5 +549,7 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         assert results == [expected[n] for n in order]
         tables = families._tables(fam)
-        # rows for degrees 0..29; fisher_expansion(fam, 29) also reads b_30
-        assert (len(tables.monos), len(tables.a), len(tables.b)) == (30, 29, 30)
+        # rows for degrees 0..29; fisher_expansion(fam, 29) also reads b_30,
+        # and connection_row(29) the structure pairs of m = 0..28
+        assert (len(tables.monos), len(tables.a), len(tables.b), len(tables.pairs)) == \
+            (30, 29, 30, 29)

@@ -7,8 +7,10 @@ and the factorial-moment direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
-Fraction forms; the integer monomial and connection rows equal their plain
-Fraction recurrences and stay in lowest terms; the integer expansion sum
+Fraction forms; each family's structure pair equals its form from both
+families' recurrences and satisfies the structure relation pointwise; the
+integer monomial and connection rows equal their plain Fraction recurrences
+and stay in lowest terms; the integer expansion sum
 equals the running-product Fraction loop, and on the ladder families the
 term-ratio stream equals it over the Pochhammer connection rows; the
 per-family factorial moment row equals the textbook moments; the quadrature
@@ -66,10 +68,12 @@ from oracles import (
     norm_ratio_from_norms,
     normalized_moments,
     pochhammer_connection,
+    pointwise_value,
     recurrence_monomials,
     rising,
     running_product_expansion,
     shift_coeffs,
+    structure_pair_from_recurrences,
     terminating_pfq_terms,
 )
 
@@ -250,10 +254,43 @@ def with_examples(test):
 
 
 @PROPERTY
+@given(any_family_cases().filter(lambda case: case[1] >= 1))
+# alpha + beta = -1 at m = 1 and 2, where den f_1 would vanish; Hahn N = 2;
+# Kravchuk at m = N-1; Meixner at mu = 999/1000; Hahn with d = 39
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 1))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 2))
+@example((Hahn(F(1, 2), F(5, 3), 2), 1))
+@example((Kravchuk(F(2, 7), 9), 8))
+@example((Meixner(F(5, 3), F(999, 1000)), 20))
+@example((Hahn(F(7, 3), F(11, 13), 24), 23))
+def test_structure_pairs_equal_recurrence_form_and_relation(case):
+    # the hook against e_m, f_m from both families' recurrences, and the
+    # relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) itself at x = 0..m+2,
+    # every polynomial by its own pointwise recurrence
+    fam, m = case
+    en, ed, fn, fd = fam.structure_pair(m)
+    assert ed > 0 and fd > 0
+    e, f = F(en, ed), F(fn, fd)
+    assert (e, f) == structure_pair_from_recurrences(fam, m)
+    target, _ = fam.ladder_target(m)
+    for x in map(F, range(m + 3)):
+        below = pointwise_value(target, m - 2, x) if m > 1 else 0
+        assert pointwise_value(fam, m, x) == (pointwise_value(target, m, x)
+                                              + e * pointwise_value(target, m - 1, x)
+                                              + f * below)
+
+
+@PROPERTY
 @given(any_family_cases())
 @with_examples
+# Hahn on alpha + beta = -1, with N = 1 and 2, and with d = 39 at n = N-1
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 8))
+@example((Hahn(F(1, 2), F(5, 3), 1), 0))
+@example((Hahn(F(1, 2), F(5, 3), 2), 1))
+@example((Hahn(F(7, 3), F(11, 13), 24), 23))
 def test_connection_rows_equal_fraction_delta_walk(case):
-    # the integer Delta-walk, the one connection row of every family
+    # the integer backward recurrence in j, the one connection row of every
+    # family, against the Delta-walk in Fraction arithmetic
     fam, n = case
     assert as_fractions(fam.connection_row(n)) == delta_walk_connection(fam, n)
     # every row in lowest terms, so no common factor piles up degree by degree
