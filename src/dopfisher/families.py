@@ -3,8 +3,8 @@
 Charlier, Meixner, Kravchuk and Hahn polynomials are handled in their monic
 normalization, together with the data that drives every Fisher-information
 formula: lattice support, weight, norm, second-order difference-equation
-coefficients, three-term recurrence, ladder relations and the expansion of
-the forward difference back into the same family.
+coefficients, three-term recurrence, ladder relations and the structure
+relation that expands the forward difference back into the same family.
 
 Weights and norms are *reduced*: a per-family constant (e^-mu for Charlier,
 Gamma(alpha+1)Gamma(beta+1) for Hahn, ...) is factored out so that every
@@ -286,20 +286,19 @@ class Family:
         e_m = m (a_m - 1 - a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1).  Here
         they come from the ladder row (``ladder_ratio`` r, a_(j-1)/a_j = j r):
         e_m = -m r and f_m = 0; Hahn, which has no ladder row, overrides."""
-        r = self.ladder_ratio()
-        return -m * r.numerator, r.denominator, 0, 1
+        rn, rd = self._ladder_parts
+        return -m * rn, rd, 0, 1
 
-    def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        """Coefficients a_j with  Delta P_n(x) = sum_j a_j P_j(x), j = 0..n-1,
-        expanded in the *same* family, as (integer numerators, one
-        denominator) in lowest terms, for every family.  Delta P_n = n Q_(n-1)
-        and, by ``structure_pair``, Q_(n-1) = sum_j C_j P_j with C_(n-1) = 1
-        and C_j = -e_(j+1) C_(j+1) - f_(j+2) C_(j+2): a_j = n C_j, one
-        backward recurrence in j at O(n) big times small steps (see
-        ``_Tables``).
-        """
-        self.check_degree(n)
-        return _tables(self).connection_row(n)
+    @cached_property
+    def _ladder_parts(self):
+        """(num r, den r) of ``ladder_ratio``, read once per family."""
+        r = self.ladder_ratio()
+        return r.numerator, r.denominator
+
+    def structure_pairs_upto(self, n: int) -> list:
+        """A list holding at least the ``structure_pair`` of m = 0 .. n-1 (m = 0
+        is P_0 = Q_0); see recurrence_a_upto."""
+        return _tables(self).pairs_upto(n)
 
 
 #: families whose tables stay cached; the least recently used one goes first
@@ -311,8 +310,7 @@ class _Tables:
     quadrature row and node values, grown on demand.  List rows are only ever
     appended, under a lock, and the others are replaced whole (a race builds
     one twice, alike), so a reader needs no lock.  Every row is integer
-    numerators over one denominator, monomial, connection and node rows in
-    lowest terms.
+    numerators over one denominator, monomial and node rows in lowest terms.
 
     The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
     Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
@@ -334,16 +332,8 @@ class _Tables:
     it, and the last node t+1, which a step from x = t would need, comes from
     the recurrence in n.  No monomial row is built and no Horner pass made.
     The row and the node values are kept for the last k and n asked for:
-    ``direct`` and ``difference`` share them.
-
-    The connection row runs C_(m-1) = -e_m C_m - f_(m+1) C_(m+1) down from
-    C_(n-1) = 1 (``Family.connection_row``) on integers X_m = D_m C_m, with
-    the lcm chain of ``_end_values`` run down in m: D_(n-1) = 1 and
-    D_(m-1) = lcm(D_m den(e_m), D_(m+1) den(f_(m+1))), no gcd taken, so each
-    step is big times small.  The row is then lifted to the one denominator
-    D_0 (D_0/D_m is a prefix product of the steps' factors) and reduced by
-    one gcd.  The structure pairs are kept per family, so a degree sweep
-    computes each once."""
+    ``direct`` and ``difference`` share them.  The structure pairs are kept
+    per family, so a degree sweep computes each once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -375,30 +365,11 @@ class _Tables:
     def b_upto(self, n: int) -> list:
         return self.grow(self.b, n, self.fam.recurrence_b)
 
+    def pairs_upto(self, n: int) -> list:
+        return self.grow(self.pairs, n, self.fam.structure_pair)
+
     def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
         return self.grow(self.monos, n + 1, self._mono_row)[n]
-
-    def connection_row(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        # the recurrence in m of the class docstring; with r = D_m/D_(m+1) and
-        # q = D_(m-1)/D_m = lcm(r den(e_m), den(f_(m+1)))/r, the step is
-        # X_(m-1) = -(q/den(e_m)) num(e_m) X_m - (q r/den(f_(m+1))) num(f_(m+1)) X_(m+1);
-        # C_n = 0, so f_n is taken as 0/1
-        if n == 0:
-            return (), 1
-        pairs = self.grow(self.pairs, n, self.fam.structure_pair)
-        above, x, xs, qs = 0, 1, [1], []
-        fn, fd, r = 0, 1, 1
-        for m in range(n - 1, 0, -1):
-            en, ed, next_fn, next_fd = pairs[m]
-            q = math.lcm(r * ed, fd) // r
-            above, x = x, -(q // ed * en) * x - (q * r // fd * fn) * above
-            xs.append(x)
-            qs.append(q)
-            fn, fd, r = next_fn, next_fd, q
-        lifts = list(accumulate(reversed(qs), mul, initial=1))   # D_0/D_j, j = 0..n-1
-        row = [n * x * lift for x, lift in zip(reversed(xs), lifts)]
-        g = math.gcd(lifts[-1], *row)
-        return tuple(c // g for c in row), lifts[-1] // g
 
     def _mono_row(self, m: int) -> Tuple[Tuple[int, ...], int]:
         # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
@@ -610,7 +581,9 @@ class Meixner(Family):
         return Meixner(self.gamma + 1, self.mu), Fraction(n)
 
     def ladder_ratio(self):
-        return self.mu / (self.mu - 1)
+        # mu/(mu - 1) = -u/(ud - u), with mu = u/ud
+        _, _, u, ud = self._parts
+        return Fraction(-u, ud - u)
 
     def closed_form(self, n):
         g, mu = self.gamma, self.mu

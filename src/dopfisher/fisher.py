@@ -15,15 +15,14 @@ Routes:
                     sum_y w(y) P_n(y+1)^2, the shifted polynomial against the
                     same row, so the boundary term is inside it;
 * ``expansion``  -- Delta P_n expanded back in the same family, giving
-                    (1/d_n^2) sum_j a_j^2 d_j^2, with d_j^2/d_n^2 from the
-                    recurrence's b_m.  On Charlier, Meixner and Kravchuk the
-                    a_j are a ladder row and the terms a term-ratio stream,
-                    the terms and the kernel (``horner_ratio_sum``) of the
-                    closed forms, which the paper derived this way; on Hahn
-                    the a_j are a row from one backward recurrence in j, the
-                    second structure relation P_m = Q_m + e_m Q_(m-1) +
-                    f_m Q_(m-2) with Q the ladder target's polynomials.
-                    The authoritative exact value;
+                    (1/d_n^2) sum_j a_j^2 d_j^2.  With Delta P_n = n Q_(n-1)
+                    this is n^2 ||Q_(n-1)||^2/d_n^2, and the second structure
+                    relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2), Q the
+                    ladder target's polynomials, gives ||Q_m||^2 by one Gram
+                    recurrence in m on all four families, with no a_j and no
+                    norm built.  On Charlier, Meixner and Kravchuk f_m = 0 and
+                    its steps are the term ratios of the closed forms, which
+                    the paper derived this way.  The authoritative exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
@@ -41,7 +40,7 @@ those and the last node come from the recurrence in n (``Family.node_values``).
 The mass ``reduced_norm(0)`` cancels against the norm,
 d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
 set by the degree and not by the lattice size.  This path uses no ladder and
-no connection coefficients: on the ladder families, where ``expansion`` and
+no structure pairs: on the ladder families, where ``expansion`` and
 ``closed`` sum the same terms, ``direct`` and ``difference`` remain the
 independent check.
 
@@ -62,7 +61,6 @@ from .families import Family, OutOfSupport
 from .numerics import (
     DEFAULT_DPS,
     DenominatorPole,
-    horner_ratio_sum,
     over_common_denominator,
     to_mpf,
 )
@@ -228,31 +226,48 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
-    """Ladder route, exact for every family with rational parameters: I is
-    sum_j t_j, t_j = a_j^2 d_j^2/d_n^2 = a_j^2/(b_(j+1) ... b_n).  On a
-    ladder row (``Family.ladder_ratio`` r, a_(j-1)/a_j = j r), t_(n-1) = n^2/b_n
-    and t_(j-1)/t_j = (j r)^2/b_j: a ``horner_ratio_sum`` whose every step is
-    big times small.  Otherwise (Hahn) the a_j come from ``connection_row``,
-    the recurrence C_j = -e_(j+1) C_(j+1) - f_(j+2) C_(j+2), a_j = n C_j, from
-    the family's ``structure_pair``, at O(n) big times small steps, summed as
-    T_0 = a_0^2, T_j = T_(j-1)/b_j + a_j^2, I = T_(n-1)/b_n, one integer pair
-    over the row's denominator squared.  Only the result is reduced.
+    """Expansion route, exact for every family with rational parameters.
+    Delta P_n = n Q_(n-1), Q the monic polynomials of ``ladder_target``, so
+    I_n = n^2 g_(n-1)/b_n with g_m = <Q_m,Q_m>/d_m^2 against the family's own
+    weight.  The second structure relation P_m = Q_m + e_m Q_(m-1) +
+    f_m Q_(m-2) (``Family.structure_pair``) gives, with h_m = <Q_m,Q_(m-1)>/d_m^2
+    and u_m = g_(m-1)/b_m, from g_0 = 1 and h_0 = 0,
+        h_m = -(e_m g_(m-1) + f_m h_(m-1))/b_m,
+        g_m = 1 + (e_m^2 g_(m-1) + 2 e_m f_m h_(m-1) + f_m^2 u_(m-1))/b_m,
+    run on integers over one denominator, every step big times small, and
+    reduced once.  f_1 = 0, and f_m = 0 for every m on Charlier, Meixner and
+    Kravchuk, where a step updates g alone (h and u become None, so a later
+    f_m != 0 raises) and is the term-ratio step of the 2F1 closed forms; on
+    Hahn f_m != 0 for 2 <= m <= N-2.
     """
     fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    b, r = fam.recurrence_b_upto(n + 1), fam.ladder_ratio()
-    if r is not None:
-        rn, rd = r.numerator ** 2, r.denominator ** 2
-        return Fraction(n * n * b[n].denominator, b[n].numerator) * horner_ratio_sum(
-            (j * j * rn * b[j].denominator, rd * b[j].numerator) for j in range(1, n))
-    cn, cd = fam.connection_row(n)
-    tn, td = cn[0] * cn[0], 1
-    for j in range(1, n):
-        bn, bd = b[j].numerator, b[j].denominator
-        tn = tn * bd + cn[j] * cn[j] * td * bn
-        td *= bn
-    return Fraction(tn * b[n].denominator, td * b[n].numerator * cd * cd)
+    b = fam.recurrence_b_upto(n + 1)
+    g = d = 1
+    if n > 1:
+        pairs = fam.structure_pairs_upto(n)
+        # g_1, h_1, u_1 over d = den(e_1)^2 num(b_1)
+        e, ed, _, _ = pairs[1]
+        bn, bd = b[1].as_integer_ratio()
+        d = ed * ed * bn
+        g, h, u = d + e * e * bd, -e * ed * bd, ed * ed * bd
+        for m in range(2, n):
+            e, ed, f, fd = pairs[m]
+            bn, bd = b[m].as_integer_ratio()
+            if f == 0:
+                d *= ed * ed * bn
+                g, h, u = d + e * e * bd * g, None, None
+                continue
+            # e = E/c and f = F/c over c = lcm(den e, den f); the new
+            # denominator is d num(b_m) c^2
+            c = math.lcm(ed, fd)
+            e, f = e * (c // ed), f * (c // fd)
+            eg_fh = e * g + f * h
+            d *= bn * c * c
+            g, h, u = d + bd * (e * eg_fh + f * (e * h + f * u)), -bd * c * eg_fh, bd * c * c * g
+    bn, bd = b[n].as_integer_ratio()
+    return Fraction(n * n * g * bd, d * bn)
 
 
 def fisher_closed(fam: Family, n: int) -> Fraction:

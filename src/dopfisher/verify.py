@@ -148,7 +148,8 @@ def suite_ladder() -> SuiteResult:
                 out.check(fam.forward_diff(n, xf) == factor * target.eval_poly(n - 1, xf),
                           f"{fam}: ladder mismatch at n={n}, x={x}")
         # the structure relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) that
-        # the connection rows run on, Q the ladder target's polynomials
+        # the Gram recurrence of expansion runs on, Q the ladder target's
+        # polynomials
         target, _ = fam.ladder_target(1)
         for m in range(1, _max_n(target, 8) + 1):
             en, ed, fn, fd = fam.structure_pair(m)

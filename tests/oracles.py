@@ -13,16 +13,20 @@ uses no moment at all.
 The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the Pochhammer product, and the terminating pFq and the
 Hahn 5F4 summed term by term (for the integer Horner kernels of
-``numerics`` and ``families._hahn_5f4``); the pointwise recurrence, the
-monomial recurrence and the Delta-walk in Fraction arithmetic (for the
-integer monomial rows and ``connection_row``), the structure pair e_m, f_m
-from both families' recurrence coefficients (for ``structure_pair``), Horner on the monomial row
-at the quadrature nodes (for ``node_values``, which runs the difference
-equation instead), Pochhammer connection coefficients, the norm-ratio
-expansion sum, the running-product expansion sum, the Hahn 4F3 connection sum and the textbook Fraction
-forms of the Meixner, Kravchuk and Hahn recurrence coefficients -- as
-references for them, and mpmath's own 3F2 for the series the Hahn closed
-form sums in closed form.  The textbook Fraction forms of the four
+``numerics`` and ``families._hahn_5f4``); the pointwise recurrence and the
+monomial recurrence in Fraction arithmetic (for the integer monomial rows),
+the structure pair e_m, f_m from both families' recurrence coefficients (for
+``structure_pair``), Horner on the monomial row at the quadrature nodes (for
+``node_values``, which runs the difference equation instead), the textbook
+Fraction forms of the Meixner, Kravchuk and Hahn recurrence coefficients --
+as references for them, and mpmath's own 3F2 for the series the Hahn closed
+form sums in closed form.  ``fisher_expansion`` runs a Gram recurrence over
+the structure pairs and builds no connection coefficients; its references
+are the expansion sums sum_j a_j^2 d_j^2/d_n^2 over the connection
+coefficients of Delta P_n = sum_j a_j P_j, the norm ratios taken from the
+norms or as a running product of the b_m, with the a_j from the Delta-walk
+in Fraction arithmetic, checked in turn against the Pochhammer connection
+coefficients of the ladder families and the paper's Hahn 4F3 sum.  The textbook Fraction forms of the four
 factorial moments, their Stirling sums and the monomial coefficients of
 q(x+1) and q(x+1) - q(x) are references for the quadrature-row sums of
 ``direct``, ``difference`` and ``moment_sum``, and so is Newton's formula
@@ -316,7 +320,7 @@ def density_per_point(fam, n: int, x: int, dps: int):
 
 def as_fractions(row) -> list:
     """The Fractions of an integer row (numerators, denominator), such as
-    ``connection_row`` returns."""
+    ``factorial_row`` returns."""
     nums, den = row
     return [Fraction(c, den) for c in nums]
 
@@ -361,19 +365,20 @@ def structure_pair_from_recurrences(fam, m: int) -> tuple:
 
 
 def norm_ratio_expansion(fam, n: int) -> Fraction:
-    """sum_j a_j^2 d_j^2/d_n^2 with every norm ratio taken from the norms."""
+    """sum_j a_j^2 d_j^2/d_n^2 over the a_j of ``delta_walk_connection``, with
+    every norm ratio taken from the norms."""
     d_n = fam.reduced_norm(n)
     return sum((a * a * fam.reduced_norm(j).exact_ratio(d_n)
-                for j, a in enumerate(as_fractions(fam.connection_row(n)))), Fraction(0))
+                for j, a in enumerate(delta_walk_connection(fam, n))), Fraction(0))
 
 
 def running_product_expansion(fam, n: int, coeffs=None) -> Fraction:
     """sum_j a_j^2 d_j^2/d_n^2 with the norm ratios as the running product
     1/(b_(j+1) ... b_n), accumulated in Fraction arithmetic from j = n-1 down,
-    for the a_j in ``coeffs`` (default: the family's ``connection_row``)."""
+    for the a_j in ``coeffs`` (default: ``delta_walk_connection``)."""
     total, ratio = Fraction(0), Fraction(1)
     if coeffs is None:
-        coeffs = as_fractions(fam.connection_row(n))
+        coeffs = delta_walk_connection(fam, n)
     for j in range(n - 1, -1, -1):
         ratio /= fam.recurrence_b(j + 1)
         total += coeffs[j] * coeffs[j] * ratio

@@ -20,6 +20,7 @@ from dopfisher.families import (
 )
 from oracles import (
     as_fractions,
+    delta_walk_connection,
     diff_coeffs,
     factorial_moments,
     gram_schmidt_coeffs,
@@ -355,11 +356,17 @@ class TestLadder:
 
 
 class TestConnectionCoeffs:
+    # the connection coefficients a_j of Delta P_n = sum_j a_j P_j, which the
+    # package no longer builds (``fisher_expansion`` runs a Gram recurrence
+    # over the structure pairs): the Fraction oracles that are the references
+    # of the expansion sums, checked against each other and against the
+    # package's pointwise forward difference
+
     def test_charlier_single_term(self):
-        assert as_fractions(Charlier(F(2)).connection_row(3)) == [0, 0, 3]
+        assert delta_walk_connection(Charlier(F(2)), 3) == [0, 0, 3]
 
     def test_meixner_specialization(self):
-        assert as_fractions(Meixner(F(2), F(1, 2)).connection_row(2)) == [-2, 2]
+        assert delta_walk_connection(Meixner(F(2), F(1, 2)), 2) == [-2, 2]
 
     @pytest.mark.parametrize("fam, r", [
         (Meixner(F(3, 2), F(1, 4)), F(-1, 3)),
@@ -370,12 +377,12 @@ class TestConnectionCoeffs:
     def test_ladder_walk_matches_pochhammer_form(self, fam, r):
         assert fam.ladder_ratio() == r
         for n in range(61):
-            assert as_fractions(fam.connection_row(n)) == pochhammer_connection(n, r)
+            assert delta_walk_connection(fam, n) == pochhammer_connection(n, r)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_defining_property(self, fam):
         for n in range(max_n(fam, 6) + 1):
-            coeffs = as_fractions(fam.connection_row(n))
+            coeffs = delta_walk_connection(fam, n)
             assert len(coeffs) == n
             for x in range(n + 3):
                 xf = F(x)
@@ -384,21 +391,14 @@ class TestConnectionCoeffs:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_generic_walk_on_every_family(self, fam):
-        # the backward recurrence in j, the one connection row of every
-        # family, pinned on all four: the defining property, and equality
-        # with the ladder row
-        # n (j+1)_(n-1-j) r^(n-1-j) where the family has one (the paper's
-        # 4F3 coefficients on Hahn, which has none)
+        # the Delta-walk equals the ladder row n (j+1)_(n-1-j) r^(n-1-j) where
+        # the family has one, and the paper's 4F3 coefficients on Hahn, which
+        # has none
         r = fam.ladder_ratio()
         assert (r is None) == isinstance(fam, Hahn)
         for n in range(max_n(fam, 8) + 1):
-            coeffs = as_fractions(fam.connection_row(n))
-            assert coeffs == (hahn_connection_4f3(fam, n) if r is None
-                              else pochhammer_connection(n, r))
-            for x in range(n + 3):
-                xf = F(x)
-                expanded = sum(a * fam.eval_poly(j, xf) for j, a in enumerate(coeffs))
-                assert fam.forward_diff(n, xf) == expanded
+            assert delta_walk_connection(fam, n) == (hahn_connection_4f3(fam, n) if r is None
+                                                     else pochhammer_connection(n, r))
 
 
 # includes the alpha + beta = -1 line and large denominators
@@ -418,7 +418,7 @@ class TestHahnAgainstReplacedFormulas:
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_connection_coeffs_equal_4f3_sum(self, fam):
         for n in range(fam.N):
-            assert as_fractions(fam.connection_row(n)) == hahn_connection_4f3(fam, n)
+            assert delta_walk_connection(fam, n) == hahn_connection_4f3(fam, n)
 
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_recurrence_equals_fraction_form(self, fam):

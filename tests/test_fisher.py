@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -397,17 +398,37 @@ class TestWorkPerReport:
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
                                      Kravchuk(F(2, 7), 12)])
-    def test_ladder_expansion_takes_no_connection_row(self, monkeypatch, fam):
+    def test_ladder_expansion_computes_each_structure_pair_once(self, monkeypatch, fam):
+        # the ladder families run the same Gram recurrence as Hahn, over pairs
+        # kept per family, so a sweep n = 0..11 asks the hook for m = 1..10
+        # once each and reads the ladder ratio once
         from dopfisher import families
 
-        calls = {}
-        self.count(monkeypatch, type(fam), "connection_row", calls)
-        self.count(monkeypatch, families._Tables, "connection_row", calls)
-        self.count(monkeypatch, type(fam), "structure_pair", calls)
+        calls, seen = {}, []
+        self.count(monkeypatch, type(fam), "ladder_ratio", calls)
+        original = type(fam).structure_pair
+
+        def counted(self, m):
+            seen.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(type(fam), "structure_pair", counted)
         families._tables.cache_clear()
+        fam = dataclasses.replace(fam)   # a fresh instance: nothing read yet
         assert [fisher_expansion(fam, n) for n in range(12)] == \
             [fisher_closed(fam, n) for n in range(12)]
-        assert calls == {}
+        assert seen == list(range(1, 11)) and calls == {"ladder_ratio": 1}
+
+    @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(23, 4), F(19, 20)),
+                                     Kravchuk(F(5, 9), 89)])
+    def test_structure_pairs_read_the_ladder_ratio_once(self, monkeypatch, fam):
+        # the base hook reads r once per family, not once per m
+        calls, r = {}, fam.ladder_ratio()
+        self.count(monkeypatch, type(fam), "ladder_ratio", calls)
+        fam = dataclasses.replace(fam)
+        for m in range(1, 41):
+            assert fam.structure_pair(m) == (-m * r.numerator, r.denominator, 0, 1)
+        assert calls == {"ladder_ratio": 1}
 
     def test_hahn_degree_sweep_computes_each_structure_pair_once(self, monkeypatch):
         # the pairs are kept per family, so a sweep n = 1..40 asks the hook
@@ -534,7 +555,8 @@ class TestConcurrency:
         fam = Hahn(F(5, 3), F(-2, 7), 30)
 
         def work(n):
-            return fam.connection_row(n), fam.poly_coeffs(n), fisher_expansion(fam, n)
+            pairs = tuple(fam.structure_pairs_upto(n)[:n])
+            return pairs, fam.poly_coeffs(n), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
         families._tables.cache_clear()
@@ -550,6 +572,6 @@ class TestConcurrency:
         assert results == [expected[n] for n in order]
         tables = families._tables(fam)
         # rows for degrees 0..29; fisher_expansion(fam, 29) also reads b_30,
-        # and connection_row(29) the structure pairs of m = 0..28
+        # and the structure pairs of m = 0..28
         assert (len(tables.monos), len(tables.a), len(tables.b), len(tables.pairs)) == \
             (30, 29, 30, 29)

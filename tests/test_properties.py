@@ -8,11 +8,13 @@ bit for bit, Meixner mu up to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
 Fraction forms; each family's structure pair equals its form from both
-families' recurrences and satisfies the structure relation pointwise; the
-integer monomial and connection rows equal their plain Fraction recurrences
-and stay in lowest terms; the integer expansion sum
-equals the running-product Fraction loop, and on the ladder families the
-term-ratio stream equals it over the Pochhammer connection rows; the
+families' recurrences and satisfies the structure relation pointwise, and
+its f_m vanishes for every m on the ladder families and for no 2 <= m <= N-2
+on Hahn; the integer monomial rows equal their plain Fraction recurrence and
+stay in lowest terms; the Delta-walk connection coefficients equal the
+Pochhammer and 4F3 forms; the Gram recurrence of ``expansion`` equals the
+running-product Fraction sum over the Delta-walk coefficients, and on the
+ladder families over the Pochhammer ones; the
 per-family factorial moment row equals the textbook moments; the quadrature
 row, asked for at any k in any order, sums like Newton's formula from a
 difference table; the node values from the difference equation equal
@@ -54,12 +56,12 @@ from dopfisher.numerics import (
 )
 
 from oracles import (
-    as_fractions,
     delta_walk_connection,
     diff_coeffs,
     factorial_moments,
     hahn_5f4_terms,
     hahn_closed_uncancelled,
+    hahn_connection_4f3,
     hahn_recurrence,
     horner_node_values,
     kravchuk_recurrence,
@@ -289,14 +291,38 @@ def test_structure_pairs_equal_recurrence_form_and_relation(case):
 @example((Hahn(F(1, 2), F(5, 3), 2), 1))
 @example((Hahn(F(7, 3), F(11, 13), 24), 23))
 def test_connection_rows_equal_fraction_delta_walk(case):
-    # the integer backward recurrence in j, the one connection row of every
-    # family, against the Delta-walk in Fraction arithmetic
+    # the reference connection coefficients of the expansion sums: the
+    # Delta-walk in Fraction arithmetic against the ladder row
+    # n (j+1)_(n-1-j) r^(n-1-j), or the paper's 4F3 sum on Hahn
     fam, n = case
-    assert as_fractions(fam.connection_row(n)) == delta_walk_connection(fam, n)
-    # every row in lowest terms, so no common factor piles up degree by degree
-    for m in range(n + 1):
-        nums, den = fam.connection_row(m)
-        assert den > 0 and len(nums) == m and math.gcd(den, *nums) == 1
+    r = fam.ladder_ratio()
+    expected = hahn_connection_4f3(fam, n) if r is None else pochhammer_connection(n, r)
+    assert delta_walk_connection(fam, n) == expected
+
+
+@PROPERTY
+@given(any_family_cases())
+# every m on the ladder families; 2 <= m <= N-2 on Hahn, on alpha + beta = -1
+# too, and Hahn with N = 1, 2 and 3, where that range is empty
+@example((Meixner(F(5, 3), F(999, 1000)), 0))
+@example((Kravchuk(F(2, 7), 9), 0))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 0))
+@example((Hahn(F(-1, 2), F(-1, 2), 30), 0))
+@example((Hahn(F(1, 2), F(5, 3), 1), 0))
+@example((Hahn(F(1, 2), F(5, 3), 2), 0))
+@example((Hahn(F(1, 2), F(5, 3), 3), 0))
+def test_structure_pair_f_vanishes_exactly_on_the_ladder_families(case):
+    # fisher_expansion updates g alone on a step with f_m = 0 and drops h and
+    # u; that is right only because f_m = 0 for every m on Charlier, Meixner
+    # and Kravchuk and f_m != 0 for every m it steps through on Hahn
+    fam, _ = case
+    top = 40 if fam.max_degree() is None else fam.max_degree()
+    for m in range(1, top + 1):
+        f = fam.structure_pair(m)[2]
+        if fam.tag != "hahn" or m == 1:
+            assert f == 0
+        elif m <= fam.N - 2:
+            assert f != 0
 
 
 @PROPERTY
@@ -312,7 +338,28 @@ def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
 @PROPERTY
 @given(any_family_cases())
 @with_examples
+# n = 1 and 2 on every family; Hahn on alpha + beta = -1, with N = 1 and 2;
+# Kravchuk at n = N-1; Meixner at mu = 999/1000
+@example((Charlier(F(7, 2)), 1))
+@example((Charlier(F(7, 2)), 2))
+@example((Meixner(F(5, 3), F(999, 1000)), 1))
+@example((Meixner(F(5, 3), F(999, 1000)), 2))
+@example((Kravchuk(F(2, 7), 9), 1))
+@example((Kravchuk(F(2, 7), 9), 2))
+@example((Kravchuk(F(2, 7), 9), 8))
+@example((Kravchuk(F(1, 3), 1), 0))
+@example((Hahn(F(7, 3), F(11, 13), 24), 1))
+@example((Hahn(F(7, 3), F(11, 13), 24), 2))
+@example((Hahn(F(7, 3), F(11, 13), 24), 23))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 2))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 8))
+@example((Hahn(F(-1, 2), F(-1, 2), 12), 4))
+@example((Hahn(F(1, 2), F(5, 3), 1), 0))
+@example((Hahn(F(1, 2), F(5, 3), 2), 1))
 def test_expansion_sum_equals_running_product(case):
+    # the Gram recurrence against sum_j a_j^2 d_j^2/d_n^2 over the Delta-walk
+    # coefficients, with the norm ratios as a running product of the b_m, in
+    # Fraction arithmetic; it shares no code with the recurrence
     fam, n = case
     assert fisher_expansion(fam, n) == running_product_expansion(fam, n)
 
@@ -327,9 +374,10 @@ def test_expansion_sum_equals_running_product(case):
 @example((Kravchuk(F(2, 7), 2), 1))
 @example((Kravchuk(F(2, 7), 9), 8))
 @example((Kravchuk(F(1, 3), 1), 0))
-def test_ladder_stream_equals_running_product_of_pochhammer_rows(case):
-    # the term-ratio stream of the ladder families against each a_j taken on
-    # its own and each norm ratio as a running product of b_m, in Fractions
+def test_ladder_expansion_equals_running_product_of_pochhammer_rows(case):
+    # on the ladder families the Gram recurrence steps only g, the term ratio
+    # (m r)^2/b_m of the 2F1 closed forms: against each a_j taken on its own
+    # and each norm ratio as a running product of b_m, in Fractions
     fam, n = case
     coeffs = pochhammer_connection(n, fam.ladder_ratio())
     assert fisher_expansion(fam, n) == running_product_expansion(fam, n, coeffs)
