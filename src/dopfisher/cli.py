@@ -192,8 +192,7 @@ def cmd_eval(args, parser) -> int:
         raise SystemExit(parser.exit_with_usage("eval needs --x or --x-start/--x-stop"))
     out = _writer(sys.stdout)
     out.writerow(["family", "n", "params", "x", "value"])
-    for x in points:
-        value = fam.eval_poly(args.n, x)
+    for x, value in zip(points, fam.eval_points(args.n, points)):
         out.writerow([fam.tag, args.n, format_params(fam), str(x),
                       format_scalar(value, args.backend, args.dps)])
     return EXIT_OK

@@ -208,21 +208,14 @@ class Family:
         return -n * data.tau[1] - n * (n - 1) * data.sigma[2]
 
     def eval_points(self, n: int, xs) -> list:
-        """Monic degree-n polynomial values at every point of ``xs`` in one
-        three-term-recurrence pass, computing each a_m and b_m once.
-
-        Exact for Fraction/int points.
-        """
+        """Monic degree-n polynomial values at every point of ``xs`` (ints,
+        Fractions or strs, as ``to_fraction`` takes them), exact Fractions,
+        from one run of the integer recurrence in n over the points' common
+        denominator (``_Tables.end_values``)."""
         self.check_degree(n)
-        prev = [x * 0 + 1 for x in xs]
-        if n == 0:
-            return prev
-        a, b = self.recurrence_a_upto(n), self.recurrence_b_upto(n)
-        cur = [x - a[0] for x in xs]
-        for m in range(1, n):
-            am, bm = a[m], b[m]
-            prev, cur = cur, [(x - am) * c - bm * q for x, c, q in zip(xs, cur, prev)]
-        return cur
+        nums, q = over_common_denominator([to_fraction(x) for x in xs])
+        values, den = _tables(self).end_values(n, nums, q)
+        return [Fraction(v, den) for v in values]
 
     def eval_poly(self, n: int, x: Scalar):
         """Monic degree-n polynomial value at one point (see eval_points)."""
@@ -232,13 +225,6 @@ class Family:
         """Delta P_n(x) = P_n(x+1) - P_n(x)."""
         low, high = self.eval_points(n, (x, x + 1))
         return high - low
-
-    def poly_coeffs(self, n: int) -> Tuple[Fraction, ...]:
-        """Monomial coefficients of monic P_n, as Fractions from its integer
-        monomial row (numerators over one denominator, lowest terms)."""
-        self.check_degree(n)
-        nums, den = _tables(self).monomials(n)
-        return tuple(Fraction(c, den) for c in nums)
 
     def factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """The factorial moments m_j (``factorial_ratio``) for j = 0..k, as
@@ -267,13 +253,9 @@ class Family:
         tables = _tables(self)
         return tables.kept("nodes", n, tables.node_values)
 
-    def recurrence_a_upto(self, n: int) -> list:
-        """A list holding at least a_0 .. a_(n-1), each computed once per
-        family and shared by every caller (read it, never mutate it)."""
-        return _tables(self).a_upto(n)
-
     def recurrence_b_upto(self, n: int) -> list:
-        """A list holding at least b_0 .. b_(n-1); see recurrence_a_upto."""
+        """A list holding at least b_0 .. b_(n-1), each computed once per
+        family and shared by every caller (read it, never mutate it)."""
         return _tables(self).b_upto(n)
 
     def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
@@ -297,7 +279,7 @@ class Family:
 
     def structure_pairs_upto(self, n: int) -> list:
         """A list holding at least the ``structure_pair`` of m = 0 .. n-1 (m = 0
-        is P_0 = Q_0); see recurrence_a_upto."""
+        is P_0 = Q_0); see recurrence_b_upto."""
         return _tables(self).pairs_upto(n)
 
 
@@ -306,11 +288,15 @@ _TABLE_CACHE_SIZE = 16
 
 
 class _Tables:
-    """One family's recurrence coefficients, structure pairs, monomial rows,
-    quadrature row and node values, grown on demand.  List rows are only ever
-    appended, under a lock, and the others are replaced whole (a race builds
-    one twice, alike), so a reader needs no lock.  Every row is integer
-    numerators over one denominator, monomial and node rows in lowest terms.
+    """One family's recurrence coefficients, structure pairs, quadrature row
+    and node values, grown on demand.  List rows are only ever appended, under
+    a lock, and the others are replaced whole (a race builds one twice,
+    alike), so a reader needs no lock.  Every row is integer numerators over
+    one denominator, node rows in lowest terms.
+
+    ``end_values`` runs the three-term recurrence in n on integers, at integer
+    numerators over one common denominator: it is the one evaluator of P_n,
+    behind ``Family.eval_points`` and the ends of the node values.
 
     The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
     Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
@@ -321,24 +307,22 @@ class _Tables:
     j = t-1 .. 0, z = [s_j - z_0, z_0 - z_1, ..., z_(last-1) - z_last, z_last].
 
     P_n at the row's nodes 0 .. t+1 is V/D, V integers: at 0, 1 and t+1 from
-    the three-term recurrence in n, run on integers (``_end_values``), and at
-    2 .. t from the difference equation sigma Delta Nabla P + tau Delta P +
-    lambda_n P = 0 read as a recurrence in x,
+    the recurrence in n (``end_values``), and at 2 .. t from the difference
+    equation sigma Delta Nabla P + tau Delta P + lambda_n P = 0 read as a
+    recurrence in x,
         (sigma + tau)(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
     with sigma, tau and lambda_n scaled to integers by one constant, so each
     step is two big times small products and one exact division.  sigma + tau
     vanishes only at the last support point (N on Kravchuk, N-1 on Hahn).  The
     steps divide by it at x = 1 .. t-1, below that point since t is at most
     it, and the last node t+1, which a step from x = t would need, comes from
-    the recurrence in n.  No monomial row is built and no Horner pass made.
-    The row and the node values are kept for the last k and n asked for:
-    ``direct`` and ``difference`` share them.  The structure pairs are kept
-    per family, so a degree sweep computes each once."""
+    the recurrence in n.  The row and the node values are kept for the last k
+    and n asked for: ``direct`` and ``difference`` share them.  The structure
+    pairs are kept per family, so a degree sweep computes each once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
         self.a, self.b = [], []
-        self.monos = [((1,), 1)]
         self.pairs = [(0, 1, 0, 1)]   # m = 0: P_0 = Q_0
         self.quad = self.nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
         self.lock = threading.RLock()
@@ -368,28 +352,10 @@ class _Tables:
     def pairs_upto(self, n: int) -> list:
         return self.grow(self.pairs, n, self.fam.structure_pair)
 
-    def monomials(self, n: int) -> Tuple[Tuple[int, ...], int]:
-        return self.grow(self.monos, n + 1, self._mono_row)[n]
-
-    def _mono_row(self, m: int) -> Tuple[Tuple[int, ...], int]:
-        # P_m = (x - a_t) P_t - b_t P_(t-1), t = m-1; with p, q the rows of
-        # degrees t and t-1 over pd, qd, the x^i coefficient p_(i-1) - a_t p_i
-        # - b_t q_i is taken over den = lcm(pd den(a_t), qd den(b_t))
-        t = m - 1
-        at, bt = self.a_upto(m)[t], self.b_upto(m)[t]
-        (pn, pd), (qn, qd) = self.monos[t], self.monos[t - 1] if t else ((), 1)
-        den = math.lcm(pd * at.denominator, qd * bt.denominator)
-        sp, sb = den // pd, den // (qd * bt.denominator) * bt.numerator
-        sa = sp // at.denominator * at.numerator
-        p, q = (0,) + pn + (0,), qn + (0, 0)   # p[i], p[i+1] = p_(i-1), p_i
-        out = [p[i] * sp - sa * p[i + 1] - sb * q[i] for i in range(m + 1)]
-        g = math.gcd(den, *out)
-        return tuple(c // g for c in out), den // g
-
     def node_values(self, n: int) -> Tuple[list, int]:
         # the steps in x of the class docstring, over the ends' denominator
         t = len(self.fam.quadrature_row(2 * n)[0]) - 1
-        ends, den = self._end_values(n, (0, 1, t + 1) if t else (0, 1))
+        ends, den = self.end_values(n, (0, 1, t + 1) if t else (0, 1))
         data = self.fam.table_data()
         coeffs = (*data.sigma, *data.tau, self.fam.lambda_n(n))
         c = math.lcm(*(f.denominator for f in coeffs))
@@ -405,23 +371,24 @@ class _Tables:
         g = math.gcd(den, *v)
         return [x // g for x in v], den // g
 
-    def _end_values(self, n: int, xs: tuple) -> Tuple[list, int]:
-        # D_m P_m at each x of xs by P_(m+1) = (x - a_m) P_m - b_m P_(m-1), with
-        # D_(m+1) = lcm(D_m den(a_m), D_(m-1) den(b_m)) and no gcd taken, so D_m
-        # is a multiple of every coefficient denominator of P_m and D_m P_m(x)
-        # is an integer at every integer x.  With r = D_m/D_(m-1), q = D_(m+1)/D_m
-        # = lcm(r den(a_m), den(b_m))/r, and the step is q/den(a_m) (x den(a_m) -
-        # num(a_m)) V_m - (q r/den(b_m)) num(b_m) V_(m-1): big times small only.
+    def end_values(self, n: int, xs, q: int = 1) -> Tuple[list, int]:
+        # D_m q^m P_m(X/q) at each integer X of xs by P_(m+1) = (x - a_m) P_m -
+        # b_m P_(m-1), with D_(m+1) = lcm(D_m den(a_m), D_(m-1) den(b_m)) and no
+        # gcd taken, so D_m is a multiple of every coefficient denominator of
+        # P_m and D_m q^m P_m(X/q) is an integer.  With r = D_m/D_(m-1), c =
+        # D_(m+1)/D_m = lcm(r den(a_m), den(b_m))/r, the step is c/den(a_m)
+        # (X den(a_m) - q num(a_m)) V_m - (c r q^2/den(b_m)) num(b_m) V_(m-1):
+        # big times small only
         a, b = self.a_upto(n), self.b_upto(n)
         prev, cur = [0] * len(xs), [1] * len(xs)
         den = r = 1
         for m in range(n):
             (na, da), (nb, db) = a[m].as_integer_ratio(), b[m].as_integer_ratio()
-            q = math.lcm(r * da, db) // r
-            s, u = q // da, q * r // db * nb
-            prev, cur = cur, [s * (x * da - na) * v - u * w for x, v, w in zip(xs, cur, prev)]
-            den, r = den * q, q
-        return cur, den
+            c = math.lcm(r * da, db) // r
+            s, u, qna = c // da, c * r // db * nb * q * q, q * na
+            prev, cur = cur, [s * (x * da - qna) * v - u * w for x, v, w in zip(xs, cur, prev)]
+            den, r = den * c, c
+        return cur, den * q ** n
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         # the transposed difference table of the class docstring, with

@@ -33,10 +33,11 @@ polynomial needs only the factorial moments m_j (``Family.factorial_ratio``),
 and transposed it is one integer quadrature row, E c = sum_x L_x c(x) / den
 over the nodes x = 0, 1, ... (``Family.quadrature_row``).  ``direct`` and
 ``difference`` share the row at k = 2n and P_n at its nodes, so each is one
-dot product.  The node values need no monomial coefficients: the difference
-equation sigma Delta Nabla P_n + tau Delta P_n + lambda_n P_n = 0 is a
-three-term recurrence in x, run on integers from the values at 0 and 1, and
-those and the last node come from the recurrence in n (``Family.node_values``).
+dot product.  The difference equation sigma Delta Nabla P_n + tau Delta P_n +
+lambda_n P_n = 0 is a three-term recurrence in x, run on integers from the
+values at 0 and 1, and those and the last node come from the integer
+recurrence in n (``Family.node_values``), which is also the one evaluator of
+P_n anywhere else (``Family.eval_points``, so the densities).
 The mass ``reduced_norm(0)`` cancels against the norm,
 d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
 set by the degree and not by the lattice size.  This path uses no ladder and
@@ -53,17 +54,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import add, mul
+from itertools import combinations
+from operator import mul
 from typing import Dict, Optional
 
 from .families import Family, OutOfSupport
-from .numerics import (
-    DEFAULT_DPS,
-    DenominatorPole,
-    over_common_denominator,
-    to_mpf,
-)
+from .numerics import DEFAULT_DPS, DenominatorPole, to_mpf
 
 
 class Method(enum.Enum):
@@ -174,26 +170,6 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
-def _horner_values(nums, xs) -> list:
-    """sum_k nums[k] x^k at each point of the sequence xs, by Horner on integers."""
-    out = [0] * len(xs)
-    for c in reversed(nums):
-        out = list(map(add, map(mul, out, xs), repeat(c)))
-    return out
-
-
-def moment_sum(fam: Family, p, q) -> Fraction:
-    """sum_x w(x) p(x) q(x) / sum_x w(x) over the family's support, exact, for
-    polynomials given by their exact monomial coefficients (ints or Fractions):
-    the quadrature row of degree deg p + deg q met with p q at its nodes."""
-    pn, pd = over_common_denominator(p)
-    qn, qd = over_common_denominator(q)
-    row, den = fam.quadrature_row(len(pn) + len(qn) - 2)
-    nodes = range(len(row))
-    t = sum(map(mul, row, map(mul, _horner_values(pn, nodes), _horner_values(qn, nodes))))
-    return Fraction(t, den * pd * qd)
-
-
 def _norm_ratio(fam: Family, n: int, num: int, den: int) -> Fraction:
     """(num/den) d_0^2/d_n^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
     recurrence: one integer product of the b_m's numerators and one of their
@@ -301,10 +277,10 @@ def rakhmanov_density(fam: Family, n: int, x: int, *, dps: int = DEFAULT_DPS):
 def rakhmanov_densities(fam: Family, n: int, xs, *, dps: int = DEFAULT_DPS):
     """``rakhmanov_density`` at each point of the integer sequence xs, in
     order: the norm (rounded once on an infinite support) once, P_n in one
-    ``eval_points`` pass, and the weight walked between adjacent points by
+    ``eval_points`` call (one run of the integer recurrence in n over the
+    points), and the weight walked between adjacent points by
     w(x) = w(x-1)/weight_ratio(x), which raises OutOfSupport off the support.
     """
-    fam.check_degree(n)
     values = fam.eval_points(n, xs)
     norm = fam.reduced_norm(n)
     bounded = fam.support().b is not None

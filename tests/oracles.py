@@ -14,10 +14,11 @@ The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the Pochhammer product, and the terminating pFq and the
 Hahn 5F4 summed term by term (for the integer Horner kernels of
 ``numerics`` and ``families._hahn_5f4``); the pointwise recurrence and the
-monomial recurrence in Fraction arithmetic (for the integer monomial rows),
-the structure pair e_m, f_m from both families' recurrence coefficients (for
-``structure_pair``), Horner on the monomial row at the quadrature nodes (for
-``node_values``, which runs the difference equation instead), the textbook
+monomial recurrence in Fraction arithmetic, met by Horner (for the integer
+recurrence behind ``eval_points``), the structure pair e_m, f_m from both
+families' recurrence coefficients (for ``structure_pair``), Horner on those
+monomial coefficients at the quadrature nodes (for ``node_values``, which
+runs the difference equation instead), the textbook
 Fraction forms of the Meixner, Kravchuk and Hahn recurrence coefficients --
 as references for them, and mpmath's own 3F2 for the series the Hahn closed
 form sums in closed form.  ``fisher_expansion`` runs a Gram recurrence over
@@ -26,10 +27,11 @@ are the expansion sums sum_j a_j^2 d_j^2/d_n^2 over the connection
 coefficients of Delta P_n = sum_j a_j P_j, the norm ratios taken from the
 norms or as a running product of the b_m, with the a_j from the Delta-walk
 in Fraction arithmetic, checked in turn against the Pochhammer connection
-coefficients of the ladder families and the paper's Hahn 4F3 sum.  The textbook Fraction forms of the four
-factorial moments, their Stirling sums and the monomial coefficients of
-q(x+1) and q(x+1) - q(x) are references for the quadrature-row sums of
-``direct``, ``difference`` and ``moment_sum``, and so is Newton's formula
+coefficients of the ladder families and the paper's Hahn 4F3 sum.  The
+textbook Fraction forms of the four factorial moments, their Stirling sums
+and the monomial coefficients of q(x+1) and q(x+1) - q(x) are references for
+the quadrature-row sums of ``direct`` and ``difference`` and of any
+polynomial (``quadrature_sum``), and so is Newton's formula
 summed straight from a difference table of the node values; the density of
 one lattice point taken on its own is the reference for the batched density.
 The Hahn closed form as written before any cancellation (its products of
@@ -48,7 +50,6 @@ from functools import lru_cache
 
 import mpmath
 
-from dopfisher import families
 from dopfisher.numerics import DenominatorPole, NonTerminatingSeries
 
 
@@ -281,16 +282,6 @@ def pointwise_value(fam, n: int, x) -> Fraction:
     return cur
 
 
-def horner_node_values(fam, n: int) -> list:
-    """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as Fractions:
-    Horner on the integer monomial row, over its one denominator."""
-    nums, den = families._tables(fam).monomials(n)
-    values = [0] * (len(fam.quadrature_row(2 * n)[0]) + 1)
-    for c in reversed(nums):
-        values = [v * x + c for x, v in enumerate(values)]
-    return [Fraction(v, den) for v in values]
-
-
 def recurrence_monomials(fam, n: int) -> tuple:
     """Monomial coefficients of P_n from P_(m+1) = (x - a_m) P_m - b_m P_(m-1),
     in plain Fraction arithmetic, asking the family for each a_m and b_m."""
@@ -304,6 +295,22 @@ def recurrence_monomials(fam, n: int) -> tuple:
             nxt[i] -= b * c
         prev, cur = cur, nxt
     return tuple(cur)
+
+
+def horner_node_values(fam, n: int) -> list:
+    """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as Fractions:
+    Horner on the coefficients of ``recurrence_monomials``."""
+    coeffs = recurrence_monomials(fam, n)
+    return [eval_coeffs(coeffs, x) for x in range(len(fam.quadrature_row(2 * n)[0]) + 1)]
+
+
+def quadrature_sum(fam, p, q) -> Fraction:
+    """sum_x w(x) p(x) q(x) / sum_x w(x) through the package's quadrature row
+    alone: the row of degree deg p + deg q met with p q at its nodes, for
+    polynomials given by exact monomial coefficients, evaluated here by
+    Horner."""
+    row, den = fam.quadrature_row(len(p) + len(q) - 2)
+    return sum(c * eval_coeffs(p, x) * eval_coeffs(q, x) for x, c in enumerate(row)) / den
 
 
 def density_per_point(fam, n: int, x: int, dps: int):

@@ -22,12 +22,14 @@ from oracles import (
     as_fractions,
     delta_walk_connection,
     diff_coeffs,
+    eval_coeffs,
     factorial_moments,
     gram_schmidt_coeffs,
     hahn_connection_4f3,
     hahn_recurrence,
     pochhammer_connection,
     pointwise_value,
+    recurrence_monomials,
     shift_coeffs,
     truncated_square_sum,
 )
@@ -278,13 +280,25 @@ class TestEvalPoly:
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES)
     def test_matches_gram_schmidt_oracle(self, fam):
+        # n + 1 values fix a polynomial of degree n
         for n in range(max_n(fam, 6) + 1):
-            assert fam.poly_coeffs(n) == gram_schmidt_coeffs(fam, n)
+            xs = [F(2 * x - n, 3) for x in range(n + 1)]
+            coeffs = gram_schmidt_coeffs(fam, n)
+            assert fam.eval_points(n, xs) == [eval_coeffs(coeffs, x) for x in xs]
 
     def test_monic_leading_coefficient(self):
+        # Delta^n P_n(0) is n! times the leading coefficient
         for fam in ALL_FAMILIES:
-            coeffs = fam.poly_coeffs(max_n(fam, 7))
-            assert coeffs[-1] == 1
+            n = max_n(fam, 7)
+            diffs = fam.eval_points(n, range(n + 1))
+            for _ in range(n):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            assert diffs == [math.factorial(n)]
+
+    def test_float_points_refused(self):
+        # a float has no exact value to evaluate at, as for the parameters
+        with pytest.raises(TypeError):
+            Charlier(F(2)).eval_poly(1, 0.1)
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES + [Kravchuk(F(2, 7), 31),
                                                     Hahn(F(-1, 2), F(-1, 2), 12)])
@@ -422,7 +436,9 @@ class TestHahnAgainstReplacedFormulas:
 
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_recurrence_equals_fraction_form(self, fam):
-        a, b = fam.recurrence_a_upto(fam.N), fam.recurrence_b_upto(fam.N)
+        from dopfisher import families
+
+        a, b = families._tables(fam).a_upto(fam.N), fam.recurrence_b_upto(fam.N)
         for m in range(fam.N):
             expected = hahn_recurrence(fam, m)
             assert (fam.recurrence_a(m), fam.recurrence_b(m)) == expected
@@ -453,7 +469,7 @@ class TestOrthogonality:
         with mpmath.workdps(80):
             for n in range(9):
                 for m in range(n, 9):
-                    cp, cm = padded(fam.poly_coeffs(n), fam.poly_coeffs(m))
+                    cp, cm = padded(recurrence_monomials(fam, n), recurrence_monomials(fam, m))
                     plus = [a + b for a, b in zip(cp, cm)]
                     minus = [a - b for a, b in zip(cp, cm)]
                     total = (truncated_square_sum(fam, plus, 300, 80)

@@ -14,7 +14,6 @@ from dopfisher.fisher import (
     fisher_direct,
     fisher_expansion,
     fisher_report,
-    moment_sum,
     rakhmanov_density,
 )
 
@@ -25,6 +24,8 @@ from oracles import (
     hahn_c3_hyp3f2,
     hahn_closed_on_the_line,
     norm_ratio_expansion,
+    quadrature_sum,
+    recurrence_monomials,
     rising,
     shift_coeffs,
     truncated_square_sum,
@@ -332,7 +333,8 @@ class TestMomentSums:
         mass = fam.reduced_norm(0)
         for n in range(8):
             for m in range(8):
-                total = moment_sum(fam, fam.poly_coeffs(n), fam.poly_coeffs(m))
+                total = quadrature_sum(fam, recurrence_monomials(fam, n),
+                                       recurrence_monomials(fam, m))
                 assert total == (fam.reduced_norm(n).exact_ratio(mass) if n == m else 0)
 
     @pytest.mark.parametrize("fam, n", [(Charlier(F(2)), 40), (Charlier(F(5, 7)), 60),
@@ -384,17 +386,18 @@ class TestWorkPerReport:
                                         (Kravchuk(F(2, 7), 6), 5), (Hahn(F(1, 2), F(2), 7), 6)])
     def test_report_builds_one_row_and_one_node_pass(self, monkeypatch, fam, n):
         # direct and difference share one factorial row, one quadrature row
-        # and one node-value pass, which builds no monomial row
+        # and one node-value pass, which runs the recurrence in n once
         from dopfisher import families
 
         calls = {}
         self.count(monkeypatch, Family, "factorial_row", calls)
-        for name in ("quadrature_row", "node_values", "_mono_row"):
+        for name in ("quadrature_row", "node_values", "end_values"):
             self.count(monkeypatch, families._Tables, name, calls)
         families._tables.cache_clear()
         report = fisher_report(fam, n)
         assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
-        assert calls == {"factorial_row": 1, "quadrature_row": 1, "node_values": 1}
+        assert calls == {"factorial_row": 1, "quadrature_row": 1, "node_values": 1,
+                         "end_values": 1}
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
                                      Kravchuk(F(2, 7), 12)])
@@ -482,7 +485,7 @@ class TestCacheBounds:
         for i in range(2000):
             fam = Hahn(F(i, 2001), F(1, 3), 6)
             assert fisher_expansion(fam, 5) > 0
-            fam.poly_coeffs(3)
+            fam.eval_poly(3, F(1, 2))
             assert tables.cache_info().currsize <= families._TABLE_CACHE_SIZE
 
     @pytest.mark.parametrize("fam", [Hahn(F(1, 2), F(2, 3), 10 ** 6),
@@ -517,8 +520,9 @@ class TestConcurrency:
 
     def test_lattice_pass_is_shared_safely_across_threads(self):
         # threads ask for different degrees of one bounded family at once, so
-        # the shared monomial rows grow under them; a row read at the wrong
-        # degree would change the direct or difference value
+        # the shared recurrence coefficients grow and the kept quadrature row
+        # and node values change under them; a row read at the wrong degree
+        # would change the direct or difference value
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -543,20 +547,22 @@ class TestConcurrency:
         assert results == [(expected[n], expected[n]) for n in order]
 
     def test_tables_grow_without_lost_rows_under_contention(self):
-        # many threads grow one family's tables (recurrence coefficients,
-        # structure pairs, monomial rows) up and down the degrees at once, with
-        # a short switch interval; a lost or duplicated update would put a row
-        # at the wrong degree and change the values
+        # many threads grow one family's tables (recurrence coefficients and
+        # structure pairs, read by the values of P_n and by expansion) up and
+        # down the degrees at once, with a short switch interval; a lost or
+        # duplicated update would put a row at the wrong degree and change
+        # the values
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
         from dopfisher import families
 
         fam = Hahn(F(5, 3), F(-2, 7), 30)
+        points = [F(-7, 2), F(0), F(11, 3), F(31)]
 
         def work(n):
             pairs = tuple(fam.structure_pairs_upto(n)[:n])
-            return pairs, fam.poly_coeffs(n), fisher_expansion(fam, n)
+            return pairs, fam.eval_points(n, points), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
         families._tables.cache_clear()
@@ -571,7 +577,6 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         assert results == [expected[n] for n in order]
         tables = families._tables(fam)
-        # rows for degrees 0..29; fisher_expansion(fam, 29) also reads b_30,
-        # and the structure pairs of m = 0..28
-        assert (len(tables.monos), len(tables.a), len(tables.b), len(tables.pairs)) == \
-            (30, 29, 30, 29)
+        # a_m and b_m for m = 0..28, which P_29 needs; fisher_expansion(fam, 29)
+        # also reads b_29, and the structure pairs of m = 0..28
+        assert (len(tables.a), len(tables.b), len(tables.pairs)) == (29, 30, 29)

@@ -10,17 +10,19 @@ of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
 Fraction forms; each family's structure pair equals its form from both
 families' recurrences and satisfies the structure relation pointwise, and
 its f_m vanishes for every m on the ladder families and for no 2 <= m <= N-2
-on Hahn; the integer monomial rows equal their plain Fraction recurrence and
-stay in lowest terms; the Delta-walk connection coefficients equal the
+on Hahn; the values of P_n at any rational points, from the integer
+recurrence over their common denominator, equal Horner on the plain Fraction
+monomial recurrence; the Delta-walk connection coefficients equal the
 Pochhammer and 4F3 forms; the Gram recurrence of ``expansion`` equals the
 running-product Fraction sum over the Delta-walk coefficients, and on the
 ladder families over the Pochhammer ones; the
 per-family factorial moment row equals the textbook moments; the quadrature
 row, asked for at any k in any order, sums like Newton's formula from a
 difference table; the node values from the difference equation equal
-Horner on the monomial row; the sums of ``moment_sum``, ``direct`` and
-``difference`` equal coefficient products met with the oracle's raw moments, on every
-family; and the integer Horner kernels of the terminating pFq and the
+Horner on the Fraction monomial coefficients; the quadrature row met with any
+polynomial product, and the sums of ``direct`` and ``difference``, equal
+coefficient products met with the oracle's raw moments, on every family; and
+the integer Horner kernels of the terminating pFq and the
 Hahn 5F4, and the one-reduction Pochhammer product, equal their
 term-by-term Fraction forms.  The
 cancelled forms that keep the cost set by the degree and not by the lattice
@@ -58,6 +60,7 @@ from dopfisher.numerics import (
 from oracles import (
     delta_walk_connection,
     diff_coeffs,
+    eval_coeffs,
     factorial_moments,
     hahn_5f4_terms,
     hahn_closed_uncancelled,
@@ -71,6 +74,7 @@ from oracles import (
     normalized_moments,
     pochhammer_connection,
     pointwise_value,
+    quadrature_sum,
     recurrence_monomials,
     rising,
     running_product_expansion,
@@ -231,16 +235,32 @@ def any_family_cases(draw):
     return fam, draw(st.integers(min_value=0, max_value=top))
 
 
+def points():
+    """Evaluation points: integers and rationals of either sign, repeats
+    allowed, the empty list included."""
+    return st.lists(st.one_of(st.integers(min_value=-40, max_value=40),
+                              st.fractions(min_value=-40, max_value=40, max_denominator=20)),
+                    max_size=8)
+
+
 @PROPERTY
-@given(any_family_cases())
-def test_monomial_rows_equal_fraction_recurrence(case):
+@given(any_family_cases(), points())
+# n = 0 and no points; repeated, negative and non-integer points on Hahn on
+# alpha + beta = -1; Meixner at mu = 999/1000; Kravchuk at its top degree
+@example((Charlier(F(7, 2)), 0), [])
+@example((Meixner(F(5, 3), F(999, 1000)), 25), [])
+@example((Hahn(F(1, 3), F(5, 2), 6), 0), [F(-1, 2), 3])
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 8), [F(-1, 2), F(5, 2), F(5, 2), -7, 12])
+@example((Meixner(F(5, 3), F(999, 1000)), 25), [F(-13, 7), 0, F(1, 3), 40])
+@example((Kravchuk(F(2, 7), 5), 4), [F(-3), F(1, 3), 7, 7])
+def test_eval_points_equal_horner_on_fraction_monomials(case, xs):
+    # the integer recurrence over the points' common denominator against
+    # Horner on the plain Fraction recurrence's monomial coefficients
     fam, n = case
-    assert fam.poly_coeffs(n) == recurrence_monomials(fam, n)
-    # every stored row is in lowest terms: without the gcd per row, the
-    # factors of each step's common denominator would pile up degree by degree
-    for m in range(n + 1):
-        nums, den = families._tables(fam).monomials(m)
-        assert den > 0 and nums[-1] == den and math.gcd(den, *nums) == 1
+    coeffs = recurrence_monomials(fam, n)
+    values = fam.eval_points(n, xs)
+    assert values == [eval_coeffs(coeffs, x) for x in xs]
+    assert all(type(v) is F for v in values)
 
 
 # degree 0 on every family, and Meixner at mu = 999/1000
@@ -450,7 +470,8 @@ def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
 @example((Meixner(F(5, 3), F(999, 1000)), 20))
 def test_node_values_equal_horner_on_the_monomial_row(case):
     # the recurrence in n at the ends and the difference equation in between
-    # against Horner on the monomial row, at every node, in lowest terms
+    # against Horner on the Fraction monomial coefficients, at every node, in
+    # lowest terms
     fam, n = case
     families._tables.cache_clear()
     nums, den = fam.node_values(n)
@@ -480,11 +501,12 @@ def oracle_sum(fam, p, q):
 @example((Kravchuk(F(2, 7), 3), 0), [F(1, 3)] * 4, [F(-2), F(5, 2), F(0), F(1)])
 @example((Hahn(F(-1, 3), F(-2, 3), 6), 0), [F(1), F(-7, 2), F(2, 5)], [F(3, 4)] * 6)
 @example((Meixner(F(5, 2), F(99, 100)), 0), [F(2, 3), F(1), F(-1)], [F(7), F(0), F(1, 9)])
-def test_moment_sum_equals_coefficient_sum(case, p, q):
-    # the Newton sum over the factorial row against sum_k c_k E x^k, with the
-    # moments from lattice sums (bounded) or Stirling numbers (infinite)
+def test_quadrature_row_sum_equals_coefficient_sum(case, p, q):
+    # the quadrature row met with p q at its nodes against sum_k c_k E x^k,
+    # with the moments from lattice sums (bounded) or Stirling numbers
+    # (infinite)
     fam, _ = case
-    assert fisher.moment_sum(fam, p, q) == oracle_sum(fam, p, q)
+    assert quadrature_sum(fam, p, q) == oracle_sum(fam, p, q)
 
 
 @PROPERTY
@@ -499,7 +521,7 @@ def test_direct_and_difference_equal_coefficient_sums(case):
     # the routes' Newton sums from node values against the monomial
     # coefficients of Delta P_n and P_n(x+1), squared and met with the moments
     fam, n = case
-    p = fam.poly_coeffs(n)
+    p = recurrence_monomials(fam, n)
     ratio = norm_ratio_from_norms(fam, n)
     dp, shifted = diff_coeffs(p), shift_coeffs(p)
     assert fisher_direct(fam, n) == oracle_sum(fam, dp, dp) * ratio
