@@ -17,18 +17,23 @@ in lowest terms, ``--backend float`` decimals rounded once to ``--dps``
 significant digits, ties away from zero (default 80, overridable through the
 ``DOPFISHER_DPS`` environment variable, read on every call).  ``verify``
 prints counts only and takes neither flag.
+
+A call builds the invoked command's parser alone (``_COMMANDS``); the full
+tree (``build_parser``) prints top-level help and the errors of a missing or
+unknown command or stray arguments.  Only ``verify`` loads its suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import shutil
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import List, Optional
 
 from .families import (
@@ -52,7 +57,6 @@ from .sweeps import (
     run_figure,
     run_sweep,
 )
-from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,12 +70,13 @@ FISHER_COLUMNS = ("family", "n", "params", "method", "value", "converged",
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code moved off 2 (which is the
     parameter-domain code here) to the sysexits-style 64, and with the help
-    width given once: argparse's default formatter reads the terminal size
+    width read once: argparse's default formatter reads the terminal size
     again for every ``add_argument`` (it builds a formatter to check each
-    one), so ``build_parser`` reads it once and hands it to every parser."""
+    one), so each parser reads it once, when it is built."""
 
-    def __init__(self, *args, width: int, **kwargs):
-        self.width = width   # before argparse's __init__, which adds -h
+    def __init__(self, *args, **kwargs):
+        # argparse's own width, set before its __init__, which adds -h
+        self.width = shutil.get_terminal_size().columns - 2
         super().__init__(*args, **kwargs)
 
     def _get_formatter(self):
@@ -79,11 +84,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
+        raise _usage_error(message, self.prog)
 
-    def exit_with_usage(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+
+def _usage_error(message: str, prog: str = "dopfisher") -> SystemExit:
+    """Print ``prog: error: message`` and return the exit to raise (code 64)."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
 
 
 def _default_dps() -> int:
@@ -122,26 +129,26 @@ def _add_numeric_flags(parser, default_backend):
                              "default 80, env DOPFISHER_DPS)")
 
 
-def _family_from_args(args, parser):
+def _family_from_args(args):
     params = {k: getattr(args, k) for k in PARAM_NAMES}
     try:
         return make_family(args.family, **params)
     except ValueError as exc:
         if isinstance(exc, ParameterDomainError):
             raise
-        raise SystemExit(parser.exit_with_usage(str(exc)))
+        raise _usage_error(str(exc))
 
 
-def _parse_methods(raw: str, parser) -> List[Method]:
+def _parse_methods(raw: str) -> List[Method]:
     out = []
     for piece in raw.split(","):
         piece = piece.strip()
         try:
             out.append(Method(piece))
         except ValueError:
-            raise SystemExit(parser.exit_with_usage(
+            raise _usage_error(
                 f"unknown method {piece!r}; choose from "
-                f"{', '.join(m.value for m in Method)}"))
+                f"{', '.join(m.value for m in Method)}")
     return out
 
 
@@ -164,9 +171,16 @@ def _output(path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_fisher(args, parser) -> int:
-    fam = _family_from_args(args, parser)
-    methods = _parse_methods(args.methods, parser)
+def _fisher_flags(parser):
+    _add_family_flags(parser)
+    parser.add_argument("--n", type=int, required=True, help="polynomial degree")
+    parser.add_argument("--methods", default="direct,difference,expansion,closed")
+    _add_numeric_flags(parser, default_backend="float")
+
+
+def cmd_fisher(args) -> int:
+    fam = _family_from_args(args)
+    methods = _parse_methods(args.methods)
     report = fisher_report(fam, args.n, methods=methods)
     disc = ""
     if report.max_pairwise_rel_discrepancy is not None:
@@ -182,14 +196,23 @@ def cmd_fisher(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, parser) -> int:
-    fam = _family_from_args(args, parser)
+def _eval_flags(parser):
+    _add_family_flags(parser)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--x", type=Fraction)
+    parser.add_argument("--x-start", type=int)
+    parser.add_argument("--x-stop", type=int)
+    _add_numeric_flags(parser, default_backend="exact")
+
+
+def cmd_eval(args) -> int:
+    fam = _family_from_args(args)
     if args.x is not None:
         points = [to_fraction(args.x)]
     elif args.x_start is not None and args.x_stop is not None:
         points = [Fraction(x) for x in range(args.x_start, args.x_stop + 1)]
     else:
-        raise SystemExit(parser.exit_with_usage("eval needs --x or --x-start/--x-stop"))
+        raise _usage_error("eval needs --x or --x-start/--x-stop")
     out = _writer(sys.stdout)
     out.writerow(["family", "n", "params", "x", "value"])
     for x, value in zip(points, fam.eval_points(args.n, points)):
@@ -198,21 +221,31 @@ def cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_density(args, parser) -> int:
-    fam = _family_from_args(args, parser)
+def _density_flags(parser):
+    _add_family_flags(parser)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--x", type=int)
+    parser.add_argument("--x-start", type=int)
+    parser.add_argument("--x-stop", type=int)
+    parser.add_argument("--all", action="store_true",
+                        help="every point of a bounded support")
+    _add_numeric_flags(parser, default_backend="exact")
+
+
+def cmd_density(args) -> int:
+    fam = _family_from_args(args)
     sup = fam.support()
     if args.all:
         if sup.b is None:
-            raise SystemExit(parser.exit_with_usage(
-                "--all needs a bounded support; give --x or --x-start/--x-stop"))
+            raise _usage_error(
+                "--all needs a bounded support; give --x or --x-start/--x-stop")
         points = list(sup.points())
     elif args.x is not None:
         points = [args.x]
     elif args.x_start is not None and args.x_stop is not None:
         points = list(range(args.x_start, args.x_stop + 1))
     else:
-        raise SystemExit(parser.exit_with_usage(
-            "density needs --x, --x-start/--x-stop, or --all"))
+        raise _usage_error("density needs --x, --x-start/--x-stop, or --all")
     out = _writer(sys.stdout)
     out.writerow(["family", "n", "params", "x", "density"])
     for x, value in zip(points, rakhmanov_densities(fam, args.n, points, dps=args.dps)):
@@ -226,17 +259,34 @@ _MANUAL_SWEEP_FLAGS = ("family",) + PARAM_NAMES + ("n", "sweep", "start", "stop"
                                                    "count", "label")
 
 
-def cmd_sweep(args, parser) -> int:
+def _sweep_flags(parser):
+    _add_family_flags(parser, required=False)
+    parser.add_argument("--n", type=int, help="degree (fixed, for parameter sweeps)")
+    parser.add_argument("--sweep", choices=("n",) + PARAM_NAMES)
+    parser.add_argument("--start", type=Fraction)
+    parser.add_argument("--stop", type=Fraction)
+    parser.add_argument("--count", type=int)
+    parser.add_argument("--label", help="curve name of a manual sweep (default: sweep)")
+    parser.add_argument("--figure", help="run a stock figure configuration")
+    parser.add_argument("--figures-file", help="alternative figure config path")
+    parser.add_argument("--list-figures", action="store_true")
+    parser.add_argument("--methods",
+                        help="default: a figure curve's own methods, else expansion")
+    parser.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    _add_numeric_flags(parser, default_backend="exact")
+
+
+def cmd_sweep(args) -> int:
     # without --methods, figure curves keep their own methods key
-    methods = None if args.methods is None else _parse_methods(args.methods, parser)
+    methods = None if args.methods is None else _parse_methods(args.methods)
     if args.figure or args.list_figures:
         mode = "--figure" if args.figure else "--list-figures"
         if args.figure and args.list_figures:
-            raise SystemExit(parser.exit_with_usage("--figure and --list-figures clash"))
+            raise _usage_error("--figure and --list-figures clash")
         given = [f"--{k}" for k in _MANUAL_SWEEP_FLAGS if getattr(args, k) is not None]
         if given:
-            raise SystemExit(parser.exit_with_usage(
-                f"{mode} does not take the manual-sweep flags {', '.join(given)}"))
+            raise _usage_error(
+                f"{mode} does not take the manual-sweep flags {', '.join(given)}")
         try:
             if args.list_figures:
                 listing = [f"{fig_id}: {', '.join(s.label for s in specs)}\n"
@@ -247,21 +297,20 @@ def cmd_sweep(args, parser) -> int:
             rows = run_figure(args.figure, path=args.figures_file, methods=methods,
                               backend=args.backend, dps=args.dps)
         except KeyError as exc:
-            raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
+            raise _usage_error(str(exc.args[0]))
         except FigureConfigError as exc:
-            raise SystemExit(parser.exit_with_usage(str(exc)))
+            raise _usage_error(str(exc))
     else:
         needed = [args.sweep, args.start, args.stop, args.count]
         if any(v is None for v in needed):
-            raise SystemExit(parser.exit_with_usage(
+            raise _usage_error(
                 "manual sweeps need --sweep, --start, --stop, --count "
-                "(or use --figure)"))
+                "(or use --figure)")
         fixed = {k: getattr(args, k) for k in PARAM_NAMES
                  if getattr(args, k) is not None}
         if args.sweep != "n":
             if args.n is None:
-                raise SystemExit(parser.exit_with_usage(
-                    "parameter sweeps need a fixed --n"))
+                raise _usage_error("parameter sweeps need a fixed --n")
             fixed["n"] = args.n
         fixed.pop(args.sweep, None)
         methods = methods or [Method.EXPANSION]
@@ -273,7 +322,7 @@ def cmd_sweep(args, parser) -> int:
                              backend=args.backend, dps=args.dps,
                              label="sweep" if args.label is None else args.label)
         except ValueError as exc:
-            raise SystemExit(parser.exit_with_usage(str(exc)))
+            raise _usage_error(str(exc))
         rows = run_sweep(spec)
     with _output(args.out) as stream:
         out = _writer(stream)
@@ -283,7 +332,14 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
+def _verify_flags(parser):
+    parser.add_argument("--suite", action="append",
+                        help="suite name (repeatable; default: all)")
+    parser.add_argument("--list-suites", action="store_true")
+
+
+def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites   # the suites load on this command alone
     if args.list_suites:
         for name in SUITES:
             print(name)
@@ -291,7 +347,7 @@ def cmd_verify(args, parser) -> int:
     try:
         results = run_suites(args.suite or None)
     except KeyError as exc:
-        raise SystemExit(parser.exit_with_usage(str(exc.args[0])))
+        raise _usage_error(str(exc.args[0]))
     all_ok = True
     for result in results:
         status = "PASS" if result.ok else "FAIL"
@@ -304,92 +360,58 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-# ---------------------------------------------------------------------------
+#: every command: its help line, the function that adds its flags, its body
+_COMMANDS = {
+    "fisher": ("evaluate one polynomial's Fisher information by every route",
+               _fisher_flags, cmd_fisher),
+    "eval": ("monic polynomial values", _eval_flags, cmd_eval),
+    "density": ("probability-mass values of the degree-n density",
+                _density_flags, cmd_density),
+    "sweep": ("sweep a parameter or the degree to CSV", _sweep_flags, cmd_sweep),
+    "verify": ("run the invariant suites", _verify_flags, cmd_verify),
+}
 
 
 def build_parser() -> _Parser:
-    # the width argparse's formatter would compute for itself
-    width = shutil.get_terminal_size().columns - 2
+    """The full tree: the top-level parser with every command's parser."""
     parser = _Parser(
         prog="dopfisher",
         description="Relative Fisher information of the classical discrete "
                     "orthogonal polynomial families.",
         epilog="Exit codes: 0 success, 1 verification failure, "
-               "2 parameter-domain error, 64 usage error.",
-        width=width)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=partial(_Parser, width=width))
-
-    p_fisher = sub.add_parser("fisher", help="evaluate one polynomial's Fisher "
-                                             "information by every route")
-    _add_family_flags(p_fisher)
-    p_fisher.add_argument("--n", type=int, required=True, help="polynomial degree")
-    p_fisher.add_argument("--methods", default="direct,difference,expansion,closed")
-    _add_numeric_flags(p_fisher, default_backend="float")
-    p_fisher.set_defaults(func=cmd_fisher)
-
-    p_eval = sub.add_parser("eval", help="monic polynomial values")
-    _add_family_flags(p_eval)
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--x", type=Fraction)
-    p_eval.add_argument("--x-start", type=int)
-    p_eval.add_argument("--x-stop", type=int)
-    _add_numeric_flags(p_eval, default_backend="exact")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_density = sub.add_parser("density", help="probability-mass values of the "
-                                               "degree-n density")
-    _add_family_flags(p_density)
-    p_density.add_argument("--n", type=int, required=True)
-    p_density.add_argument("--x", type=int)
-    p_density.add_argument("--x-start", type=int)
-    p_density.add_argument("--x-stop", type=int)
-    p_density.add_argument("--all", action="store_true",
-                           help="every point of a bounded support")
-    _add_numeric_flags(p_density, default_backend="exact")
-    p_density.set_defaults(func=cmd_density)
-
-    p_sweep = sub.add_parser("sweep", help="sweep a parameter or the degree to CSV")
-    _add_family_flags(p_sweep, required=False)
-    p_sweep.add_argument("--n", type=int, help="degree (fixed, for parameter sweeps)")
-    p_sweep.add_argument("--sweep", choices=("n",) + PARAM_NAMES)
-    p_sweep.add_argument("--start", type=Fraction)
-    p_sweep.add_argument("--stop", type=Fraction)
-    p_sweep.add_argument("--count", type=int)
-    p_sweep.add_argument("--label", help="curve name of a manual sweep (default: sweep)")
-    p_sweep.add_argument("--figure", help="run a stock figure configuration")
-    p_sweep.add_argument("--figures-file", help="alternative figure config path")
-    p_sweep.add_argument("--list-figures", action="store_true")
-    p_sweep.add_argument("--methods",
-                         help="default: a figure curve's own methods, else expansion")
-    p_sweep.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    _add_numeric_flags(p_sweep, default_backend="exact")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--suite", action="append",
-                          help="suite name (repeatable; default: all)")
-    p_verify.add_argument("--list-suites", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
+               "2 parameter-domain error, 64 usage error.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
-@lru_cache(maxsize=None)   # on the first call, not at import: importers may never call main
+@lru_cache(maxsize=None)   # built on first need (help and usage errors only), never at import
 def _shared_parser() -> _Parser:
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> _Parser:
+    """One command's parser alone, as the full tree builds it, on the command's first call."""
+    parser = _Parser(prog=f"dopfisher {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "dps", 0) is None:   # per call: the parser is shared
-        args.dps = _default_dps()
-    try:
-        return args.func(args, parser)
+        if name in _COMMANDS:
+            args, stray = _command_parser(name).parse_known_args(argv[1:])
+        if name not in _COMMANDS or stray:
+            # help, a missing or unknown command, or stray arguments: the full
+            # tree prints the help or usage error it always printed, and exits
+            _shared_parser().parse_args(argv)
+        if getattr(args, "dps", 0) is None:   # per call: the parser is shared
+            args.dps = _default_dps()
+        return _COMMANDS[name][2](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ParameterDomainError, DegreeOutOfRange, OutOfSupport) as exc:
@@ -400,6 +422,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 def run() -> None:
     sys.exit(main())
 
+
+# The import leaves a few thousand long-lived objects in the young GC
+# generations, and the first generation-1 collection scans them all (about 1 ms):
+# paid here, it does not land on whichever call crosses the allocation threshold.
+gc.collect(1)
 
 if __name__ == "__main__":
     run()

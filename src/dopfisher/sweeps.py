@@ -141,9 +141,9 @@ def linear_grid(start, stop, count: int, integer: bool = False) -> Tuple:
     start, stop = to_fraction(start), to_fraction(stop)
     if count == 1:
         values = [start]
-    else:
-        step = (stop - start) / (count - 1)
-        values = [start + step * k for k in range(count)]
+    else:   # start + (stop - start) k/m as one Fraction per point
+        (a, b), (c, d), m = start.as_integer_ratio(), stop.as_integer_ratio(), count - 1
+        values = [Fraction(a * d * (m - k) + c * b * k, b * d * m) for k in range(count)]
     if integer:
         bad = [v for v in values if v.denominator != 1]
         if bad:

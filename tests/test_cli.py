@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -169,15 +170,30 @@ class TestFisherCommand:
 
 
 class TestSharedParser:
+    """A call parses with the invoked command's parser alone; help, a missing
+    or unknown command and stray arguments go to the full tree.  Either way
+    the text is the full tree's."""
+
     @pytest.mark.parametrize("argv", [
         ["--help"],
         ["fisher", "--help"],
+        ["eval", "--help"],
+        ["density", "--help"],
         ["sweep", "--help"],
+        ["verify", "--help"],
         ["fisher", "--family", "charlier", "--mu", "2"],
         ["fisher", "--family", "charlier", "--mu", "2", "--n", "1", "--dps", "10"],
-    ], ids=["help", "fisher-help", "sweep-help", "missing-n", "dps-below-contract"])
+        ["eval", "--family=bogus"],
+        ["verify", "--suite", "charlier", "--dps", "60"],
+        [],
+        ["bogus"],
+    ], ids=["help", "fisher-help", "eval-help", "density-help", "sweep-help", "verify-help",
+            "missing-n", "dps-below-contract", "bad-choice", "stray-arguments",
+            "no-command", "unknown-command"])
     def test_same_output_on_every_call_and_from_a_fresh_parser(self, capsys, argv):
-        cli._shared_parser.cache_clear()  # the first call below builds it
+        # the first call below builds the parsers it needs
+        cli._shared_parser.cache_clear()
+        cli._command_parser.cache_clear()
         first = run_cli(capsys, argv)
         second = run_cli(capsys, argv)
         with pytest.raises(SystemExit) as exc:
@@ -185,6 +201,45 @@ class TestSharedParser:
         captured = capsys.readouterr()
         assert first == second == (exc.value.code, captured.out, captured.err)
         assert first[0] in (0, 64)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--family=charlier", "--mu=2", "--n=1"],
+         "eval needs --x or --x-start/--x-stop"),
+        (["density", "--family=charlier", "--mu=2", "--n=1", "--all"],
+         "--all needs a bounded support; give --x or --x-start/--x-stop"),
+        (["sweep", "--figure", "fig1", "--n", "3"],
+         "--figure does not take the manual-sweep flags --n"),
+        (["fisher", "--family=charlier", "--mu=2", "--n=1", "--methods=bogus"],
+         "unknown method 'bogus'; choose from direct, difference, expansion, closed"),
+        (["verify", "--suite", "nope"],
+         f"unknown suites ['nope']; available: {list(SUITES)}"),
+    ], ids=["eval-no-point", "density-all-unbounded", "figure-with-n", "bad-method",
+            "unknown-suite"])
+    def test_command_usage_errors_keep_the_top_level_prog(self, capsys, argv, message):
+        # found by the command, not by its parser: no usage line, and the
+        # prog the full tree always gave them
+        assert run_cli(capsys, argv) == (64, "", f"dopfisher: error: {message}\n")
+
+    #: sha256 of the top-level and every command's help, and of the errors of
+    #: no and of an unknown command, at 80 columns (captured when one parser
+    #: tree served every call): the parity tests above compare two parsers
+    #: built from one command table, so they cannot see a flag reordered or
+    #: reworded there
+    HELP_DIGEST = "57c0ba33026072b858e15f57c25c5523e06eaf2affb88ce7b7afea7d597b267c"
+
+    def test_help_and_usage_texts_are_pinned(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._shared_parser.cache_clear()   # the width is read when a parser is built
+        cli._command_parser.cache_clear()
+        try:
+            texts = [run_cli(capsys, argv) for argv in (
+                ["--help"], *([name, "--help"] for name in
+                              ("fisher", "eval", "density", "sweep", "verify")),
+                [], ["bogus"])]
+        finally:   # keep no 80-column parser for later tests
+            cli._shared_parser.cache_clear()
+            cli._command_parser.cache_clear()
+        assert hashlib.sha256(repr(texts).encode()).hexdigest() == self.HELP_DIGEST
 
     @pytest.mark.parametrize("columns", ["50", "80", "120"])
     def test_help_width_is_argparse_default(self, monkeypatch, columns):
@@ -459,23 +514,59 @@ class TestModuleEntryPoints:
         assert done.stdout.split() == list(SUITES)
 
 
-#: run in a fresh interpreter: every call, then the modules of mpmath loaded
+#: run in a fresh interpreter: every call, then the watched modules loaded
+#: (each watched name and its submodules)
 IMPORT_GUARD = """
 import contextlib, io, json, sys
 import dopfisher.cli
+calls, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 codes = []
-for argv in json.loads(sys.argv[1]):
+for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dopfisher.cli.main(argv))
-    codes.append(sorted(m for m in sys.modules if m.partition(".")[0] == "mpmath"))
+    codes.append(sorted(m for m in sys.modules
+                        if any(m == w or m.startswith(w + ".") for w in watched)))
 print(json.dumps(codes))
 """
+
+#: run in a fresh interpreter: the package root resolves its names lazily
+LAZY_ROOT = """
+import importlib, sys
+import dopfisher
+assert [m for m in sys.modules if m.startswith("dopfisher.")] == []
+listed = dir(dopfisher)
+for name in dopfisher.__all__:
+    home = importlib.import_module("dopfisher." + dopfisher._HOMES[name])
+    assert getattr(dopfisher, name) is getattr(home, name), name
+    assert name in listed, name
+from dopfisher import TruncationCapExceeded, TruncationPolicy
+from dopfisher.fisher import TruncationCapExceeded as E, TruncationPolicy as P
+assert TruncationCapExceeded is E and TruncationPolicy is P
+"""
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter on the package under test."""
+    src = str(Path(dopfisher.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def run_guarded(calls, watched):
+    """([exit code], [watched modules loaded after the call]) of ``calls``."""
+    results = json.loads(run_fresh(IMPORT_GUARD, json.dumps(calls), json.dumps(watched)))
+    return results[::2], results[1::2]
 
 
 class TestImportGraph:
     """Every rational path prints without mpmath: the exact routes never use
     it, and rationals are printed from their integers.  Only the
-    infinite-lattice density computes in big floats."""
+    infinite-lattice density computes in big floats.  The package root loads
+    no submodule, and only ``verify`` loads the suites and the limiting
+    formulas."""
 
     RATIONAL_CALLS = [
         ["fisher", "--family=hahn", "--alpha=1/2", "--beta=2/3", "--N=12", "--n=5",
@@ -491,19 +582,23 @@ class TestImportGraph:
     ]
 
     def test_rational_paths_never_import_mpmath(self):
-        src = str(Path(dopfisher.__file__).resolve().parents[1])
         calls = self.RATIONAL_CALLS + [["density", "--family=charlier", "--mu=2", "--n=1",
                                         "--x=1"]]
-        done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(calls)],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert done.returncode == 0, done.stderr
-        results = json.loads(done.stdout)
-        codes, loaded = results[::2], results[1::2]
+        codes, loaded = run_guarded(calls, ["mpmath"])
         assert codes == [0] * len(calls)
         assert loaded[:-1] == [[]] * len(self.RATIONAL_CALLS)
         # the guard sees mpmath once the infinite-lattice density needs it
         assert "mpmath" in loaded[-1]
+
+    def test_only_verify_loads_the_suites_and_the_limiting_formulas(self):
+        calls = self.RATIONAL_CALLS + [["verify", "--list-suites"]]
+        codes, loaded = run_guarded(calls, ["dopfisher.verify", "dopfisher.asymptotics"])
+        assert codes == [0] * len(calls)
+        assert loaded == [[]] * len(self.RATIONAL_CALLS) + [
+            ["dopfisher.asymptotics", "dopfisher.verify"]]
+
+    def test_package_root_resolves_every_public_name_lazily(self):
+        run_fresh(LAZY_ROOT)
 
     def test_infinite_lattice_density_prints_nstr_digits(self, capsys):
         code, out, _ = run_cli(capsys, ["density", "--family", "charlier", "--mu", "7/3",

@@ -28,8 +28,9 @@ term-by-term Fraction forms.  The
 cancelled forms that keep the cost set by the degree and not by the lattice
 size -- the norm ratio d_0^2/d_n^2 from the recurrence and the Hahn closed
 form without its products of length N -- equal the forms written with those
-products.  Examples are drawn deterministically, so the suite stays
-reproducible.
+products.  The sweep grid, one Fraction per point, equals start plus the
+scaled span, and lands on integers exactly when every point is one.
+Examples are drawn deterministically, so the suite stays reproducible.
 """
 
 import math
@@ -37,6 +38,7 @@ import operator
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +58,7 @@ from dopfisher.numerics import (
     pochhammer,
     terminating_pfq,
 )
+from dopfisher.sweeps import linear_grid
 
 from oracles import (
     delta_walk_connection,
@@ -616,3 +619,32 @@ def test_hahn_5f4_equals_term_by_term(on_line, data, N):
 def test_pochhammer_equals_rising(a, k):
     value = pochhammer(a, k)
     assert type(value) is Fraction and value == rising(a, k)
+
+
+@st.composite
+def grid_ends(draw):
+    """(start, stop, count): rational ends, or the ends of an integer grid."""
+    count = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        start, step = draw(st.integers(-50, 50)), draw(st.integers(-5, 5))
+        return start, start + step * (count - 1), count
+    return draw(rationals(-50, 50, 40)), draw(rationals(-50, 50, 40)), count
+
+
+@PROPERTY
+@given(grid_ends())
+@example((F(5, 2), F(5, 2), 4))     # start == stop
+@example((F(-7, 3), F(11, 6), 1))   # one point
+@example((0, 10, 11))               # the integers
+@example((0, 10, 4))                # integer ends, steps of 10/3
+def test_linear_grid_equals_start_plus_scaled_span(case):
+    start, stop, count = case
+    span = F(stop) - F(start)
+    expected = tuple(F(start) + span * k / max(count - 1, 1) for k in range(count))
+    grid = linear_grid(start, stop, count)
+    assert grid == expected and all(type(v) is Fraction for v in grid)
+    if all(v.denominator == 1 for v in expected):
+        assert linear_grid(start, stop, count, integer=True) == tuple(map(int, expected))
+    else:
+        with pytest.raises(ValueError, match="non-integers"):
+            linear_grid(start, stop, count, integer=True)
