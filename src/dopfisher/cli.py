@@ -34,6 +34,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import List, Optional
 
 from .families import (
@@ -327,8 +328,7 @@ def cmd_sweep(args) -> int:
     with _output(args.out) as stream:
         out = _writer(stream)
         out.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            out.writerow([row[c] for c in SWEEP_COLUMNS])
+        out.writerows(map(itemgetter(*SWEEP_COLUMNS), rows))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from operator import mul, sub
+from operator import mul
 from typing import Optional, Tuple
 
 from .numerics import (
@@ -113,7 +113,8 @@ class NormValue:
 @dataclass(frozen=True)
 class TableOneData:
     """Per-family data of the hypergeometric difference equation
-    sigma(x) Delta Nabla P + tau(x) Delta P + lambda_n P = 0."""
+    sigma(x) Delta Nabla P + tau(x) Delta P + lambda_n P = 0, which is also
+    the Pearson pair of the weight, Delta(sigma w) = tau w."""
 
     sigma: Tuple[Fraction, Fraction, Fraction]  # constant, linear, quadratic
     tau: Tuple[Fraction, Fraction]              # constant, linear
@@ -172,11 +173,6 @@ class Family:
         Only the truncated-sum engine reads it; ROADMAP item 3 deletes both."""
         raise TypeError(f"no tail bound for bounded family {self.tag}")
 
-    def factorial_ratio(self, j: int) -> Tuple[int, int]:
-        """m_j/m_(j-1) as an integer pair, j >= 1, for the factorial moments
-        m_j = sum_x w(x) x(x-1)...(x-j+1) / sum_x w(x) (the mass is reduced_norm(0))."""
-        raise NotImplementedError
-
     # ---- shared machinery --------------------------------------------------
 
     def check_degree(self, n: int) -> None:
@@ -225,19 +221,6 @@ class Family:
         """Delta P_n(x) = P_n(x+1) - P_n(x)."""
         low, high = self.eval_points(n, (x, x + 1))
         return high - low
-
-    def factorial_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        """The factorial moments m_j (``factorial_ratio``) for j = 0..k, as
-        (integer numerators, one denominator) in lowest terms."""
-        # m_j = prod_(i<=j) num_i/den_i over D = den_1 ... den_k: the numerator
-        # (num_1 ... num_j)(den_(j+1) ... den_k) is a prefix product of the
-        # numerators times a suffix product of the denominators
-        ratios = [self.factorial_ratio(j) for j in range(1, k + 1)]
-        head = accumulate((num for num, _ in ratios), mul, initial=1)
-        tail = list(accumulate((den for _, den in reversed(ratios)), mul, initial=1))
-        row = [a * b for a, b in zip(head, reversed(tail))]
-        g = math.gcd(*row)
-        return tuple(c // g for c in row), row[0] // g
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """(L, den) with sum_x L_x c(x) / den = sum_x w(x) c(x) / sum_x w(x)
@@ -298,27 +281,33 @@ class _Tables:
     numerators over one common denominator: it is the one evaluator of P_n,
     behind ``Family.eval_points`` and the ends of the node values.
 
-    The quadrature row turns Newton's formula E c = sum_j Delta^j c(0) m_j/j!,
-    Delta^j c(0) = sum_x (-1)^(j-x) C(j,x) c(x), into E c = sum_x L_x c(x) /
-    (t! D) with L_x = sum_(j>=x) (-1)^(j-x) C(j,x) M_j t!/j!, for the factorial
-    row m_j = M_j/D and t the last j <= k with m_j != 0 (N on Kravchuk, N-1 on
-    Hahn: on a bounded lattice the row ends with the support).  It is the
-    transposed difference table: z = [s_t], s_j = M_j t!/j!, then for each
-    j = t-1 .. 0, z = [s_j - z_0, z_0 - z_1, ..., z_(last-1) - z_last, z_last].
+    The quadrature row (L, den), E c = sum_x L_x c(x) / den for every c of
+    degree at most k, lives on the nodes x = 0 .. t, t = k cut at the last
+    support point (N on Kravchuk, N-1 on Hahn).  It comes from the Pearson
+    pair Delta(sigma w) = tau w, sigma(0) = 0: summed by parts, E[tau f +
+    sigma Nabla f] = 0, so g_x = (sigma + tau)(x) L_x - sigma(x+1) L_(x+1)
+    vanishes against every polynomial of degree below t on the nodes, which
+    makes it a multiple of (-1)^x C(t,x).  From L_t = 1, for x = t-1 .. 0,
+        (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) + (-1)^(t-x) C(t,x) (sigma + tau)(t),
+    and den = sum_x L_x since E 1 = 1.  sigma + tau vanishes on a support only
+    at its last point, where the last term then vanishes and the walk is the
+    weight's own ratio; every division is below it.  Each L_x is an integer
+    numerator over (sigma + tau)(x) ... (sigma + tau)(t-1), so a step is big
+    times small, and one prefix product puts the row over one denominator.
+    No gcd is taken: it costs about what it saves in the dot products.
 
     P_n at the row's nodes 0 .. t+1 is V/D, V integers: at 0, 1 and t+1 from
     the recurrence in n (``end_values``), and at 2 .. t from the difference
     equation sigma Delta Nabla P + tau Delta P + lambda_n P = 0 read as a
     recurrence in x,
         (sigma + tau)(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
-    with sigma, tau and lambda_n scaled to integers by one constant, so each
-    step is two big times small products and one exact division.  sigma + tau
-    vanishes only at the last support point (N on Kravchuk, N-1 on Hahn).  The
-    steps divide by it at x = 1 .. t-1, below that point since t is at most
-    it, and the last node t+1, which a step from x = t would need, comes from
-    the recurrence in n.  The row and the node values are kept for the last k
-    and n asked for: ``direct`` and ``difference`` share them.  The structure
-    pairs are kept per family, so a degree sweep computes each once."""
+    so each step is two big times small products and one exact division.
+    The steps divide by sigma + tau at x = 1 .. t-1, below the last support
+    point, and the last node t+1, which a step from x = t would need, comes
+    from the recurrence in n.  Both read sigma and tau scaled to integers once
+    (``pearson``), lambda_n from those integers, and both are kept for the
+    last k and n asked for: ``direct`` and ``difference`` share them.  The
+    structure pairs are kept per family, so a degree sweep computes each once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -356,10 +345,8 @@ class _Tables:
         # the steps in x of the class docstring, over the ends' denominator
         t = len(self.fam.quadrature_row(2 * n)[0]) - 1
         ends, den = self.end_values(n, (0, 1, t + 1) if t else (0, 1))
-        data = self.fam.table_data()
-        coeffs = (*data.sigma, *data.tau, self.fam.lambda_n(n))
-        c = math.lcm(*(f.denominator for f in coeffs))
-        s0, s1, s2, t0, t1, lam = (f.numerator * (c // f.denominator) for f in coeffs)
+        s0, s1, s2, t0, t1 = self.pearson
+        lam = -n * t1 - n * (n - 1) * s2
         v = ends[:2]
         for x in range(1, t):
             sig, tx = (s2 * x + s1) * x + s0, t1 * x + t0
@@ -391,17 +378,29 @@ class _Tables:
         return cur, den * q ** n
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        # the transposed difference table of the class docstring, with
-        # f = t!/j! walked up from 1
-        moments, md = self.fam.factorial_row(k)
-        t = k
-        while not moments[t]:
-            t -= 1
-        f, z = 1, [moments[t]]
-        for j in range(t - 1, -1, -1):
-            f *= j + 1
-            z = [moments[j] * f - z[0], *map(sub, z, z[1:]), z[-1]]
-        return tuple(z), f * md
+        # the Pearson recurrence of the class docstring, on the numerators
+        # N_x = L_x phi(x) ... phi(t-1), phi = sigma + tau, from N_t = 1
+        s0, s1, s2, t0, t1 = self.pearson
+        last = self.fam.support().b
+        t = k if last is None else min(k, last - 1)
+        phi = [(s2 * x + s1 + t1) * x + s0 + t0 for x in range(t + 1)]
+        c, p, nums = phi[t], 1, [1]
+        for x in range(t - 1, -1, -1):
+            c = -c * (x + 1) // (t - x)     # (-1)^(t-x) C(t,x) phi(t)
+            nums.append(((s2 * (x + 1) + s1) * (x + 1) + s0) * nums[-1] + c * p)
+            p *= phi[x]
+        # over phi(0) ... phi(t-1): N_x times phi(0) ... phi(x-1)
+        row = tuple(map(mul, reversed(nums), accumulate(phi[:t], mul, initial=1)))
+        return row, sum(row)
+
+    @cached_property
+    def pearson(self) -> Tuple[int, ...]:
+        """(s0, s1, s2, t0, t1) with sigma = s0 + s1 x + s2 x^2 and tau = t0 + t1 x
+        of ``table_data`` times the lcm of their denominators, read once."""
+        data = self.fam.table_data()
+        coeffs = (*data.sigma, *data.tau)
+        c = math.lcm(*(f.denominator for f in coeffs))
+        return tuple(f.numerator * (c // f.denominator) for f in coeffs)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -448,9 +447,6 @@ class Charlier(Family):
 
     def tail_ratio_bound(self, x):
         return self.mu / (x + 1)  # decreasing in x
-
-    def factorial_ratio(self, j):
-        return self.mu.numerator, self.mu.denominator
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -513,11 +509,6 @@ class Meixner(Family):
     def tail_ratio_bound(self, x):
         # ratio mu (gamma+y)/(y+1) is monotone toward mu from either side
         return self.mu * max(Fraction(1), (self.gamma + x) / Fraction(x + 1))
-
-    def factorial_ratio(self, j):
-        # (gamma + j - 1) mu/(1 - mu), with gamma = g/gd and mu = u/ud
-        g, gd, u, ud = self._parts
-        return (g + (j - 1) * gd) * u, gd * (ud - u)
 
     def reduced_norm(self, n):
         self.check_degree(n)
@@ -599,10 +590,6 @@ class Kravchuk(Family):
             raise OutOfSupport("weight ratio needs x >= 1")
         return Fraction(x) * (1 - self.p) / (self.p * (self.N - x + 1))
 
-    def factorial_ratio(self, j):
-        # (N - j + 1) p, with p = u/d; zero past j = N, where the support ends
-        return (self.N - j + 1) * self.p.numerator, self.p.denominator
-
     def reduced_norm(self, n):
         self.check_degree(n)
         rational = (Fraction(math.factorial(n) * math.factorial(self.N),
@@ -682,12 +669,6 @@ class Hahn(Family):
             raise OutOfSupport("weight ratio needs x >= 1")
         return (x * (self.N + self.alpha - x)
                 / ((self.N - x) * (self.beta + x)))
-
-    def factorial_ratio(self, j):
-        # (N - j) (beta + j)/(alpha + beta + 1 + j) over d (``_parts``); zero
-        # past j = N-1, where the support ends
-        d, p, q = self._parts
-        return (self.N - j) * (q + j * d), p + q + (1 + j) * d
 
     def reduced_norm(self, n):
         self.check_degree(n)

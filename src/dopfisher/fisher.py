@@ -27,17 +27,19 @@ Routes:
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
 
-Sums against the weight are closed-form on every lattice: by Newton's formula
-c(x) = sum_j Delta^j c(0) x(x-1)...(x-j+1)/j!, the expectation E c of a
-polynomial needs only the factorial moments m_j (``Family.factorial_ratio``),
-and transposed it is one integer quadrature row, E c = sum_x L_x c(x) / den
-over the nodes x = 0, 1, ... (``Family.quadrature_row``).  ``direct`` and
+Sums against the weight are closed-form on every lattice: the expectation of
+a polynomial of degree at most k is one integer quadrature row, E c =
+sum_x L_x c(x) / den over the nodes x = 0, 1, ... (``Family.quadrature_row``),
+and the Pearson pair Delta(sigma w) = tau w of the weight gives it by one
+recurrence in x, (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) +
+(-1)^(t-x) C(t,x) (sigma + tau)(t) from L_t = 1.  ``direct`` and
 ``difference`` share the row at k = 2n and P_n at its nodes, so each is one
 dot product.  The difference equation sigma Delta Nabla P_n + tau Delta P_n +
-lambda_n P_n = 0 is a three-term recurrence in x, run on integers from the
-values at 0 and 1, and those and the last node come from the integer
-recurrence in n (``Family.node_values``), which is also the one evaluator of
-P_n anywhere else (``Family.eval_points``, so the densities).
+lambda_n P_n = 0, on the same sigma and tau, is a three-term recurrence in
+x, run on integers from the values at 0 and 1, and those and the last node
+come from the integer recurrence in n (``Family.node_values``), which is
+also the one evaluator of P_n anywhere else (``Family.eval_points``, so the
+densities).
 The mass ``reduced_norm(0)`` cancels against the norm,
 d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
 set by the degree and not by the lattice size.  This path uses no ladder and

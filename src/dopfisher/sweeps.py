@@ -2,8 +2,9 @@
 
 A sweep moves one variable (the degree or one family parameter) over a grid
 while the rest stay fixed, evaluating the requested routes at every point.
-Row order is deterministic: grid-major, method-minor.  Out-of-domain points
-produce an ``error`` row and the sweep continues.
+Row order is deterministic: grid-major, method-minor.  Rows are yielded as
+they are built, so a sweep holds one grid point at a time.  Out-of-domain
+points produce an ``error`` row and the sweep continues.
 
 Ten stock figure configurations (degree sweeps and parameter sweeps for
 representative members of every family) ship as ``figures.cfg``, an INI file
@@ -18,7 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
 from .fisher import FisherReport, Method, fisher_report
@@ -152,9 +154,9 @@ def linear_grid(start, stop, count: int, integer: bool = False) -> Tuple:
     return tuple(values)
 
 
-def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
-    """Evaluate the sweep; one row dict per grid point and method."""
-    rows: List[Dict[str, str]] = []
+def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
+    """Evaluate the sweep lazily: one row dict per grid point and method,
+    each grid point evaluated when its first row is read."""
     for value in spec.grid:
         base = {
             "curve": spec.label,
@@ -182,7 +184,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
             row = dict(base)
             row["n"] = str(degree)
             row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+            yield row
             continue
         report = fisher_report(fam, degree, methods=spec.methods)
         for method in spec.methods:
@@ -192,8 +194,7 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, str]]:
             row["method"] = method.value
             row["value"], row["converged"], row["error"] = route_cells(
                 report, method, spec.backend, spec.dps)
-            rows.append(row)
-    return rows
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +298,11 @@ def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
                      methods=curve_methods, label=label)
 
 
-def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> List[Dict[str, str]]:
-    """Run every curve of one figure, concatenating rows in file order."""
+def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> Iterator[Dict[str, str]]:
+    """Run every curve of one figure, rows in file order and evaluated as
+    they are read (``run_sweep``).  An unknown figure or a config that cannot
+    be loaded raises here, before any row."""
     figures = load_figures(path, **kwargs)
     if fig_id not in figures:
         raise KeyError(f"unknown figure {fig_id!r}; available: {sorted(figures)}")
-    rows: List[Dict[str, str]] = []
-    for spec in figures[fig_id]:
-        rows.extend(run_sweep(spec))
-    return rows
+    return chain.from_iterable(map(run_sweep, figures[fig_id]))

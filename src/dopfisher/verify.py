@@ -187,7 +187,15 @@ def suite_orthogonality() -> SuiteResult:
                 expect = fam.reduced_norm(n).rational if n == m else Fraction(0)
                 out.check(total == expect,
                           f"{fam}: orthogonality sum off at n={n}, m={m}: {total} != {expect}")
-    # infinite supports: exact, through the weight's factorial moments
+        # from the last support point on, the quadrature row is the weight's
+        # closed form, normalised, and not read from sigma and tau
+        weights = [fam.reduced_weight(x) for x in fam.support().points()]
+        mass = sum(weights)
+        for k in (len(weights) - 1, len(weights) + 3):
+            row, den = fam.quadrature_row(k)
+            out.check([Fraction(c, den) for c in row] == [w / mass for w in weights],
+                      f"{fam}: quadrature row at k={k} is not the normalised weight")
+    # infinite supports: exact, through the quadrature row
     for fam in (Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))):
         mass = fam.reduced_norm(0)
         for n in range(7):
@@ -207,7 +215,7 @@ def suite_rakhmanov() -> SuiteResult:
             masses = [rakhmanov_density(fam, n, x) for x in fam.support().points()]
             out.check(all(v >= 0 for v in masses), f"{fam}: negative density at n={n}")
             out.check(sum(masses) == 1, f"{fam}: density sum != 1 at n={n}")
-    # infinite: normalization is exact through the factorial moments
+    # infinite: normalization is exact through the quadrature row
     for fam in (Charlier(Fraction(2)), Meixner(Fraction(3, 2), Fraction(1, 2))):
         for n in range(4):
             total = _inner(fam, n, n) * fam.reduced_norm(0).exact_ratio(fam.reduced_norm(n))

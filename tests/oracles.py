@@ -28,12 +28,16 @@ coefficients of Delta P_n = sum_j a_j P_j, the norm ratios taken from the
 norms or as a running product of the b_m, with the a_j from the Delta-walk
 in Fraction arithmetic, checked in turn against the Pochhammer connection
 coefficients of the ladder families and the paper's Hahn 4F3 sum.  The
-textbook Fraction forms of the four factorial moments, their Stirling sums
-and the monomial coefficients of q(x+1) and q(x+1) - q(x) are references for
-the quadrature-row sums of ``direct`` and ``difference`` and of any
-polynomial (``quadrature_sum``), and so is Newton's formula
-summed straight from a difference table of the node values; the density of
-one lattice point taken on its own is the reference for the batched density.
+package builds its quadrature row from the Pearson pair sigma, tau alone;
+its references start from the textbook Fraction forms of the four
+factorial moments instead.  Newton's formula over them, transposed, is the
+reference row (``transposed_table_row``, a transposed difference table of
+t^2/2 subtractions), and summed straight from a difference table of
+the values it is the reference sum (``newton_sum``); their Stirling sums and
+the monomial coefficients of q(x+1) and q(x+1) - q(x) are references for the
+quadrature-row sums of ``direct`` and ``difference`` and of any polynomial
+(``quadrature_sum``); the density of one lattice point taken on its own is
+the reference for the batched density.
 The Hahn closed form as written before any cancellation (its products of
 length N, and its removable 0/0s on alpha + beta = -1, where it runs on
 truncated Laurent series) and the norm ratio d_0^2/d_n^2 taken from the
@@ -63,22 +67,33 @@ def stirling2(k: int, j: int) -> int:
     return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
 
 
-def newton_sum(fam, values) -> tuple:
-    """(t, d) with t/d = sum_x w(x) c(x) / sum_x w(x) for the polynomial c of
-    degree at most K with the integer values c(0..K) = ``values``.
-
-    Newton's formula gives sum_j Delta^j c(0) m_j/j!; over K! and the
-    factorial row's denominator D (m_j = M_j/D), t is the integer dot product
-    sum_j Delta^j c(0) M_j K!/j!, in Horner form T = T j + Delta^j c(0) M_j,
-    with the Delta^j c(0) the first column of the values' difference table.
-    """
-    k = len(values) - 1
-    moments, md = fam.factorial_row(k)
-    total, diffs = 0, list(values)
-    for j in range(k + 1):
-        total = total * j + diffs[0] * moments[j]
+def newton_sum(fam, values) -> Fraction:
+    """sum_x w(x) c(x) / sum_x w(x) for the polynomial c of degree at most K
+    with the values c(0..K) = ``values``, by Newton's formula
+    sum_j Delta^j c(0) m_j/j! over the textbook factorial moments m_j, with
+    the Delta^j c(0) the first column of the values' difference table."""
+    total, diffs = Fraction(0), list(values)
+    for j, moment in enumerate(factorial_moments(fam, len(values) - 1)):
+        total += diffs[0] * moment / math.factorial(j)
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return total, math.factorial(k) * md
+    return total
+
+
+def transposed_table_row(fam, k: int) -> list:
+    """The quadrature row of degree k as Fractions L_x, E c = sum_x L_x c(x),
+    on the nodes 0 .. t, t the last j <= k with a nonzero textbook factorial
+    moment m_j: Newton's formula with Delta^j c(0) = sum_x (-1)^(j-x) C(j,x)
+    c(x), transposed, gives L_x = sum_(j>=x) (-1)^(j-x) C(j,x) m_j/j!.  It is
+    summed as the transposed difference table: z = [s_t], s_j = m_j t!/j!,
+    then for each j = t-1 .. 0, z = [s_j - z_0, z_0 - z_1, ..., z_last], and
+    L = z/t!."""
+    moments = factorial_moments(fam, k)
+    t = max(j for j, m in enumerate(moments) if m)
+    f, z = 1, [moments[t]]
+    for j in range(t - 1, -1, -1):
+        f *= j + 1
+        z = [moments[j] * f - z[0], *(a - b for a, b in zip(z, z[1:])), z[-1]]
+    return [c / f for c in z]
 
 
 def factorial_moments(fam, k: int) -> list:
@@ -325,9 +340,17 @@ def density_per_point(fam, n: int, x: int, dps: int):
         return mpmath.mpf(numerator.numerator) / numerator.denominator / norm.to_float(dps)
 
 
+def row_moments(row, k: int) -> list:
+    """sum_x L_x x(x-1)...(x-j+1) / den for j = 0..k, the falling-factorial
+    moments of an integer row (numerators L, denominator den)."""
+    nums, den = row
+    return [Fraction(sum(c * math.perm(x, j) for x, c in enumerate(nums)), den)
+            for j in range(k + 1)]
+
+
 def as_fractions(row) -> list:
     """The Fractions of an integer row (numerators, denominator), such as
-    ``factorial_row`` returns."""
+    ``quadrature_row`` returns."""
     nums, den = row
     return [Fraction(c, den) for c in nums]
 

@@ -46,7 +46,7 @@ def test_criterion_1_charlier_closed_law():
         exact_ok &= fisher_closed(fam, n) == law
     exact_seconds = time.perf_counter() - start
     # The defining-sum and summation-by-parts routes sum over the infinite
-    # lattice through the weight's factorial moments, exactly as well.
+    # lattice through the weight's quadrature row, exactly as well.
     start = time.perf_counter()
     moment_ok = all(fisher_direct(Charlier(mu), n) == fisher_difference(Charlier(mu), n)
                     == F(n) / mu for n, mu in grid)

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import dopfisher
-from dopfisher import cli
+from dopfisher import cli, sweeps
 from dopfisher.cli import main
 from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
+from dopfisher.fisher import Method
 from dopfisher.numerics import DEFAULT_DPS
 from dopfisher.sweeps import SWEEP_COLUMNS, format_scalar, load_figures, run_figure
 from dopfisher.verify import SUITES
@@ -386,6 +387,38 @@ class TestSweepCommand:
         lines = target.read_text().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[7] == "1/2"  # n/mu at n=1
+
+    def test_usage_errors_come_before_the_out_file(self, capsys, tmp_path):
+        # rows stream into --out, so every usage error must be raised before
+        # the file is opened
+        target = tmp_path / "rows.csv"
+        for argv in (["--figure", "fig99"],
+                     ["--figure", "fig1", "--figures-file", str(tmp_path / "absent.cfg")],
+                     ["--family", "charlier", "--mu", "2", "--sweep", "n",
+                      "--start", "1", "--stop", "2", "--count", "3"],
+                     ["--family", "charlier", "--mu", "2", "--sweep", "mu",
+                      "--start", "1", "--stop", "2", "--count", "2"]):
+            code, out, _ = run_cli(capsys, ["sweep", *argv, "--out", str(target)])
+            assert code == 64 and out == "" and not target.exists()
+
+    def test_rows_stream_one_grid_point_at_a_time(self, monkeypatch):
+        # a grid point is evaluated when its first row is read, so a long
+        # sweep holds one point at a time
+        degrees = []
+        report = sweeps.fisher_report
+        monkeypatch.setattr(sweeps, "fisher_report",
+                            lambda fam, n, **kw: degrees.append(n) or report(fam, n, **kw))
+        spec = sweeps.SweepSpec(family="charlier", sweep="n", fixed={"mu": F(2)},
+                                grid=(1, 2, 3), methods=(Method.EXPANSION, Method.CLOSED))
+        rows = sweeps.run_sweep(spec)
+        assert degrees == []
+        assert [next(rows)["n"], next(rows)["n"]] == ["1", "1"] and degrees == [1]
+        assert next(rows)["n"] == "2" and degrees == [1, 2]
+        rows = run_figure("fig1")
+        assert degrees == [1, 2]
+        next(rows)
+        assert len(degrees) == 3
+        assert len(list(rows)) == len(degrees) - 3
 
     def test_list_figures(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--list-figures"])

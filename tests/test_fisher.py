@@ -385,19 +385,17 @@ class TestWorkPerReport:
     @pytest.mark.parametrize("fam, n", [(Charlier(F(7, 3)), 9), (Meixner(F(5, 2), F(3, 7)), 8),
                                         (Kravchuk(F(2, 7), 6), 5), (Hahn(F(1, 2), F(2), 7), 6)])
     def test_report_builds_one_row_and_one_node_pass(self, monkeypatch, fam, n):
-        # direct and difference share one factorial row, one quadrature row
-        # and one node-value pass, which runs the recurrence in n once
+        # direct and difference share one quadrature row and one node-value
+        # pass, which runs the recurrence in n once
         from dopfisher import families
 
         calls = {}
-        self.count(monkeypatch, Family, "factorial_row", calls)
         for name in ("quadrature_row", "node_values", "end_values"):
             self.count(monkeypatch, families._Tables, name, calls)
         families._tables.cache_clear()
         report = fisher_report(fam, n)
         assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
-        assert calls == {"factorial_row": 1, "quadrature_row": 1, "node_values": 1,
-                         "end_values": 1}
+        assert calls == {"quadrature_row": 1, "node_values": 1, "end_values": 1}
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
                                      Kravchuk(F(2, 7), 12)])

@@ -3,7 +3,7 @@
 Bounded families: the three exact routes agree bit for bit, and the Hahn
 closed form equals the expansion, on alpha + beta = -1 too.  Infinite
 supports: the exact closed form equals the expansion, Charlier gives n/mu,
-and the factorial-moment direct and difference routes equal the expansion
+and the quadrature-row direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The integer kernels
 of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
@@ -15,12 +15,12 @@ recurrence over their common denominator, equal Horner on the plain Fraction
 monomial recurrence; the Delta-walk connection coefficients equal the
 Pochhammer and 4F3 forms; the Gram recurrence of ``expansion`` equals the
 running-product Fraction sum over the Delta-walk coefficients, and on the
-ladder families over the Pochhammer ones; the
-per-family factorial moment row equals the textbook moments; the quadrature
-row, asked for at any k in any order, sums like Newton's formula from a
-difference table; the node values from the difference equation equal
-Horner on the Fraction monomial coefficients; the quadrature row met with any
-polynomial product, and the sums of ``direct`` and ``difference``, equal
+ladder families over the Pochhammer ones; the quadrature row from the
+Pearson pair, asked for at any k in any order, equals the transposed
+difference table over the textbook factorial moments, has those moments,
+and sums like Newton's formula from a difference table; the node values
+from the difference equation equal Horner on the Fraction monomial
+coefficients; the quadrature row met with any polynomial product, and the sums of ``direct`` and ``difference``, equal
 coefficient products met with the oracle's raw moments, on every family; and
 the integer Horner kernels of the terminating pFq and the
 Hahn 5F4, and the one-reduction Pochhammer product, equal their
@@ -61,6 +61,7 @@ from dopfisher.numerics import (
 from dopfisher.sweeps import linear_grid
 
 from oracles import (
+    as_fractions,
     delta_walk_connection,
     diff_coeffs,
     eval_coeffs,
@@ -80,10 +81,12 @@ from oracles import (
     quadrature_sum,
     recurrence_monomials,
     rising,
+    row_moments,
     running_product_expansion,
     shift_coeffs,
     structure_pair_from_recurrences,
     terminating_pfq_terms,
+    transposed_table_row,
 )
 
 F = Fraction
@@ -409,28 +412,43 @@ def test_ladder_expansion_equals_running_product_of_pochhammer_rows(case):
 @PROPERTY
 @given(any_family_cases(), st.lists(st.integers(min_value=0, max_value=40),
                                     min_size=1, max_size=4))
-def test_factorial_rows_grow_to_the_oracle_moments(case, orders):
-    # a fresh family's factorial moment row, asked for in the drawn order,
-    # always holds the textbook moments
+def test_quadrature_rows_grow_to_the_oracle_moments(case, orders):
+    # a fresh family's quadrature row, asked for in the drawn order, always
+    # has the textbook falling-factorial moments up to its degree
     fam, _ = case
     expected = factorial_moments(fam, max(orders))
     families._tables.cache_clear()
     for k in orders:
-        nums, den = fam.factorial_row(k)
-        assert len(nums) > k and math.gcd(den, *nums) == 1
-        assert [F(c, den) for c in nums[:k + 1]] == expected[:k + 1]
+        row, den = fam.quadrature_row(k)
+        assert den > 0 and row_moments((row, den), k) == expected[:k + 1]
+
+
+@PROPERTY
+@given(any_family_cases(), st.lists(st.integers(min_value=0, max_value=40),
+                                    min_size=1, max_size=3))
+# Kravchuk with k > N; Hahn on alpha + beta = -1, and with N = 1 and 2;
+# Meixner at mu = 999/1000; k = 0; a smaller k asked for after a larger one
+@example((Kravchuk(F(2, 7), 3), 0), [7])
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 0), [12, 5])
+@example((Hahn(F(1, 2), F(5, 3), 1), 0), [0, 3])
+@example((Hahn(F(1, 2), F(5, 3), 2), 0), [4, 1])
+@example((Meixner(F(5, 3), F(999, 1000)), 0), [30])
+@example((Charlier(F(9, 4)), 0), [0])
+@example((Meixner(F(5, 2), F(3, 7)), 0), [20, 6, 0])
+def test_quadrature_row_equals_the_transposed_table(case, orders):
+    # the Pearson recurrence on sigma and tau against Newton's formula
+    # transposed over the textbook factorial moments, as Fractions on the
+    # same t+1 nodes
+    fam, _ = case
+    families._tables.cache_clear()
+    for k in orders:
+        assert as_fractions(fam.quadrature_row(k)) == transposed_table_row(fam, k)
 
 
 def polynomials():
     """Monomial coefficients of a random rational polynomial of degree <= 9."""
     return st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20),
                     min_size=1, max_size=10)
-
-
-def last_moment(fam, k):
-    """The last j <= k with a nonzero factorial moment: N on Kravchuk, N-1 on Hahn."""
-    cut = {"kravchuk": 0, "hahn": -1}.get(fam.tag)
-    return k if cut is None else min(k, fam.N + cut)
 
 
 @PROPERTY
@@ -444,18 +462,17 @@ def last_moment(fam, k):
 @example((Meixner(F(5, 2), F(99, 100)), 0), [F(7, 3)], [0])
 @example((Charlier(F(9, 4)), 0), [F(2), F(-1, 6)], [9, 2, 0])
 def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
-    # the transposed difference table against Newton's formula summed from
-    # the difference table of the values, for c of degree deg c + extra
+    # the quadrature row against Newton's formula summed from the difference
+    # table of the values, for c of degree deg c + extra
     fam, _ = case
     families._tables.cache_clear()
     cn, cd = over_common_denominator(c)
     for extra in extras:
         k = len(cn) - 1 + extra
         row, den = fam.quadrature_row(k)
-        assert len(row) == last_moment(fam, k) + 1
+        assert len(row) == len(transposed_table_row(fam, k))
         values = [sum(a * x ** i for i, a in enumerate(cn)) for x in range(k + 1)]
-        t, d = newton_sum(fam, values)
-        assert F(sum(map(operator.mul, row, values)), den * cd) == F(t, d * cd)
+        assert F(sum(map(operator.mul, row, values)), den * cd) == newton_sum(fam, values) / cd
 
 
 @PROPERTY
@@ -478,7 +495,7 @@ def test_node_values_equal_horner_on_the_monomial_row(case):
     fam, n = case
     families._tables.cache_clear()
     nums, den = fam.node_values(n)
-    assert len(nums) == last_moment(fam, 2 * n) + 2
+    assert len(nums) == len(transposed_table_row(fam, 2 * n)) + 1
     assert den > 0 and math.gcd(den, *nums) == 1
     assert [F(v, den) for v in nums] == horner_node_values(fam, n)
 
@@ -521,7 +538,7 @@ def test_quadrature_row_sum_equals_coefficient_sum(case, p, q):
 @example((Hahn(F(-1, 3), F(-2, 3), 4), 0))
 @example((Hahn(F(-1, 3), F(-2, 3), 4), 1))
 def test_direct_and_difference_equal_coefficient_sums(case):
-    # the routes' Newton sums from node values against the monomial
+    # the routes' row sums from node values against the monomial
     # coefficients of Delta P_n and P_n(x+1), squared and met with the moments
     fam, n = case
     p = recurrence_monomials(fam, n)
