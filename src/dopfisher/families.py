@@ -6,6 +6,17 @@ formula: lattice support, weight, norm, second-order difference-equation
 coefficients, three-term recurrence, ladder relations and the structure
 relation that expands the forward difference back into the same family.
 
+Each family is a polynomial family of hypergeometric type, fixed by sigma
+and tau of its difference equation sigma Delta Nabla P + tau Delta P +
+lambda_n P = 0 (Nikiforov, Suslov and Uvarov, 1991), and supplies them as
+one integer hook (``Family.pearson_pair``).  One set of integer formulas
+turns them into the recurrence coefficients a_m, b_m and the structure
+pairs e_m, f_m of every family, from the x^(n-1) and x^(n-2) coefficients of
+the difference equation on a monic P_n; the quadrature row and the node
+values come from the same pair (``_Tables`` has the derivations).  The
+weights, norms, ladder targets and closed forms stay per family: they are
+the independent data that ``verify`` checks the derived rows against.
+
 Weights and norms are *reduced*: a per-family constant (e^-mu for Charlier,
 Gamma(alpha+1)Gamma(beta+1) for Hahn, ...) is factored out so that every
 quantity entering a ratio is an exact rational for rational parameters.
@@ -19,7 +30,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul
 from typing import Optional, Tuple
@@ -134,7 +145,11 @@ class Family:
         """Largest admissible degree, or None when unbounded."""
         return None
 
-    def table_data(self) -> TableOneData:
+    def pearson_pair(self) -> Tuple[int, int, int, int, int, int]:
+        """(s0, s1, s2, t0, t1, c), integers with c > 0: sigma = (s0 + s1 x +
+        s2 x^2)/c and tau = (t0 + t1 x)/c of the difference equation, which
+        fix the recurrence, the structure pairs, the quadrature row and the
+        node values (see ``_Tables``)."""
         raise NotImplementedError
 
     def reduced_weight(self, x: int) -> Fraction:
@@ -148,20 +163,9 @@ class Family:
     def reduced_norm(self, n: int) -> NormValue:
         raise NotImplementedError
 
-    def recurrence_a(self, m: int) -> Fraction:
-        raise NotImplementedError
-
-    def recurrence_b(self, m: int) -> Fraction:
-        raise NotImplementedError
-
     def ladder_target(self, n: int) -> Tuple["Family", Fraction]:
         """Family G and factor c with  Delta P_n = c * G-polynomial of degree n-1."""
         raise NotImplementedError
-
-    def ladder_ratio(self) -> Optional[Fraction]:
-        """r with  Delta P_n = sum_j n (j+1)_(n-1-j) r^(n-1-j) P_j, the ladder
-        row, so a_(j-1)/a_j = j r; None where no such row exists (Hahn)."""
-        return None
 
     def closed_form(self, n: int) -> Fraction:
         """The paper's closed Fisher value at degree n >= 1, exact."""
@@ -190,6 +194,12 @@ class Family:
         if n < 1:
             raise DegreeOutOfRange(f"{self.tag}: ladder needs degree >= 1")
 
+    def table_data(self) -> TableOneData:
+        """sigma and tau of ``pearson_pair`` as Fractions."""
+        s0, s1, s2, t0, t1, c = self.pearson_pair()
+        return TableOneData(sigma=(Fraction(s0, c), Fraction(s1, c), Fraction(s2, c)),
+                            tau=(Fraction(t0, c), Fraction(t1, c)))
+
     def sigma(self, x) -> Fraction:
         c0, c1, c2 = self.table_data().sigma
         return c0 + c1 * x + c2 * x * x
@@ -202,6 +212,21 @@ class Family:
         # the x^n coefficient of the difference equation on a monic P_n
         data = self.table_data()
         return -n * data.tau[1] - n * (n - 1) * data.sigma[2]
+
+    def recurrence_a(self, m: int) -> Fraction:
+        """a_m of x P_m = P_(m+1) + a_m P_m + b_m P_(m-1) (see ``_Tables``)."""
+        return Fraction(*_tables(self).upto(m + 1)[0][m])
+
+    def recurrence_b(self, m: int) -> Fraction:
+        """b_m of the three-term recurrence, b_0 = 0 (see ``_Tables``)."""
+        return Fraction(*_tables(self).upto(m + 1)[1][m])
+
+    def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
+        """(num e_m, den e_m, num f_m, den f_m), lowest terms, denominators
+        positive, with P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) for m >= 1, Q the
+        monic polynomials of ``ladder_target`` (see ``_Tables``); m = 0 gives
+        (0, 1, 0, 1)."""
+        return _tables(self).upto(m + 1)[2][m]
 
     def eval_points(self, n: int, xs) -> list:
         """Monic degree-n polynomial values at every point of ``xs`` (ints,
@@ -225,49 +250,26 @@ class Family:
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """(L, den) with sum_x L_x c(x) / den = sum_x w(x) c(x) / sum_x w(x)
         for every polynomial c of degree at most k (see ``_Tables``)."""
-        tables = _tables(self)
-        return tables.kept("quad", k, tables.quadrature_row)
+        return _tables(self).quad_row(k)
 
     def node_values(self, n: int) -> Tuple[list, int]:
         """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as (integer
         numerators, one denominator) in lowest terms, from the recurrence in n
         at the ends and the difference equation in between (see ``_Tables``)."""
         self.check_degree(n)
-        tables = _tables(self)
-        return tables.kept("nodes", n, tables.node_values)
-
-    def recurrence_b_upto(self, n: int) -> list:
-        """A list holding at least b_0 .. b_(n-1), each computed once per
-        family and shared by every caller (read it, never mutate it)."""
-        return _tables(self).b_upto(n)
-
-    def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
-        """(num e_m, den e_m, num f_m, den f_m), denominators positive, with
-        P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) for m >= 1, Q the monic
-        polynomials of ``ladder_target``.  Delta P_k = k Q_(k-1) put into
-        Delta applied to the three-term recurrence,
-            Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
-        with x Q_k = Q_(k+1) + a'_k Q_k + b'_k Q_(k-1), gives
-        e_m = m (a_m - 1 - a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1).  Here
-        they come from the ladder row (``ladder_ratio`` r, a_(j-1)/a_j = j r):
-        e_m = -m r and f_m = 0; Hahn, which has no ladder row, overrides."""
-        rn, rd = self._ladder_parts
-        return -m * rn, rd, 0, 1
-
-    @cached_property
-    def _ladder_parts(self):
-        """(num r, den r) of ``ladder_ratio``, read once per family."""
-        r = self.ladder_ratio()
-        return r.numerator, r.denominator
-
-    def structure_pairs_upto(self, n: int) -> list:
-        """A list holding at least the ``structure_pair`` of m = 0 .. n-1 (m = 0
-        is P_0 = Q_0); see recurrence_b_upto."""
-        return _tables(self).pairs_upto(n)
+        return _tables(self).nodes(n)
 
 
 #: families whose tables stay cached; the least recently used one goes first
 _TABLE_CACHE_SIZE = 16
+
+
+def _lowest(num: int, den: int) -> Tuple[int, int]:
+    """num/den as a lowest-terms integer pair with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 class _Tables:
@@ -275,7 +277,33 @@ class _Tables:
     and node values, grown on demand.  List rows are only ever appended, under
     a lock, and the others are replaced whole (a race builds one twice,
     alike), so a reader needs no lock.  Every row is integer numerators over
-    one denominator, node rows in lowest terms.
+    one denominator, node rows and coefficients in lowest terms.
+
+    All of it comes from sigma and tau of ``Family.pearson_pair``, scaled to
+    coprime integers once (``pearson``): sigma = s0 + s1 x + s2 x^2 and tau =
+    t0 + t1 x, with phi = sigma + tau and u_j = j s2 + t1, so that lambda_n =
+    -n u_(n-1).  The x^(n-1) and x^(n-2) coefficients of sigma Delta Nabla P +
+    tau Delta P + lambda_n P = 0 on a monic P_n fix its next two coefficients,
+    and x P_m = P_(m+1) + a_m P_m + b_m P_(m-1) then gives
+        a_0 = -t0/t1,  a_m = -((2 s1 + t1) m u_(m-1) + t0 (t1 - 2 s2)) / (u_(2m) u_(2m-2)),
+        b_0 = 0,       b_m = m u_(m-2) Q_m / (u_(2m-3) u_(2m-2)^2 u_(2m-1)),
+    with Q_m = u_(2m-2) (s1 phi(m-1) - s0 (u_(2m-2) + s1)) - s2 (phi(m-1) - s0)^2,
+    up to sign Res_x(sigma(x), phi(x+m-1))/s2.  The ladder target's Q_k
+    (Delta P_n = n Q_(n-1)) solve the equation with the same sigma and
+    tau(x+1) + Delta sigma(x), so the structure relation P_m = Q_m +
+    e_m Q_(m-1) + f_m Q_(m-2), whose generic form is e_m = m (a_m - 1 -
+    a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1) over both recurrences, reads
+        e_m = -m (2 s2 m u_(m-1) + t1 (s1 + t1) - s2 (2 t0 + t1)) / (u_(2m) u_(2m-2)),
+        f_m = -(m-1) s2 b_m / u_(m-2),
+    so f_1 = 0, and f_m = 0 for every m where s2 = 0: on Charlier, Meixner and
+    Kravchuk.  The formulas are homogeneous of degree 0 in (sigma, tau), so
+    the integer scale is free.  Every denominator is nonzero on the families'
+    domains but two removable 0/0s, both written cancelled: the general a_m
+    at m = 0 divides by u_(-2), zero on Hahn at alpha + beta = 0, and at m = 1
+    u_(m-2)/u_(2m-3) = 1, both zero on Hahn at alpha + beta = -1.  f_m is b_m's
+    fraction with m u_(m-2) replaced by -(m-1) m s2, so it divides by nothing
+    more.  Each coefficient is kept as a lowest-terms integer pair with a
+    positive denominator.
 
     ``end_values`` runs the three-term recurrence in n on integers, at integer
     numerators over one common denominator: it is the one evaluator of P_n,
@@ -285,35 +313,37 @@ class _Tables:
     degree at most k, lives on the nodes x = 0 .. t, t = k cut at the last
     support point (N on Kravchuk, N-1 on Hahn).  It comes from the Pearson
     pair Delta(sigma w) = tau w, sigma(0) = 0: summed by parts, E[tau f +
-    sigma Nabla f] = 0, so g_x = (sigma + tau)(x) L_x - sigma(x+1) L_(x+1)
-    vanishes against every polynomial of degree below t on the nodes, which
-    makes it a multiple of (-1)^x C(t,x).  From L_t = 1, for x = t-1 .. 0,
-        (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) + (-1)^(t-x) C(t,x) (sigma + tau)(t),
-    and den = sum_x L_x since E 1 = 1.  sigma + tau vanishes on a support only
-    at its last point, where the last term then vanishes and the walk is the
+    sigma Nabla f] = 0, so g_x = phi(x) L_x - sigma(x+1) L_(x+1) vanishes
+    against every polynomial of degree below t on the nodes, which makes it a
+    multiple of (-1)^x C(t,x).  From L_t = 1, for x = t-1 .. 0,
+        phi(x) L_x = sigma(x+1) L_(x+1) + (-1)^(t-x) C(t,x) phi(t),
+    and den = sum_x L_x since E 1 = 1.  phi vanishes on a support only at its
+    last point, where the last term then vanishes and the walk is the
     weight's own ratio; every division is below it.  Each L_x is an integer
-    numerator over (sigma + tau)(x) ... (sigma + tau)(t-1), so a step is big
-    times small, and one prefix product puts the row over one denominator.
-    No gcd is taken: it costs about what it saves in the dot products.
+    numerator over phi(x) ... phi(t-1), so a step is big times small, and one
+    prefix product puts the row over one denominator.  No gcd is taken: it
+    costs about what it saves in the dot products.
 
     P_n at the row's nodes 0 .. t+1 is V/D, V integers: at 0, 1 and t+1 from
     the recurrence in n (``end_values``), and at 2 .. t from the difference
-    equation sigma Delta Nabla P + tau Delta P + lambda_n P = 0 read as a
-    recurrence in x,
-        (sigma + tau)(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
+    equation read as a recurrence in x,
+        phi(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
     so each step is two big times small products and one exact division.
-    The steps divide by sigma + tau at x = 1 .. t-1, below the last support
-    point, and the last node t+1, which a step from x = t would need, comes
-    from the recurrence in n.  Both read sigma and tau scaled to integers once
-    (``pearson``), lambda_n from those integers, and both are kept for the
-    last k and n asked for: ``direct`` and ``difference`` share them.  The
-    structure pairs are kept per family, so a degree sweep computes each once."""
+    The steps divide by phi at x = 1 .. t-1, below the last support point,
+    and the last node t+1, which a step from x = t would need, comes from the
+    recurrence in n.  The row and the node values are kept for the last k and
+    n asked for: ``direct`` and ``difference`` share them.  The coefficient
+    rows are kept per family, so a degree sweep computes each once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
-        self.a, self.b = [], []
-        self.pairs = [(0, 1, 0, 1)]   # m = 0: P_0 = Q_0
-        self.quad = self.nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
+        # sigma and tau over the smallest integer scale, which keeps the
+        # quadrature row's integers smallest
+        s0, s1, s2, t0, t1, _ = fam.pearson_pair()
+        g = math.gcd(s0, s1, s2, t0, t1)
+        self.pearson = s0 // g, s1 // g, s2 // g, t0 // g, t1 // g
+        self.a, self.b, self.pairs = [], [], []
+        self.kept_row = self.kept_nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
         self.lock = threading.RLock()
 
     def kept(self, name: str, key: int, make) -> tuple:
@@ -324,29 +354,50 @@ class _Tables:
             setattr(self, name, row)
         return row[1:]
 
-    def grow(self, rows: list, n: int, make_row) -> list:
-        """rows, with make_row(m) appended for m = len(rows) .. n-1."""
-        if len(rows) < n:
+    def quad_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
+        return self.kept("kept_row", k, self.quadrature_row)
+
+    def nodes(self, n: int) -> Tuple[list, int]:
+        return self.kept("kept_nodes", n, self.node_values)
+
+    def upto(self, n: int) -> Tuple[list, list, list]:
+        """The rows a, b and pairs, each holding at least m = 0 .. n-1 (read
+        them, never mutate them)."""
+        a, b, pairs = self.a, self.b, self.pairs
+        if len(pairs) < n:
             with self.lock:
-                while len(rows) < n:
-                    rows.append(make_row(len(rows)))
-        return rows
+                for m in range(len(pairs), n):
+                    am, bm, pm = self.coefficients(m)
+                    a.append(am)
+                    b.append(bm)
+                    pairs.append(pm)
+        return a, b, pairs
 
-    def a_upto(self, n: int) -> list:
-        return self.grow(self.a, n, self.fam.recurrence_a)
-
-    def b_upto(self, n: int) -> list:
-        return self.grow(self.b, n, self.fam.recurrence_b)
-
-    def pairs_upto(self, n: int) -> list:
-        return self.grow(self.pairs, n, self.fam.structure_pair)
+    def coefficients(self, m: int) -> tuple:
+        """(a_m, b_m, (e_m, f_m)) as integer pairs, by the class docstring."""
+        s0, s1, s2, t0, t1 = self.pearson
+        if m == 0:   # cancelled: the general a_m divides by u_(-2)
+            return _lowest(-t0, t1), (0, 1), (0, 1, 0, 1)
+        um1, u0 = (m - 1) * s2 + t1, 2 * m * s2 + t1        # u_(m-1), u_(2m)
+        u1 = u0 - s2                                         # u_(2m-1)
+        u2 = u1 - s2                                         # u_(2m-2)
+        den = u0 * u2
+        a = _lowest(-((2 * s1 + t1) * m * um1 + t0 * (t1 - 2 * s2)), den)
+        e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)), den)
+        phi = (s2 * (m - 1) + s1 + t1) * (m - 1) + s0 + t0
+        q = u2 * (s1 * phi - s0 * (u2 + s1)) - s2 * (phi - s0) ** 2
+        if m == 1:   # cancelled: u_(m-2)/u_(2m-3) = 1
+            return a, _lowest(q, u2 * u2 * u1), (*e, 0, 1)
+        den = (u2 - s2) * u2 * u2 * u1                       # u_(2m-3) u_(2m-2)^2 u_(2m-1)
+        return (a, _lowest(m * (um1 - s2) * q, den),
+                (*e, *_lowest(-(m - 1) * m * s2 * q, den)))
 
     def node_values(self, n: int) -> Tuple[list, int]:
         # the steps in x of the class docstring, over the ends' denominator
-        t = len(self.fam.quadrature_row(2 * n)[0]) - 1
+        t = len(self.quad_row(2 * n)[0]) - 1
         ends, den = self.end_values(n, (0, 1, t + 1) if t else (0, 1))
         s0, s1, s2, t0, t1 = self.pearson
-        lam = -n * t1 - n * (n - 1) * s2
+        lam = -n * ((n - 1) * s2 + t1)
         v = ends[:2]
         for x in range(1, t):
             sig, tx = (s2 * x + s1) * x + s0, t1 * x + t0
@@ -366,11 +417,11 @@ class _Tables:
         # D_(m+1)/D_m = lcm(r den(a_m), den(b_m))/r, the step is c/den(a_m)
         # (X den(a_m) - q num(a_m)) V_m - (c r q^2/den(b_m)) num(b_m) V_(m-1):
         # big times small only
-        a, b = self.a_upto(n), self.b_upto(n)
+        a, b, _ = self.upto(n)
         prev, cur = [0] * len(xs), [1] * len(xs)
         den = r = 1
         for m in range(n):
-            (na, da), (nb, db) = a[m].as_integer_ratio(), b[m].as_integer_ratio()
+            (na, da), (nb, db) = a[m], b[m]
             c = math.lcm(r * da, db) // r
             s, u, qna = c // da, c * r // db * nb * q * q, q * na
             prev, cur = cur, [s * (x * da - qna) * v - u * w for x, v, w in zip(xs, cur, prev)]
@@ -379,7 +430,7 @@ class _Tables:
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         # the Pearson recurrence of the class docstring, on the numerators
-        # N_x = L_x phi(x) ... phi(t-1), phi = sigma + tau, from N_t = 1
+        # N_x = L_x phi(x) ... phi(t-1) from N_t = 1
         s0, s1, s2, t0, t1 = self.pearson
         last = self.fam.support().b
         t = k if last is None else min(k, last - 1)
@@ -392,15 +443,6 @@ class _Tables:
         # over phi(0) ... phi(t-1): N_x times phi(0) ... phi(x-1)
         row = tuple(map(mul, reversed(nums), accumulate(phi[:t], mul, initial=1)))
         return row, sum(row)
-
-    @cached_property
-    def pearson(self) -> Tuple[int, ...]:
-        """(s0, s1, s2, t0, t1) with sigma = s0 + s1 x + s2 x^2 and tau = t0 + t1 x
-        of ``table_data`` times the lcm of their denominators, read once."""
-        data = self.fam.table_data()
-        coeffs = (*data.sigma, *data.tau)
-        c = math.lcm(*(f.denominator for f in coeffs))
-        return tuple(f.numerator * (c // f.denominator) for f in coeffs)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -429,11 +471,10 @@ class Charlier(Family):
     def support(self):
         return LatticeSupport(0, None)
 
-    def table_data(self):
-        return TableOneData(
-            sigma=(Fraction(0), Fraction(1), Fraction(0)),
-            tau=(self.mu, Fraction(-1)),
-        )
+    def pearson_pair(self):
+        # sigma = x, tau = mu - x, with mu = u/d
+        u, d = self.mu.as_integer_ratio()
+        return 0, d, 0, u, -d, d
 
     def reduced_weight(self, x):
         x = self.check_support(x)
@@ -453,18 +494,9 @@ class Charlier(Family):
         return NormValue(Fraction(math.factorial(n)) * self.mu ** n,
                          exp_coeff=self.mu)
 
-    def recurrence_a(self, m):
-        return m + self.mu
-
-    def recurrence_b(self, m):
-        return m * self.mu
-
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return self, Fraction(n)
-
-    def ladder_ratio(self):
-        return Fraction(0)
 
     def closed_form(self, n):
         return Fraction(n) / self.mu
@@ -490,11 +522,10 @@ class Meixner(Family):
     def support(self):
         return LatticeSupport(0, None)
 
-    def table_data(self):
-        return TableOneData(
-            sigma=(Fraction(0), Fraction(1), Fraction(0)),
-            tau=(self.mu * self.gamma, self.mu - 1),
-        )
+    def pearson_pair(self):
+        # sigma = x, tau = gamma mu + (mu - 1) x, with gamma = g/gd and mu = u/ud
+        (g, gd), (u, ud) = self.gamma.as_integer_ratio(), self.mu.as_integer_ratio()
+        return 0, gd * ud, 0, g * u, gd * (u - ud), gd * ud
 
     def reduced_weight(self, x):
         x = self.check_support(x)
@@ -516,32 +547,9 @@ class Meixner(Family):
         return NormValue(rational, pow_base=1 - self.mu,
                          pow_expo=-(self.gamma + 2 * n))
 
-    def recurrence_a(self, m):
-        # (m + (m + gamma) mu) / (1 - mu), with gamma = g/gd and mu = u/ud
-        g, gd, u, ud = self._parts
-        return Fraction(m * gd * ud + (m * gd + g) * u, gd * (ud - u))
-
-    def recurrence_b(self, m):
-        # m (m + gamma - 1) mu / (1 - mu)^2
-        g, gd, u, ud = self._parts
-        return Fraction(m * (m * gd + g - gd) * u * ud, gd * (ud - u) ** 2)
-
-    @cached_property
-    def _parts(self):
-        """(g, gd, u, ud) with gamma = g/gd and mu = u/ud, read once per family
-        (kept outside the dataclass fields, so equality, hash and repr are
-        the parameters' alone)."""
-        return (self.gamma.numerator, self.gamma.denominator,
-                self.mu.numerator, self.mu.denominator)
-
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return Meixner(self.gamma + 1, self.mu), Fraction(n)
-
-    def ladder_ratio(self):
-        # mu/(mu - 1) = -u/(ud - u), with mu = u/ud
-        _, _, u, ud = self._parts
-        return Fraction(-u, ud - u)
 
     def closed_form(self, n):
         g, mu = self.gamma, self.mu
@@ -573,12 +581,10 @@ class Kravchuk(Family):
     def max_degree(self):
         return self.N - 1
 
-    def table_data(self):
-        q = 1 - self.p
-        return TableOneData(
-            sigma=(Fraction(0), Fraction(1), Fraction(0)),
-            tau=(self.N * self.p / q, Fraction(-1) / q),
-        )
+    def pearson_pair(self):
+        # sigma = x, tau = (N p - x)/(1 - p), with p = u/d
+        u, d = self.p.as_integer_ratio()
+        return 0, d - u, 0, self.N * u, -d, d - u
 
     def reduced_weight(self, x):
         x = self.check_support(x)
@@ -597,22 +603,9 @@ class Kravchuk(Family):
                     * self.p ** n * (1 - self.p) ** n)
         return NormValue(rational)
 
-    def recurrence_a(self, m):
-        # p (N - m) + m (1 - p), with p = u/d
-        u, d = self.p.numerator, self.p.denominator
-        return Fraction(u * (self.N - m) + m * (d - u), d)
-
-    def recurrence_b(self, m):
-        # m p (1 - p) (N - m + 1)
-        u, d = self.p.numerator, self.p.denominator
-        return Fraction(m * u * (d - u) * (self.N - m + 1), d * d)
-
     def ladder_target(self, n):
         self.check_ladder_degree(n)
         return Kravchuk(self.p, self.N - 1), Fraction(n)
-
-    def ladder_ratio(self):
-        return self.p
 
     def closed_form(self, n):
         p, N = self.p, self.N
@@ -650,12 +643,13 @@ class Hahn(Family):
     def max_degree(self):
         return self.N - 1
 
-    def table_data(self):
-        al, be, N = self.alpha, self.beta, self.N
-        return TableOneData(
-            sigma=(Fraction(0), N + al, Fraction(-1)),
-            tau=((be + 1) * (N - 1), -(al + be + 2)),
-        )
+    def pearson_pair(self):
+        # sigma = (N + alpha) x - x^2, tau = (beta + 1)(N - 1) - (alpha + beta + 2) x,
+        # over d = lcm(den alpha, den beta), with alpha = p/d and beta = q/d
+        (p, pd), (q, qd) = self.alpha.as_integer_ratio(), self.beta.as_integer_ratio()
+        d, N = math.lcm(pd, qd), self.N
+        p, q = p * (d // pd), q * (d // qd)
+        return 0, N * d + p, -d, (q + d) * (N - 1), -(p + q + 2 * d), d
 
     def reduced_weight(self, x):
         x = self.check_support(x)
@@ -683,62 +677,6 @@ class Hahn(Family):
                     / ((2 * n + s + 1) * math.factorial(N - n - 1)
                        * pochhammer(n + s + 1, n) ** 2))
         return NormValue(rational)
-
-    @cached_property
-    def _parts(self):
-        """(d, p, q) with d = lcm(den alpha, den beta), alpha = p/d and
-        beta = q/d: over d, the d^2 of each quotient of A_m and C_m cancels.
-        Computed once per family, as Meixner's."""
-        al, be = self.alpha, self.beta
-        d = math.lcm(al.denominator, be.denominator)
-        return d, al.numerator * (d // al.denominator), be.numerator * (d // be.denominator)
-
-    def _coef_a(self, m):
-        """A_m, with a_m = A_m + C_m and b_m = A_(m-1) C_m, as an integer
-        (numerator, denominator) pair."""
-        d, p, q = self._parts
-        ds, N = p + q, self.N           # ds = d (alpha + beta)
-        if m == 0:
-            # the (s+1) factor of A_0 cancels; written cancelled so s = -1 stays finite
-            return (d + q) * (N - 1), 2 * d + ds
-        return ((d * (m + 1) + ds) * (d * (m + 1) + q) * (N - 1 - m),
-                (d * (2 * m + 1) + ds) * (d * (2 * m + 2) + ds))
-
-    def _coef_c(self, m):
-        """C_m (see ``_coef_a``) as an integer (numerator, denominator) pair."""
-        if m == 0:
-            return 0, 1
-        d, p, q = self._parts
-        ds, N = p + q, self.N
-        return m * (d * (m + N) + ds) * (d * m + p), (2 * d * m + ds) * (d * (2 * m + 1) + ds)
-
-    def recurrence_a(self, m):
-        an, ad = self._coef_a(m)
-        cn, cd = self._coef_c(m)
-        return Fraction(an * cd + cn * ad, ad * cd)
-
-    def recurrence_b(self, m):
-        if m == 0:
-            return Fraction(0)
-        an, ad = self._coef_a(m - 1)
-        cn, cd = self._coef_c(m)
-        return Fraction(an * cn, ad * cd)
-
-    def structure_pair(self, m):
-        # with s = alpha + beta, over d (``_parts``), the generic form reduces to
-        # e_m = -m (2m^2 + 2m (s+1) + (beta+1) s + N (beta-alpha)) / ((s+2m) (s+2m+2)),
-        # f_m = m (m-1) (m-N) (m+alpha) (m+beta) (m+N+s) / ((s+2m)^2 (s+2m-1) (s+2m+1)),
-        # f_1 = 0; every denominator is positive for m >= 1 (f's from m = 2),
-        # also on s = -1, since s > -2.  Over d, f's numerator has three
-        # factors of d against four below, hence its lone d
-        d, p, q = self._parts
-        ds, N = p + q, self.N
-        e = (-m * (2 * m * d * (m * d + ds + d) + (q + d) * ds + N * d * (q - p)),
-             (ds + 2 * m * d) * (ds + 2 * m * d + 2 * d))
-        if m == 1:
-            return (*e, 0, 1)
-        return (*e, m * (m - 1) * (m - N) * d * (m * d + p) * (m * d + q) * (d * (m + N) + ds),
-                (ds + 2 * m * d) ** 2 * (ds + (2 * m - 1) * d) * (ds + (2 * m + 1) * d))
 
     def ladder_target(self, n):
         self.check_ladder_degree(n)

@@ -20,8 +20,10 @@ Routes:
                     relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2), Q the
                     ladder target's polynomials, gives ||Q_m||^2 by one Gram
                     recurrence in m on all four families, with no a_j and no
-                    norm built.  On Charlier, Meixner and Kravchuk f_m = 0 and
-                    its steps are the term ratios of the closed forms, which
+                    norm built.  e_m and f_m come from sigma and tau, and
+                    f_m has the x^2 coefficient s2 of sigma as a factor, so
+                    s2 = 0 gives f_m = 0: on Charlier, Meixner and Kravchuk
+                    the steps are the term ratios of the closed forms, which
                     the paper derived this way.  The authoritative exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
@@ -60,7 +62,7 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, Optional
 
-from .families import Family, OutOfSupport
+from .families import Family, OutOfSupport, _Tables, _tables
 from .numerics import DEFAULT_DPS, DenominatorPole, to_mpf
 
 
@@ -172,22 +174,23 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
-def _norm_ratio(fam: Family, n: int, num: int, den: int) -> Fraction:
+def _norm_ratio(tables: _Tables, n: int, num: int, den: int) -> Fraction:
     """(num/den) d_0^2/d_n^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
     recurrence: one integer product of the b_m's numerators and one of their
     denominators, reduced once.  The norms themselves would build products
     of length N on Kravchuk and Hahn that cancel down to these n factors."""
-    b = fam.recurrence_b_upto(n + 1)[1:n + 1]
-    return Fraction(num * math.prod(x.denominator for x in b),
-                    den * math.prod(x.numerator for x in b))
+    b = tables.upto(n + 1)[1][1:n + 1]
+    return Fraction(num * math.prod(d for _, d in b), den * math.prod(x for x, _ in b))
 
 
 def fisher_direct(fam: Family, n: int) -> Fraction:
     """Defining sum: sum_x L_x Delta P_n(x)^2 over the quadrature row L at
     k = 2n, from P_n at its nodes, an exact Fraction."""
-    (v, vd), (row, den) = fam.node_values(n), fam.quadrature_row(2 * n)
+    fam.check_degree(n)
+    tables = _tables(fam)
+    (v, vd), (row, den) = tables.nodes(n), tables.quad_row(2 * n)
     t = sum(map(mul, row, [(b - a) ** 2 for a, b in zip(v, v[1:])]))
-    return _norm_ratio(fam, n, t, den * vd * vd)
+    return _norm_ratio(tables, n, t, den * vd * vd)
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -198,9 +201,11 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
     expectation plus the upper boundary term w(b) P_n(b+1)^2 of a bounded
     support (none on an infinite one) is sum_y w(y) P_n(y+1)^2: L_x P_n(x+1)^2
     summed over the quadrature row L at k = 2n, as in ``direct``."""
-    (v, vd), (row, den) = fam.node_values(n), fam.quadrature_row(2 * n)
+    fam.check_degree(n)
+    tables = _tables(fam)
+    (v, vd), (row, den) = tables.nodes(n), tables.quad_row(2 * n)
     t = sum(map(mul, row, [x * x for x in v[1:]]))
-    return _norm_ratio(fam, n, t, den * vd * vd) - 1
+    return _norm_ratio(tables, n, t, den * vd * vd) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:
@@ -208,31 +213,32 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     Delta P_n = n Q_(n-1), Q the monic polynomials of ``ladder_target``, so
     I_n = n^2 g_(n-1)/b_n with g_m = <Q_m,Q_m>/d_m^2 against the family's own
     weight.  The second structure relation P_m = Q_m + e_m Q_(m-1) +
-    f_m Q_(m-2) (``Family.structure_pair``) gives, with h_m = <Q_m,Q_(m-1)>/d_m^2
-    and u_m = g_(m-1)/b_m, from g_0 = 1 and h_0 = 0,
+    f_m Q_(m-2) (``Family.structure_pair``, read from the family's tables
+    with b_m) gives, with h_m = <Q_m,Q_(m-1)>/d_m^2 and u_m = g_(m-1)/b_m,
+    from g_0 = 1 and h_0 = 0,
         h_m = -(e_m g_(m-1) + f_m h_(m-1))/b_m,
         g_m = 1 + (e_m^2 g_(m-1) + 2 e_m f_m h_(m-1) + f_m^2 u_(m-1))/b_m,
     run on integers over one denominator, every step big times small, and
-    reduced once.  f_1 = 0, and f_m = 0 for every m on Charlier, Meixner and
-    Kravchuk, where a step updates g alone (h and u become None, so a later
-    f_m != 0 raises) and is the term-ratio step of the 2F1 closed forms; on
-    Hahn f_m != 0 for 2 <= m <= N-2.
+    reduced once.  f_1 = 0, and f_m = -(m-1) s2 b_m/u_(m-2) (``_Tables``) is
+    0 for every m where s2, the x^2 coefficient of sigma, is 0: on Charlier,
+    Meixner and Kravchuk, where a step updates g alone (h and u become None,
+    so a later f_m != 0 raises) and is the term-ratio step of the 2F1 closed
+    forms; on Hahn f_m != 0 for 2 <= m <= N-2.
     """
     fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    b = fam.recurrence_b_upto(n + 1)
+    _, b, pairs = _tables(fam).upto(n + 1)
     g = d = 1
     if n > 1:
-        pairs = fam.structure_pairs_upto(n)
         # g_1, h_1, u_1 over d = den(e_1)^2 num(b_1)
         e, ed, _, _ = pairs[1]
-        bn, bd = b[1].as_integer_ratio()
+        bn, bd = b[1]
         d = ed * ed * bn
         g, h, u = d + e * e * bd, -e * ed * bd, ed * ed * bd
         for m in range(2, n):
             e, ed, f, fd = pairs[m]
-            bn, bd = b[m].as_integer_ratio()
+            bn, bd = b[m]
             if f == 0:
                 d *= ed * ed * bn
                 g, h, u = d + e * e * bd * g, None, None
@@ -244,7 +250,7 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
             eg_fh = e * g + f * h
             d *= bn * c * c
             g, h, u = d + bd * (e * eg_fh + f * (e * h + f * u)), -bd * c * eg_fh, bd * c * c * g
-    bn, bd = b[n].as_integer_ratio()
+    bn, bd = b[n]
     return Fraction(n * n * g * bd, d * bn)
 
 

@@ -13,21 +13,23 @@ uses no moment at all.
 The last section keeps the straightforward formulas that the fast exact
 routes replaced -- the Pochhammer product, and the terminating pFq and the
 Hahn 5F4 summed term by term (for the integer Horner kernels of
-``numerics`` and ``families._hahn_5f4``); the pointwise recurrence and the
-monomial recurrence in Fraction arithmetic, met by Horner (for the integer
-recurrence behind ``eval_points``), the structure pair e_m, f_m from both
-families' recurrence coefficients (for ``structure_pair``), Horner on those
-monomial coefficients at the quadrature nodes (for ``node_values``, which
-runs the difference equation instead), the textbook
-Fraction forms of the Meixner, Kravchuk and Hahn recurrence coefficients --
-as references for them, and mpmath's own 3F2 for the series the Hahn closed
+``numerics`` and ``families._hahn_5f4``); the textbook Fraction forms of
+the four families' recurrence coefficients (``textbook_recurrence``; the
+package derives them all from sigma and tau), and over them the pointwise
+recurrence and the monomial recurrence in Fraction arithmetic, met by Horner
+(for the integer recurrence behind ``eval_points``), the structure pair
+e_m, f_m from both families' recurrences (for ``structure_pair``), Horner
+on those monomial coefficients at the quadrature nodes (for
+``node_values``, which runs the difference equation instead) -- as
+references for them, and mpmath's own 3F2 for the series the Hahn closed
 form sums in closed form.  ``fisher_expansion`` runs a Gram recurrence over
 the structure pairs and builds no connection coefficients; its references
 are the expansion sums sum_j a_j^2 d_j^2/d_n^2 over the connection
 coefficients of Delta P_n = sum_j a_j P_j, the norm ratios taken from the
 norms or as a running product of the b_m, with the a_j from the Delta-walk
 in Fraction arithmetic, checked in turn against the Pochhammer connection
-coefficients of the ladder families and the paper's Hahn 4F3 sum.  The
+coefficients of the ladder families (their textbook ratio r,
+``ladder_ratio``) and the paper's Hahn 4F3 sum.  The
 package builds its quadrature row from the Pearson pair sigma, tau alone;
 its references start from the textbook Fraction forms of the four
 factorial moments instead.  Newton's formula over them, transposed, is the
@@ -288,21 +290,22 @@ def pochhammer_connection(n: int, r: Fraction) -> list:
 
 
 def pointwise_value(fam, n: int, x) -> Fraction:
-    """P_n(x) by a three-term recurrence run for this one point."""
+    """P_n(x) by the textbook three-term recurrence run for this one point."""
     if n == 0:
         return Fraction(1)
-    prev, cur = Fraction(1), x - fam.recurrence_a(0)
+    prev, cur = Fraction(1), x - textbook_recurrence(fam, 0)[0]
     for m in range(1, n):
-        prev, cur = cur, (x - fam.recurrence_a(m)) * cur - fam.recurrence_b(m) * prev
+        a, b = textbook_recurrence(fam, m)
+        prev, cur = cur, (x - a) * cur - b * prev
     return cur
 
 
 def recurrence_monomials(fam, n: int) -> tuple:
     """Monomial coefficients of P_n from P_(m+1) = (x - a_m) P_m - b_m P_(m-1),
-    in plain Fraction arithmetic, asking the family for each a_m and b_m."""
+    in plain Fraction arithmetic, over the textbook a_m and b_m."""
     prev, cur = [], [Fraction(1)]
     for m in range(n):
-        a, b = fam.recurrence_a(m), fam.recurrence_b(m) if m else 0
+        a, b = textbook_recurrence(fam, m)
         nxt = [Fraction(0)] + cur   # x P_m
         for i, c in enumerate(cur):
             nxt[i] -= a * c
@@ -357,16 +360,15 @@ def as_fractions(row) -> list:
 
 def delta_walk_connection(fam, n: int) -> list:
     """Connection coefficients a_j of Delta P_n = sum_j a_j P_j by Delta applied
-    to the three-term recurrence, in plain Fraction arithmetic, asking the
-    family for each a_m and b_m:
+    to the three-term recurrence, in plain Fraction arithmetic, over the
+    textbook a_m and b_m:
 
         Delta P_(m+1) = (x + 1 - a_m) Delta P_m + P_m - b_m Delta P_(m-1),
 
     with x P_k = P_(k+1) + a_k P_k + b_k P_(k-1)."""
     if n == 0:
         return []
-    a = [fam.recurrence_a(k) for k in range(n)]
-    b = [fam.recurrence_b(k) for k in range(n)]
+    a, b = zip(*(textbook_recurrence(fam, k) for k in range(n)))
     prev, cur = [], [Fraction(1)]   # Delta P_0, Delta P_1
     for m in range(1, n):
         nxt = [Fraction(0)] * (m + 1)
@@ -386,12 +388,11 @@ def delta_walk_connection(fam, n: int) -> list:
 def structure_pair_from_recurrences(fam, m: int) -> tuple:
     """(e_m, f_m) with P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2), m >= 1, Q the
     monic polynomials of the ladder target, in the generic form from both
-    families' recurrence coefficients, asked for one by one:
+    families' textbook recurrence coefficients:
     e_m = m (a_m - 1 - a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1)."""
     target, _ = fam.ladder_target(m)
-    e = m * (fam.recurrence_a(m) - 1 - target.recurrence_a(m - 1))
-    f = (m - 1) * fam.recurrence_b(m) - m * target.recurrence_b(m - 1)
-    return e, f
+    (a, b), (a1, b1) = textbook_recurrence(fam, m), textbook_recurrence(target, m - 1)
+    return m * (a - 1 - a1), (m - 1) * b - m * b1
 
 
 def norm_ratio_expansion(fam, n: int) -> Fraction:
@@ -404,13 +405,14 @@ def norm_ratio_expansion(fam, n: int) -> Fraction:
 
 def running_product_expansion(fam, n: int, coeffs=None) -> Fraction:
     """sum_j a_j^2 d_j^2/d_n^2 with the norm ratios as the running product
-    1/(b_(j+1) ... b_n), accumulated in Fraction arithmetic from j = n-1 down,
-    for the a_j in ``coeffs`` (default: ``delta_walk_connection``)."""
+    1/(b_(j+1) ... b_n) of the textbook b_m, accumulated in Fraction
+    arithmetic from j = n-1 down, for the a_j in ``coeffs`` (default:
+    ``delta_walk_connection``)."""
     total, ratio = Fraction(0), Fraction(1)
     if coeffs is None:
         coeffs = delta_walk_connection(fam, n)
     for j in range(n - 1, -1, -1):
-        ratio /= fam.recurrence_b(j + 1)
+        ratio /= textbook_recurrence(fam, j + 1)[1]
         total += coeffs[j] * coeffs[j] * ratio
     return total
 
@@ -461,6 +463,11 @@ def hahn_recurrence(fam, m: int):
     return coef_a(m) + coef_c(m), b
 
 
+def charlier_recurrence(fam, m: int):
+    """(a_m, b_m) of the monic Charlier recurrence, a_m = m + mu, b_m = m mu."""
+    return m + fam.mu, m * fam.mu
+
+
 def meixner_recurrence(fam, m: int):
     """(a_m, b_m) of the monic Meixner recurrence, the textbook Fraction forms
     a_m = (m + (m + gamma) mu)/(1 - mu), b_m = m (m + gamma - 1) mu/(1 - mu)^2."""
@@ -473,6 +480,26 @@ def kravchuk_recurrence(fam, m: int):
     a_m = p (N - m) + m (1 - p), b_m = m p (1 - p) (N - m + 1)."""
     p, N = fam.p, fam.N
     return p * (N - m) + m * (1 - p), m * p * (1 - p) * (N - m + 1)
+
+
+def textbook_recurrence(fam, m: int):
+    """(a_m, b_m) of the family's monic recurrence from its textbook form."""
+    forms = {"charlier": charlier_recurrence, "meixner": meixner_recurrence,
+             "kravchuk": kravchuk_recurrence, "hahn": hahn_recurrence}
+    return forms[fam.tag](fam, m)
+
+
+def ladder_ratio(fam):
+    """r with Delta P_n = sum_j n (j+1)_(n-1-j) r^(n-1-j) P_j on the ladder
+    families (0, mu/(mu-1) and p), from the textbook forms a_(j-1)/a_j = j r of
+    their connection coefficients; None on Hahn, which has no such row."""
+    if fam.tag == "charlier":
+        return Fraction(0)
+    if fam.tag == "meixner":
+        return fam.mu / (fam.mu - 1)
+    if fam.tag == "kravchuk":
+        return fam.p
+    return None
 
 
 def hahn_c3_hyp3f2(s, n: int):

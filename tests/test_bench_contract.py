@@ -4,10 +4,12 @@
 ``bench/selftest.py`` imports a few names from ``dopfisher``.  Both run in a
 fresh interpreter against ``src/``, so this test does the same: a change
 that deletes or renames one of those names fails here, not first in a
-benchmark run.  A traced pass of the ``truncated`` and of the ``exact-deep``
-workload runs the same way, so a pass process that dies, or a value the
-harness would refuse (the exact-deep one holds bounded ``direct`` and
-``difference`` values), shows here too.
+benchmark run.  A traced pass of the ``truncated``, the ``exact-deep`` and
+the ``figures`` workload runs the same way, so a pass process that dies, or
+a value the harness would refuse (the exact-deep one holds bounded
+``direct`` and ``difference`` values, and the figures one checks the sha256
+of all ten stock-figure CSVs against ``bench/figures.json``), shows here
+too.
 """
 
 import importlib.util
@@ -52,7 +54,7 @@ def bench_module(name):
     return sys.modules[key]
 
 
-@pytest.mark.parametrize("workload", ["truncated", "exact-deep"])
+@pytest.mark.parametrize("workload", ["truncated", "exact-deep", "figures"])
 def test_traced_pass_runs_and_checks(workload):
     workloads = bench_module("workloads")
     calls = workloads.pass_calls(workload, 1, 0)

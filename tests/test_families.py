@@ -26,6 +26,7 @@ from oracles import (
     gram_schmidt_coeffs,
     hahn_connection_4f3,
     hahn_recurrence,
+    ladder_ratio,
     pochhammer_connection,
     pointwise_value,
     recurrence_monomials,
@@ -98,17 +99,21 @@ class TestDomainValidation:
 
 
 class TestParameterParts:
-    @pytest.mark.parametrize("fam", [Meixner(F(5, 3), F(2, 7)), Hahn(F(7, 3), F(11, 6), 40)])
+    @pytest.mark.parametrize("fam", [Charlier(F(7, 2)), Meixner(F(5, 3), F(2, 7)),
+                                     Kravchuk(F(2, 7), 9), Hahn(F(7, 3), F(11, 6), 40)])
     def test_parts_are_kept_once_outside_the_fields(self, fam):
-        # the integer parts are read once per family and kept beside the
-        # fields, so equality, hash, repr and the tables' cache key still see
-        # the parameters alone
+        # the integer sigma and tau and every row built from them live in the
+        # family's tables, so a family that has been read still holds only its
+        # fields, and equality, hash, repr and the tables' cache key see the
+        # parameters alone
         from dopfisher import families
 
         fresh = type(fam)(*(getattr(fam, f.name) for f in dataclasses.fields(fam)))
         fam.recurrence_a(3)
-        assert "_parts" in vars(fam) and "_parts" not in vars(fresh)
-        assert fam._parts is fam._parts
+        fam.structure_pair(3)
+        fam.eval_poly(3, F(1, 2))
+        assert vars(fam) == vars(fresh) == {f.name: getattr(fam, f.name)
+                                            for f in dataclasses.fields(fam)}
         assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
         assert [f.name for f in dataclasses.fields(fam)] == list(families._REQUIRED[fam.tag])
         assert families._tables(fam) is families._tables(fresh)
@@ -389,7 +394,7 @@ class TestConnectionCoeffs:
         (Kravchuk(F(1, 9), 61), F(1, 9)),
     ])
     def test_ladder_walk_matches_pochhammer_form(self, fam, r):
-        assert fam.ladder_ratio() == r
+        assert ladder_ratio(fam) == r
         for n in range(61):
             assert delta_walk_connection(fam, n) == pochhammer_connection(n, r)
 
@@ -408,7 +413,7 @@ class TestConnectionCoeffs:
         # the Delta-walk equals the ladder row n (j+1)_(n-1-j) r^(n-1-j) where
         # the family has one, and the paper's 4F3 coefficients on Hahn, which
         # has none
-        r = fam.ladder_ratio()
+        r = ladder_ratio(fam)
         assert (r is None) == isinstance(fam, Hahn)
         for n in range(max_n(fam, 8) + 1):
             assert delta_walk_connection(fam, n) == (hahn_connection_4f3(fam, n) if r is None
@@ -436,13 +441,15 @@ class TestHahnAgainstReplacedFormulas:
 
     @pytest.mark.parametrize("fam", HAHN_GRID)
     def test_recurrence_equals_fraction_form(self, fam):
+        # the Fraction views and the tables' integer pairs, which are the
+        # same values in lowest terms with positive denominators
         from dopfisher import families
 
-        a, b = families._tables(fam).a_upto(fam.N), fam.recurrence_b_upto(fam.N)
+        a, b, _ = families._tables(fam).upto(fam.N)
         for m in range(fam.N):
             expected = hahn_recurrence(fam, m)
             assert (fam.recurrence_a(m), fam.recurrence_b(m)) == expected
-            assert (a[m], b[m]) == expected
+            assert (a[m], b[m]) == tuple(v.as_integer_ratio() for v in expected)
 
 
 class TestOrthogonality:

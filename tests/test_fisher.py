@@ -23,6 +23,7 @@ from oracles import (
     gram_schmidt_coeffs,
     hahn_c3_hyp3f2,
     hahn_closed_on_the_line,
+    ladder_ratio,
     norm_ratio_expansion,
     quadrature_sum,
     recurrence_monomials,
@@ -397,57 +398,78 @@ class TestWorkPerReport:
         assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
         assert calls == {"quadrature_row": 1, "node_values": 1, "end_values": 1}
 
+    @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Hahn(F(1, 2), F(2), 9)])
+    def test_each_route_looks_the_tables_up_once(self, monkeypatch, fam):
+        # a lookup hashes the family's Fraction fields, so a route reads the
+        # quadrature row, the node values and the coefficient rows from one
+        from dopfisher import families, fisher
+
+        calls, original = [], families._tables
+
+        def counted(fam):
+            calls.append(fam)
+            return original(fam)
+
+        monkeypatch.setattr(families, "_tables", counted)
+        monkeypatch.setattr(fisher, "_tables", counted)
+        for method in Method:
+            calls.clear()
+            fisher_report(fam, 6, methods=[method])
+            assert len(calls) == (0 if method is Method.CLOSED else 1)
+
+    @staticmethod
+    def count_rows(monkeypatch, seen):
+        """Record the m of every coefficient row (a_m, b_m, e_m, f_m) built."""
+        from dopfisher import families
+
+        original = families._Tables.coefficients
+
+        def counted(self, m):
+            seen.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(families._Tables, "coefficients", counted)
+        families._tables.cache_clear()
+
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
                                      Kravchuk(F(2, 7), 12)])
     def test_ladder_expansion_computes_each_structure_pair_once(self, monkeypatch, fam):
-        # the ladder families run the same Gram recurrence as Hahn, over pairs
-        # kept per family, so a sweep n = 0..11 asks the hook for m = 1..10
-        # once each and reads the ladder ratio once
-        from dopfisher import families
-
+        # the ladder families run the same Gram recurrence as Hahn, over rows
+        # kept per family, so a sweep n = 0..11 builds the rows of m = 0..11
+        # (expansion at n reads b_n) once each and reads sigma and tau once
         calls, seen = {}, []
-        self.count(monkeypatch, type(fam), "ladder_ratio", calls)
-        original = type(fam).structure_pair
-
-        def counted(self, m):
-            seen.append(m)
-            return original(self, m)
-
-        monkeypatch.setattr(type(fam), "structure_pair", counted)
-        families._tables.cache_clear()
+        self.count(monkeypatch, type(fam), "pearson_pair", calls)
+        self.count_rows(monkeypatch, seen)
         fam = dataclasses.replace(fam)   # a fresh instance: nothing read yet
         assert [fisher_expansion(fam, n) for n in range(12)] == \
             [fisher_closed(fam, n) for n in range(12)]
-        assert seen == list(range(1, 11)) and calls == {"ladder_ratio": 1}
+        assert seen == list(range(12)) and calls == {"pearson_pair": 1}
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(23, 4), F(19, 20)),
                                      Kravchuk(F(5, 9), 89)])
-    def test_structure_pairs_read_the_ladder_ratio_once(self, monkeypatch, fam):
-        # the base hook reads r once per family, not once per m
-        calls, r = {}, fam.ladder_ratio()
-        self.count(monkeypatch, type(fam), "ladder_ratio", calls)
-        fam = dataclasses.replace(fam)
-        for m in range(1, 41):
-            assert fam.structure_pair(m) == (-m * r.numerator, r.denominator, 0, 1)
-        assert calls == {"ladder_ratio": 1}
-
-    def test_hahn_degree_sweep_computes_each_structure_pair_once(self, monkeypatch):
-        # the pairs are kept per family, so a sweep n = 1..40 asks the hook
-        # for m = 1..39 once each, and every row still equals the closed form
+    def test_structure_pairs_read_the_pearson_pair_once(self, monkeypatch, fam):
+        # on a ladder family the pairs are e_m = -m r, r the textbook ladder
+        # ratio, in lowest terms, and f_m = 0, from sigma and tau read once
+        # per family, not once per m
         from dopfisher import families
 
-        fam, seen = Hahn(F(7, 3), F(11, 13), 45), []
-        original = Hahn.structure_pair
-
-        def counted(self, m):
-            seen.append(m)
-            return original(self, m)
-
-        monkeypatch.setattr(Hahn, "structure_pair", counted)
+        calls, r = {}, ladder_ratio(fam)
+        self.count(monkeypatch, type(fam), "pearson_pair", calls)
         families._tables.cache_clear()
+        fam = dataclasses.replace(fam)
+        for m in range(1, 41):
+            e = -m * r
+            assert fam.structure_pair(m) == (e.numerator, e.denominator, 0, 1)
+        assert calls == {"pearson_pair": 1}
+
+    def test_hahn_degree_sweep_computes_each_structure_pair_once(self, monkeypatch):
+        # the pairs are kept per family, so a sweep n = 1..40 builds the rows
+        # of m = 0..40 once each, and every value still equals the closed form
+        fam, seen = Hahn(F(7, 3), F(11, 13), 45), []
+        self.count_rows(monkeypatch, seen)
         for n in range(1, 41):
             assert fisher_expansion(fam, n) == fisher_closed(fam, n)
-        assert seen == list(range(1, 40))
+        assert seen == list(range(41))
 
 
 class TestInvariants:
@@ -559,7 +581,7 @@ class TestConcurrency:
         points = [F(-7, 2), F(0), F(11, 3), F(31)]
 
         def work(n):
-            pairs = tuple(fam.structure_pairs_upto(n)[:n])
+            pairs = tuple(families._tables(fam).upto(n)[2][:n])
             return pairs, fam.eval_points(n, points), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
@@ -575,6 +597,6 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         assert results == [expected[n] for n in order]
         tables = families._tables(fam)
-        # a_m and b_m for m = 0..28, which P_29 needs; fisher_expansion(fam, 29)
-        # also reads b_29, and the structure pairs of m = 0..28
-        assert (len(tables.a), len(tables.b), len(tables.pairs)) == (29, 30, 29)
+        # the rows of m = 0..29: P_29 needs a_m and b_m for m = 0..28, and
+        # fisher_expansion(fam, 29) also reads b_29; each row is built whole
+        assert (len(tables.a), len(tables.b), len(tables.pairs)) == (30, 30, 30)

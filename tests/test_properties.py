@@ -5,10 +5,11 @@ closed form equals the expansion, on alpha + beta = -1 too.  Infinite
 supports: the exact closed form equals the expansion, Charlier gives n/mu,
 and the quadrature-row direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
-Every value is positive, and zero exactly at degree 0.  The integer kernels
-of the Meixner, Kravchuk and Hahn recurrence coefficients equal their
-Fraction forms; each family's structure pair equals its form from both
-families' recurrences and satisfies the structure relation pointwise, and
+Every value is positive, and zero exactly at degree 0.  The recurrence
+coefficients, which the package derives from sigma and tau, equal the
+textbook Fraction forms of all four families; each family's structure pair
+equals its form from both families' textbook recurrences and satisfies the
+structure relation pointwise, and
 its f_m vanishes for every m on the ladder families and for no 2 <= m <= N-2
 on Hahn; the values of P_n at any rational points, from the integer
 recurrence over their common denominator, equal Horner on the plain Fraction
@@ -69,9 +70,11 @@ from oracles import (
     hahn_5f4_terms,
     hahn_closed_uncancelled,
     hahn_connection_4f3,
+    charlier_recurrence,
     hahn_recurrence,
     horner_node_values,
     kravchuk_recurrence,
+    ladder_ratio,
     meixner_recurrence,
     newton_sum,
     norm_ratio_from_norms,
@@ -199,14 +202,32 @@ def test_hahn_closed_form_equals_uncancelled_form(alpha, beta, N):
 
 
 @PROPERTY
-@given(rationals(-1, 50, 1000), st.data(), st.integers(min_value=1, max_value=30))
-def test_hahn_integer_kernel_equals_fraction_form(alpha, data, N):
+@given(rationals(-1, 50, 1000), rationals(-1, 50, 1000), st.booleans(),
+       st.integers(min_value=1, max_value=30))
+# alpha + beta = 0, where the general a_0 would divide by u_(-2) = 0, and
+# alpha + beta = -1, where b_1 is a removable 0/0; N = 1 and 2
+@example(F(1, 3), F(-1, 3), False, 9)
+@example(F(-1, 3), F(-2, 3), False, 9)
+@example(F(7, 3), F(11, 13), False, 1)
+@example(F(-1, 3), F(-2, 3), False, 1)
+@example(F(1, 3), F(-1, 3), False, 2)
+@example(F(-1, 3), F(-2, 3), False, 2)
+def test_hahn_integer_kernel_equals_fraction_form(alpha, beta, on_line, N):
     # beta either free or on the alpha + beta = -1 line when that is in range
-    on_line = alpha < 0 and data.draw(st.booleans())
-    beta = -1 - alpha if on_line else data.draw(rationals(-1, 50, 1000))
+    if on_line and alpha < 0:
+        beta = -1 - alpha
     fam = Hahn(alpha, beta, N)
-    for m in range(N):
+    for m in range(N + 1):
         assert (fam.recurrence_a(m), fam.recurrence_b(m)) == hahn_recurrence(fam, m)
+
+
+@PROPERTY
+@given(rationals(0, 50, 1000))
+@example(F(7, 2))
+def test_charlier_recurrence_equals_fraction_form(mu):
+    fam = Charlier(mu)
+    for m in range(30):
+        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == charlier_recurrence(fam, m)
 
 
 @PROPERTY
@@ -219,6 +240,9 @@ def test_meixner_integer_recurrence_equals_fraction_form(gamma, mu):
 
 @PROPERTY
 @given(rationals(0, 1, 1000), st.integers(min_value=1, max_value=60))
+# m runs to N, so through N-1, the top degree, and N; N = 1 included
+@example(F(2, 7), 1)
+@example(F(2, 7), 9)
 def test_kravchuk_integer_recurrence_equals_fraction_form(p, N):
     fam = Kravchuk(p, N)
     for m in range(N + 1):
@@ -283,10 +307,15 @@ def with_examples(test):
 
 @PROPERTY
 @given(any_family_cases().filter(lambda case: case[1] >= 1))
-# alpha + beta = -1 at m = 1 and 2, where den f_1 would vanish; Hahn N = 2;
-# Kravchuk at m = N-1; Meixner at mu = 999/1000; Hahn with d = 39
+# alpha + beta = -1 at m = 1 and 2, where den f_1 would vanish, and
+# alpha + beta = 0; Hahn N = 2; Kravchuk at m = N-1; Meixner at
+# mu = 999/1000; Hahn with d = 39; Charlier
 @example((Hahn(F(-1, 3), F(-2, 3), 9), 1))
 @example((Hahn(F(-1, 3), F(-2, 3), 9), 2))
+@example((Hahn(F(1, 3), F(-1, 3), 9), 1))
+@example((Hahn(F(1, 3), F(-1, 3), 9), 2))
+@example((Charlier(F(7, 2)), 1))
+@example((Charlier(F(7, 2)), 12))
 @example((Hahn(F(1, 2), F(5, 3), 2), 1))
 @example((Kravchuk(F(2, 7), 9), 8))
 @example((Meixner(F(5, 3), F(999, 1000)), 20))
@@ -321,7 +350,7 @@ def test_connection_rows_equal_fraction_delta_walk(case):
     # Delta-walk in Fraction arithmetic against the ladder row
     # n (j+1)_(n-1-j) r^(n-1-j), or the paper's 4F3 sum on Hahn
     fam, n = case
-    r = fam.ladder_ratio()
+    r = ladder_ratio(fam)
     expected = hahn_connection_4f3(fam, n) if r is None else pochhammer_connection(n, r)
     assert delta_walk_connection(fam, n) == expected
 
@@ -357,8 +386,9 @@ def test_structure_pair_f_vanishes_exactly_on_the_ladder_families(case):
 def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
     # the one-reduction product 1/(b_1 ... b_n) of direct and difference
     fam, n = case
-    assert fisher._norm_ratio(fam, n, 1, 1) == norm_ratio_from_norms(fam, n)
-    assert fisher._norm_ratio(fam, n, 5, 36) == norm_ratio_from_norms(fam, n) * F(5, 36)
+    tables = families._tables(fam)
+    assert fisher._norm_ratio(tables, n, 1, 1) == norm_ratio_from_norms(fam, n)
+    assert fisher._norm_ratio(tables, n, 5, 36) == norm_ratio_from_norms(fam, n) * F(5, 36)
 
 
 @PROPERTY
@@ -405,7 +435,7 @@ def test_ladder_expansion_equals_running_product_of_pochhammer_rows(case):
     # (m r)^2/b_m of the 2F1 closed forms: against each a_j taken on its own
     # and each norm ratio as a running product of b_m, in Fractions
     fam, n = case
-    coeffs = pochhammer_connection(n, fam.ladder_ratio())
+    coeffs = pochhammer_connection(n, ladder_ratio(fam))
     assert fisher_expansion(fam, n) == running_product_expansion(fam, n, coeffs)
 
 
