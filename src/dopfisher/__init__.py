@@ -18,7 +18,7 @@ _EXPORTS = {
                     "meixner_mu_to_zero"),
     "families": ("Charlier", "DegreeOutOfRange", "Family", "Hahn", "Kravchuk",
                  "LatticeSupport", "Meixner", "NormValue", "OutOfSupport",
-                 "ParameterDomainError", "TableOneData", "make_family"),
+                 "ParameterDomainError", "make_family"),
     "fisher": ("FisherReport", "Method", "fisher_closed", "fisher_difference",
                "fisher_direct", "fisher_expansion", "fisher_report", "rakhmanov_density"),
     "numerics": ("DEFAULT_DPS", "DenominatorPole", "NonTerminatingSeries", "PFQSpec",

@@ -10,10 +10,10 @@ Each family is a polynomial family of hypergeometric type, fixed by sigma
 and tau of its difference equation sigma Delta Nabla P + tau Delta P +
 lambda_n P = 0 (Nikiforov, Suslov and Uvarov, 1991), and supplies them as
 one integer hook (``Family.pearson_pair``).  One set of integer formulas
-turns them into the recurrence coefficients a_m, b_m and the structure
-pairs e_m, f_m of every family, from the x^(n-1) and x^(n-2) coefficients of
-the difference equation on a monic P_n; the quadrature row and the node
-values come from the same pair (``_Tables`` has the derivations).  The
+turns them into P_n's falling-factorial coefficients (P_n is a 2F0 on
+Charlier, a 2F1 on Meixner and Kravchuk, a 3F2 on Hahn), the recurrence
+coefficient b_m, the structure pairs e_m, f_m, the quadrature row and the
+node values of every family (``_Tables`` has the derivations).  The
 weights, norms, ladder targets and closed forms stay per family: they are
 the independent data that ``verify`` checks the derived rows against.
 
@@ -121,16 +121,6 @@ class NormValue:
             return out
 
 
-@dataclass(frozen=True)
-class TableOneData:
-    """Per-family data of the hypergeometric difference equation
-    sigma(x) Delta Nabla P + tau(x) Delta P + lambda_n P = 0, which is also
-    the Pearson pair of the weight, Delta(sigma w) = tau w."""
-
-    sigma: Tuple[Fraction, Fraction, Fraction]  # constant, linear, quadratic
-    tau: Tuple[Fraction, Fraction]              # constant, linear
-
-
 class Family:
     """Shared machinery; concrete families supply the data hooks."""
 
@@ -148,8 +138,8 @@ class Family:
     def pearson_pair(self) -> Tuple[int, int, int, int, int, int]:
         """(s0, s1, s2, t0, t1, c), integers with c > 0: sigma = (s0 + s1 x +
         s2 x^2)/c and tau = (t0 + t1 x)/c of the difference equation, which
-        fix the recurrence, the structure pairs, the quadrature row and the
-        node values (see ``_Tables``)."""
+        fix P_n, the recurrence, the structure pairs, the quadrature row and
+        the node values (see ``_Tables``)."""
         raise NotImplementedError
 
     def reduced_weight(self, x: int) -> Fraction:
@@ -194,45 +184,35 @@ class Family:
         if n < 1:
             raise DegreeOutOfRange(f"{self.tag}: ladder needs degree >= 1")
 
-    def table_data(self) -> TableOneData:
-        """sigma and tau of ``pearson_pair`` as Fractions."""
-        s0, s1, s2, t0, t1, c = self.pearson_pair()
-        return TableOneData(sigma=(Fraction(s0, c), Fraction(s1, c), Fraction(s2, c)),
-                            tau=(Fraction(t0, c), Fraction(t1, c)))
-
     def sigma(self, x) -> Fraction:
-        c0, c1, c2 = self.table_data().sigma
-        return c0 + c1 * x + c2 * x * x
+        s0, s1, s2, _, _, c = self.pearson_pair()
+        return Fraction(s0 + s1 * x + s2 * x * x, c)
 
     def tau(self, x) -> Fraction:
-        c0, c1 = self.table_data().tau
-        return c0 + c1 * x
+        _, _, _, t0, t1, c = self.pearson_pair()
+        return Fraction(t0 + t1 * x, c)
 
     def lambda_n(self, n: int) -> Fraction:
         # the x^n coefficient of the difference equation on a monic P_n
-        data = self.table_data()
-        return -n * data.tau[1] - n * (n - 1) * data.sigma[2]
-
-    def recurrence_a(self, m: int) -> Fraction:
-        """a_m of x P_m = P_(m+1) + a_m P_m + b_m P_(m-1) (see ``_Tables``)."""
-        return Fraction(*_tables(self).upto(m + 1)[0][m])
+        _, _, s2, _, t1, c = self.pearson_pair()
+        return Fraction(-n * ((n - 1) * s2 + t1), c)
 
     def recurrence_b(self, m: int) -> Fraction:
         """b_m of the three-term recurrence, b_0 = 0 (see ``_Tables``)."""
-        return Fraction(*_tables(self).upto(m + 1)[1][m])
+        return Fraction(*_tables(self).upto(m + 1)[0][m])
 
     def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
         """(num e_m, den e_m, num f_m, den f_m), lowest terms, denominators
         positive, with P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) for m >= 1, Q the
         monic polynomials of ``ladder_target`` (see ``_Tables``); m = 0 gives
         (0, 1, 0, 1)."""
-        return _tables(self).upto(m + 1)[2][m]
+        return _tables(self).upto(m + 1)[1][m]
 
     def eval_points(self, n: int, xs) -> list:
         """Monic degree-n polynomial values at every point of ``xs`` (ints,
         Fractions or strs, as ``to_fraction`` takes them), exact Fractions,
-        from one run of the integer recurrence in n over the points' common
-        denominator (``_Tables.end_values``)."""
+        by integer Horner on P_n's falling-factorial coefficients over the
+        points' common denominator (``_Tables.end_values``)."""
         self.check_degree(n)
         nums, q = over_common_denominator([to_fraction(x) for x in xs])
         values, den = _tables(self).end_values(n, nums, q)
@@ -253,9 +233,9 @@ class Family:
         return _tables(self).quad_row(k)
 
     def node_values(self, n: int) -> Tuple[list, int]:
-        """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)``, as (integer
-        numerators, one denominator) in lowest terms, from the recurrence in n
-        at the ends and the difference equation in between (see ``_Tables``)."""
+        """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)`` as (integer
+        numerators, one positive denominator) in lowest terms, by Horner at
+        the ends and the difference equation in between (see ``_Tables``)."""
         self.check_degree(n)
         return _tables(self).nodes(n)
 
@@ -273,41 +253,49 @@ def _lowest(num: int, den: int) -> Tuple[int, int]:
 
 
 class _Tables:
-    """One family's recurrence coefficients, structure pairs, quadrature row
-    and node values, grown on demand.  List rows are only ever appended, under
-    a lock, and the others are replaced whole (a race builds one twice,
-    alike), so a reader needs no lock.  Every row is integer numerators over
-    one denominator, node rows and coefficients in lowest terms.
+    """One family's b_m and structure pairs, quadrature row and node values,
+    grown on demand.  List rows are only ever appended, under a lock, and the
+    others are replaced whole (a race builds one twice, alike), so a reader
+    needs no lock.  Every row is integer numerators over one denominator,
+    node rows and coefficients in lowest terms.
 
     All of it comes from sigma and tau of ``Family.pearson_pair``, scaled to
     coprime integers once (``pearson``): sigma = s0 + s1 x + s2 x^2 and tau =
     t0 + t1 x, with phi = sigma + tau and u_j = j s2 + t1, so that lambda_n =
-    -n u_(n-1).  The x^(n-1) and x^(n-2) coefficients of sigma Delta Nabla P +
-    tau Delta P + lambda_n P = 0 on a monic P_n fix its next two coefficients,
-    and x P_m = P_(m+1) + a_m P_m + b_m P_(m-1) then gives
-        a_0 = -t0/t1,  a_m = -((2 s1 + t1) m u_(m-1) + t0 (t1 - 2 s2)) / (u_(2m) u_(2m-2)),
-        b_0 = 0,       b_m = m u_(m-2) Q_m / (u_(2m-3) u_(2m-2)^2 u_(2m-1)),
+    -n u_(n-1); t1 < 0 and s2 <= 0 on every family, so u_j < 0 for j >= 0.
+
+    P_n is a terminating hypergeometric series in the falling factorials
+    x^(k) = x (x-1) ... (x-k+1).  As sigma(0) = 0 on every family, sigma
+    Delta Nabla x^(k) + tau Delta x^(k) = -lambda_k x^(k) + k phi(k-1) x^(k-1)
+    and lambda_n - lambda_j = -(n-j) u_(n+j-1), so the equation on P_n gives
+    U_n P_n = sum_j c_j x^(j), U_n = u_(n-1) ... u_(2n-2), from c_n = U_n by
+        c_j = c_(j+1) (j+1) phi(j) / ((n-j) u_(n+j-1)),
+    so c_j = C(n,j) phi(j) ... phi(n-1) u_(n-1) ... u_(n+j-2) is an integer
+    and each division is exact.  ``end_values``, the one evaluator of P_n
+    (``Family.eval_points`` and the ends of the node values), builds the row
+    c_j q^(n-j) once, each step big times small over small, and runs Horner
+    acc <- c_j q^(n-j) + (X - j q) acc at each integer X, from acc = U_n down
+    to j = 0, which leaves U_n q^n P_n(X/q), U_n of the sign (-1)^n.
+
+    The next two coefficients of P_m in powers of x, read off the same
+    equation, and the recurrence x P_m = P_(m+1) + ... + b_m P_(m-1) give
+        b_0 = 0,  b_m = m u_(m-2) Q_m / (u_(2m-3) u_(2m-2)^2 u_(2m-1)),
     with Q_m = u_(2m-2) (s1 phi(m-1) - s0 (u_(2m-2) + s1)) - s2 (phi(m-1) - s0)^2,
     up to sign Res_x(sigma(x), phi(x+m-1))/s2.  The ladder target's Q_k
     (Delta P_n = n Q_(n-1)) solve the equation with the same sigma and
     tau(x+1) + Delta sigma(x), so the structure relation P_m = Q_m +
-    e_m Q_(m-1) + f_m Q_(m-2), whose generic form is e_m = m (a_m - 1 -
-    a'_(m-1)) and f_m = (m-1) b_m - m b'_(m-1) over both recurrences, reads
+    e_m Q_(m-1) + f_m Q_(m-2), e_m the difference of the second coefficients
+    of P_m and Q_m and f_m = (m-1) b_m - m b'_(m-1) over both recurrences, reads
         e_m = -m (2 s2 m u_(m-1) + t1 (s1 + t1) - s2 (2 t0 + t1)) / (u_(2m) u_(2m-2)),
         f_m = -(m-1) s2 b_m / u_(m-2),
     so f_1 = 0, and f_m = 0 for every m where s2 = 0: on Charlier, Meixner and
     Kravchuk.  The formulas are homogeneous of degree 0 in (sigma, tau), so
-    the integer scale is free.  Every denominator is nonzero on the families'
-    domains but two removable 0/0s, both written cancelled: the general a_m
-    at m = 0 divides by u_(-2), zero on Hahn at alpha + beta = 0, and at m = 1
-    u_(m-2)/u_(2m-3) = 1, both zero on Hahn at alpha + beta = -1.  f_m is b_m's
-    fraction with m u_(m-2) replaced by -(m-1) m s2, so it divides by nothing
-    more.  Each coefficient is kept as a lowest-terms integer pair with a
-    positive denominator.
-
-    ``end_values`` runs the three-term recurrence in n on integers, at integer
-    numerators over one common denominator: it is the one evaluator of P_n,
-    behind ``Family.eval_points`` and the ends of the node values.
+    the integer scale is free.  b_0 = e_0 = f_0 = 0 are set, and every other
+    denominator is nonzero on the families' domains but one removable 0/0,
+    written cancelled: at m = 1 u_(m-2)/u_(2m-3) = 1, both zero on Hahn at
+    alpha + beta = -1.  f_m is b_m's fraction with m u_(m-2) replaced by
+    -(m-1) m s2, so it divides by nothing more.  Each coefficient is kept as
+    a lowest-terms integer pair with a positive denominator.
 
     The quadrature row (L, den), E c = sum_x L_x c(x) / den for every c of
     degree at most k, lives on the nodes x = 0 .. t, t = k cut at the last
@@ -324,16 +312,16 @@ class _Tables:
     prefix product puts the row over one denominator.  No gcd is taken: it
     costs about what it saves in the dot products.
 
-    P_n at the row's nodes 0 .. t+1 is V/D, V integers: at 0, 1 and t+1 from
-    the recurrence in n (``end_values``), and at 2 .. t from the difference
-    equation read as a recurrence in x,
+    P_n at the row's nodes 0 .. t+1 is V/U_n, V integers: at 0, 1 and t+1
+    from the falling-factorial row (``end_values``), and at 2 .. t from the
+    difference equation read as a recurrence in x,
         phi(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
-    so each step is two big times small products and one exact division.
-    The steps divide by phi at x = 1 .. t-1, below the last support point,
-    and the last node t+1, which a step from x = t would need, comes from the
-    recurrence in n.  The row and the node values are kept for the last k and
-    n asked for: ``direct`` and ``difference`` share them.  The coefficient
-    rows are kept per family, so a degree sweep computes each once."""
+    so each step is two big times small products and one exact division.  The
+    steps divide by phi at x = 1 .. t-1 only, below the last support point,
+    since Horner gives t+1.  The row and the node values are kept for the last
+    k and n asked for: ``direct`` and ``difference`` share them.  The
+    coefficient rows are kept per family, so a degree sweep computes each
+    once."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -342,7 +330,7 @@ class _Tables:
         s0, s1, s2, t0, t1, _ = fam.pearson_pair()
         g = math.gcd(s0, s1, s2, t0, t1)
         self.pearson = s0 // g, s1 // g, s2 // g, t0 // g, t1 // g
-        self.a, self.b, self.pairs = [], [], []
+        self.b, self.pairs = [], []
         self.kept_row = self.kept_nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
         self.lock = threading.RLock()
 
@@ -360,37 +348,32 @@ class _Tables:
     def nodes(self, n: int) -> Tuple[list, int]:
         return self.kept("kept_nodes", n, self.node_values)
 
-    def upto(self, n: int) -> Tuple[list, list, list]:
-        """The rows a, b and pairs, each holding at least m = 0 .. n-1 (read
+    def upto(self, n: int) -> Tuple[list, list]:
+        """The rows b and pairs, each holding at least m = 0 .. n-1 (read
         them, never mutate them)."""
-        a, b, pairs = self.a, self.b, self.pairs
+        b, pairs = self.b, self.pairs
         if len(pairs) < n:
             with self.lock:
-                for m in range(len(pairs), n):
-                    am, bm, pm = self.coefficients(m)
-                    a.append(am)
+                for bm, pm in map(self.coefficients, range(len(pairs), n)):
                     b.append(bm)
                     pairs.append(pm)
-        return a, b, pairs
+        return b, pairs
 
     def coefficients(self, m: int) -> tuple:
-        """(a_m, b_m, (e_m, f_m)) as integer pairs, by the class docstring."""
+        """(b_m, (e_m, f_m)) as integer pairs, by the class docstring."""
         s0, s1, s2, t0, t1 = self.pearson
-        if m == 0:   # cancelled: the general a_m divides by u_(-2)
-            return _lowest(-t0, t1), (0, 1), (0, 1, 0, 1)
+        if m == 0:
+            return (0, 1), (0, 1, 0, 1)
         um1, u0 = (m - 1) * s2 + t1, 2 * m * s2 + t1        # u_(m-1), u_(2m)
         u1 = u0 - s2                                         # u_(2m-1)
         u2 = u1 - s2                                         # u_(2m-2)
-        den = u0 * u2
-        a = _lowest(-((2 * s1 + t1) * m * um1 + t0 * (t1 - 2 * s2)), den)
-        e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)), den)
+        e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)), u0 * u2)
         phi = (s2 * (m - 1) + s1 + t1) * (m - 1) + s0 + t0
         q = u2 * (s1 * phi - s0 * (u2 + s1)) - s2 * (phi - s0) ** 2
         if m == 1:   # cancelled: u_(m-2)/u_(2m-3) = 1
-            return a, _lowest(q, u2 * u2 * u1), (*e, 0, 1)
+            return _lowest(q, u2 * u2 * u1), (*e, 0, 1)
         den = (u2 - s2) * u2 * u2 * u1                       # u_(2m-3) u_(2m-2)^2 u_(2m-1)
-        return (a, _lowest(m * (um1 - s2) * q, den),
-                (*e, *_lowest(-(m - 1) * m * s2 * q, den)))
+        return _lowest(m * (um1 - s2) * q, den), (*e, *_lowest(-(m - 1) * m * s2 * q, den))
 
     def node_values(self, n: int) -> Tuple[list, int]:
         # the steps in x of the class docstring, over the ends' denominator
@@ -402,31 +385,27 @@ class _Tables:
         for x in range(1, t):
             sig, tx = (s2 * x + s1) * x + s0, t1 * x + t0
             v.append(((2 * sig + tx - lam) * v[-1] - sig * v[-2]) // (sig + tx))
-        # the chain's D is not in lowest terms, and on Hahn far from it (N =
-        # 400, n = 200: 5556 bits against 1008), so one gcd shrinks the
-        # values that direct and difference square
+        # U_n is far from lowest terms on Hahn (N = 400, n = 200: 2162 bits
+        # to 1008): one gcd, signed for den > 0, shrinks what the routes square
         v += ends[2:]
-        g = math.gcd(den, *v)
+        g = math.gcd(den, *v) if den > 0 else -math.gcd(den, *v)
         return [x // g for x in v], den // g
 
     def end_values(self, n: int, xs, q: int = 1) -> Tuple[list, int]:
-        # D_m q^m P_m(X/q) at each integer X of xs by P_(m+1) = (x - a_m) P_m -
-        # b_m P_(m-1), with D_(m+1) = lcm(D_m den(a_m), D_(m-1) den(b_m)) and no
-        # gcd taken, so D_m is a multiple of every coefficient denominator of
-        # P_m and D_m q^m P_m(X/q) is an integer.  With r = D_m/D_(m-1), c =
-        # D_(m+1)/D_m = lcm(r den(a_m), den(b_m))/r, the step is c/den(a_m)
-        # (X den(a_m) - q num(a_m)) V_m - (c r q^2/den(b_m)) num(b_m) V_(m-1):
-        # big times small only
-        a, b, _ = self.upto(n)
-        prev, cur = [0] * len(xs), [1] * len(xs)
-        den = r = 1
-        for m in range(n):
-            (na, da), (nb, db) = a[m], b[m]
-            c = math.lcm(r * da, db) // r
-            s, u, qna = c // da, c * r // db * nb * q * q, q * na
-            prev, cur = cur, [s * (x * da - qna) * v - u * w for x, v, w in zip(xs, cur, prev)]
-            den, r = den * c, c
-        return cur, den * q ** n
+        # U_n q^n P_n(X/q) at each integer X of xs by the falling-factorial
+        # row of the class docstring, built from c_n = U_n down to c_0
+        s0, s1, s2, t0, t1 = self.pearson
+        row = [math.prod(j * s2 + t1 for j in range(n - 1, 2 * n - 1))]
+        for j in range(n - 1, -1, -1):
+            phi = (s2 * j + s1 + t1) * j + s0 + t0
+            row.append(row[-1] * (q * (j + 1) * phi) // ((n - j) * ((n + j - 1) * s2 + t1)))
+        values = []
+        for x in xs:
+            acc = row[0]
+            for c, jq in zip(row[1:], range((n - 1) * q, -1, -q)):
+                acc = c + (x - jq) * acc
+            values.append(acc)
+        return values, row[0] * q ** n
 
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         # the Pearson recurrence of the class docstring, on the numerators

@@ -38,10 +38,10 @@ recurrence in x, (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) +
 ``difference`` share the row at k = 2n and P_n at its nodes, so each is one
 dot product.  The difference equation sigma Delta Nabla P_n + tau Delta P_n +
 lambda_n P_n = 0, on the same sigma and tau, is a three-term recurrence in
-x, run on integers from the values at 0 and 1, and those and the last node
-come from the integer recurrence in n (``Family.node_values``), which is
-also the one evaluator of P_n anywhere else (``Family.eval_points``, so the
-densities).
+x, run on integers from the values at 0 and 1 (``Family.node_values``);
+those and the last node come from integer Horner on P_n's falling-factorial
+coefficients, the one evaluator of P_n anywhere else too
+(``Family.eval_points``, so the densities).
 The mass ``reduced_norm(0)`` cancels against the norm,
 d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
 set by the degree and not by the lattice size.  This path uses no ladder and
@@ -179,7 +179,7 @@ def _norm_ratio(tables: _Tables, n: int, num: int, den: int) -> Fraction:
     recurrence: one integer product of the b_m's numerators and one of their
     denominators, reduced once.  The norms themselves would build products
     of length N on Kravchuk and Hahn that cancel down to these n factors."""
-    b = tables.upto(n + 1)[1][1:n + 1]
+    b = tables.upto(n + 1)[0][1:n + 1]
     return Fraction(num * math.prod(d for _, d in b), den * math.prod(x for x, _ in b))
 
 
@@ -228,7 +228,7 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    _, b, pairs = _tables(fam).upto(n + 1)
+    b, pairs = _tables(fam).upto(n + 1)
     g = d = 1
     if n > 1:
         # g_1, h_1, u_1 over d = den(e_1)^2 num(b_1)
@@ -285,8 +285,8 @@ def rakhmanov_density(fam: Family, n: int, x: int, *, dps: int = DEFAULT_DPS):
 def rakhmanov_densities(fam: Family, n: int, xs, *, dps: int = DEFAULT_DPS):
     """``rakhmanov_density`` at each point of the integer sequence xs, in
     order: the norm (rounded once on an infinite support) once, P_n in one
-    ``eval_points`` call (one run of the integer recurrence in n over the
-    points), and the weight walked between adjacent points by
+    ``eval_points`` call (one falling-factorial coefficient row, then integer
+    Horner at each point), and the weight walked between adjacent points by
     w(x) = w(x-1)/weight_ratio(x), which raises OutOfSupport off the support.
     """
     values = fam.eval_points(n, xs)

@@ -37,11 +37,15 @@ _INTEGER_VARS = ("n", "N")
 
 def format_scalar(value, backend: str, dps: int) -> str:
     """Render a scalar for CSV: a rational (int or Fraction) as lowest-terms
-    `p/q` under the exact backend and as its ``dps``-digit decimal
+    `p/q` of any size under the exact backend and as its ``dps``-digit decimal
     (``_decimal_text``) under the float backend; an mpf, which only the
     infinite-lattice density produces, by ``mpmath.nstr`` at ``dps`` digits."""
     if isinstance(value, (int, Fraction)):
-        return str(Fraction(value)) if backend == "exact" else _decimal_text(value, dps)
+        if backend != "exact":
+            return _decimal_text(value, dps)
+        num, den = Fraction(value).as_integer_ratio()
+        text = "-" * (num < 0) + _digit_string(abs(num))
+        return text if den == 1 else f"{text}/{_digit_string(den)}"
     import mpmath
     with mpmath.workdps(dps):
         return mpmath.nstr(to_mpf(value), dps)
@@ -90,9 +94,11 @@ def _decimal_text(value, dps: int) -> str:
     return ("-" if value < 0 else "") + text + suffix
 
 
-def _digit_string(q: int, width: int) -> str:
+def _digit_string(q: int, width: int = 0) -> str:
     # str() refuses ints past sys.get_int_max_str_digits() (4300 by default),
-    # so a long digit string is built from halves
+    # so a long digit string is built from halves; width 0 is q's own width
+    if not width:
+        return _digit_string(q, int(q.bit_length() * _LOG10_2) + 2).lstrip("0") or "0"
     if width <= 4000:
         return f"{q:0{width}d}"
     high, low = divmod(q, 10 ** (width // 2))

@@ -46,11 +46,13 @@ truncated Laurent series) and the norm ratio d_0^2/d_n^2 taken from the
 norms themselves are references for the cancelled forms.
 
 Last, printed decimals: a rational rounded by the ``decimal`` module and
-laid out as ``mpmath.nstr`` lays out its digits.
+laid out as ``mpmath.nstr`` lays out its digits; and printed rationals:
+``str`` with the interpreter's int-to-str digit limit lifted for the call.
 """
 
 import decimal
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -706,3 +708,14 @@ def decimal_layout(value: Fraction, dps: int) -> str:
         whole, frac = digits[0], digits[1:]
         suffix = f"e+{e}" if e > 0 else f"e{e}"
     return ("-" if sign else "") + whole + "." + (frac or "0") + suffix
+
+
+def unlimited_str(value) -> str:
+    """str(value) with the interpreter's limit on int-to-str digits lifted
+    for the call and restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)

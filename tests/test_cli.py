@@ -15,12 +15,12 @@ import dopfisher
 from dopfisher import cli, sweeps
 from dopfisher.cli import main
 from dopfisher.families import Charlier, Hahn, Kravchuk, Meixner
-from dopfisher.fisher import Method
+from dopfisher.fisher import Method, fisher_expansion
 from dopfisher.numerics import DEFAULT_DPS
 from dopfisher.sweeps import SWEEP_COLUMNS, format_scalar, load_figures, run_figure
 from dopfisher.verify import SUITES
 
-from oracles import density_per_point
+from oracles import density_per_point, unlimited_str
 
 F = Fraction
 
@@ -127,6 +127,17 @@ class TestFisherCommand:
         assert [r[3] for r in rows] == ["direct", "difference", "expansion", "closed"]
         assert len({r[4] for r in rows}) == 1 and "/" in rows[0][4]
         assert all(r[5] == "true" and r[6] == "0.0" for r in rows)
+
+    def test_fisher_exact_value_past_the_int_str_limit(self, capsys):
+        # a Hahn value at n = 1500 whose numerator and denominator pass the
+        # limit too
+        code, out, err = run_cli(capsys, ["fisher", "--family", "hahn", "--alpha", "7/3",
+                                          "--beta", "11/6", "--N", "4000", "--n", "1500",
+                                          "--methods", "expansion", "--backend", "exact"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        value = unlimited_str(fisher_expansion(Hahn(F(7, 3), F(11, 6), 4000), 1500))
+        assert len(value) > 2 * 4300 and [row[4] for row in rows] == [value]
 
     def test_missing_parameter_exits_64(self, capsys):
         code, _, err = run_cli(capsys, ["fisher", "--family", "charlier", "--n", "3"])
@@ -270,6 +281,17 @@ class TestEvalAndDensity:
         assert code == 0
         _, rows = parse_csv(out)
         assert [r[4] for r in rows] == ["-2", "-1", "0", "1"]
+
+    def test_eval_exact_value_past_the_int_str_limit(self, capsys):
+        # P_3000(7) has 10582 digits, past the interpreter's default limit of
+        # 4300 on int-to-str conversion, which the run leaves as it is
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, ["eval", "--family", "meixner", "--gamma", "5/3",
+                                          "--mu", "3/4", "--n", "3000", "--x", "7"])
+        assert code == 0 and err == "" and sys.get_int_max_str_digits() == limit
+        _, rows = parse_csv(out)
+        value = unlimited_str(Meixner(F(5, 3), F(3, 4)).eval_poly(3000, 7))
+        assert len(value) > 4300 and rows == [["meixner", "3000", "mu=3/4;gamma=5/3", "7", value]]
 
     def test_eval_needs_a_point(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--family", "charlier",

@@ -369,6 +369,14 @@ class TestMomentSums:
     def test_large_lattice_equals_expansion(self, fam, n):
         assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
 
+    @pytest.mark.parametrize("fam, n", [(Hahn(F(7, 3), F(11, 6), 400), 200),
+                                        (Hahn(F(-1, 3), F(-2, 3), 160), 101)])
+    def test_hahn_high_degree_equals_expansion(self, fam, n):
+        # the node values at high degree, off and on alpha + beta = -1, where
+        # the falling-factorial row's U_n is thousands of bits and negative
+        # at odd n
+        assert fisher_direct(fam, n) == fisher_difference(fam, n) == fisher_expansion(fam, n)
+
 
 class TestWorkPerReport:
     """Work counted in calls, so the check holds on any host."""
@@ -387,7 +395,7 @@ class TestWorkPerReport:
                                         (Kravchuk(F(2, 7), 6), 5), (Hahn(F(1, 2), F(2), 7), 6)])
     def test_report_builds_one_row_and_one_node_pass(self, monkeypatch, fam, n):
         # direct and difference share one quadrature row and one node-value
-        # pass, which runs the recurrence in n once
+        # pass, which builds one falling-factorial row for its ends
         from dopfisher import families
 
         calls = {}
@@ -419,7 +427,7 @@ class TestWorkPerReport:
 
     @staticmethod
     def count_rows(monkeypatch, seen):
-        """Record the m of every coefficient row (a_m, b_m, e_m, f_m) built."""
+        """Record the m of every coefficient row (b_m, e_m, f_m) built."""
         from dopfisher import families
 
         original = families._Tables.coefficients
@@ -567,11 +575,10 @@ class TestConcurrency:
         assert results == [(expected[n], expected[n]) for n in order]
 
     def test_tables_grow_without_lost_rows_under_contention(self):
-        # many threads grow one family's tables (recurrence coefficients and
-        # structure pairs, read by the values of P_n and by expansion) up and
-        # down the degrees at once, with a short switch interval; a lost or
-        # duplicated update would put a row at the wrong degree and change
-        # the values
+        # many threads grow one family's tables (b_m and the structure pairs,
+        # read by expansion) up and down the degrees at once, with a short
+        # switch interval; a lost or duplicated update would put a row at the
+        # wrong degree and change the values
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -581,7 +588,7 @@ class TestConcurrency:
         points = [F(-7, 2), F(0), F(11, 3), F(31)]
 
         def work(n):
-            pairs = tuple(families._tables(fam).upto(n)[2][:n])
+            pairs = tuple(families._tables(fam).upto(n)[1][:n])
             return pairs, fam.eval_points(n, points), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
@@ -597,6 +604,6 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         assert results == [expected[n] for n in order]
         tables = families._tables(fam)
-        # the rows of m = 0..29: P_29 needs a_m and b_m for m = 0..28, and
-        # fisher_expansion(fam, 29) also reads b_29; each row is built whole
-        assert (len(tables.a), len(tables.b), len(tables.pairs)) == (30, 30, 30)
+        # the rows of m = 0..29: fisher_expansion(fam, 29) reads b_m and the
+        # pairs for m = 1..29; each row is built whole
+        assert (len(tables.b), len(tables.pairs)) == (30, 30)

@@ -4,17 +4,20 @@
 from its numerator and denominator, rounded once to ``dps`` significant
 digits with ties away from zero, in ``mpmath.nstr``'s layout.  The oracle
 (tests/oracles.py) rounds with the ``decimal`` module instead and lays the
-digits out on its own.  Examples are drawn deterministically.
+digits out on its own.  With the exact backend it writes ``p/q`` at any
+size, against ``str`` with the int-to-str digit limit lifted.  Examples are
+drawn deterministically.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dopfisher.sweeps import format_scalar
 
-from oracles import decimal_layout
+from oracles import decimal_layout, unlimited_str
 
 F = Fraction
 
@@ -84,3 +87,29 @@ def test_digit_strings_longer_than_the_int_str_limit():
     # str() of an int refuses more than 4300 digits by default
     text = format_scalar(F(1, 3), "float", 5000)
     assert text == "0." + "3" * 5000
+
+
+
+#: numerator widths either side of 4000, of the interpreter's default
+#: int-to-str limit of 4300 digits, and of twice that
+WIDE = [3999, 4000, 4001, 4299, 4300, 4301, 8599, 8600, 8601]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(WIDE), st.sampled_from([1, 60] + WIDE), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_exact_backend_prints_any_width(width, den_width, negative, rnd):
+    # the integers are drawn inside the test, since past the limit their
+    # repr, which a report of the example would print, raises too
+    num = rnd.randrange(10 ** (width - 1), 10 ** width)
+    value = F(-num if negative else num, rnd.randrange(10 ** (den_width - 1), 10 ** den_width))
+    assert format_scalar(value, "exact", 8) == unlimited_str(value)
+
+
+@pytest.mark.parametrize("num, den", [(10 ** 4300, 1), (10 ** 4300 - 1, 1), (-(10 ** 4299), 7),
+                                      (1, 10 ** 8600), (0, 1)],
+                         ids=["1e4300", "1e4300-1", "-1e4299/7", "1/1e8600", "0"])
+def test_exact_backend_at_powers_of_ten(num, den):
+    # the digit count's bound from the bit length is widest at powers of ten
+    value = F(num, den)
+    assert format_scalar(value, "exact", 8) == unlimited_str(value)

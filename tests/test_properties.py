@@ -6,31 +6,30 @@ supports: the exact closed form equals the expansion, Charlier gives n/mu,
 and the quadrature-row direct and difference routes equal the expansion
 bit for bit, Meixner mu up to 999/1000 included.
 Every value is positive, and zero exactly at degree 0.  The recurrence
-coefficients, which the package derives from sigma and tau, equal the
-textbook Fraction forms of all four families; each family's structure pair
+coefficient b_m, which the package derives from sigma and tau, equals the
+textbook Fraction form of all four families; each family's structure pair
 equals its form from both families' textbook recurrences and satisfies the
-structure relation pointwise, and
-its f_m vanishes for every m on the ladder families and for no 2 <= m <= N-2
-on Hahn; the values of P_n at any rational points, from the integer
-recurrence over their common denominator, equal Horner on the plain Fraction
-monomial recurrence; the Delta-walk connection coefficients equal the
-Pochhammer and 4F3 forms; the Gram recurrence of ``expansion`` equals the
-running-product Fraction sum over the Delta-walk coefficients, and on the
-ladder families over the Pochhammer ones; the quadrature row from the
-Pearson pair, asked for at any k in any order, equals the transposed
-difference table over the textbook factorial moments, has those moments,
-and sums like Newton's formula from a difference table; the node values
-from the difference equation equal Horner on the Fraction monomial
-coefficients; the quadrature row met with any polynomial product, and the sums of ``direct`` and ``difference``, equal
+structure relation pointwise, and its f_m vanishes for every m on the ladder
+families and for no 2 <= m <= N-2 on Hahn; the values of P_n at any rational
+points, by integer Horner on its falling-factorial coefficients over their
+common denominator, equal Horner on the plain Fraction monomial recurrence;
+the Delta-walk connection coefficients equal the Pochhammer and 4F3 forms;
+the Gram recurrence of ``expansion`` equals the running-product Fraction sum
+over the Delta-walk coefficients, and on the ladder families over the
+Pochhammer ones; the quadrature row from the Pearson pair, asked for at any
+k in any order, equals the transposed difference table over the textbook
+factorial moments, has those moments, and sums like Newton's formula from a
+difference table; the node values from the difference equation equal Horner
+on the Fraction monomial coefficients; the quadrature row met with any
+polynomial product, and the sums of ``direct`` and ``difference``, equal
 coefficient products met with the oracle's raw moments, on every family; and
-the integer Horner kernels of the terminating pFq and the
-Hahn 5F4, and the one-reduction Pochhammer product, equal their
-term-by-term Fraction forms.  The
-cancelled forms that keep the cost set by the degree and not by the lattice
-size -- the norm ratio d_0^2/d_n^2 from the recurrence and the Hahn closed
-form without its products of length N -- equal the forms written with those
-products.  The sweep grid, one Fraction per point, equals start plus the
-scaled span, and lands on integers exactly when every point is one.
+the integer Horner kernels of the terminating pFq and the Hahn 5F4, and the
+one-reduction Pochhammer product, equal their term-by-term Fraction forms.
+The cancelled forms that keep the cost set by the degree and not by the
+lattice size -- the norm ratio d_0^2/d_n^2 from the recurrence and the Hahn
+closed form without its products of length N -- equal the forms written with
+those products.  The sweep grid, one Fraction per point, equals start plus
+the scaled span, and lands on integers exactly when every point is one.
 Examples are drawn deterministically, so the suite stays reproducible.
 """
 
@@ -204,8 +203,8 @@ def test_hahn_closed_form_equals_uncancelled_form(alpha, beta, N):
 @PROPERTY
 @given(rationals(-1, 50, 1000), rationals(-1, 50, 1000), st.booleans(),
        st.integers(min_value=1, max_value=30))
-# alpha + beta = 0, where the general a_0 would divide by u_(-2) = 0, and
-# alpha + beta = -1, where b_1 is a removable 0/0; N = 1 and 2
+# alpha + beta = 0 and alpha + beta = -1, where b_1 is a removable 0/0;
+# N = 1 and 2
 @example(F(1, 3), F(-1, 3), False, 9)
 @example(F(-1, 3), F(-2, 3), False, 9)
 @example(F(7, 3), F(11, 13), False, 1)
@@ -218,7 +217,7 @@ def test_hahn_integer_kernel_equals_fraction_form(alpha, beta, on_line, N):
         beta = -1 - alpha
     fam = Hahn(alpha, beta, N)
     for m in range(N + 1):
-        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == hahn_recurrence(fam, m)
+        assert fam.recurrence_b(m) == hahn_recurrence(fam, m)[1]
 
 
 @PROPERTY
@@ -227,7 +226,7 @@ def test_hahn_integer_kernel_equals_fraction_form(alpha, beta, on_line, N):
 def test_charlier_recurrence_equals_fraction_form(mu):
     fam = Charlier(mu)
     for m in range(30):
-        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == charlier_recurrence(fam, m)
+        assert fam.recurrence_b(m) == charlier_recurrence(fam, m)[1]
 
 
 @PROPERTY
@@ -235,7 +234,7 @@ def test_charlier_recurrence_equals_fraction_form(mu):
 def test_meixner_integer_recurrence_equals_fraction_form(gamma, mu):
     fam = Meixner(gamma, mu)
     for m in range(30):
-        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == meixner_recurrence(fam, m)
+        assert fam.recurrence_b(m) == meixner_recurrence(fam, m)[1]
 
 
 @PROPERTY
@@ -246,7 +245,7 @@ def test_meixner_integer_recurrence_equals_fraction_form(gamma, mu):
 def test_kravchuk_integer_recurrence_equals_fraction_form(p, N):
     fam = Kravchuk(p, N)
     for m in range(N + 1):
-        assert (fam.recurrence_a(m), fam.recurrence_b(m)) == kravchuk_recurrence(fam, m)
+        assert fam.recurrence_b(m) == kravchuk_recurrence(fam, m)[1]
 
 
 @st.composite
@@ -276,16 +275,23 @@ def points():
 @PROPERTY
 @given(any_family_cases(), points())
 # n = 0 and no points; repeated, negative and non-integer points on Hahn on
-# alpha + beta = -1; Meixner at mu = 999/1000; Kravchuk at its top degree
+# alpha + beta = -1 and alpha + beta = 0; Hahn with N = 1; Meixner at
+# mu = 999/1000; Kravchuk at its top degree; an odd n on every family
 @example((Charlier(F(7, 2)), 0), [])
+@example((Hahn(F(1, 3), F(-1, 3), 9), 5), [F(-1, 2), 0, 4, F(17, 3)])
+@example((Hahn(F(1, 2), F(5, 3), 1), 0), [F(1, 3), -2])
+@example((Charlier(F(7, 2)), 13), [F(-5, 3), 2, F(29, 4)])
+@example((Kravchuk(F(2, 7), 9), 7), [F(1, 2), 9, 10])
+@example((Hahn(F(7, 3), F(11, 6), 24), 23), [F(-1, 5), 3, 24])
 @example((Meixner(F(5, 3), F(999, 1000)), 25), [])
 @example((Hahn(F(1, 3), F(5, 2), 6), 0), [F(-1, 2), 3])
 @example((Hahn(F(-1, 3), F(-2, 3), 9), 8), [F(-1, 2), F(5, 2), F(5, 2), -7, 12])
 @example((Meixner(F(5, 3), F(999, 1000)), 25), [F(-13, 7), 0, F(1, 3), 40])
 @example((Kravchuk(F(2, 7), 5), 4), [F(-3), F(1, 3), 7, 7])
 def test_eval_points_equal_horner_on_fraction_monomials(case, xs):
-    # the integer recurrence over the points' common denominator against
-    # Horner on the plain Fraction recurrence's monomial coefficients
+    # integer Horner on the falling-factorial row over the points' common
+    # denominator against Horner on the plain Fraction recurrence's monomial
+    # coefficients
     fam, n = case
     coeffs = recurrence_monomials(fam, n)
     values = fam.eval_points(n, xs)
@@ -508,8 +514,12 @@ def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
 @PROPERTY
 @given(any_family_cases())
 # Kravchuk with 2n >= N, where the last node lies past sigma + tau = 0, and
-# with 2n < N; Hahn on alpha + beta = -1 and with N = 1 and 2; n = 0 and 1;
-# Meixner at mu = 999/1000
+# with 2n < N; Hahn on alpha + beta = -1 and 0 and with N = 1 and 2; n = 0
+# and 1; Meixner at mu = 999/1000; an odd n on every family, where U_n < 0
+@example((Hahn(F(1, 3), F(-1, 3), 9), 3))
+@example((Charlier(F(7, 2)), 9))
+@example((Meixner(F(5, 3), F(999, 1000)), 15))
+@example((Hahn(F(7, 3), F(11, 6), 24), 23))
 @example((Kravchuk(F(2, 7), 9), 6))
 @example((Kravchuk(F(3, 5), 20), 7))
 @example((Hahn(F(-1, 3), F(-2, 3), 9), 5))
@@ -519,9 +529,9 @@ def test_quadrature_row_sums_equal_newton_sum(case, c, extras):
 @example((Meixner(F(3, 2), F(2, 5)), 1))
 @example((Meixner(F(5, 3), F(999, 1000)), 20))
 def test_node_values_equal_horner_on_the_monomial_row(case):
-    # the recurrence in n at the ends and the difference equation in between
-    # against Horner on the Fraction monomial coefficients, at every node, in
-    # lowest terms
+    # the falling-factorial row at the ends and the difference equation in
+    # between against Horner on the Fraction monomial coefficients, at every
+    # node, in lowest terms over a positive denominator
     fam, n = case
     families._tables.cache_clear()
     nums, den = fam.node_values(n)
