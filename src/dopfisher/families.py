@@ -280,8 +280,8 @@ class _Tables:
     The next two coefficients of P_m in powers of x, read off the same
     equation, and the recurrence x P_m = P_(m+1) + ... + b_m P_(m-1) give
         b_0 = 0,  b_m = m u_(m-2) Q_m / (u_(2m-3) u_(2m-2)^2 u_(2m-1)),
-    with Q_m = u_(2m-2) (s1 phi(m-1) - s0 (u_(2m-2) + s1)) - s2 (phi(m-1) - s0)^2,
-    up to sign Res_x(sigma(x), phi(x+m-1))/s2.  The ladder target's Q_k
+    with Q_m = phi(m-1) (s1 u_(2m-2) - s2 phi(m-1)) (as sigma(0) = 0), up to
+    sign Res_x(sigma(x), phi(x+m-1))/s2.  The ladder target's Q_k
     (Delta P_n = n Q_(n-1)) solve the equation with the same sigma and
     tau(x+1) + Delta sigma(x), so the structure relation P_m = Q_m +
     e_m Q_(m-1) + f_m Q_(m-2), e_m the difference of the second coefficients
@@ -293,9 +293,9 @@ class _Tables:
     the integer scale is free.  b_0 = e_0 = f_0 = 0 are set, and every other
     denominator is nonzero on the families' domains but one removable 0/0,
     written cancelled: at m = 1 u_(m-2)/u_(2m-3) = 1, both zero on Hahn at
-    alpha + beta = -1.  f_m is b_m's fraction with m u_(m-2) replaced by
-    -(m-1) m s2, so it divides by nothing more.  Each coefficient is kept as
-    a lowest-terms integer pair with a positive denominator.
+    alpha + beta = -1.  The factors of b_m are written once (``b_factors``),
+    and f_m is read off them.  Each coefficient of the rows is a
+    lowest-terms integer pair with a positive denominator.
 
     The quadrature row (L, den), E c = sum_x L_x c(x) / den for every c of
     degree at most k, lives on the nodes x = 0 .. t, t = k cut at the last
@@ -319,9 +319,10 @@ class _Tables:
     so each step is two big times small products and one exact division.  The
     steps divide by phi at x = 1 .. t-1 only, below the last support point,
     since Horner gives t+1.  The row and the node values are kept for the last
-    k and n asked for: ``direct`` and ``difference`` share them.  The
-    coefficient rows are kept per family, so a degree sweep computes each
-    once."""
+    k and n asked for: ``direct`` and ``difference`` share them.  The rows
+    b_m, e_m, f_m are kept per family, for Hahn's ``expansion`` step and for
+    ``recurrence_b`` and ``structure_pair`` only: the ladder families'
+    ``expansion`` and every norm ratio build none."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -359,21 +360,28 @@ class _Tables:
                     pairs.append(pm)
         return b, pairs
 
+    def b_factors(self, m: int) -> Tuple[int, int]:
+        """b_m, m >= 1, as the unreduced integer pair of the class docstring."""
+        _, s1, s2, t0, t1 = self.pearson
+        u1 = (2 * m - 1) * s2 + t1                           # u_(2m-1)
+        u2 = u1 - s2                                         # u_(2m-2)
+        phi = (s2 * (m - 1) + s1 + t1) * (m - 1) + t0        # phi(m-1), s0 = 0
+        q = phi * (s1 * u2 - s2 * phi)
+        if m == 1:   # cancelled: u_(m-2)/u_(2m-3) = 1
+            return q, u2 * u2 * u1
+        return m * ((m - 2) * s2 + t1) * q, (u2 - s2) * u2 * u2 * u1
+
     def coefficients(self, m: int) -> tuple:
-        """(b_m, (e_m, f_m)) as integer pairs, by the class docstring."""
-        s0, s1, s2, t0, t1 = self.pearson
+        """(b_m, (e_m, f_m)) as lowest-terms integer pairs, by the class docstring."""
         if m == 0:
             return (0, 1), (0, 1, 0, 1)
+        _, s1, s2, t0, t1 = self.pearson
         um1, u0 = (m - 1) * s2 + t1, 2 * m * s2 + t1        # u_(m-1), u_(2m)
-        u1 = u0 - s2                                         # u_(2m-1)
-        u2 = u1 - s2                                         # u_(2m-2)
-        e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)), u0 * u2)
-        phi = (s2 * (m - 1) + s1 + t1) * (m - 1) + s0 + t0
-        q = u2 * (s1 * phi - s0 * (u2 + s1)) - s2 * (phi - s0) ** 2
-        if m == 1:   # cancelled: u_(m-2)/u_(2m-3) = 1
-            return _lowest(q, u2 * u2 * u1), (*e, 0, 1)
-        den = (u2 - s2) * u2 * u2 * u1                       # u_(2m-3) u_(2m-2)^2 u_(2m-1)
-        return _lowest(m * (um1 - s2) * q, den), (*e, *_lowest(-(m - 1) * m * s2 * q, den))
+        e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)),
+                    u0 * (u0 - 2 * s2))
+        bn, bd = self.b_factors(m)
+        f = _lowest(-(m - 1) * s2 * bn, bd * (um1 - s2)) if m > 1 else (0, 1)
+        return _lowest(bn, bd), (*e, *f)
 
     def node_values(self, n: int) -> Tuple[list, int]:
         # the steps in x of the class docstring, over the ends' denominator

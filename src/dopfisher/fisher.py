@@ -19,12 +19,12 @@ Routes:
                     this is n^2 ||Q_(n-1)||^2/d_n^2, and the second structure
                     relation P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2), Q the
                     ladder target's polynomials, gives ||Q_m||^2 by one Gram
-                    recurrence in m on all four families, with no a_j and no
-                    norm built.  e_m and f_m come from sigma and tau, and
-                    f_m has the x^2 coefficient s2 of sigma as a factor, so
-                    s2 = 0 gives f_m = 0: on Charlier, Meixner and Kravchuk
-                    the steps are the term ratios of the closed forms, which
-                    the paper derived this way.  The authoritative exact value;
+                    recurrence in m, with no a_j and no norm built.  f_m has
+                    the x^2 coefficient s2 of sigma as a factor, so on
+                    Charlier, Meixner and Kravchuk (s2 = 0) it is one Horner
+                    pass over the term ratios of the 2F1 closed forms, read
+                    off sigma and tau as in the paper.  The authoritative
+                    exact value;
 * ``closed``     -- the per-family closed forms, exact for all four families.
                     The one non-terminating 3F2 at -1 in the Hahn form
                     telescopes to the rational n/(2n+s+1), s = alpha+beta.
@@ -43,11 +43,12 @@ those and the last node come from integer Horner on P_n's falling-factorial
 coefficients, the one evaluator of P_n anywhere else too
 (``Family.eval_points``, so the densities).
 The mass ``reduced_norm(0)`` cancels against the norm,
-d_0^2/d_n^2 = 1/(b_1 ... b_n), so every route is an exact Fraction at a cost
-set by the degree and not by the lattice size.  This path uses no ladder and
-no structure pairs: on the ladder families, where ``expansion`` and
-``closed`` sum the same terms, ``direct`` and ``difference`` remain the
-independent check.
+d_0^2/d_n^2 = 1/(b_1 ... b_n), one product of b_m's unreduced factors
+reduced once, so every route is an exact Fraction at a cost set by the
+degree and not by the lattice size.  This path uses no ladder and no
+structure pairs: on the ladder families, where ``expansion`` and ``closed``
+sum the same terms, ``direct`` and ``difference`` remain the independent
+check.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -63,7 +64,7 @@ from operator import mul
 from typing import Dict, Optional
 
 from .families import Family, OutOfSupport, _Tables, _tables
-from .numerics import DEFAULT_DPS, DenominatorPole, to_mpf
+from .numerics import DEFAULT_DPS, DenominatorPole, horner_ratio_sum, to_mpf
 
 
 class Method(enum.Enum):
@@ -176,10 +177,11 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 
 def _norm_ratio(tables: _Tables, n: int, num: int, den: int) -> Fraction:
     """(num/den) d_0^2/d_n^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
-    recurrence: one integer product of the b_m's numerators and one of their
-    denominators, reduced once.  The norms themselves would build products
-    of length N on Kravchuk and Hahn that cancel down to these n factors."""
-    b = tables.upto(n + 1)[0][1:n + 1]
+    recurrence: one integer product of the unreduced b_m's numerators
+    (``_Tables.b_factors``) and one of their denominators, reduced once.  The
+    norms themselves would build products of length N on Kravchuk and Hahn
+    that cancel down to these n factors."""
+    b = list(map(tables.b_factors, range(1, n + 1)))
     return Fraction(num * math.prod(d for _, d in b), den * math.prod(x for x, _ in b))
 
 
@@ -213,43 +215,47 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     Delta P_n = n Q_(n-1), Q the monic polynomials of ``ladder_target``, so
     I_n = n^2 g_(n-1)/b_n with g_m = <Q_m,Q_m>/d_m^2 against the family's own
     weight.  The second structure relation P_m = Q_m + e_m Q_(m-1) +
-    f_m Q_(m-2) (``Family.structure_pair``, read from the family's tables
-    with b_m) gives, with h_m = <Q_m,Q_(m-1)>/d_m^2 and u_m = g_(m-1)/b_m,
-    from g_0 = 1 and h_0 = 0,
+    f_m Q_(m-2) (``Family.structure_pair``) gives, with h_m =
+    <Q_m,Q_(m-1)>/d_m^2 and u_m = g_(m-1)/b_m, from g_0 = 1 and h_0 = 0,
         h_m = -(e_m g_(m-1) + f_m h_(m-1))/b_m,
         g_m = 1 + (e_m^2 g_(m-1) + 2 e_m f_m h_(m-1) + f_m^2 u_(m-1))/b_m,
-    run on integers over one denominator, every step big times small, and
-    reduced once.  f_1 = 0, and f_m = -(m-1) s2 b_m/u_(m-2) (``_Tables``) is
-    0 for every m where s2, the x^2 coefficient of sigma, is 0: on Charlier,
-    Meixner and Kravchuk, where a step updates g alone (h and u become None,
-    so a later f_m != 0 raises) and is the term-ratio step of the 2F1 closed
-    forms; on Hahn f_m != 0 for 2 <= m <= N-2.
+    on Hahn over the rows of the family's tables, on integers over one
+    denominator, every step big times small.  Where s2, the x^2 coefficient
+    of sigma, is 0 (Charlier, Meixner and Kravchuk), f_m = 0 and sigma(0) = 0
+    (``_Tables``) leave g_m = 1 + r_m g_(m-1) with r_m = e_m^2/b_m =
+    m (s1+t1)^2/(s1 phi(m-1)), the term ratio of the 2F1 closed forms, and
+    I_n = n t1^2 g_(n-1)/(s1 phi(n-1)): one Horner pass over small integer
+    pairs, no rows.  Either way the sum is reduced once.
     """
     fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    b, pairs = _tables(fam).upto(n + 1)
+    tables = _tables(fam)
+    _, s1, s2, t0, t1 = tables.pearson
+    if s2 == 0:
+        # r_m = m c^2/(s1 phi(m-1)), c = s1 + t1, with the factors common to
+        # every m taken out once: k = gcd(c, t0) of phi(m-1) = c (m-1) + t0,
+        # then gcd(c^2/k, s1); every pair is (0, 1) on Charlier, where c = 0
+        c = s1 + t1
+        scale = Fraction(n * t1 * t1, s1 * (c * (n - 1) + t0))
+        k = math.gcd(c, t0)
+        a, t0 = c // k, t0 // k
+        k = math.gcd(c * a, s1)
+        top, s1 = c * a // k, s1 // k
+        return scale * horner_ratio_sum((m * top, s1 * (a * (m - 1) + t0)) for m in range(1, n))
+    b, pairs = tables.upto(n + 1)
     g = d = 1
-    if n > 1:
-        # g_1, h_1, u_1 over d = den(e_1)^2 num(b_1)
-        e, ed, _, _ = pairs[1]
-        bn, bd = b[1]
-        d = ed * ed * bn
-        g, h, u = d + e * e * bd, -e * ed * bd, ed * ed * bd
-        for m in range(2, n):
-            e, ed, f, fd = pairs[m]
-            bn, bd = b[m]
-            if f == 0:
-                d *= ed * ed * bn
-                g, h, u = d + e * e * bd * g, None, None
-                continue
-            # e = E/c and f = F/c over c = lcm(den e, den f); the new
-            # denominator is d num(b_m) c^2
-            c = math.lcm(ed, fd)
-            e, f = e * (c // ed), f * (c // fd)
-            eg_fh = e * g + f * h
-            d *= bn * c * c
-            g, h, u = d + bd * (e * eg_fh + f * (e * h + f * u)), -bd * c * eg_fh, bd * c * c * g
+    h = u = 0
+    for m in range(1, n):
+        e, ed, f, fd = pairs[m]
+        bn, bd = b[m]
+        # e = E/c and f = F/c over c = lcm(den e, den f); the new
+        # denominator is d num(b_m) c^2
+        c = math.lcm(ed, fd)
+        e, f = e * (c // ed), f * (c // fd)
+        eg_fh = e * g + f * h
+        d *= bn * c * c
+        g, h, u = d + bd * (e * eg_fh + f * (e * h + f * u)), -bd * c * eg_fh, bd * c * c * g
     bn, bd = b[n]
     return Fraction(n * n * g * bd, d * bn)
 

@@ -108,8 +108,8 @@ def horner_ratio_sum(ratios) -> Fraction:
     k = 0, so the pairs are never held all at once."""
     num = den = 1
     for rn, rd in ratios:
-        num = rd * den + rn * num
         den *= rd
+        num = den + rn * num
     return Fraction(num, den)
 
 

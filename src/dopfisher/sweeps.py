@@ -231,23 +231,21 @@ def load_figures(path: Optional[str] = None,
     ``sweep``, fixed parameters, and either ``grid = start:stop:count`` or an
     explicit ``values`` list.  A file that cannot be read or parsed, and a
     section that does not define a curve, raise FigureConfigError.  The
-    stock ``figures.cfg`` (``path=None``) is parsed once per process; a file
-    at ``path`` is read on every call.  ``methods`` replaces every curve's
-    own methods.
+    stock ``figures.cfg`` (``path=None``) is read once per process and each
+    of its figures built once; a file at ``path`` is read on every call.
+    ``methods`` replaces every curve's own methods.
     """
-    figures = _stock_figures() if path is None else _parse_figures(path)
-    return {fig_id: [replace(spec, methods=tuple(methods) if methods else spec.methods,
-                             backend=backend, dps=dps) for spec in specs]
-            for fig_id, specs in figures.items()}
+    config = _stock_config() if path is None else _read_config(path)
+    return {fig_id: _figure(config, fig_id, methods, backend, dps) for fig_id in config[1]}
 
 
 @lru_cache(maxsize=None)
-def _stock_figures() -> Dict[str, List[SweepSpec]]:
-    # shared by every caller, so load_figures hands out replaced copies
-    return _parse_figures(None)
+def _stock_config():
+    return _read_config(None)
 
 
-def _parse_figures(path: Optional[str]) -> Dict[str, List[SweepSpec]]:
+def _read_config(path: Optional[str]):
+    """(parser, {figure id: [section, ...]}, {figure id: its built curves})."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep 'n' and 'N' distinct
     try:
@@ -259,16 +257,27 @@ def _parse_figures(path: Optional[str]) -> Dict[str, List[SweepSpec]]:
     except (OSError, UnicodeError, configparser.Error) as exc:
         raise FigureConfigError(
             f"cannot read figure config {path!r}: {_first_line(exc)}") from exc
-    figures: Dict[str, List[SweepSpec]] = {}
+    figures: Dict[str, List[str]] = {}
     for section in parser.sections():
-        fig_id, _, label = section.partition(".")
-        try:
-            spec = _curve_spec(dict(parser[section]), label=label or fig_id)
-        except (ValueError, ZeroDivisionError, configparser.Error) as exc:
-            raise FigureConfigError(
-                f"figure section [{section}]: {_first_line(exc)}") from exc
-        figures.setdefault(fig_id, []).append(spec)
-    return figures
+        figures.setdefault(section.partition(".")[0], []).append(section)
+    return parser, figures, {}
+
+
+def _figure(config, fig_id, methods=None, backend="exact", dps=DEFAULT_DPS) -> List[SweepSpec]:
+    # built on first use and kept with the config, so callers get replaced copies
+    parser, figures, built = config
+    if fig_id not in built:
+        specs = []
+        for section in figures[fig_id]:
+            try:
+                specs.append(_curve_spec(dict(parser[section]),
+                                         label=section.partition(".")[2] or fig_id))
+            except (ValueError, ZeroDivisionError, configparser.Error) as exc:
+                raise FigureConfigError(
+                    f"figure section [{section}]: {_first_line(exc)}") from exc
+        built[fig_id] = specs
+    return [replace(spec, methods=tuple(methods) if methods else spec.methods,
+                    backend=backend, dps=dps) for spec in built[fig_id]]
 
 
 def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
@@ -305,10 +314,10 @@ def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
 
 
 def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> Iterator[Dict[str, str]]:
-    """Run every curve of one figure, rows in file order and evaluated as
-    they are read (``run_sweep``).  An unknown figure or a config that cannot
-    be loaded raises here, before any row."""
-    figures = load_figures(path, **kwargs)
-    if fig_id not in figures:
-        raise KeyError(f"unknown figure {fig_id!r}; available: {sorted(figures)}")
-    return chain.from_iterable(map(run_sweep, figures[fig_id]))
+    """Run every curve of one figure (only its curves are built), rows in
+    file order and evaluated as they are read (``run_sweep``).  An unknown
+    figure or a config that cannot be loaded raises here, before any row."""
+    config = _stock_config() if path is None else _read_config(path)
+    if fig_id not in config[1]:
+        raise KeyError(f"unknown figure {fig_id!r}; available: {sorted(config[1])}")
+    return chain.from_iterable(map(run_sweep, _figure(config, fig_id, **kwargs)))

@@ -527,6 +527,20 @@ class TestSweepCommand:
         assert sorted(figures) == sorted(f"fig{i}" for i in range(1, 11))
         assert all(len(specs) >= 3 for specs in figures.values())
 
+    def test_figure_run_builds_only_its_own_curves_once(self, monkeypatch):
+        # a stock figure's curves are built on its first run and kept; the
+        # other figures' sections stay unbuilt
+        expected = [spec.label for spec in load_figures()["fig4"]]
+        built, original = [], sweeps._curve_spec
+        monkeypatch.setattr(sweeps, "_curve_spec",
+                            lambda options, label: built.append(label) or original(options, label))
+        sweeps._stock_config.cache_clear()
+        try:
+            first, again = list(run_figure("fig4")), list(run_figure("fig4"))
+            assert built == expected and first == again
+        finally:
+            sweeps._stock_config.cache_clear()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):

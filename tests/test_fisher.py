@@ -441,17 +441,21 @@ class TestWorkPerReport:
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(5, 2), F(3, 7)),
                                      Kravchuk(F(2, 7), 12)])
-    def test_ladder_expansion_computes_each_structure_pair_once(self, monkeypatch, fam):
-        # the ladder families run the same Gram recurrence as Hahn, over rows
-        # kept per family, so a sweep n = 0..11 builds the rows of m = 0..11
-        # (expansion at n reads b_n) once each and reads sigma and tau once
+    def test_ladder_report_builds_no_coefficient_rows(self, monkeypatch, fam):
+        # on the ladder families expansion steps over ratios read off sigma
+        # and tau, and direct and difference multiply the unreduced b_m
+        # factors, so a four-route report at n = 0..11 builds no row
+        # (b_m, e_m, f_m) and reads sigma and tau once
         calls, seen = {}, []
         self.count(monkeypatch, type(fam), "pearson_pair", calls)
         self.count_rows(monkeypatch, seen)
         fam = dataclasses.replace(fam)   # a fresh instance: nothing read yet
-        assert [fisher_expansion(fam, n) for n in range(12)] == \
+        reports = [fisher_report(fam, n) for n in range(12)]
+        assert seen == [] and calls == {"pearson_pair": 1}
+        assert [r.values[Method.EXPANSION] for r in reports] == \
             [fisher_closed(fam, n) for n in range(12)]
-        assert seen == list(range(12)) and calls == {"pearson_pair": 1}
+        assert all(len(r.values) == 4 and r.max_pairwise_rel_discrepancy == 0
+                   for r in reports)
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(23, 4), F(19, 20)),
                                      Kravchuk(F(5, 9), 89)])

@@ -10,7 +10,8 @@ coefficient b_m, which the package derives from sigma and tau, equals the
 textbook Fraction form of all four families; each family's structure pair
 equals its form from both families' textbook recurrences and satisfies the
 structure relation pointwise, and its f_m vanishes for every m on the ladder
-families and for no 2 <= m <= N-2 on Hahn; the values of P_n at any rational
+families and for no 2 <= m <= N-2 on Hahn; the step ratios of the ladder
+families' expansion equal e_m^2/b_m; the values of P_n at any rational
 points, by integer Horner on its falling-factorial coefficients over their
 common denominator, equal Horner on the plain Fraction monomial recurrence;
 the Delta-walk connection coefficients equal the Pochhammer and 4F3 forms;
@@ -373,9 +374,9 @@ def test_connection_rows_equal_fraction_delta_walk(case):
 @example((Hahn(F(1, 2), F(5, 3), 2), 0))
 @example((Hahn(F(1, 2), F(5, 3), 3), 0))
 def test_structure_pair_f_vanishes_exactly_on_the_ladder_families(case):
-    # fisher_expansion updates g alone on a step with f_m = 0 and drops h and
-    # u; that is right only because f_m = 0 for every m on Charlier, Meixner
-    # and Kravchuk and f_m != 0 for every m it steps through on Hahn
+    # fisher_expansion steps g alone, by e_m^2/b_m, where s2 = 0; that is
+    # right only because f_m = 0 for every m on Charlier, Meixner and
+    # Kravchuk, and f_m != 0 for every m it steps through on Hahn
     fam, _ = case
     top = 40 if fam.max_degree() is None else fam.max_degree()
     for m in range(1, top + 1):
@@ -386,9 +387,58 @@ def test_structure_pair_f_vanishes_exactly_on_the_ladder_families(case):
             assert f != 0
 
 
+@st.composite
+def ladder_families(draw):
+    """A random family with s2 = 0: Charlier, Meixner with mu up to 999/1000,
+    or Kravchuk with N <= 42."""
+    tag = draw(st.sampled_from(["charlier", "meixner", "kravchuk"]))
+    if tag == "charlier":
+        return Charlier(draw(rationals(0, 20)))
+    if tag == "meixner":
+        return Meixner(draw(rationals(0, 10)), draw(meixner_mu()))
+    return Kravchuk(draw(rationals(0, 1)), draw(st.integers(min_value=1, max_value=42)))
+
+
+@PROPERTY
+@given(ladder_families())
+# Meixner near mu = 1, Kravchuk at its top degree N-1, and Charlier, where
+# every step ratio is 0
+@example(Meixner(F(5, 3), F(999, 1000)))
+@example(Meixner(F(1, 7), F(99, 100)))
+@example(Kravchuk(F(2, 7), 9))
+@example(Kravchuk(F(5, 9), 42))
+@example(Charlier(F(7, 2)))
+def test_ladder_step_ratio_equals_e_squared_over_b(fam):
+    # the ratio pairs that expansion's Horner pass takes on a ladder family,
+    # read off the Pearson pair with the common factors taken out, against
+    # e_m^2/b_m from the structure pair and the recurrence, at the top degree
+    # n = min(41, N-1), so for every m it steps through, up to n-1
+    n = 41 if fam.max_degree() is None else min(41, fam.max_degree())
+    ratios, horner = [], fisher.horner_ratio_sum
+
+    def recorded(pairs):
+        ratios.extend(pairs)
+        return horner(ratios)
+
+    with mock.patch.object(fisher, "horner_ratio_sum", recorded):
+        value = fisher_expansion(fam, n)
+    assert value == fisher_closed(fam, n)
+    assert len(ratios) == max(n - 1, 0)
+    for m, (rn, rd) in enumerate(ratios, start=1):
+        e = F(*fam.structure_pair(m)[:2])
+        assert F(rn, rd) == e * e / fam.recurrence_b(m)
+        assert (rn, rd) == (0, 1) if fam.tag == "charlier" else rn > 0 and rd > 0
+
+
 @PROPERTY
 @given(any_family_cases())
 @with_examples
+# alpha + beta = -1 at n = 1 and 2, where b_1's factors carry the cancelled
+# u_(-1)/u_(-1)
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 1))
+@example((Hahn(F(-1, 3), F(-2, 3), 9), 2))
+@example((Hahn(F(-1, 2), F(-1, 2), 30), 1))
+@example((Hahn(F(-1, 2), F(-1, 2), 30), 2))
 def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
     # the one-reduction product 1/(b_1 ... b_n) of direct and difference
     fam, n = case
