@@ -27,7 +27,6 @@ cancel it; it is restored only for the infinite-lattice density.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -199,14 +198,14 @@ class Family:
 
     def recurrence_b(self, m: int) -> Fraction:
         """b_m of the three-term recurrence, b_0 = 0 (see ``_Tables``)."""
-        return Fraction(*_tables(self).upto(m + 1)[0][m])
+        return Fraction(*_tables(self).coefficients(m)[0]) if m else Fraction(0)
 
     def structure_pair(self, m: int) -> Tuple[int, int, int, int]:
         """(num e_m, den e_m, num f_m, den f_m), lowest terms, denominators
         positive, with P_m = Q_m + e_m Q_(m-1) + f_m Q_(m-2) for m >= 1, Q the
         monic polynomials of ``ladder_target`` (see ``_Tables``); m = 0 gives
         (0, 1, 0, 1)."""
-        return _tables(self).upto(m + 1)[1][m]
+        return _tables(self).coefficients(m)[1] if m else (0, 1, 0, 1)
 
     def eval_points(self, n: int, xs) -> list:
         """Monic degree-n polynomial values at every point of ``xs`` (ints,
@@ -232,13 +231,6 @@ class Family:
         for every polynomial c of degree at most k (see ``_Tables``)."""
         return _tables(self).quad_row(k)
 
-    def node_values(self, n: int) -> Tuple[list, int]:
-        """P_n at the nodes 0 .. len(L) of ``quadrature_row(2n)`` as (integer
-        numerators, one positive denominator) in lowest terms, by Horner at
-        the ends and the difference equation in between (see ``_Tables``)."""
-        self.check_degree(n)
-        return _tables(self).nodes(n)
-
 
 #: families whose tables stay cached; the least recently used one goes first
 _TABLE_CACHE_SIZE = 16
@@ -253,11 +245,10 @@ def _lowest(num: int, den: int) -> Tuple[int, int]:
 
 
 class _Tables:
-    """One family's b_m and structure pairs, quadrature row and node values,
-    grown on demand.  List rows are only ever appended, under a lock, and the
-    others are replaced whole (a race builds one twice, alike), so a reader
-    needs no lock.  Every row is integer numerators over one denominator,
-    node rows and coefficients in lowest terms.
+    """One family's b_m and structure pairs, quadrature row and node values.
+    What is kept is an immutable tuple replaced whole (a race builds one
+    twice, alike), so a reader needs no lock.  Every row is integer numerators
+    over one denominator, node rows and coefficients in lowest terms.
 
     All of it comes from sigma and tau of ``Family.pearson_pair``, scaled to
     coprime integers once (``pearson``): sigma = s0 + s1 x + s2 x^2 and tau =
@@ -290,11 +281,12 @@ class _Tables:
         f_m = -(m-1) s2 b_m / u_(m-2),
     so f_1 = 0, and f_m = 0 for every m where s2 = 0: on Charlier, Meixner and
     Kravchuk.  The formulas are homogeneous of degree 0 in (sigma, tau), so
-    the integer scale is free.  b_0 = e_0 = f_0 = 0 are set, and every other
-    denominator is nonzero on the families' domains but one removable 0/0,
-    written cancelled: at m = 1 u_(m-2)/u_(2m-3) = 1, both zero on Hahn at
-    alpha + beta = -1.  The factors of b_m are written once (``b_factors``),
-    and f_m is read off them.  Each coefficient of the rows is a
+    the integer scale is free.  b_0 = e_0 = f_0 = 0 (the views
+    ``Family.recurrence_b`` and ``structure_pair`` answer m = 0), and every
+    other denominator is nonzero on the families' domains but one removable
+    0/0, written cancelled: at m = 1 u_(m-2)/u_(2m-3) = 1, both zero on Hahn
+    at alpha + beta = -1.  The factors of b_m are written once
+    (``b_factors``), and f_m is read off them.  Each coefficient is a
     lowest-terms integer pair with a positive denominator.
 
     The quadrature row (L, den), E c = sum_x L_x c(x) / den for every c of
@@ -319,9 +311,11 @@ class _Tables:
     so each step is two big times small products and one exact division.  The
     steps divide by phi at x = 1 .. t-1 only, below the last support point,
     since Horner gives t+1.  The row and the node values are kept for the last
-    k and n asked for: ``direct`` and ``difference`` share them.  The rows
-    b_m, e_m, f_m are kept per family, for Hahn's ``expansion`` step and for
-    ``recurrence_b`` and ``structure_pair`` only: the ladder families'
+    k and n asked for: ``direct`` and ``difference`` share them.  No
+    coefficient is kept.  Hahn's ``expansion`` builds b_m, e_m, f_m as it
+    steps and keeps its Gram state (m, g, h, u, d) before step m, which a
+    later call at degree m or above goes on from (``fisher_expansion``), so
+    a rising degree sweep takes each step once; the ladder families'
     ``expansion`` and every norm ratio build none."""
 
     def __init__(self, fam: Family):
@@ -331,9 +325,8 @@ class _Tables:
         s0, s1, s2, t0, t1, _ = fam.pearson_pair()
         g = math.gcd(s0, s1, s2, t0, t1)
         self.pearson = s0 // g, s1 // g, s2 // g, t0 // g, t1 // g
-        self.b, self.pairs = [], []
         self.kept_row = self.kept_nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
-        self.lock = threading.RLock()
+        self.kept_gram = (1, 1, 0, 0, 1)   # (m, g, h, u, d) of Hahn's expansion, before step m
 
     def kept(self, name: str, key: int, make) -> tuple:
         """The row kept under ``name`` if made for ``key``, else make(key) in its place."""
@@ -349,17 +342,6 @@ class _Tables:
     def nodes(self, n: int) -> Tuple[list, int]:
         return self.kept("kept_nodes", n, self.node_values)
 
-    def upto(self, n: int) -> Tuple[list, list]:
-        """The rows b and pairs, each holding at least m = 0 .. n-1 (read
-        them, never mutate them)."""
-        b, pairs = self.b, self.pairs
-        if len(pairs) < n:
-            with self.lock:
-                for bm, pm in map(self.coefficients, range(len(pairs), n)):
-                    b.append(bm)
-                    pairs.append(pm)
-        return b, pairs
-
     def b_factors(self, m: int) -> Tuple[int, int]:
         """b_m, m >= 1, as the unreduced integer pair of the class docstring."""
         _, s1, s2, t0, t1 = self.pearson
@@ -372,9 +354,8 @@ class _Tables:
         return m * ((m - 2) * s2 + t1) * q, (u2 - s2) * u2 * u2 * u1
 
     def coefficients(self, m: int) -> tuple:
-        """(b_m, (e_m, f_m)) as lowest-terms integer pairs, by the class docstring."""
-        if m == 0:
-            return (0, 1), (0, 1, 0, 1)
+        """(b_m, (e_m, f_m)), m >= 1, as lowest-terms integer pairs, by the
+        class docstring."""
         _, s1, s2, t0, t1 = self.pearson
         um1, u0 = (m - 1) * s2 + t1, 2 * m * s2 + t1        # u_(m-1), u_(2m)
         e = _lowest(-m * (2 * s2 * m * um1 + t1 * (s1 + t1) - s2 * (2 * t0 + t1)),

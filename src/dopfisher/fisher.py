@@ -38,7 +38,7 @@ recurrence in x, (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) +
 ``difference`` share the row at k = 2n and P_n at its nodes, so each is one
 dot product.  The difference equation sigma Delta Nabla P_n + tau Delta P_n +
 lambda_n P_n = 0, on the same sigma and tau, is a three-term recurrence in
-x, run on integers from the values at 0 and 1 (``Family.node_values``);
+x, run on integers from the values at 0 and 1 (``_Tables.nodes``);
 those and the last node come from integer Horner on P_n's falling-factorial
 coefficients, the one evaluator of P_n anywhere else too
 (``Family.eval_points``, so the densities).
@@ -219,13 +219,16 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     <Q_m,Q_(m-1)>/d_m^2 and u_m = g_(m-1)/b_m, from g_0 = 1 and h_0 = 0,
         h_m = -(e_m g_(m-1) + f_m h_(m-1))/b_m,
         g_m = 1 + (e_m^2 g_(m-1) + 2 e_m f_m h_(m-1) + f_m^2 u_(m-1))/b_m,
-    on Hahn over the rows of the family's tables, on integers over one
-    denominator, every step big times small.  Where s2, the x^2 coefficient
-    of sigma, is 0 (Charlier, Meixner and Kravchuk), f_m = 0 and sigma(0) = 0
-    (``_Tables``) leave g_m = 1 + r_m g_(m-1) with r_m = e_m^2/b_m =
-    m (s1+t1)^2/(s1 phi(m-1)), the term ratio of the 2F1 closed forms, and
-    I_n = n t1^2 g_(n-1)/(s1 phi(n-1)): one Horner pass over small integer
-    pairs, no rows.  Either way the sum is reduced once.
+    on Hahn over b_m, e_m, f_m built as it steps (``_Tables.coefficients``),
+    on integers over one denominator, every step big times small.  The state
+    (m, g, h, u, d) before step m = n is kept with the family's tables, and a
+    later call goes on from it if its degree is at least m, else starts
+    again, so a rising degree sweep takes each step once.  Where s2, the x^2
+    coefficient of sigma, is 0 (Charlier, Meixner and Kravchuk), f_m = 0 and
+    sigma(0) = 0 (``_Tables``) leave g_m = 1 + r_m g_(m-1) with r_m =
+    e_m^2/b_m = m (s1+t1)^2/(s1 phi(m-1)), the term ratio of the 2F1 closed
+    forms, and I_n = n t1^2 g_(n-1)/(s1 phi(n-1)): one Horner pass over small
+    integer pairs, no rows.  Either way the sum is reduced once.
     """
     fam.check_degree(n)
     if n == 0:
@@ -243,12 +246,12 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
         k = math.gcd(c * a, s1)
         top, s1 = c * a // k, s1 // k
         return scale * horner_ratio_sum((m * top, s1 * (a * (m - 1) + t0)) for m in range(1, n))
-    b, pairs = tables.upto(n + 1)
-    g = d = 1
-    h = u = 0
-    for m in range(1, n):
-        e, ed, f, fd = pairs[m]
-        bn, bd = b[m]
+    # go on from the state the last call kept if it is not past n, else
+    # start again from g_0 = 1 and h_0 = 0 before step 1
+    state = tables.kept_gram
+    start, g, h, u, d = state if state[0] <= n else (1, 1, 0, 0, 1)
+    for m in range(start, n):
+        (bn, bd), (e, ed, f, fd) = tables.coefficients(m)
         # e = E/c and f = F/c over c = lcm(den e, den f); the new
         # denominator is d num(b_m) c^2
         c = math.lcm(ed, fd)
@@ -256,7 +259,8 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
         eg_fh = e * g + f * h
         d *= bn * c * c
         g, h, u = d + bd * (e * eg_fh + f * (e * h + f * u)), -bd * c * eg_fh, bd * c * c * g
-    bn, bd = b[n]
+    tables.kept_gram = n, g, h, u, d
+    bn, bd = tables.b_factors(n)
     return Fraction(n * n * g * bd, d * bn)
 
 

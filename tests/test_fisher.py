@@ -475,13 +475,15 @@ class TestWorkPerReport:
         assert calls == {"pearson_pair": 1}
 
     def test_hahn_degree_sweep_computes_each_structure_pair_once(self, monkeypatch):
-        # the pairs are kept per family, so a sweep n = 1..40 builds the rows
-        # of m = 0..40 once each, and every value still equals the closed form
+        # each degree goes on from the Gram state the last one kept, so a
+        # rising sweep n = 1..40 builds the coefficients of m = 1..39 once
+        # each (b_n comes unreduced from its factors), and every value still
+        # equals the closed form
         fam, seen = Hahn(F(7, 3), F(11, 13), 45), []
         self.count_rows(monkeypatch, seen)
         for n in range(1, 41):
             assert fisher_expansion(fam, n) == fisher_closed(fam, n)
-        assert seen == list(range(41))
+        assert seen == list(range(1, 40))
 
 
 class TestInvariants:
@@ -507,6 +509,56 @@ class TestInvariants:
                     b = fisher_difference(fam, n)
                     c = fisher_expansion(fam, n)
                     assert a == b == c
+
+
+def _rising(fam):
+    return [(fam, n) for n in range(fam.N)]
+
+
+def _falling(fam):
+    return [(fam, n) for n in range(fam.N - 1, -1, -1)]
+
+
+def _with_second_family(fam):
+    # fam's degrees rising between another Hahn family's degrees falling
+    other, calls = Hahn(F(5, 2), F(-1, 2), 11), []
+    for n in range(max(fam.N, other.N)):
+        if n < fam.N:
+            calls.append((fam, n))
+        if n < other.N:
+            calls.append((other, other.N - 1 - n))
+    return calls
+
+
+def _evicting(fam):
+    # more families than the table cache holds between two degrees of fam,
+    # so its tables are dropped and rebuilt at every degree
+    from dopfisher import families
+
+    fillers = [(Hahn(F(i, 17), F(1, 3), 6), 4) for i in range(families._TABLE_CACHE_SIZE + 1)]
+    return [c for n in range(fam.N) for c in [(fam, n), *fillers]]
+
+
+class TestDegreeOrder:
+    """Hahn ``expansion`` gives each value whatever calls came before it: the
+    same degrees rising, falling, interleaved with another family, and with
+    the family's tables evicted in between."""
+
+    @pytest.mark.parametrize("fam", [Hahn(F(7, 3), F(11, 6), 14), Hahn(F(-1, 3), F(-2, 3), 9),
+                                     Hahn(F(1, 2), F(5, 3), 2)])
+    @pytest.mark.parametrize("order", [_rising, _falling, _with_second_family, _evicting])
+    def test_values_do_not_depend_on_the_call_order(self, fam, order):
+        from dopfisher import families
+
+        calls = order(fam)
+        expected = {}
+        for call in calls:
+            if call not in expected:
+                families._tables.cache_clear()
+                expected[call] = fisher_expansion(*call)
+                assert expected[call] == fisher_closed(*call)
+        families._tables.cache_clear()
+        assert [fisher_expansion(*call) for call in calls] == [expected[c] for c in calls]
 
 
 class TestCacheBounds:
@@ -538,8 +590,8 @@ class TestCacheBounds:
 
 class TestConcurrency:
     def test_shared_family_is_safe_across_threads(self):
-        # pure values plus an internal coefficient cache: concurrent readers
-        # must see identical exact results
+        # pure values plus a kept Gram state that each call replaces whole:
+        # concurrent readers must see identical exact results
         from concurrent.futures import ThreadPoolExecutor
 
         fam = Hahn(F(3), F(-1, 2), 12)
@@ -552,9 +604,8 @@ class TestConcurrency:
 
     def test_lattice_pass_is_shared_safely_across_threads(self):
         # threads ask for different degrees of one bounded family at once, so
-        # the shared recurrence coefficients grow and the kept quadrature row
-        # and node values change under them; a row read at the wrong degree
-        # would change the direct or difference value
+        # the kept quadrature row and node values change under them; a row
+        # read at the wrong degree would change the direct or difference value
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -578,11 +629,11 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         assert results == [(expected[n], expected[n]) for n in order]
 
-    def test_tables_grow_without_lost_rows_under_contention(self):
-        # many threads grow one family's tables (b_m and the structure pairs,
-        # read by expansion) up and down the degrees at once, with a short
-        # switch interval; a lost or duplicated update would put a row at the
-        # wrong degree and change the values
+    def test_gram_state_is_kept_whole_under_contention(self):
+        # many threads run one family's expansion up and down the degrees at
+        # once, with a short switch interval, each going on from or replacing
+        # the kept Gram state; a state read half old and half new, or taken
+        # past the degree asked for, would change the values
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -592,7 +643,7 @@ class TestConcurrency:
         points = [F(-7, 2), F(0), F(11, 3), F(31)]
 
         def work(n):
-            pairs = tuple(families._tables(fam).upto(n)[1][:n])
+            pairs = tuple(map(fam.structure_pair, range(n)))
             return pairs, fam.eval_points(n, points), fisher_expansion(fam, n)
 
         expected = [work(n) for n in range(30)]
@@ -607,7 +658,3 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(old)
         assert results == [expected[n] for n in order]
-        tables = families._tables(fam)
-        # the rows of m = 0..29: fisher_expansion(fam, 29) reads b_m and the
-        # pairs for m = 1..29; each row is built whole
-        assert (len(tables.b), len(tables.pairs)) == (30, 30)

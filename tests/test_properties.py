@@ -584,7 +584,7 @@ def test_node_values_equal_horner_on_the_monomial_row(case):
     # node, in lowest terms over a positive denominator
     fam, n = case
     families._tables.cache_clear()
-    nums, den = fam.node_values(n)
+    nums, den = families._tables(fam).nodes(n)
     assert len(nums) == len(transposed_table_row(fam, 2 * n)) + 1
     assert den > 0 and math.gcd(den, *nums) == 1
     assert [F(v, den) for v in nums] == horner_node_values(fam, n)
