@@ -163,7 +163,11 @@ def _output(path):
     if path in (None, "-"):
         yield sys.stdout
         return
-    with open(path, "w", newline="") as stream:
+    try:
+        stream = open(path, "w", newline="")
+    except OSError as exc:
+        raise _usage_error(f"cannot open --out {path!r}: {exc.strerror}")
+    with stream:
         yield stream
 
 

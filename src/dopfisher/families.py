@@ -229,7 +229,7 @@ class Family:
     def quadrature_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """(L, den) with sum_x L_x c(x) / den = sum_x w(x) c(x) / sum_x w(x)
         for every polynomial c of degree at most k (see ``_Tables``)."""
-        return _tables(self).quad_row(k)
+        return _tables(self).quadrature_row(k)
 
 
 #: families whose tables stay cached; the least recently used one goes first
@@ -245,7 +245,7 @@ def _lowest(num: int, den: int) -> Tuple[int, int]:
 
 
 class _Tables:
-    """One family's b_m and structure pairs, quadrature row and node values.
+    """One family's b_m and structure pairs, and what one degree's sums need.
     What is kept is an immutable tuple replaced whole (a race builds one
     twice, alike), so a reader needs no lock.  Every row is integer numerators
     over one denominator, node rows and coefficients in lowest terms.
@@ -310,13 +310,15 @@ class _Tables:
         phi(x) V(x+1) = (2 sigma + tau - lambda_n)(x) V(x) - sigma(x) V(x-1),
     so each step is two big times small products and one exact division.  The
     steps divide by phi at x = 1 .. t-1 only, below the last support point,
-    since Horner gives t+1.  The row and the node values are kept for the last
-    k and n asked for: ``direct`` and ``difference`` share them.  No
+    since Horner gives t+1.  What ``direct`` and ``difference`` need at
+    degree n is kept for the last n asked for (``degree``): the row at k =
+    2n, the node values, and d_0^2/d_n^2 = 1/(b_1 ... b_n) over their
+    denominators, one product of the n unreduced pairs (``b_factors``).  No
     coefficient is kept.  Hahn's ``expansion`` builds b_m, e_m, f_m as it
     steps and keeps its Gram state (m, g, h, u, d) before step m, which a
     later call at degree m or above goes on from (``fisher_expansion``), so
     a rising degree sweep takes each step once; the ladder families'
-    ``expansion`` and every norm ratio build none."""
+    ``expansion`` and the norm product build none."""
 
     def __init__(self, fam: Family):
         self.fam = fam
@@ -325,22 +327,21 @@ class _Tables:
         s0, s1, s2, t0, t1, _ = fam.pearson_pair()
         g = math.gcd(s0, s1, s2, t0, t1)
         self.pearson = s0 // g, s1 // g, s2 // g, t0 // g, t1 // g
-        self.kept_row = self.kept_nodes = (None,)   # (k, L, den) and (n, P_n at the nodes, den)
+        self.kept_degree = (None,)         # (n, L, V, num, den) of ``degree``
         self.kept_gram = (1, 1, 0, 0, 1)   # (m, g, h, u, d) of Hahn's expansion, before step m
 
-    def kept(self, name: str, key: int, make) -> tuple:
-        """The row kept under ``name`` if made for ``key``, else make(key) in its place."""
-        row = getattr(self, name)
-        if row[0] != key:
-            row = (key, *make(key))
-            setattr(self, name, row)
-        return row[1:]
-
-    def quad_row(self, k: int) -> Tuple[Tuple[int, ...], int]:
-        return self.kept("kept_row", k, self.quadrature_row)
-
-    def nodes(self, n: int) -> Tuple[list, int]:
-        return self.kept("kept_nodes", n, self.node_values)
+    def degree(self, n: int) -> tuple:
+        """(L, V, num, den) of degree n: the quadrature row L at k = 2n, P_n
+        at its nodes over one denominator as integers V, and num/den =
+        d_0^2/d_n^2 over the row's denominator times V's squared."""
+        kept = self.kept_degree
+        if kept[0] != n:
+            row, rd = self.quadrature_row(2 * n)
+            v, vd = self.node_values(n, len(row) - 1)
+            b = list(map(self.b_factors, range(1, n + 1)))
+            num, den = math.prod(d for _, d in b), math.prod(x for x, _ in b)
+            kept = self.kept_degree = n, row, v, num, rd * vd * vd * den
+        return kept[1:]
 
     def b_factors(self, m: int) -> Tuple[int, int]:
         """b_m, m >= 1, as the unreduced integer pair of the class docstring."""
@@ -364,9 +365,9 @@ class _Tables:
         f = _lowest(-(m - 1) * s2 * bn, bd * (um1 - s2)) if m > 1 else (0, 1)
         return _lowest(bn, bd), (*e, *f)
 
-    def node_values(self, n: int) -> Tuple[list, int]:
-        # the steps in x of the class docstring, over the ends' denominator
-        t = len(self.quad_row(2 * n)[0]) - 1
+    def node_values(self, n: int, t: int) -> Tuple[Tuple[int, ...], int]:
+        # the steps in x of the class docstring at the nodes 0 .. t+1, over
+        # the ends' denominator
         ends, den = self.end_values(n, (0, 1, t + 1) if t else (0, 1))
         s0, s1, s2, t0, t1 = self.pearson
         lam = -n * ((n - 1) * s2 + t1)
@@ -378,7 +379,7 @@ class _Tables:
         # to 1008): one gcd, signed for den > 0, shrinks what the routes square
         v += ends[2:]
         g = math.gcd(den, *v) if den > 0 else -math.gcd(den, *v)
-        return [x // g for x in v], den // g
+        return tuple([x // g for x in v]), den // g
 
     def end_values(self, n: int, xs, q: int = 1) -> Tuple[list, int]:
         # U_n q^n P_n(X/q) at each integer X of xs by the falling-factorial

@@ -34,21 +34,21 @@ a polynomial of degree at most k is one integer quadrature row, E c =
 sum_x L_x c(x) / den over the nodes x = 0, 1, ... (``Family.quadrature_row``),
 and the Pearson pair Delta(sigma w) = tau w of the weight gives it by one
 recurrence in x, (sigma + tau)(x) L_x = sigma(x+1) L_(x+1) +
-(-1)^(t-x) C(t,x) (sigma + tau)(t) from L_t = 1.  ``direct`` and
-``difference`` share the row at k = 2n and P_n at its nodes, so each is one
-dot product.  The difference equation sigma Delta Nabla P_n + tau Delta P_n +
-lambda_n P_n = 0, on the same sigma and tau, is a three-term recurrence in
-x, run on integers from the values at 0 and 1 (``_Tables.nodes``);
-those and the last node come from integer Horner on P_n's falling-factorial
-coefficients, the one evaluator of P_n anywhere else too
-(``Family.eval_points``, so the densities).
+(-1)^(t-x) C(t,x) (sigma + tau)(t) from L_t = 1.  The difference equation
+sigma Delta Nabla P_n + tau Delta P_n + lambda_n P_n = 0, on the same sigma
+and tau, is a three-term recurrence in x, run on integers from the values at
+0 and 1 (``_Tables.node_values``); those and the last node come from integer
+Horner on P_n's falling-factorial coefficients, the one evaluator of P_n
+anywhere else too (``Family.eval_points``, so the densities).
 The mass ``reduced_norm(0)`` cancels against the norm,
-d_0^2/d_n^2 = 1/(b_1 ... b_n), one product of b_m's unreduced factors
-reduced once, so every route is an exact Fraction at a cost set by the
-degree and not by the lattice size.  This path uses no ladder and no
-structure pairs: on the ladder families, where ``expansion`` and ``closed``
-sum the same terms, ``direct`` and ``difference`` remain the independent
-check.
+d_0^2/d_n^2 = 1/(b_1 ... b_n), one product of b_m's unreduced factors.
+``direct`` and ``difference`` share what degree n needs, kept as one slot
+(``_Tables.degree``): the row at k = 2n, P_n at its nodes and that ratio as
+one integer pair, so each is one dot product reduced once, an exact Fraction
+at a cost set by the degree and not by the lattice size.  This path uses no
+ladder and no structure pairs: on the ladder families, where ``expansion``
+and ``closed`` sum the same terms, ``direct`` and ``difference`` remain the
+independent check.
 
 The four agree bit-exactly, which is the main self-check of the package.
 """
@@ -63,7 +63,7 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, Optional
 
-from .families import Family, OutOfSupport, _Tables, _tables
+from .families import Family, OutOfSupport, _tables
 from .numerics import DEFAULT_DPS, DenominatorPole, horner_ratio_sum, to_mpf
 
 
@@ -175,24 +175,14 @@ def truncated_weighted_square_sum(fam: Family, coeffs,
 # ---------------------------------------------------------------------------
 
 
-def _norm_ratio(tables: _Tables, n: int, num: int, den: int) -> Fraction:
-    """(num/den) d_0^2/d_n^2, with d_0^2/d_n^2 = 1/(b_1 ... b_n) from the
-    recurrence: one integer product of the unreduced b_m's numerators
-    (``_Tables.b_factors``) and one of their denominators, reduced once.  The
-    norms themselves would build products of length N on Kravchuk and Hahn
-    that cancel down to these n factors."""
-    b = list(map(tables.b_factors, range(1, n + 1)))
-    return Fraction(num * math.prod(d for _, d in b), den * math.prod(x for x, _ in b))
-
-
 def fisher_direct(fam: Family, n: int) -> Fraction:
     """Defining sum: sum_x L_x Delta P_n(x)^2 over the quadrature row L at
-    k = 2n, from P_n at its nodes, an exact Fraction."""
+    k = 2n, from P_n at its nodes, times d_0^2/d_n^2 (``_Tables.degree``),
+    an exact Fraction."""
     fam.check_degree(n)
-    tables = _tables(fam)
-    (v, vd), (row, den) = tables.nodes(n), tables.quad_row(2 * n)
+    row, v, num, den = _tables(fam).degree(n)
     t = sum(map(mul, row, [(b - a) ** 2 for a, b in zip(v, v[1:])]))
-    return _norm_ratio(tables, n, t, den * vd * vd)
+    return Fraction(num * t, den)
 
 
 def fisher_difference(fam: Family, n: int) -> Fraction:
@@ -204,10 +194,9 @@ def fisher_difference(fam: Family, n: int) -> Fraction:
     support (none on an infinite one) is sum_y w(y) P_n(y+1)^2: L_x P_n(x+1)^2
     summed over the quadrature row L at k = 2n, as in ``direct``."""
     fam.check_degree(n)
-    tables = _tables(fam)
-    (v, vd), (row, den) = tables.nodes(n), tables.quad_row(2 * n)
+    row, v, num, den = _tables(fam).degree(n)
     t = sum(map(mul, row, [x * x for x in v[1:]]))
-    return _norm_ratio(tables, n, t, den * vd * vd) - 1
+    return Fraction(num * t, den) - 1
 
 
 def fisher_expansion(fam: Family, n: int) -> Fraction:

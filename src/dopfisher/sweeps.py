@@ -138,8 +138,15 @@ class SweepSpec:
     label: str = ""
 
     def __post_init__(self):
+        if self.sweep != "n" and "n" not in self.fixed:
+            raise ValueError("parameter sweeps need a fixed degree 'n'")
         if self.sweep != "n" and self.sweep not in PARAM_NAMES:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
+        # a degree or N that int() would truncate; plain ints skip the parse
+        swept = self.grid if self.sweep in _INTEGER_VARS else ()
+        for value in (self.fixed.get("n", 0), self.fixed.get("N", 0), *swept):
+            if not isinstance(value, int) and to_fraction(value).denominator != 1:
+                raise ValueError(f"the degree and N must be integers, not {value}")
 
 
 def linear_grid(start, stop, count: int, integer: bool = False) -> Tuple:
@@ -178,8 +185,6 @@ def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
             degree = int(value)
         else:
             params[spec.sweep] = value
-            if "n" not in params:
-                raise ValueError("parameter sweeps need a fixed degree 'n'")
             degree = int(params.pop("n"))
         try:
             if "N" in params:
@@ -307,8 +312,6 @@ def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
             fixed[key] = Fraction(raw_value)
         else:
             raise ValueError(f"unknown key {key!r}")
-    if sweep != "n" and "n" not in fixed:
-        raise ValueError("parameter sweeps need a fixed degree 'n'")
     return SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
                      methods=curve_methods, label=label)
 

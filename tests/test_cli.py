@@ -481,6 +481,28 @@ class TestSweepCommand:
             assert code == 64 and out == ""
             assert err.count("\n") == 1 and "absent.cfg" in err
 
+    def test_out_path_that_cannot_be_opened_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "rows.csv"
+        for mode in (["--figure", "fig1"], ["--list-figures"]):
+            code, out, err = run_cli(capsys, ["sweep", *mode, "--out", str(target)])
+            assert code == 64 and out == "" and not target.parent.exists()
+            assert err.count("\n") == 1 and "rows.csv" in err and "Traceback" not in err
+
+    def test_non_integer_degree_or_n_in_a_spec_is_refused(self):
+        # int() would truncate 5/2 to degree 2 and 11/2 to N = 5; an
+        # integer-valued Fraction still runs
+        for fixed, sweep, grid in (({"mu": F(2)}, "n", (F(5, 2),)),
+                                   ({"n": 2, "p": F(1, 3)}, "N", (F(11, 2),)),
+                                   ({"n": 2, "N": F(11, 2)}, "p", (F(1, 3),)),
+                                   ({"n": F(5, 2)}, "mu", (F(2),))):
+            family = "charlier" if "mu" in fixed or sweep == "mu" else "kravchuk"
+            with pytest.raises(ValueError, match="must be integers"):
+                sweeps.SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid)
+        spec = sweeps.SweepSpec(family="charlier", sweep="n", fixed={"mu": F(2)},
+                                grid=(F(3),))
+        (row,) = sweeps.run_sweep(spec)
+        assert (row["sweep_value"], row["n"], row["value"]) == ("3", "3", "3/2")
+
     def test_bad_methods_key_is_a_usage_error(self, capsys, tmp_path):
         config = tmp_path / "figures.cfg"
         config.write_text("[figX.K]\nfamily = kravchuk\nsweep = n\np = 1/2\n"

@@ -394,17 +394,26 @@ class TestWorkPerReport:
     @pytest.mark.parametrize("fam, n", [(Charlier(F(7, 3)), 9), (Meixner(F(5, 2), F(3, 7)), 8),
                                         (Kravchuk(F(2, 7), 6), 5), (Hahn(F(1, 2), F(2), 7), 6)])
     def test_report_builds_one_row_and_one_node_pass(self, monkeypatch, fam, n):
-        # direct and difference share one quadrature row and one node-value
-        # pass, which builds one falling-factorial row for its ends
+        # direct and difference share one quadrature row, one node-value
+        # pass, which builds one falling-factorial row for its ends, and one
+        # norm product of the n factor pairs b_1 .. b_n
         from dopfisher import families
 
         calls = {}
-        for name in ("quadrature_row", "node_values", "end_values"):
+        for name in ("quadrature_row", "node_values", "end_values", "b_factors"):
             self.count(monkeypatch, families._Tables, name, calls)
+        families._tables.cache_clear()
+        report = fisher_report(fam, n, methods=[Method.DIRECT, Method.DIFFERENCE])
+        assert len(report.values) == 2 and report.max_pairwise_rel_discrepancy == 0
+        assert calls == {"quadrature_row": 1, "node_values": 1, "end_values": 1,
+                         "b_factors": n}
+        # expansion and closed add none of the three passes
+        calls.clear()
         families._tables.cache_clear()
         report = fisher_report(fam, n)
         assert len(report.values) == 4 and report.max_pairwise_rel_discrepancy == 0
-        assert calls == {"quadrature_row": 1, "node_values": 1, "end_values": 1}
+        assert [calls[name] for name in ("quadrature_row", "node_values", "end_values")] \
+            == [1, 1, 1]
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Hahn(F(1, 2), F(2), 9)])
     def test_each_route_looks_the_tables_up_once(self, monkeypatch, fam):

@@ -440,11 +440,18 @@ def test_ladder_step_ratio_equals_e_squared_over_b(fam):
 @example((Hahn(F(-1, 2), F(-1, 2), 30), 1))
 @example((Hahn(F(-1, 2), F(-1, 2), 30), 2))
 def test_norm_ratio_from_recurrence_equals_ratio_of_norms(case):
-    # the one-reduction product 1/(b_1 ... b_n) of direct and difference
+    # the one-reduction product 1/(b_1 ... b_n) of direct and difference,
+    # over the unreduced factor pairs of b_m, and the pair kept for the
+    # degree, the same ratio over the row's denominator times the node
+    # values' squared
     fam, n = case
     tables = families._tables(fam)
-    assert fisher._norm_ratio(tables, n, 1, 1) == norm_ratio_from_norms(fam, n)
-    assert fisher._norm_ratio(tables, n, 5, 36) == norm_ratio_from_norms(fam, n) * F(5, 36)
+    b = [tables.b_factors(m) for m in range(1, n + 1)]
+    assert F(math.prod(d for _, d in b), math.prod(x for x, _ in b)) == \
+        norm_ratio_from_norms(fam, n)
+    row, _, num, den = tables.degree(n)
+    vd = tables.node_values(n, len(row) - 1)[1]
+    assert F(num, den) * sum(row) * vd * vd == norm_ratio_from_norms(fam, n)
 
 
 @PROPERTY
@@ -584,7 +591,8 @@ def test_node_values_equal_horner_on_the_monomial_row(case):
     # node, in lowest terms over a positive denominator
     fam, n = case
     families._tables.cache_clear()
-    nums, den = families._tables(fam).nodes(n)
+    tables = families._tables(fam)
+    nums, den = tables.node_values(n, len(tables.degree(n)[0]) - 1)
     assert len(nums) == len(transposed_table_row(fam, 2 * n)) + 1
     assert den > 0 and math.gcd(den, *nums) == 1
     assert [F(v, den) for v in nums] == horner_node_values(fam, n)
