@@ -18,9 +18,12 @@ significant digits, ties away from zero (default 80, overridable through the
 ``DOPFISHER_DPS`` environment variable, read on every call).  ``verify``
 prints counts only and takes neither flag.
 
-A call builds the invoked command's parser alone (``_COMMANDS``); the full
-tree (``build_parser``) prints top-level help and the errors of a missing or
-unknown command or stray arguments.  Only ``verify`` loads its suites.
+A call reads the invoked command's flag table (``_COMMANDS``) directly and
+builds no parser.  A missing or unknown command, and any token the table
+does not take exactly (help, an abbreviated or unknown flag, a value that
+fails, a missing required flag, a stray token), go to the full argparse tree
+(``build_parser``), which prints the help or usage error, or accepts what
+argparse alone accepts.  Only ``verify`` loads its suites.
 """
 
 from __future__ import annotations
@@ -103,15 +106,15 @@ def _default_dps() -> int:
         return DEFAULT_DPS
 
 
-def _add_family_flags(parser, required=True):
-    parser.add_argument("--family", required=required,
-                        choices=["charlier", "meixner", "kravchuk", "hahn"])
-    parser.add_argument("--mu", type=Fraction, help="Charlier/Meixner parameter")
-    parser.add_argument("--gamma", type=Fraction, help="Meixner parameter")
-    parser.add_argument("--p", type=Fraction, help="Kravchuk parameter")
-    parser.add_argument("--N", type=int, help="Kravchuk/Hahn lattice size")
-    parser.add_argument("--alpha", type=Fraction, help="Hahn parameter")
-    parser.add_argument("--beta", type=Fraction, help="Hahn parameter")
+def _family_flags(required=True):
+    return (("--family", dict(required=required,
+                              choices=["charlier", "meixner", "kravchuk", "hahn"])),
+            ("--mu", dict(type=Fraction, help="Charlier/Meixner parameter")),
+            ("--gamma", dict(type=Fraction, help="Meixner parameter")),
+            ("--p", dict(type=Fraction, help="Kravchuk parameter")),
+            ("--N", dict(type=int, help="Kravchuk/Hahn lattice size")),
+            ("--alpha", dict(type=Fraction, help="Hahn parameter")),
+            ("--beta", dict(type=Fraction, help="Hahn parameter")))
 
 
 def _dps_arg(raw: str) -> int:
@@ -122,12 +125,11 @@ def _dps_arg(raw: str) -> int:
     return value
 
 
-def _add_numeric_flags(parser, default_backend):
-    parser.add_argument("--backend", choices=["exact", "float"],
-                        default=default_backend)
-    parser.add_argument("--dps", type=_dps_arg, default=None,
-                        help="decimal digits of the float backend (>= 50; "
-                             "default 80, env DOPFISHER_DPS)")
+def _numeric_flags(default_backend):
+    return (("--backend", dict(choices=["exact", "float"], default=default_backend)),
+            ("--dps", dict(type=_dps_arg, default=None,
+                           help="decimal digits of the float backend (>= 50; "
+                                "default 80, env DOPFISHER_DPS)")))
 
 
 def _family_from_args(args):
@@ -159,7 +161,8 @@ def _writer(stream):
 
 @contextmanager
 def _output(path):
-    """stdout for ``None`` or ``-``, else the file at ``path``, closed after use."""
+    """stdout for ``None`` or ``-``, else the file at ``path``, closed after
+    use; a failed open, write or close is a usage error."""
     if path in (None, "-"):
         yield sys.stdout
         return
@@ -167,8 +170,11 @@ def _output(path):
         stream = open(path, "w", newline="")
     except OSError as exc:
         raise _usage_error(f"cannot open --out {path!r}: {exc.strerror}")
-    with stream:
-        yield stream
+    try:
+        with stream:
+            yield stream
+    except OSError as exc:
+        raise _usage_error(f"cannot write --out {path!r}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +182,10 @@ def _output(path):
 # ---------------------------------------------------------------------------
 
 
-def _fisher_flags(parser):
-    _add_family_flags(parser)
-    parser.add_argument("--n", type=int, required=True, help="polynomial degree")
-    parser.add_argument("--methods", default="direct,difference,expansion,closed")
-    _add_numeric_flags(parser, default_backend="float")
+_FISHER_FLAGS = (*_family_flags(),
+                 ("--n", dict(type=int, required=True, help="polynomial degree")),
+                 ("--methods", dict(default="direct,difference,expansion,closed")),
+                 *_numeric_flags(default_backend="float"))
 
 
 def cmd_fisher(args) -> int:
@@ -201,13 +206,12 @@ def cmd_fisher(args) -> int:
     return EXIT_OK
 
 
-def _eval_flags(parser):
-    _add_family_flags(parser)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--x", type=Fraction)
-    parser.add_argument("--x-start", type=int)
-    parser.add_argument("--x-stop", type=int)
-    _add_numeric_flags(parser, default_backend="exact")
+_EVAL_FLAGS = (*_family_flags(),
+               ("--n", dict(type=int, required=True)),
+               ("--x", dict(type=Fraction)),
+               ("--x-start", dict(type=int)),
+               ("--x-stop", dict(type=int)),
+               *_numeric_flags(default_backend="exact"))
 
 
 def cmd_eval(args) -> int:
@@ -226,15 +230,14 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _density_flags(parser):
-    _add_family_flags(parser)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--x", type=int)
-    parser.add_argument("--x-start", type=int)
-    parser.add_argument("--x-stop", type=int)
-    parser.add_argument("--all", action="store_true",
-                        help="every point of a bounded support")
-    _add_numeric_flags(parser, default_backend="exact")
+_DENSITY_FLAGS = (*_family_flags(),
+                  ("--n", dict(type=int, required=True)),
+                  ("--x", dict(type=int)),
+                  ("--x-start", dict(type=int)),
+                  ("--x-stop", dict(type=int)),
+                  ("--all", dict(action="store_true",
+                                 help="every point of a bounded support")),
+                  *_numeric_flags(default_backend="exact"))
 
 
 def cmd_density(args) -> int:
@@ -264,21 +267,20 @@ _MANUAL_SWEEP_FLAGS = ("family",) + PARAM_NAMES + ("n", "sweep", "start", "stop"
                                                    "count", "label")
 
 
-def _sweep_flags(parser):
-    _add_family_flags(parser, required=False)
-    parser.add_argument("--n", type=int, help="degree (fixed, for parameter sweeps)")
-    parser.add_argument("--sweep", choices=("n",) + PARAM_NAMES)
-    parser.add_argument("--start", type=Fraction)
-    parser.add_argument("--stop", type=Fraction)
-    parser.add_argument("--count", type=int)
-    parser.add_argument("--label", help="curve name of a manual sweep (default: sweep)")
-    parser.add_argument("--figure", help="run a stock figure configuration")
-    parser.add_argument("--figures-file", help="alternative figure config path")
-    parser.add_argument("--list-figures", action="store_true")
-    parser.add_argument("--methods",
-                        help="default: a figure curve's own methods, else expansion")
-    parser.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    _add_numeric_flags(parser, default_backend="exact")
+_SWEEP_FLAGS = (*_family_flags(required=False),
+                ("--n", dict(type=int, help="degree (fixed, for parameter sweeps)")),
+                ("--sweep", dict(choices=("n",) + PARAM_NAMES)),
+                ("--start", dict(type=Fraction)),
+                ("--stop", dict(type=Fraction)),
+                ("--count", dict(type=int)),
+                ("--label", dict(help="curve name of a manual sweep (default: sweep)")),
+                ("--figure", dict(help="run a stock figure configuration")),
+                ("--figures-file", dict(help="alternative figure config path")),
+                ("--list-figures", dict(action="store_true")),
+                ("--methods",
+                 dict(help="default: a figure curve's own methods, else expansion")),
+                ("--out", dict(default="-", help="output CSV path (default stdout)")),
+                *_numeric_flags(default_backend="exact"))
 
 
 def cmd_sweep(args) -> int:
@@ -336,10 +338,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _verify_flags(parser):
-    parser.add_argument("--suite", action="append",
-                        help="suite name (repeatable; default: all)")
-    parser.add_argument("--list-suites", action="store_true")
+_VERIFY_FLAGS = (("--suite", dict(action="append",
+                                   help="suite name (repeatable; default: all)")),
+                 ("--list-suites", dict(action="store_true")))
 
 
 def cmd_verify(args) -> int:
@@ -364,15 +365,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-#: every command: its help line, the function that adds its flags, its body
+#: every command: its help line, its flags as ``(flag, add_argument kwargs)``
+#: in help order, its body
 _COMMANDS = {
     "fisher": ("evaluate one polynomial's Fisher information by every route",
-               _fisher_flags, cmd_fisher),
-    "eval": ("monic polynomial values", _eval_flags, cmd_eval),
+               _FISHER_FLAGS, cmd_fisher),
+    "eval": ("monic polynomial values", _EVAL_FLAGS, cmd_eval),
     "density": ("probability-mass values of the degree-n density",
-                _density_flags, cmd_density),
-    "sweep": ("sweep a parameter or the degree to CSV", _sweep_flags, cmd_sweep),
-    "verify": ("run the invariant suites", _verify_flags, cmd_verify),
+                _DENSITY_FLAGS, cmd_density),
+    "sweep": ("sweep a parameter or the degree to CSV", _SWEEP_FLAGS, cmd_sweep),
+    "verify": ("run the invariant suites", _VERIFY_FLAGS, cmd_verify),
 }
 
 
@@ -385,8 +387,10 @@ def build_parser() -> _Parser:
         epilog="Exit codes: 0 success, 1 verification failure, "
                "2 parameter-domain error, 64 usage error.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags, _) in _COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line))
+    for name, (help_line, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -395,27 +399,61 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> _Parser:
-    """One command's parser alone, as the full tree builds it, on the command's first call."""
-    parser = _Parser(prog=f"dopfisher {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+def _direct_parse(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the full tree gives ``argv`` when every token after the
+    command is one of its flags spelt out, as ``--f=v`` or ``--f v``, with a
+    value that its ``type`` and ``choices`` take, and no required flag is
+    left out; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table, values = {}, {"command": argv[0]}
+    for flag, kwargs in _COMMANDS[argv[0]][1]:
+        dest = flag[2:].replace("-", "_")
+        table[flag] = dest, kwargs
+        values[dest] = kwargs.get("default",
+                                  False if kwargs.get("action") == "store_true" else None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, raw = token.partition("=")
+        if flag not in table:
+            return None
+        dest, kwargs = table[flag]
+        action = kwargs.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            raw = next(tokens, "-")   # no value hands over as a "-" one does
+            if raw.startswith("-"):
+                return None
+        try:
+            value = kwargs.get("type", str)(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):   # argparse's usage errors
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = (values[dest] or []) + [value] if action == "append" else value
+    # a value read is never None, so a required flag left out still is
+    if any(kwargs.get("required") and values[dest] is None for dest, kwargs in table.values()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv else None
     try:
-        if name in _COMMANDS:
-            args, stray = _command_parser(name).parse_known_args(argv[1:])
-        if name not in _COMMANDS or stray:
-            # help, a missing or unknown command, or stray arguments: the full
-            # tree prints the help or usage error it always printed, and exits
-            _shared_parser().parse_args(argv)
-        if getattr(args, "dps", 0) is None:   # per call: the parser is shared
+        args = _direct_parse(argv)
+        if args is None:
+            # help, a missing or unknown command, or a token the flag table
+            # does not take exactly: the full tree prints the help or usage
+            # error it always printed, or parses what argparse alone accepts
+            # (an abbreviated flag, a negative or lone "-" value)
+            args = _shared_parser().parse_args(argv)
+        if getattr(args, "dps", 0) is None:   # DOPFISHER_DPS is read on every call
             args.dps = _default_dps()
-        return _COMMANDS[name][2](args)
+        return _COMMANDS[args.command][2](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ParameterDomainError, DegreeOutOfRange, OutOfSupport) as exc:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,8 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dopfisher
 from dopfisher import cli, sweeps
@@ -182,9 +186,9 @@ class TestFisherCommand:
 
 
 class TestSharedParser:
-    """A call parses with the invoked command's parser alone; help, a missing
-    or unknown command and stray arguments go to the full tree.  Either way
-    the text is the full tree's."""
+    """A call reads its command's flag table; help, a missing or unknown
+    command and any token the table does not take exactly go to the full
+    tree.  Either way the text is the full tree's."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -205,7 +209,6 @@ class TestSharedParser:
     def test_same_output_on_every_call_and_from_a_fresh_parser(self, capsys, argv):
         # the first call below builds the parsers it needs
         cli._shared_parser.cache_clear()
-        cli._command_parser.cache_clear()
         first = run_cli(capsys, argv)
         second = run_cli(capsys, argv)
         with pytest.raises(SystemExit) as exc:
@@ -242,7 +245,6 @@ class TestSharedParser:
     def test_help_and_usage_texts_are_pinned(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         cli._shared_parser.cache_clear()   # the width is read when a parser is built
-        cli._command_parser.cache_clear()
         try:
             texts = [run_cli(capsys, argv) for argv in (
                 ["--help"], *([name, "--help"] for name in
@@ -250,7 +252,6 @@ class TestSharedParser:
                 [], ["bogus"])]
         finally:   # keep no 80-column parser for later tests
             cli._shared_parser.cache_clear()
-            cli._command_parser.cache_clear()
         assert hashlib.sha256(repr(texts).encode()).hexdigest() == self.HELP_DIGEST
 
     @pytest.mark.parametrize("columns", ["50", "80", "120"])
@@ -263,6 +264,129 @@ class TestSharedParser:
         monkeypatch.setattr(cli._Parser, "_get_formatter",
                             argparse.ArgumentParser._get_formatter)
         assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
+
+
+def valid_values(kwargs):
+    """Value strings that ``kwargs``' type and choices take."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    kind = kwargs.get("type")
+    if kind is cli._dps_arg:
+        return st.integers(min_value=50, max_value=90).map(str)
+    if kind is int:
+        return st.integers(min_value=-3, max_value=30).map(str)
+    if kind is Fraction:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=9).map(str)
+    return st.sampled_from(["", "a", "fig1", "x y", "a=b", "-"])
+
+
+@st.composite
+def flag_tokens(draw, flag, kwargs):
+    """One use of ``flag``: ``--f``, ``--f=v`` or ``--f v``."""
+    if kwargs.get("action") == "store_true":
+        return [flag]
+    value = draw(valid_values(kwargs))
+    return draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+
+
+#: values that fail some flag's type or choices, or start with "-"; and
+#: tokens that no table takes: help, stray tokens, unknown flags
+BAD_VALUES = ["bogus", "1/x", "", "2.5", "-", "-3", "-1/2", "40", "--n"]
+STRAY = ["x", "3", "-h", "--help", "--", "-", "--bogus", "--bogus=1"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its flags drawn from its table, in random order and
+    with repeats; half of them then get one flaw."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    table = cli._COMMANDS[name][1]
+    uses = []
+    for flag, kwargs in table:
+        times = draw(st.sampled_from([1, 1, 2] if kwargs.get("required") else [0, 0, 0, 1, 2]))
+        uses += [draw(flag_tokens(flag, kwargs)) for _ in range(times)]
+    flaw = draw(st.sampled_from(["none"] * 4 + ["value", "abbreviate", "stray", "explicit",
+                                                 "drop"]))
+    if uses and flaw in ("value", "abbreviate"):
+        i = draw(st.integers(min_value=0, max_value=len(uses) - 1))
+        flag = uses[i][0].partition("=")[0]
+        if flaw == "value":
+            uses[i] = draw(st.sampled_from([[f"{flag}={v}"] for v in BAD_VALUES]
+                                           + [[flag, v] for v in BAD_VALUES]))
+        elif flaw == "abbreviate" and len(flag) > 3:
+            cut = flag[:draw(st.integers(min_value=3, max_value=len(flag) - 1))]
+            uses[i] = [cut + t[len(flag):] if t.startswith(flag) else t for t in uses[i]]
+    required = [flag for flag, kwargs in table if kwargs.get("required")]
+    if flaw == "drop" and required:
+        gone = draw(st.sampled_from(required))
+        uses = [use for use in uses if use[0].partition("=")[0] != gone]
+    switches = [flag for flag, kwargs in table if kwargs.get("action") == "store_true"]
+    if flaw == "explicit" and switches:
+        uses.append([f"{draw(st.sampled_from(switches))}={draw(st.sampled_from(['1', '']))}"])
+    if flaw == "stray":
+        uses.append([draw(st.sampled_from(STRAY))])
+    return [name] + [token for use in draw(st.permutations(uses)) for token in use]
+
+
+PARITY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def echo(args):
+    """Stands in for every command body: prints what the parse gave."""
+    print(sorted(vars(args).items()))
+    return cli.EXIT_OK
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDirectParse:
+    """The flag tables' direct parse gives what the full tree gives: on any
+    command line drawn from a table, with or without a flaw, ``main`` prints
+    and exits as it does with every line sent to the full tree, and a
+    Namespace the direct parse returns equals the full tree's."""
+
+    @PARITY
+    @given(command_lines())
+    def test_same_outcome_as_the_full_tree(self, argv):
+        bodies = {name: (help_line, flags, echo)
+                  for name, (help_line, flags, _) in cli._COMMANDS.items()}
+        with mock.patch.dict(cli._COMMANDS, bodies):
+            direct = cli._direct_parse(argv)
+            ours = call(argv)
+            with mock.patch.object(cli, "_direct_parse", return_value=None):
+                assert ours == call(argv)
+        if direct is not None:
+            assert vars(direct) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher", "--family=charlier", "--mu", "-2", "--n", "1"],
+        ["fisher", "--fam=charlier", "--mu=2", "--n=1"],
+        ["fisher", "--family=charlier", "--mu=2", "--n", "-3"],
+        ["sweep", "--figure", "fig1", "--out", "-"],
+        ["density", "--family=hahn", "--n=1", "--all=1"],
+        ["fisher", "--family=charlier", "--mu=2"],
+    ], ids=["negative-mu", "abbreviated", "negative-n", "lone-dash", "explicit-store-true",
+            "missing-required"])
+    def test_tokens_the_table_does_not_take_go_to_the_full_tree(self, argv):
+        assert cli._direct_parse(argv) is None
+
+    def test_drawn_lines_reach_both_paths(self):
+        # the property above would pass vacuously if every drawn line went to
+        # the full tree, or none did
+        taken = []
+
+        @PARITY
+        @given(command_lines())
+        def record(argv):
+            taken.append(cli._direct_parse(argv) is not None)
+
+        record()
+        assert 0.3 < sum(taken) / len(taken) < 0.8
 
 
 class TestEvalAndDensity:
@@ -488,6 +612,14 @@ class TestSweepCommand:
             assert code == 64 and out == "" and not target.parent.exists()
             assert err.count("\n") == 1 and "rows.csv" in err and "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_out_write_that_fails_is_a_usage_error(self, capsys):
+        # the open succeeds; the rows (or the listing) fail on write or close
+        for mode in (["--figure", "fig1"], ["--list-figures"]):
+            assert run_cli(capsys, ["sweep", *mode, "--out", "/dev/full"]) == (
+                64, "", "dopfisher: error: cannot write --out '/dev/full': "
+                        "No space left on device\n")
+
     def test_non_integer_degree_or_n_in_a_spec_is_refused(self):
         # int() would truncate 5/2 to degree 2 and 11/2 to N = 5; an
         # integer-valued Fraction still runs
@@ -636,6 +768,25 @@ assert TruncationCapExceeded is E and TruncationPolicy is P
 """
 
 
+#: run in a fresh interpreter: every call's exit code, whether ``locale`` is
+#: loaded after it, and how many argparse parsers were built up to then
+PARSER_GUARD = """
+import contextlib, io, json, sys
+import dopfisher.cli
+built = []
+init = dopfisher.cli._Parser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+dopfisher.cli._Parser.__init__ = counted
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([dopfisher.cli.main(argv), "locale" in sys.modules, len(built)])
+print(json.dumps(seen))
+"""
+
+
 def run_fresh(script, *args):
     """Run ``script`` in a fresh interpreter on the package under test."""
     src = str(Path(dopfisher.__file__).resolve().parents[1])
@@ -687,6 +838,16 @@ class TestImportGraph:
         assert codes == [0] * len(calls)
         assert loaded == [[]] * len(self.RATIONAL_CALLS) + [
             ["dopfisher.asymptotics", "dopfisher.verify"]]
+
+    def test_valid_calls_build_no_parser_and_never_import_locale(self):
+        # argparse's first gettext lookup imports locale; a valid call reads
+        # the flag table alone, and only help and usage errors build parsers
+        calls = self.RATIONAL_CALLS + [["verify", "--list-suites"], ["fisher", "--help"]]
+        seen = json.loads(run_fresh(PARSER_GUARD, json.dumps(calls)))
+        assert seen[:-1] == [[0, False, 0]] * (len(calls) - 1)
+        # the guard sees both once a call prints help
+        code, locale_loaded, built = seen[-1]
+        assert code == 0 and locale_loaded and built > 0
 
     def test_package_root_resolves_every_public_name_lazily(self):
         run_fresh(LAZY_ROOT)
