@@ -8,6 +8,7 @@ elementary, so only the Meixner and Kravchuk regimes appear here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .numerics import PFQSpec, pochhammer, terminating_pfq, to_fraction
@@ -70,10 +71,7 @@ def kravchuk_p_to_zero(n: int, N: int, p) -> Fraction:
 def kravchuk_p_to_one(n: int, N: int, p) -> Fraction:
     """p -> 1 asymptote: n! / ((N-n+1)_n (1-p)^n)."""
     p = to_fraction(p)
-    fact = Fraction(1)
-    for i in range(2, n + 1):
-        fact *= i
-    return fact / (pochhammer(Fraction(N - n + 1), n) * (1 - p) ** n)
+    return math.factorial(n) / (pochhammer(Fraction(N - n + 1), n) * (1 - p) ** n)
 
 
 def kravchuk_max_degree(N: int, p) -> Fraction:

@@ -23,7 +23,10 @@ builds no parser.  A missing or unknown command, and any token the table
 does not take exactly (help, an abbreviated or unknown flag, a value that
 fails, a missing required flag, a stray token), go to the full argparse tree
 (``build_parser``), which prints the help or usage error, or accepts what
-argparse alone accepts.  Only ``verify`` loads its suites.
+argparse alone accepts.  Every rational flag reads its value with
+``_fraction``, so ``1/0`` is a bad value (exit 64) like ``x``.  ``eval`` and
+``density`` pick their points (``_points``) and write their rows
+(``_point_rows``) alike.  Only ``verify`` loads its suites.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ import argparse
 import csv
 import gc
 import os
-import shutil
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import List, Optional
 
@@ -47,16 +49,16 @@ from .families import (
     make_family,
 )
 from .fisher import Method, fisher_report, rakhmanov_densities
-from .numerics import DEFAULT_DPS, to_fraction
+from .numerics import DEFAULT_DPS
 from .sweeps import (
     PARAM_NAMES,
     SWEEP_COLUMNS,
-    FigureConfigError,
     SweepSpec,
     format_params,
     format_scalar,
     linear_grid,
     load_figures,
+    parse_methods,
     route_cells,
     run_figure,
     run_sweep,
@@ -73,18 +75,7 @@ FISHER_COLUMNS = ("family", "n", "params", "method", "value", "converged",
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code moved off 2 (which is the
-    parameter-domain code here) to the sysexits-style 64, and with the help
-    width read once: argparse's default formatter reads the terminal size
-    again for every ``add_argument`` (it builds a formatter to check each
-    one), so each parser reads it once, when it is built."""
-
-    def __init__(self, *args, **kwargs):
-        # argparse's own width, set before its __init__, which adds -h
-        self.width = shutil.get_terminal_size().columns - 2
-        super().__init__(*args, **kwargs)
-
-    def _get_formatter(self):
-        return self.formatter_class(prog=self.prog, width=self.width)
+    parameter-domain code here) to the sysexits-style 64."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -106,15 +97,26 @@ def _default_dps() -> int:
         return DEFAULT_DPS
 
 
+def _fraction(raw: str) -> Fraction:
+    """``Fraction(raw)``, with a zero denominator a bad value like any other."""
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(raw) from None
+
+
+_fraction.__name__ = "Fraction"   # argparse's "invalid Fraction value: ..."
+
+
 def _family_flags(required=True):
     return (("--family", dict(required=required,
                               choices=["charlier", "meixner", "kravchuk", "hahn"])),
-            ("--mu", dict(type=Fraction, help="Charlier/Meixner parameter")),
-            ("--gamma", dict(type=Fraction, help="Meixner parameter")),
-            ("--p", dict(type=Fraction, help="Kravchuk parameter")),
+            ("--mu", dict(type=_fraction, help="Charlier/Meixner parameter")),
+            ("--gamma", dict(type=_fraction, help="Meixner parameter")),
+            ("--p", dict(type=_fraction, help="Kravchuk parameter")),
             ("--N", dict(type=int, help="Kravchuk/Hahn lattice size")),
-            ("--alpha", dict(type=Fraction, help="Hahn parameter")),
-            ("--beta", dict(type=Fraction, help="Hahn parameter")))
+            ("--alpha", dict(type=_fraction, help="Hahn parameter")),
+            ("--beta", dict(type=_fraction, help="Hahn parameter")))
 
 
 def _dps_arg(raw: str) -> int:
@@ -140,19 +142,6 @@ def _family_from_args(args):
         if isinstance(exc, ParameterDomainError):
             raise
         raise _usage_error(str(exc))
-
-
-def _parse_methods(raw: str) -> List[Method]:
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        try:
-            out.append(Method(piece))
-        except ValueError:
-            raise _usage_error(
-                f"unknown method {piece!r}; choose from "
-                f"{', '.join(m.value for m in Method)}")
-    return out
 
 
 def _writer(stream):
@@ -190,7 +179,10 @@ _FISHER_FLAGS = (*_family_flags(),
 
 def cmd_fisher(args) -> int:
     fam = _family_from_args(args)
-    methods = _parse_methods(args.methods)
+    try:
+        methods = parse_methods(args.methods)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     report = fisher_report(fam, args.n, methods=methods)
     disc = ""
     if report.max_pairwise_rel_discrepancy is not None:
@@ -206,9 +198,31 @@ def cmd_fisher(args) -> int:
     return EXIT_OK
 
 
+def _points(args, needs: str) -> list:
+    """The ``--x`` point, else the ``--x-start`` to ``--x-stop`` range;
+    without either, the usage error ``needs``."""
+    if args.x is not None:
+        return [args.x]
+    if args.x_start is not None and args.x_stop is not None:
+        return list(range(args.x_start, args.x_stop + 1))
+    raise _usage_error(needs)
+
+
+def _point_rows(fam, args, column: str, points, values) -> int:
+    """The header, then one row per point of ``values(n, points)``, which is
+    called after the header is written."""
+    out = _writer(sys.stdout)
+    out.writerow(["family", "n", "params", "x", column])
+    params = format_params(fam)
+    for x, value in zip(points, values(args.n, points)):
+        out.writerow([fam.tag, args.n, params, x,
+                      format_scalar(value, args.backend, args.dps)])
+    return EXIT_OK
+
+
 _EVAL_FLAGS = (*_family_flags(),
                ("--n", dict(type=int, required=True)),
-               ("--x", dict(type=Fraction)),
+               ("--x", dict(type=_fraction)),
                ("--x-start", dict(type=int)),
                ("--x-stop", dict(type=int)),
                *_numeric_flags(default_backend="exact"))
@@ -216,18 +230,8 @@ _EVAL_FLAGS = (*_family_flags(),
 
 def cmd_eval(args) -> int:
     fam = _family_from_args(args)
-    if args.x is not None:
-        points = [to_fraction(args.x)]
-    elif args.x_start is not None and args.x_stop is not None:
-        points = [Fraction(x) for x in range(args.x_start, args.x_stop + 1)]
-    else:
-        raise _usage_error("eval needs --x or --x-start/--x-stop")
-    out = _writer(sys.stdout)
-    out.writerow(["family", "n", "params", "x", "value"])
-    for x, value in zip(points, fam.eval_points(args.n, points)):
-        out.writerow([fam.tag, args.n, format_params(fam), str(x),
-                      format_scalar(value, args.backend, args.dps)])
-    return EXIT_OK
+    points = _points(args, "eval needs --x or --x-start/--x-stop")
+    return _point_rows(fam, args, "value", points, fam.eval_points)
 
 
 _DENSITY_FLAGS = (*_family_flags(),
@@ -243,23 +247,14 @@ _DENSITY_FLAGS = (*_family_flags(),
 def cmd_density(args) -> int:
     fam = _family_from_args(args)
     sup = fam.support()
-    if args.all:
-        if sup.b is None:
-            raise _usage_error(
-                "--all needs a bounded support; give --x or --x-start/--x-stop")
-        points = list(sup.points())
-    elif args.x is not None:
-        points = [args.x]
-    elif args.x_start is not None and args.x_stop is not None:
-        points = list(range(args.x_start, args.x_stop + 1))
+    if not args.all:
+        points = _points(args, "density needs --x, --x-start/--x-stop, or --all")
+    elif sup.b is None:
+        raise _usage_error("--all needs a bounded support; give --x or --x-start/--x-stop")
     else:
-        raise _usage_error("density needs --x, --x-start/--x-stop, or --all")
-    out = _writer(sys.stdout)
-    out.writerow(["family", "n", "params", "x", "density"])
-    for x, value in zip(points, rakhmanov_densities(fam, args.n, points, dps=args.dps)):
-        out.writerow([fam.tag, args.n, format_params(fam), x,
-                      format_scalar(value, args.backend, args.dps)])
-    return EXIT_OK
+        points = list(sup.points())
+    return _point_rows(fam, args, "density", points,
+                       partial(rakhmanov_densities, fam, dps=args.dps))
 
 
 #: flags that only a manual sweep reads
@@ -270,8 +265,8 @@ _MANUAL_SWEEP_FLAGS = ("family",) + PARAM_NAMES + ("n", "sweep", "start", "stop"
 _SWEEP_FLAGS = (*_family_flags(required=False),
                 ("--n", dict(type=int, help="degree (fixed, for parameter sweeps)")),
                 ("--sweep", dict(choices=("n",) + PARAM_NAMES)),
-                ("--start", dict(type=Fraction)),
-                ("--stop", dict(type=Fraction)),
+                ("--start", dict(type=_fraction)),
+                ("--stop", dict(type=_fraction)),
                 ("--count", dict(type=int)),
                 ("--label", dict(help="curve name of a manual sweep (default: sweep)")),
                 ("--figure", dict(help="run a stock figure configuration")),
@@ -284,17 +279,17 @@ _SWEEP_FLAGS = (*_family_flags(required=False),
 
 
 def cmd_sweep(args) -> int:
-    # without --methods, figure curves keep their own methods key
-    methods = None if args.methods is None else _parse_methods(args.methods)
-    if args.figure or args.list_figures:
-        mode = "--figure" if args.figure else "--list-figures"
-        if args.figure and args.list_figures:
-            raise _usage_error("--figure and --list-figures clash")
-        given = [f"--{k}" for k in _MANUAL_SWEEP_FLAGS if getattr(args, k) is not None]
-        if given:
-            raise _usage_error(
-                f"{mode} does not take the manual-sweep flags {', '.join(given)}")
-        try:
+    try:   # an unknown figure (KeyError), a bad methods list, config, grid or spec
+        # without --methods, figure curves keep their own methods key
+        methods = None if args.methods is None else parse_methods(args.methods)
+        if args.figure or args.list_figures:
+            mode = "--figure" if args.figure else "--list-figures"
+            if args.figure and args.list_figures:
+                raise _usage_error("--figure and --list-figures clash")
+            given = [f"--{k}" for k in _MANUAL_SWEEP_FLAGS if getattr(args, k) is not None]
+            if given:
+                raise _usage_error(
+                    f"{mode} does not take the manual-sweep flags {', '.join(given)}")
             if args.list_figures:
                 listing = [f"{fig_id}: {', '.join(s.label for s in specs)}\n"
                            for fig_id, specs in load_figures(args.figures_file).items()]
@@ -303,34 +298,23 @@ def cmd_sweep(args) -> int:
                 return EXIT_OK
             rows = run_figure(args.figure, path=args.figures_file, methods=methods,
                               backend=args.backend, dps=args.dps)
-        except KeyError as exc:
-            raise _usage_error(str(exc.args[0]))
-        except FigureConfigError as exc:
-            raise _usage_error(str(exc))
-    else:
-        needed = [args.sweep, args.start, args.stop, args.count]
-        if any(v is None for v in needed):
-            raise _usage_error(
-                "manual sweeps need --sweep, --start, --stop, --count "
-                "(or use --figure)")
-        fixed = {k: getattr(args, k) for k in PARAM_NAMES
-                 if getattr(args, k) is not None}
-        if args.sweep != "n":
-            if args.n is None:
-                raise _usage_error("parameter sweeps need a fixed --n")
-            fixed["n"] = args.n
-        fixed.pop(args.sweep, None)
-        methods = methods or [Method.EXPANSION]
-        try:
-            grid = linear_grid(args.start, args.stop, args.count,
-                               integer=args.sweep in ("n", "N"))
-            spec = SweepSpec(family=args.family, sweep=args.sweep, fixed=fixed,
-                             grid=grid, methods=tuple(methods),
-                             backend=args.backend, dps=args.dps,
-                             label="sweep" if args.label is None else args.label)
-        except ValueError as exc:
-            raise _usage_error(str(exc))
-        rows = run_sweep(spec)
+        else:
+            if None in (args.sweep, args.start, args.stop, args.count):
+                raise _usage_error("manual sweeps need --sweep, --start, --stop, --count "
+                                   "(or use --figure)")
+            fixed = {k: getattr(args, k) for k in PARAM_NAMES if getattr(args, k) is not None}
+            if args.sweep != "n":
+                if args.n is None:
+                    raise _usage_error("parameter sweeps need a fixed --n")
+                fixed["n"] = args.n
+            fixed.pop(args.sweep, None)
+            rows = run_sweep(SweepSpec(
+                family=args.family, sweep=args.sweep, fixed=fixed,
+                grid=linear_grid(args.start, args.stop, args.count),
+                methods=methods or (Method.EXPANSION,), backend=args.backend, dps=args.dps,
+                label="sweep" if args.label is None else args.label))
+    except (KeyError, ValueError) as exc:
+        raise _usage_error(str(exc.args[0]))
     with _output(args.out) as stream:
         out = _writer(stream)
         out.writerow(SWEEP_COLUMNS)

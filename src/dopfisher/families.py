@@ -27,7 +27,7 @@ cancel it; it is restored only for the infinite-lattice density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -730,12 +730,8 @@ def _hahn_5f4(n: int, s: Fraction, upper: tuple, lower: tuple) -> Fraction:
 
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}
 
-_REQUIRED = {
-    "charlier": ("mu",),
-    "meixner": ("gamma", "mu"),
-    "kravchuk": ("p", "N"),
-    "hahn": ("alpha", "beta", "N"),
-}
+#: each family's parameters, in constructor order
+_REQUIRED = {tag: tuple(f.name for f in fields(cls)) for tag, cls in _TAGS.items()}
 
 
 def make_family(tag: str, **params) -> Family:

@@ -4,7 +4,10 @@ A sweep moves one variable (the degree or one family parameter) over a grid
 while the rest stay fixed, evaluating the requested routes at every point.
 Row order is deterministic: grid-major, method-minor.  Rows are yielded as
 they are built, so a sweep holds one grid point at a time.  Out-of-domain
-points produce an ``error`` row and the sweep continues.
+points produce an ``error`` row and the sweep continues.  A linear grid is
+of ints when its start and step are integers, else of Fractions; only
+``SweepSpec`` refuses a degree or N that is not an integer.  The command
+line and the figure config read a methods list with ``parse_methods``.
 
 Ten stock figure configurations (degree sweeps and parameter sweeps for
 representative members of every family) ship as ``figures.cfg``, an INI file
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
 from .fisher import FisherReport, Method, fisher_report
@@ -32,7 +35,6 @@ SWEEP_COLUMNS = ("curve", "family", "sweep", "sweep_value", "n", "params",
 
 #: every family parameter, in CSV ``params`` order
 PARAM_NAMES = ("mu", "gamma", "p", "N", "alpha", "beta")
-_INTEGER_VARS = ("n", "N")
 
 
 def format_scalar(value, backend: str, dps: int) -> str:
@@ -114,6 +116,20 @@ def route_cells(report: FisherReport, method: Method, backend: str,
     return format_scalar(report.values[method], backend, dps), "true", ""
 
 
+#: every route by its name, in ``Method`` order
+_ROUTES = {method.value: method for method in Method}
+
+
+def parse_methods(text: str) -> Tuple[Method, ...]:
+    """The routes of a comma-separated list, in order; ValueError names the
+    first unknown one."""
+    names = [piece.strip() for piece in text.split(",")]
+    for name in names:
+        if name not in _ROUTES:
+            raise ValueError(f"unknown method {name!r}; choose from {', '.join(_ROUTES)}")
+    return tuple(map(_ROUTES.get, names))
+
+
 def format_params(family: Family) -> str:
     """Semicolon-separated fixed parameters, stable ordering."""
     parts = []
@@ -143,28 +159,24 @@ class SweepSpec:
         if self.sweep != "n" and self.sweep not in PARAM_NAMES:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
         # a degree or N that int() would truncate; plain ints skip the parse
-        swept = self.grid if self.sweep in _INTEGER_VARS else ()
+        swept = self.grid if self.sweep in ("n", "N") else ()
         for value in (self.fixed.get("n", 0), self.fixed.get("N", 0), *swept):
             if not isinstance(value, int) and to_fraction(value).denominator != 1:
                 raise ValueError(f"the degree and N must be integers, not {value}")
 
 
-def linear_grid(start, stop, count: int, integer: bool = False) -> Tuple:
-    """Exact linearly spaced grid; integer grids must land on integers."""
+def linear_grid(start, stop, count: int) -> Tuple:
+    """Exact linearly spaced grid: ints when the start and the step are
+    integers (one point: the start alone), else one Fraction per point."""
     if count < 1:
         raise ValueError("grid needs at least one point")
-    start, stop = to_fraction(start), to_fraction(stop)
-    if count == 1:
-        values = [start]
-    else:   # start + (stop - start) k/m as one Fraction per point
-        (a, b), (c, d), m = start.as_integer_ratio(), stop.as_integer_ratio(), count - 1
-        values = [Fraction(a * d * (m - k) + c * b * k, b * d * m) for k in range(count)]
-    if integer:
-        bad = [v for v in values if v.denominator != 1]
-        if bad:
-            raise ValueError(f"integer grid contains non-integers, e.g. {bad[0]}")
-        return tuple(int(v) for v in values)
-    return tuple(values)
+    (a, b), (c, d) = to_fraction(start).as_integer_ratio(), to_fraction(stop).as_integer_ratio()
+    m = max(count - 1, 1)
+    step, rest = divmod(c * b - a * d, b * d * m)   # (stop - start)/m = step + rest/(b d m)
+    if b == 1 and (count == 1 or not rest):
+        return tuple([a + step * k for k in range(count)])
+    # start + (stop - start) k/m as one Fraction per point
+    return tuple([Fraction(a * d * (m - k) + c * b * k, b * d * m) for k in range(count)])
 
 
 def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
@@ -217,19 +229,11 @@ class FigureConfigError(ValueError):
     """A figure config file that cannot be read, or a curve it cannot define."""
 
 
-def _default_figures_text() -> str:
-    return resources.files(__package__).joinpath("figures.cfg").read_text()
-
-
 def _first_line(exc: Exception) -> str:
     return str(exc).splitlines()[0] if str(exc) else type(exc).__name__
 
 
-def load_figures(path: Optional[str] = None,
-                 methods: Optional[Sequence[Method]] = None,
-                 backend: str = "exact",
-                 dps: int = DEFAULT_DPS,
-                 ) -> Dict[str, List[SweepSpec]]:
+def load_figures(path: Optional[str] = None) -> Dict[str, List[SweepSpec]]:
     """Parse the figure config into per-figure sweep lists (file order kept).
 
     Each section ``[figN.label]`` defines one curve with keys ``family``,
@@ -238,10 +242,9 @@ def load_figures(path: Optional[str] = None,
     section that does not define a curve, raise FigureConfigError.  The
     stock ``figures.cfg`` (``path=None``) is read once per process and each
     of its figures built once; a file at ``path`` is read on every call.
-    ``methods`` replaces every curve's own methods.
     """
     config = _stock_config() if path is None else _read_config(path)
-    return {fig_id: _figure(config, fig_id, methods, backend, dps) for fig_id in config[1]}
+    return {fig_id: _figure(config, fig_id) for fig_id in config[1]}
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +258,8 @@ def _read_config(path: Optional[str]):
     parser.optionxform = str  # keep 'n' and 'N' distinct
     try:
         if path is None:
-            parser.read_string(_default_figures_text())
+            parser.read_string(resources.files(__package__).joinpath("figures.cfg")
+                               .read_text())
         else:
             with open(path) as handle:
                 parser.read_string(handle.read())
@@ -294,26 +298,24 @@ def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
         raise ValueError(f"missing {'; '.join(missing)}")
     family = options.pop("family")
     sweep = options.pop("sweep")
-    integer = sweep in _INTEGER_VARS
     if "values" in options:
-        raw = options.pop("values").replace(",", " ").split()
-        grid = tuple(int(v) if integer else Fraction(v) for v in raw)
+        grid = tuple(map(_kind(sweep), options.pop("values").replace(",", " ").split()))
     else:
         start, stop, count = options.pop("grid").split(":")
-        grid = linear_grid(Fraction(start), Fraction(stop), int(count),
-                           integer=integer)
-    curve_methods = tuple(Method(m.strip()) for m in
-                          options.pop("methods", "expansion").split(","))
-    fixed: Dict[str, object] = {}
-    for key, raw_value in options.items():
-        if key in ("n", "N"):
-            fixed[key] = int(raw_value)
-        elif key in PARAM_NAMES:
-            fixed[key] = Fraction(raw_value)
-        else:
+        grid = linear_grid(Fraction(start), Fraction(stop), int(count))
+    methods = parse_methods(options.pop("methods", "expansion"))
+    fixed = {}
+    for key, raw in options.items():
+        if key != "n" and key not in PARAM_NAMES:
             raise ValueError(f"unknown key {key!r}")
+        fixed[key] = _kind(key)(raw)
     return SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
-                     methods=curve_methods, label=label)
+                     methods=methods, label=label)
+
+
+def _kind(key: str) -> type:
+    """The type of a config value of ``key``: int for the degree and N, else Fraction."""
+    return int if key in ("n", "N") else Fraction
 
 
 def run_figure(fig_id: str, path: Optional[str] = None, **kwargs) -> Iterator[Dict[str, str]]:

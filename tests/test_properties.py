@@ -37,6 +37,7 @@ Examples are drawn deterministically, so the suite stays reproducible.
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -59,7 +60,7 @@ from dopfisher.numerics import (
     pochhammer,
     terminating_pfq,
 )
-from dopfisher.sweeps import linear_grid
+from dopfisher.sweeps import SweepSpec, linear_grid
 
 from oracles import (
     as_fractions,
@@ -753,13 +754,18 @@ def grid_ends(draw):
 @example((0, 10, 11))               # the integers
 @example((0, 10, 4))                # integer ends, steps of 10/3
 def test_linear_grid_equals_start_plus_scaled_span(case):
+    # ints exactly when the start and the step are integers (one point: the
+    # start alone), else one Fraction per point; a degree sweep takes the
+    # grid exactly when it is of ints
     start, stop, count = case
-    span = F(stop) - F(start)
-    expected = tuple(F(start) + span * k / max(count - 1, 1) for k in range(count))
+    step = (F(stop) - F(start)) / (count - 1) if count > 1 else F(0)
+    expected = tuple(F(start) + step * k for k in range(count))
     grid = linear_grid(start, stop, count)
-    assert grid == expected and all(type(v) is Fraction for v in grid)
-    if all(v.denominator == 1 for v in expected):
-        assert linear_grid(start, stop, count, integer=True) == tuple(map(int, expected))
+    kind = int if F(start).denominator == step.denominator == 1 else Fraction
+    assert grid == expected and all(type(v) is kind for v in grid)
+    spec = partial(SweepSpec, family="charlier", sweep="n", fixed={"mu": F(2)}, grid=grid)
+    if kind is int:
+        assert spec().grid == tuple(map(int, expected))
     else:
-        with pytest.raises(ValueError, match="non-integers"):
-            linear_grid(start, stop, count, integer=True)
+        with pytest.raises(ValueError, match="must be integers"):
+            spec()
