@@ -189,12 +189,12 @@ def cmd_fisher(args) -> int:
         disc = format_scalar(report.max_pairwise_rel_discrepancy, "float", 8)
     out = _writer(sys.stdout)
     out.writerow(FISHER_COLUMNS)
+    params = format_params(fam)
     for method in methods:
         value, converged, error = route_cells(report, method, args.backend, args.dps)
         if error:
             print(f"{method.value}: {error}", file=sys.stderr)
-        out.writerow([fam.tag, args.n, format_params(fam), method.value,
-                      value, converged, disc])
+        out.writerow([fam.tag, args.n, params, method.value, value, converged, disc])
     return EXIT_OK
 
 
@@ -302,6 +302,8 @@ def cmd_sweep(args) -> int:
             if None in (args.sweep, args.start, args.stop, args.count):
                 raise _usage_error("manual sweeps need --sweep, --start, --stop, --count "
                                    "(or use --figure)")
+            if args.family is None:
+                raise _usage_error("manual sweeps need --family (or use --figure)")
             fixed = {k: getattr(args, k) for k in PARAM_NAMES if getattr(args, k) is not None}
             if args.sweep != "n":
                 if args.n is None:

@@ -317,8 +317,8 @@ class _Tables:
     coefficient is kept.  Hahn's ``expansion`` builds b_m, e_m, f_m as it
     steps and keeps its Gram state (m, g, h, u, d) before step m, which a
     later call at degree m or above goes on from (``fisher_expansion``), so
-    a rising degree sweep takes each step once; the ladder families'
-    ``expansion`` and the norm product build none."""
+    a rising degree sweep takes each step once; the norm product builds none,
+    and the ladder families' ``expansion`` reads the Pearson pair itself."""
 
     def __init__(self, fam: Family):
         self.fam = fam

@@ -217,13 +217,13 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
     sigma(0) = 0 (``_Tables``) leave g_m = 1 + r_m g_(m-1) with r_m =
     e_m^2/b_m = m (s1+t1)^2/(s1 phi(m-1)), the term ratio of the 2F1 closed
     forms, and I_n = n t1^2 g_(n-1)/(s1 phi(n-1)): one Horner pass over small
-    integer pairs, no rows.  Either way the sum is reduced once.
+    integer pairs read off ``Family.pearson_pair``, free of its integer scale,
+    with no table looked up.  Either way the sum is reduced once.
     """
     fam.check_degree(n)
     if n == 0:
         return Fraction(0)
-    tables = _tables(fam)
-    _, s1, s2, t0, t1 = tables.pearson
+    _, s1, s2, t0, t1, _ = fam.pearson_pair()
     if s2 == 0:
         # r_m = m c^2/(s1 phi(m-1)), c = s1 + t1, with the factors common to
         # every m taken out once: k = gcd(c, t0) of phi(m-1) = c (m-1) + t0,
@@ -237,6 +237,7 @@ def fisher_expansion(fam: Family, n: int) -> Fraction:
         return scale * horner_ratio_sum((m * top, s1 * (a * (m - 1) + t0)) for m in range(1, n))
     # go on from the state the last call kept if it is not past n, else
     # start again from g_0 = 1 and h_0 = 0 before step 1
+    tables = _tables(fam)
     state = tables.kept_gram
     start, g, h, u, d = state if state[0] <= n else (1, 1, 0, 0, 1)
     for m in range(start, n):

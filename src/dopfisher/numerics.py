@@ -161,10 +161,13 @@ def terminating_pfq(spec: PFQSpec) -> Fraction:
             if pole <= m:
                 raise DenominatorPole(
                     f"lower parameter {b} vanishes at term {pole} <= {m}")
-    # r_k = prod (a + k) / prod (b + k) z / (k+1), where k+1 is the factor of
-    # one more lower parameter, 1 (k! = (1)_k); the sets sit over ad^p and bd^(q+1)
-    an, ad = over_common_denominator(spec.numerator)
-    bn, bd = over_common_denominator((*spec.denominator, 1))
+    # r_k = prod (a + k) / prod (b + k) z / (k+1), k+1 the factor of one more lower
+    # parameter, 1 (k! = (1)_k), unless an upper 1 cancels it and a lower one remains
+    upper, lower = list(spec.numerator), [*spec.denominator, 1]
+    if len(lower) > 1 and 1 in upper:
+        del upper[upper.index(1)], lower[-1]
+    an, ad = over_common_denominator(upper)
+    bn, bd = over_common_denominator(lower)
     z = spec.argument
     zn = z.numerator * bd ** len(bn)
     zd = z.denominator * ad ** len(an)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from importlib import resources
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .families import DegreeOutOfRange, Family, ParameterDomainError, make_family
+from .families import _REQUIRED, DegreeOutOfRange, Family, ParameterDomainError, make_family
 from .fisher import FisherReport, Method, fisher_report
 from .numerics import DEFAULT_DPS, to_fraction, to_mpf
 
@@ -36,6 +37,10 @@ SWEEP_COLUMNS = ("curve", "family", "sweep", "sweep_value", "n", "params",
 #: every family parameter, in CSV ``params`` order
 PARAM_NAMES = ("mu", "gamma", "p", "N", "alpha", "beta")
 
+#: each family's parameters, in ``PARAM_NAMES`` order
+_PARAM_CELLS = {tag: tuple(name for name in PARAM_NAMES if name in names)
+                for tag, names in _REQUIRED.items()}
+
 
 def format_scalar(value, backend: str, dps: int) -> str:
     """Render a scalar for CSV: a rational (int or Fraction) as lowest-terms
@@ -45,8 +50,8 @@ def format_scalar(value, backend: str, dps: int) -> str:
     if isinstance(value, (int, Fraction)):
         if backend != "exact":
             return _decimal_text(value, dps)
-        num, den = Fraction(value).as_integer_ratio()
-        text = "-" * (num < 0) + _digit_string(abs(num))
+        num, den = value.as_integer_ratio()
+        text = "-" * (num < 0) + _digit_string(abs(num))   # str of each side
         return text if den == 1 else f"{text}/{_digit_string(den)}"
     import mpmath
     with mpmath.workdps(dps):
@@ -84,7 +89,7 @@ def _decimal_text(value, dps: int) -> str:
         q += 1
         if q == high:   # a carry into a new leading digit, 9.99...95 -> 10
             q, e = low, e + 1
-    digits = _digit_string(q, dps)
+    digits = _digit_string(q)   # dps digits, as low <= q < high
     if min(-(dps // 3), -5) < e < dps:
         text, suffix = (digits[:e + 1] + "." + digits[e + 1:] if e >= 0
                         else "0." + "0" * (-e - 1) + digits), ""
@@ -97,11 +102,14 @@ def _decimal_text(value, dps: int) -> str:
 
 
 def _digit_string(q: int, width: int = 0) -> str:
-    # str() refuses ints past sys.get_int_max_str_digits() (4300 by default),
-    # so a long digit string is built from halves; width 0 is q's own width
+    # str(q), q >= 0; where str() refuses, past sys.get_int_max_str_digits() (4300
+    # by default), zero-padded halves of a width bounded from q's bits instead
     if not width:
-        return _digit_string(q, int(q.bit_length() * _LOG10_2) + 2).lstrip("0") or "0"
-    if width <= 4000:
+        try:
+            return str(q)
+        except ValueError:
+            return _digit_string(q, int(q.bit_length() * _LOG10_2) + 2).lstrip("0")
+    if width <= sys.get_int_max_str_digits():
         return f"{q:0{width}d}"
     high, low = divmod(q, 10 ** (width // 2))
     return _digit_string(high, width - width // 2) + _digit_string(low, width // 2)
@@ -131,12 +139,8 @@ def parse_methods(text: str) -> Tuple[Method, ...]:
 
 
 def format_params(family: Family) -> str:
-    """Semicolon-separated fixed parameters, stable ordering."""
-    parts = []
-    for name in PARAM_NAMES:
-        if hasattr(family, name):
-            parts.append(f"{name}={getattr(family, name)}")
-    return ";".join(parts)
+    """Semicolon-separated fixed parameters, in ``PARAM_NAMES`` order."""
+    return ";".join([f"{name}={getattr(family, name)}" for name in _PARAM_CELLS[family.tag]])
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
             "curve": spec.label,
             "family": spec.family,
             "sweep": spec.sweep,
-            "sweep_value": str(Fraction(value)) if spec.backend == "exact"
+            "sweep_value": str(value) if spec.backend == "exact"
                             else format_scalar(to_fraction(value), "float", 17),
             "n": "", "params": "", "method": "", "value": "",
             "converged": "", "error": "",
@@ -210,10 +214,9 @@ def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
             yield row
             continue
         report = fisher_report(fam, degree, methods=spec.methods)
+        base["n"], base["params"] = str(degree), format_params(fam)
         for method in spec.methods:
             row = dict(base)
-            row["n"] = str(degree)
-            row["params"] = format_params(fam)
             row["method"] = method.value
             row["value"], row["converged"], row["error"] = route_cells(
                 report, method, spec.backend, spec.dps)

@@ -512,6 +512,13 @@ class TestSweepCommand:
         assert run_cli(capsys, argv) == (
             64, "", "dopfisher: error: the degree and N must be integers, not 3/2\n")
 
+    def test_manual_sweep_without_family_is_a_usage_error(self, capsys):
+        # refused before the header is written
+        argv = ["sweep", "--mu", "2", "--sweep", "n", "--start", "1", "--stop", "3",
+                "--count", "3"]
+        assert run_cli(capsys, argv) == (
+            64, "", "dopfisher: error: manual sweeps need --family (or use --figure)\n")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         argv = ["sweep", "--family", "charlier", "--mu", "2", "--sweep", "n",

@@ -415,10 +415,12 @@ class TestWorkPerReport:
         assert [calls[name] for name in ("quadrature_row", "node_values", "end_values")] \
             == [1, 1, 1]
 
-    @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Hahn(F(1, 2), F(2), 9)])
+    @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Hahn(F(1, 2), F(2), 9),
+                                     Meixner(F(5, 2), F(3, 7)), Kravchuk(F(2, 7), 12)])
     def test_each_route_looks_the_tables_up_once(self, monkeypatch, fam):
         # a lookup hashes the family's Fraction fields, so a route reads the
-        # quadrature row, the node values and the coefficient rows from one
+        # quadrature row, the node values and the coefficient rows from one;
+        # expansion looks one up on Hahn alone, and closed on no family
         from dopfisher import families, fisher
 
         calls, original = [], families._tables
@@ -432,7 +434,8 @@ class TestWorkPerReport:
         for method in Method:
             calls.clear()
             fisher_report(fam, 6, methods=[method])
-            assert len(calls) == (0 if method is Method.CLOSED else 1)
+            ladder = method is Method.EXPANSION and not isinstance(fam, Hahn)
+            assert len(calls) == (0 if method is Method.CLOSED or ladder else 1)
 
     @staticmethod
     def count_rows(monkeypatch, seen):
@@ -454,17 +457,41 @@ class TestWorkPerReport:
         # on the ladder families expansion steps over ratios read off sigma
         # and tau, and direct and difference multiply the unreduced b_m
         # factors, so a four-route report at n = 0..11 builds no row
-        # (b_m, e_m, f_m) and reads sigma and tau once
+        # (b_m, e_m, f_m) and reads sigma and tau once for the tables direct
+        # and difference share, and once per expansion call at n >= 1, never
+        # once per m
         calls, seen = {}, []
         self.count(monkeypatch, type(fam), "pearson_pair", calls)
         self.count_rows(monkeypatch, seen)
         fam = dataclasses.replace(fam)   # a fresh instance: nothing read yet
         reports = [fisher_report(fam, n) for n in range(12)]
-        assert seen == [] and calls == {"pearson_pair": 1}
+        assert seen == [] and calls == {"pearson_pair": 1 + 11}
         assert [r.values[Method.EXPANSION] for r in reports] == \
             [fisher_closed(fam, n) for n in range(12)]
         assert all(len(r.values) == 4 and r.max_pairwise_rel_discrepancy == 0
                    for r in reports)
+
+    def test_ladder_parameter_sweep_builds_no_tables(self, monkeypatch, capsys):
+        # every point of a parameter sweep is a new family, and expansion
+        # reads its Pearson pair without building the family's tables
+        from dopfisher import families
+
+        built, original = [], families._Tables.__init__
+
+        def counted(self, fam):
+            built.append(fam)
+            original(self, fam)
+
+        monkeypatch.setattr(families._Tables, "__init__", counted)
+        families._tables.cache_clear()
+        assert main(["sweep", "--family", "meixner", "--mu", "1/2", "--n", "7",
+                     "--sweep", "gamma", "--start", "1/2", "--stop", "6",
+                     "--count", "40", "--methods", "expansion"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert built == [] and len(rows) == 40
+        for k, row in enumerate(rows):
+            gamma = F(1, 2) + F(11, 2) * F(k, 39)
+            assert row.split(",")[7] == str(fisher_closed(Meixner(gamma, F(1, 2)), 7))
 
     @pytest.mark.parametrize("fam", [Charlier(F(7, 3)), Meixner(F(23, 4), F(19, 20)),
                                      Kravchuk(F(5, 9), 89)])

@@ -9,6 +9,9 @@ size, against ``str`` with the int-to-str digit limit lifted.  Examples are
 drawn deterministically.
 """
 
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -113,3 +116,26 @@ def test_exact_backend_at_powers_of_ten(num, den):
     # the digit count's bound from the bit length is widest at powers of ten
     value = F(num, den)
     assert format_scalar(value, "exact", 8) == unlimited_str(value)
+
+
+@pytest.mark.parametrize("den_width", [1, 639, 640, 641])
+@pytest.mark.parametrize("width", [639, 640, 641])
+def test_exact_backend_under_a_lowered_int_str_limit(width, den_width):
+    # str() first, halves only where it refuses, at the lowest limit
+    # CPython takes; the integers are drawn inside the test, as in
+    # test_exact_backend_prints_any_width, and coprime, so that the
+    # fraction keeps both widths
+    rnd = random.Random(width * 1000 + den_width)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for sign in (1, -1):
+            num = den = 2
+            while math.gcd(num, den) != 1:
+                num = rnd.randrange(10 ** (width - 1), 10 ** width)
+                den = rnd.randrange(10 ** (den_width - 1), 10 ** den_width)
+            value = F(sign * num, den)
+            assert format_scalar(value, "exact", 8) == unlimited_str(value)
+        assert format_scalar(F(1, 3), "float", 700) == "0." + "3" * 700
+    finally:
+        sys.set_int_max_str_digits(limit)
