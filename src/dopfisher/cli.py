@@ -22,11 +22,13 @@ A call reads the invoked command's flag table (``_COMMANDS``) directly and
 builds no parser.  A missing or unknown command, and any token the table
 does not take exactly (help, an abbreviated or unknown flag, a value that
 fails, a missing required flag, a stray token), go to the full argparse tree
-(``build_parser``), which prints the help or usage error, or accepts what
-argparse alone accepts.  Every rational flag reads its value with
-``_fraction``, so ``1/0`` is a bad value (exit 64) like ``x``.  ``eval`` and
-``density`` pick their points (``_points``) and write their rows
-(``_point_rows``) alike.  Only ``verify`` loads its suites.
+(``build_parser``, built for that call alone), which prints the help or
+usage error, or accepts what argparse alone accepts.  Every rational flag
+reads its value with ``_fraction``, so ``1/0`` is a bad value (exit 64) like
+``x``.  ``eval`` and ``density`` pick their points (``_points``) and write
+their rows (``_point_rows``, the degree checked before the header) alike.
+A sweep's wrong family or parameter name is a usage error before its
+header.  Only ``verify`` loads its suites.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import List, Optional
 
@@ -135,12 +137,11 @@ def _numeric_flags(default_backend):
 
 
 def _family_from_args(args):
-    params = {k: getattr(args, k) for k in PARAM_NAMES}
     try:
-        return make_family(args.family, **params)
+        return make_family(args.family, **{k: getattr(args, k) for k in PARAM_NAMES})
+    except ParameterDomainError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ParameterDomainError):
-            raise
         raise _usage_error(str(exc))
 
 
@@ -209,8 +210,9 @@ def _points(args, needs: str) -> list:
 
 
 def _point_rows(fam, args, column: str, points, values) -> int:
-    """The header, then one row per point of ``values(n, points)``, which is
-    called after the header is written."""
+    """The degree checked, the header, then one row per point of
+    ``values(n, points)``, which is called after the header is written."""
+    fam.check_degree(args.n)
     out = _writer(sys.stdout)
     out.writerow(["family", "n", "params", "x", column])
     params = format_params(fam)
@@ -304,12 +306,10 @@ def cmd_sweep(args) -> int:
                                    "(or use --figure)")
             if args.family is None:
                 raise _usage_error("manual sweeps need --family (or use --figure)")
-            fixed = {k: getattr(args, k) for k in PARAM_NAMES if getattr(args, k) is not None}
-            if args.sweep != "n":
-                if args.n is None:
-                    raise _usage_error("parameter sweeps need a fixed --n")
-                fixed["n"] = args.n
-            fixed.pop(args.sweep, None)
+            if args.sweep != "n" and args.n is None:
+                raise _usage_error("parameter sweeps need a fixed --n")
+            fixed = {k: getattr(args, k) for k in ("n", *PARAM_NAMES)
+                     if getattr(args, k) is not None}
             rows = run_sweep(SweepSpec(
                 family=args.family, sweep=args.sweep, fixed=fixed,
                 grid=linear_grid(args.start, args.stop, args.count),
@@ -380,11 +380,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-@lru_cache(maxsize=None)   # built on first need (help and usage errors only), never at import
-def _shared_parser() -> _Parser:
-    return build_parser()
-
-
 def _direct_parse(argv: List[str]) -> Optional[argparse.Namespace]:
     """The Namespace the full tree gives ``argv`` when every token after the
     command is one of its flags spelt out, as ``--f=v`` or ``--f v``, with a
@@ -436,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # does not take exactly: the full tree prints the help or usage
             # error it always printed, or parses what argparse alone accepts
             # (an abbreviated flag, a negative or lone "-" value)
-            args = _shared_parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         if getattr(args, "dps", 0) is None:   # DOPFISHER_DPS is read on every call
             args.dps = _default_dps()
         return _COMMANDS[args.command][2](args)

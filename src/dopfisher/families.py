@@ -171,7 +171,8 @@ class Family:
     def check_degree(self, n: int) -> None:
         top = self.max_degree()
         if not isinstance(n, int) or n < 0 or (top is not None and n > top):
-            raise DegreeOutOfRange(f"{self.tag}: degree {n} not in 0..{top}")
+            span = "a nonnegative integer" if top is None else f"in 0..{top}"
+            raise DegreeOutOfRange(f"{self.tag}: degree {n} not {span}")
 
     def check_support(self, x) -> int:
         if not isinstance(x, int) or not self.support().contains(x):
@@ -734,20 +735,24 @@ _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn":
 _REQUIRED = {tag: tuple(f.name for f in fields(cls)) for tag, cls in _TAGS.items()}
 
 
-def make_family(tag: str, **params) -> Family:
-    """Build a family from its tag and named parameters.
-
-    Raises ParameterDomainError for out-of-domain values and ValueError for
-    unknown tags or missing/extra parameters.
-    """
+def _family_class(tag: str, names) -> type:
+    """The class of ``tag`` (any case), whose parameters must be ``names``."""
     tag = tag.lower()
     if tag not in _TAGS:
         raise ValueError(f"unknown family {tag!r}; choose from {sorted(_TAGS)}")
     required = _REQUIRED[tag]
-    missing = [k for k in required if params.get(k) is None]
-    extra = [k for k, v in params.items() if k not in required and v is not None]
+    missing = [k for k in required if k not in names]
+    extra = [k for k in names if k not in required]
     if missing:
         raise ValueError(f"{tag} requires parameters: {', '.join(missing)}")
     if extra:
         raise ValueError(f"{tag} does not take: {', '.join(sorted(extra))}")
-    return _TAGS[tag](*(params[k] for k in required))
+    return _TAGS[tag]
+
+
+def make_family(tag: str, **params) -> Family:
+    """Build a family from its tag and named parameters (None: not given).
+    Raises ParameterDomainError for out-of-domain values and ValueError for
+    unknown tags or missing/extra parameters."""
+    cls = _family_class(tag, [k for k, v in params.items() if v is not None])
+    return cls(*(params[k] for k in _REQUIRED[cls.tag]))

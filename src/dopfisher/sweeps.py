@@ -3,11 +3,12 @@
 A sweep moves one variable (the degree or one family parameter) over a grid
 while the rest stay fixed, evaluating the requested routes at every point.
 Row order is deterministic: grid-major, method-minor.  Rows are yielded as
-they are built, so a sweep holds one grid point at a time.  Out-of-domain
-points produce an ``error`` row and the sweep continues.  A linear grid is
-of ints when its start and step are integers, else of Fractions; only
-``SweepSpec`` refuses a degree or N that is not an integer.  The command
-line and the figure config read a methods list with ``parse_methods``.
+they are built, so a sweep holds one grid point at a time.  ``SweepSpec``
+refuses a wrong family or parameter name and a non-integer degree or N; a
+point out of the parameter or degree domain produces an ``error`` row and
+the sweep continues.  A linear grid is of ints when its start and step are
+integers, else of Fractions.  The command line and the figure config read
+a methods list with ``parse_methods``.
 
 Ten stock figure configurations (degree sweeps and parameter sweeps for
 representative members of every family) ship as ``figures.cfg``, an INI file
@@ -19,14 +20,15 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .families import _REQUIRED, DegreeOutOfRange, Family, ParameterDomainError, make_family
+from .families import (_REQUIRED, _TAGS, DegreeOutOfRange, Family, ParameterDomainError,
+                       _family_class)
 from .fisher import FisherReport, Method, fisher_report
 from .numerics import DEFAULT_DPS, to_fraction, to_mpf
 
@@ -145,8 +147,8 @@ def format_params(family: Family) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One curve: a family, a swept variable and its grid.  Specs of the
-    stock figures share ``fixed`` and ``grid``: read them, never mutate them."""
+    """One curve: a family, a swept variable and its grid, checked once for
+    the whole sweep (names: the fixed ones but ``n``, and the swept one)."""
 
     family: str
     sweep: str                              # 'n' or a parameter name
@@ -167,6 +169,7 @@ class SweepSpec:
         for value in (self.fixed.get("n", 0), self.fixed.get("N", 0), *swept):
             if not isinstance(value, int) and to_fraction(value).denominator != 1:
                 raise ValueError(f"the degree and N must be integers, not {value}")
+        _family_class(self.family, [k for k in (*self.fixed, self.sweep) if k != "n"])
 
 
 def linear_grid(start, stop, count: int) -> Tuple:
@@ -186,35 +189,34 @@ def linear_grid(start, stop, count: int) -> Tuple:
 def run_sweep(spec: SweepSpec) -> Iterator[Dict[str, str]]:
     """Evaluate the sweep lazily: one row dict per grid point and method,
     each grid point evaluated when its first row is read."""
+    cls = _TAGS[spec.family.lower()]   # the tag and the names SweepSpec checked
+    names = _REQUIRED[cls.tag]
+    # the constructor's arguments, N as an int; the swept one is set per point
+    params = [int(spec.fixed.get(k, 0)) if k == "N" else spec.fixed.get(k) for k in names]
+    slot = names.index(spec.sweep) if spec.sweep != "n" else None
+    degree = int(spec.fixed.get("n", 0))   # a degree sweep sets it per point
     for value in spec.grid:
+        if slot is None:
+            degree = int(value)
+        else:
+            params[slot] = int(value) if spec.sweep == "N" else value
         base = {
             "curve": spec.label,
             "family": spec.family,
             "sweep": spec.sweep,
             "sweep_value": str(value) if spec.backend == "exact"
                             else format_scalar(to_fraction(value), "float", 17),
-            "n": "", "params": "", "method": "", "value": "",
+            "n": str(degree), "params": "", "method": "", "value": "",
             "converged": "", "error": "",
         }
-        params = dict(spec.fixed)
-        if spec.sweep == "n":
-            degree = int(value)
-        else:
-            params[spec.sweep] = value
-            degree = int(params.pop("n"))
         try:
-            if "N" in params:
-                params["N"] = int(params["N"])
-            fam = make_family(spec.family, **params)
-            fam.check_degree(degree)
-        except (ParameterDomainError, DegreeOutOfRange, ValueError) as exc:
-            row = dict(base)
-            row["n"] = str(degree)
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            yield row
+            fam = cls(*params)
+            report = fisher_report(fam, degree, methods=spec.methods)
+        except (ParameterDomainError, DegreeOutOfRange) as exc:
+            base["error"] = f"{type(exc).__name__}: {exc}"
+            yield base
             continue
-        report = fisher_report(fam, degree, methods=spec.methods)
-        base["n"], base["params"] = str(degree), format_params(fam)
+        base["params"] = format_params(fam)
         for method in spec.methods:
             row = dict(base)
             row["method"] = method.value
@@ -243,8 +245,8 @@ def load_figures(path: Optional[str] = None) -> Dict[str, List[SweepSpec]]:
     ``sweep``, fixed parameters, and either ``grid = start:stop:count`` or an
     explicit ``values`` list.  A file that cannot be read or parsed, and a
     section that does not define a curve, raise FigureConfigError.  The
-    stock ``figures.cfg`` (``path=None``) is read once per process and each
-    of its figures built once; a file at ``path`` is read on every call.
+    stock ``figures.cfg`` (``path=None``) is read once per process, a file
+    at ``path`` on every call, and the curves are built on every call.
     """
     config = _stock_config() if path is None else _read_config(path)
     return {fig_id: _figure(config, fig_id) for fig_id in config[1]}
@@ -256,7 +258,7 @@ def _stock_config():
 
 
 def _read_config(path: Optional[str]):
-    """(parser, {figure id: [section, ...]}, {figure id: its built curves})."""
+    """(parser, {figure id: [section, ...]})."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep 'n' and 'N' distinct
     try:
@@ -272,28 +274,24 @@ def _read_config(path: Optional[str]):
     figures: Dict[str, List[str]] = {}
     for section in parser.sections():
         figures.setdefault(section.partition(".")[0], []).append(section)
-    return parser, figures, {}
+    return parser, figures
 
 
-def _figure(config, fig_id, methods=None, backend="exact", dps=DEFAULT_DPS) -> List[SweepSpec]:
-    # built on first use and kept with the config, so callers get replaced copies
-    parser, figures, built = config
-    if fig_id not in built:
-        specs = []
-        for section in figures[fig_id]:
-            try:
-                specs.append(_curve_spec(dict(parser[section]),
-                                         label=section.partition(".")[2] or fig_id))
-            except (ValueError, ZeroDivisionError, configparser.Error) as exc:
-                raise FigureConfigError(
-                    f"figure section [{section}]: {_first_line(exc)}") from exc
-        built[fig_id] = specs
-    return [replace(spec, methods=tuple(methods) if methods else spec.methods,
-                    backend=backend, dps=dps) for spec in built[fig_id]]
+def _figure(config, fig_id, **run) -> List[SweepSpec]:
+    parser, figures = config
+    specs = []
+    for section in figures[fig_id]:
+        try:
+            specs.append(_curve_spec(dict(parser[section]),
+                                     section.partition(".")[2] or fig_id, **run))
+        except (ValueError, ZeroDivisionError, configparser.Error) as exc:
+            raise FigureConfigError(f"figure section [{section}]: {_first_line(exc)}") from exc
+    return specs
 
 
-def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
-    """One figure-config section as a sweep; ValueError names what is wrong."""
+def _curve_spec(options: Dict[str, str], label: str, methods=None, **run) -> SweepSpec:
+    """One figure-config section as a sweep, with the ``methods`` given, else
+    its own; ``run`` sets the backend and dps.  ValueError names a fault."""
     missing = [repr(key) for key in ("family", "sweep") if key not in options]
     if "grid" not in options and "values" not in options:
         missing.append("'grid' or 'values'")
@@ -306,14 +304,14 @@ def _curve_spec(options: Dict[str, str], label: str) -> SweepSpec:
     else:
         start, stop, count = options.pop("grid").split(":")
         grid = linear_grid(Fraction(start), Fraction(stop), int(count))
-    methods = parse_methods(options.pop("methods", "expansion"))
+    own = parse_methods(options.pop("methods", "expansion"))
     fixed = {}
     for key, raw in options.items():
         if key != "n" and key not in PARAM_NAMES:
             raise ValueError(f"unknown key {key!r}")
         fixed[key] = _kind(key)(raw)
     return SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=grid,
-                     methods=methods, label=label)
+                     methods=tuple(methods) if methods else own, label=label, **run)
 
 
 def _kind(key: str) -> type:

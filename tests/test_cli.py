@@ -206,8 +206,6 @@ class TestSharedParser:
             "missing-n", "dps-below-contract", "bad-choice", "stray-arguments",
             "no-command", "unknown-command"])
     def test_same_output_on_every_call_and_from_a_fresh_parser(self, capsys, argv):
-        # the first call below builds the parsers it needs
-        cli._shared_parser.cache_clear()
         first = run_cli(capsys, argv)
         second = run_cli(capsys, argv)
         with pytest.raises(SystemExit) as exc:
@@ -243,14 +241,10 @@ class TestSharedParser:
 
     def test_help_and_usage_texts_are_pinned(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        cli._shared_parser.cache_clear()   # the first help call builds the tree
-        try:
-            texts = [run_cli(capsys, argv) for argv in (
-                ["--help"], *([name, "--help"] for name in
-                              ("fisher", "eval", "density", "sweep", "verify")),
-                [], ["bogus"])]
-        finally:   # later tests build their own tree
-            cli._shared_parser.cache_clear()
+        texts = [run_cli(capsys, argv) for argv in (
+            ["--help"], *([name, "--help"] for name in
+                          ("fisher", "eval", "density", "sweep", "verify")),
+            [], ["bogus"])]
         assert hashlib.sha256(repr(texts).encode()).hexdigest() == self.HELP_DIGEST
 
 
@@ -468,6 +462,16 @@ class TestEvalAndDensity:
                                       "--mu", "2", "--n", "0", "--all"])
         assert code == 64
 
+    @pytest.mark.parametrize("command, point", [("eval", "--x=1"), ("density", "--x=1"),
+                                                ("density", "--all")])
+    def test_degree_out_of_range_is_refused_before_the_header(self, capsys, command, point):
+        assert run_cli(capsys, [command, "--family=kravchuk", "--p=1/2", "--N=3", "--n=5",
+                                point]) == (
+            2, "", "dopfisher: domain error: kravchuk: degree 5 not in 0..2\n")
+        assert run_cli(capsys, [command, "--family=charlier", "--mu=2", "--n=-1",
+                                "--x=1"]) == (
+            2, "", "dopfisher: domain error: charlier: degree -1 not a nonnegative integer\n")
+
     def test_density_out_of_support_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["density", "--family", "kravchuk",
                                       "--p", "1/2", "--N", "3", "--n", "0",
@@ -512,6 +516,27 @@ class TestSweepCommand:
         assert run_cli(capsys, argv) == (
             64, "", "dopfisher: error: the degree and N must be integers, not 3/2\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family=charlier", "--sweep=n"], "charlier requires parameters: mu"),
+        (["--family=charlier", "--mu=2", "--gamma=3", "--sweep=n"],
+         "charlier does not take: gamma"),
+        (["--family=charlier", "--mu=2", "--n=2", "--sweep=N"], "charlier does not take: N"),
+        (["--family=kravchuk", "--N=4", "--n=1", "--sweep=mu"],
+         "kravchuk requires parameters: p"),
+    ], ids=["missing", "extra", "swept-not-taken", "swept-instead-of-missing"])
+    def test_wrong_parameter_names_are_usage_errors(self, capsys, flags, message):
+        # checked once, when the spec is built: no header and no error rows
+        argv = ["sweep", *flags, "--start=1", "--stop=3", "--count=3"]
+        assert run_cli(capsys, argv) == (64, "", f"dopfisher: error: {message}\n")
+
+    def test_wrong_parameter_names_raise_in_the_library(self):
+        for family, fixed, sweep, message in (
+                ("charlier", {}, "n", "charlier requires parameters: mu"),
+                ("charlier", {"mu": F(2), "n": 2}, "N", "charlier does not take: N"),
+                ("legendre", {"n": 2}, "mu", "unknown family 'legendre'")):
+            with pytest.raises(ValueError, match=message):
+                sweeps.SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=(1, 2))
+
     def test_manual_sweep_without_family_is_a_usage_error(self, capsys):
         # refused before the header is written
         argv = ["sweep", "--mu", "2", "--sweep", "n", "--start", "1", "--stop", "3",
@@ -539,7 +564,9 @@ class TestSweepCommand:
                      ["--family", "charlier", "--mu", "2", "--sweep", "n",
                       "--start", "1", "--stop", "2", "--count", "3"],
                      ["--family", "charlier", "--mu", "2", "--sweep", "mu",
-                      "--start", "1", "--stop", "2", "--count", "2"]):
+                      "--start", "1", "--stop", "2", "--count", "2"],
+                     ["--family", "charlier", "--sweep", "n",
+                      "--start", "1", "--stop", "3", "--count", "3"]):
             code, out, _ = run_cli(capsys, ["sweep", *argv, "--out", str(target)])
             assert code == 64 and out == "" and not target.exists()
 
@@ -642,6 +669,18 @@ class TestSweepCommand:
             assert err.endswith("unknown method 'bogus'; choose from direct, difference, "
                                 "expansion, closed\n")
 
+    @pytest.mark.parametrize("section, message", [
+        ("family = kravchuk\nsweep = n\np = 1/2\n", "kravchuk requires parameters: N"),
+        ("family = legendre\nsweep = n\nN = 4\n",
+         "unknown family 'legendre'; choose from ['charlier', 'hahn', 'kravchuk', 'meixner']"),
+    ], ids=["missing-parameter", "unknown-family"])
+    def test_curve_with_a_wrong_name_is_a_usage_error(self, capsys, tmp_path, section, message):
+        config = tmp_path / "figures.cfg"
+        config.write_text(f"[figX.K]\n{section}values = 1 2\n")
+        for mode in (["--figure", "figX"], ["--list-figures"]):
+            assert run_cli(capsys, ["sweep", *mode, "--figures-file", str(config)]) == (
+                64, "", f"dopfisher: error: figure section [figX.K]: {message}\n")
+
     def test_curve_without_family_or_grid_is_a_usage_error(self, capsys, tmp_path):
         config = tmp_path / "figures.cfg"
         config.write_text("[figX.K]\nsweep = n\np = 1/2\nN = 4\n")
@@ -679,19 +718,18 @@ class TestSweepCommand:
         assert sorted(figures) == sorted(f"fig{i}" for i in range(1, 11))
         assert all(len(specs) >= 3 for specs in figures.values())
 
-    def test_figure_run_builds_only_its_own_curves_once(self, monkeypatch):
-        # a stock figure's curves are built on its first run and kept; the
-        # other figures' sections stay unbuilt
+    def test_figure_run_builds_only_its_own_curves(self, monkeypatch):
+        # each run builds its figure's curves and leaves the other figures'
+        # sections unbuilt
         expected = [spec.label for spec in load_figures()["fig4"]]
         built, original = [], sweeps._curve_spec
         monkeypatch.setattr(sweeps, "_curve_spec",
-                            lambda options, label: built.append(label) or original(options, label))
-        sweeps._stock_config.cache_clear()
-        try:
-            first, again = list(run_figure("fig4")), list(run_figure("fig4"))
-            assert built == expected and first == again
-        finally:
-            sweeps._stock_config.cache_clear()
+                            lambda options, label, **run: built.append(label)
+                            or original(options, label, **run))
+        first = list(run_figure("fig4"))
+        assert built == expected
+        again = list(run_figure("fig4"))
+        assert built == expected * 2 and first == again
 
 
 class TestVerifyCommand:
