@@ -19,13 +19,13 @@ significant digits, ties away from zero (default 80, overridable through the
 prints counts only and takes neither flag.
 
 A call reads the invoked command's flag table (``_COMMANDS``) directly and
-builds no parser.  A missing or unknown command, and any token the table
+imports no argparse.  A missing or unknown command, and any token the table
 does not take exactly (help, an abbreviated or unknown flag, a value that
 fails, a missing required flag, a stray token), go to the full argparse tree
-(``build_parser``, built for that call alone), which prints the help or
-usage error, or accepts what argparse alone accepts.  Every rational flag
-reads its value with ``_fraction``, so ``1/0`` is a bad value (exit 64) like
-``x``.  ``eval`` and ``density`` pick their points (``_points``) and write
+(``build_parser``, imported and built for that call alone), which prints the
+help or usage error, or accepts what argparse alone accepts.  Every rational
+flag reads its value with ``_fraction``, so ``1/0`` is a bad value (exit 64)
+like ``x``.  ``eval`` and ``density`` pick their points (``_points``) and write
 their rows (``_point_rows``, the degree checked before the header) alike.
 A sweep's wrong family or parameter name is a usage error before its
 header.  Only ``verify`` loads its suites.
@@ -33,7 +33,6 @@ header.  Only ``verify`` loads its suites.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import os
@@ -42,6 +41,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .families import (
@@ -75,15 +75,6 @@ FISHER_COLUMNS = ("family", "n", "params", "method", "value", "converged",
                   "discrepancy")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code moved off 2 (which is the
-    parameter-domain code here) to the sysexits-style 64."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _usage_error(message, self.prog)
-
-
 def _usage_error(message: str, prog: str = "dopfisher") -> SystemExit:
     """Print ``prog: error: message`` and return the exit to raise (code 64)."""
     print(f"{prog}: error: {message}", file=sys.stderr)
@@ -91,7 +82,9 @@ def _usage_error(message: str, prog: str = "dopfisher") -> SystemExit:
 
 
 def _default_dps() -> int:
-    raw = os.environ.get("DOPFISHER_DPS", "")
+    raw = os.environ.get("DOPFISHER_DPS")
+    if not raw:
+        return DEFAULT_DPS
     try:
         value = int(raw)
         return value if value >= 50 else DEFAULT_DPS
@@ -124,6 +117,7 @@ def _family_flags(required=True):
 def _dps_arg(raw: str) -> int:
     value = int(raw)
     if value < 50:
+        import argparse
         raise argparse.ArgumentTypeError("the float backend is contracted to "
                                          "at least 50 decimal digits")
     return value
@@ -364,8 +358,18 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser() -> "argparse.ArgumentParser":
     """The full tree: the top-level parser with every command's parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with the usage-error exit code moved off 2 (which is the
+        parameter-domain code here) to the sysexits-style 64."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise _usage_error(message, self.prog)
+
     parser = _Parser(
         prog="dopfisher",
         description="Relative Fisher information of the classical discrete "
@@ -380,11 +384,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _direct_parse(argv: List[str]) -> Optional[argparse.Namespace]:
-    """The Namespace the full tree gives ``argv`` when every token after the
-    command is one of its flags spelt out, as ``--f=v`` or ``--f v``, with a
-    value that its ``type`` and ``choices`` take, and no required flag is
-    left out; else None."""
+def _direct_parse(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The attributes of the Namespace the full tree gives ``argv`` when every
+    token after the command is one of its flags spelt out, as ``--f=v`` or
+    ``--f v``, with a value that its ``type`` and ``choices`` take, and no
+    required flag is left out; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     table, values = {}, {"command": argv[0]}
@@ -411,7 +415,7 @@ def _direct_parse(argv: List[str]) -> Optional[argparse.Namespace]:
                 return None
         try:
             value = kwargs.get("type", str)(raw)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):   # argparse's usage errors
+        except Exception:   # the full tree reports the value as it always did
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
@@ -419,7 +423,7 @@ def _direct_parse(argv: List[str]) -> Optional[argparse.Namespace]:
     # a value read is never None, so a required flag left out still is
     if any(kwargs.get("required") and values[dest] is None for dest, kwargs in table.values()):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -22,17 +22,19 @@ Gamma(alpha+1)Gamma(beta+1) for Hahn, ...) is factored out so that every
 quantity entering a ratio is an exact rational for rational parameters.
 `NormValue` keeps the factored constant symbolically, so the exact paths can
 cancel it; it is restored only for the infinite-lattice density.
+
+The records are named tuples and the families plain classes (``Family``
+makes each an immutable value), so the import generates no code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .numerics import (
     DEFAULT_DPS,
@@ -60,8 +62,7 @@ class ParameterDomainError(ValueError):
     """Family parameters outside their admissible domain."""
 
 
-@dataclass(frozen=True)
-class LatticeSupport:
+class LatticeSupport(NamedTuple):
     """Integer lattice [a, b) -- half-open so sums run x = a .. b-1.
 
     ``b is None`` encodes an infinite support.
@@ -79,8 +80,7 @@ class LatticeSupport:
         return range(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class NormValue:
+class NormValue(NamedTuple):
     """A reduced norm  rational * exp(exp_coeff) * pow_base**pow_expo.
 
     Only the Charlier and Meixner families carry a non-trivial symbolic part
@@ -121,9 +121,29 @@ class NormValue:
 
 
 class Family:
-    """Shared machinery; concrete families supply the data hooks."""
+    """Shared machinery; concrete families supply the data hooks.
+
+    A family is a value: ``__init__`` sets its ``__dict__`` once to exactly
+    its parameters, in constructor order (``fields``), equality (same class
+    only), hash and repr read them off it, and assignment raises."""
 
     tag: str = ""
+    fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        params = ", ".join([f"{name}={value!r}" for name, value in vars(self).items()])
+        return f"{type(self).__name__}({params})"
 
     # ---- data hooks ------------------------------------------------------
 
@@ -425,16 +445,13 @@ def _tables(fam: Family) -> _Tables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Charlier(Family):
     """Monic Charlier polynomials; Poisson-type weight mu^x/x! on x = 0, 1, ..."""
 
-    mu: Fraction
+    tag, fields = "charlier", ("mu",)
 
-    tag = "charlier"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", to_fraction(self.mu))
+    def __init__(self, mu):
+        vars(self).update(mu=to_fraction(mu))
         if self.mu <= 0:
             raise ParameterDomainError("charlier: mu must be > 0")
 
@@ -472,18 +489,13 @@ class Charlier(Family):
         return Fraction(n) / self.mu
 
 
-@dataclass(frozen=True)
 class Meixner(Family):
     """Monic Meixner polynomials; negative-binomial weight mu^x (gamma)_x / x!."""
 
-    gamma: Fraction
-    mu: Fraction
+    tag, fields = "meixner", ("gamma", "mu")
 
-    tag = "meixner"
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", to_fraction(self.gamma))
-        object.__setattr__(self, "mu", to_fraction(self.mu))
+    def __init__(self, gamma, mu):
+        vars(self).update(gamma=to_fraction(gamma), mu=to_fraction(mu))
         if self.gamma <= 0:
             raise ParameterDomainError("meixner: gamma must be > 0")
         if not 0 < self.mu < 1:
@@ -528,17 +540,13 @@ class Meixner(Family):
                                           (2 - n - g,), mu)))
 
 
-@dataclass(frozen=True)
 class Kravchuk(Family):
     """Monic Kravchuk polynomials; binomial weight C(N,x) p^x (1-p)^(N-x) on x = 0..N."""
 
-    p: Fraction
-    N: int
+    tag, fields = "kravchuk", ("p", "N")
 
-    tag = "kravchuk"
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", to_fraction(self.p))
+    def __init__(self, p, N):
+        vars(self).update(p=to_fraction(p), N=N)
         if not isinstance(self.N, int) or self.N < 1:
             raise ParameterDomainError("kravchuk: N must be a positive integer")
         if not 0 < self.p < 1:
@@ -584,22 +592,16 @@ class Kravchuk(Family):
                                           (Fraction(N - n + 2),), p / (p - 1))))
 
 
-@dataclass(frozen=True)
 class Hahn(Family):
     """Monic Hahn polynomials; hypergeometric-type weight on x = 0..N-1.
 
     The reduced weight is (alpha+1)_(N-1-x) (beta+1)_x / ((N-1-x)! x!).
     """
 
-    alpha: Fraction
-    beta: Fraction
-    N: int
+    tag, fields = "hahn", ("alpha", "beta", "N")
 
-    tag = "hahn"
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", to_fraction(self.alpha))
-        object.__setattr__(self, "beta", to_fraction(self.beta))
+    def __init__(self, alpha, beta, N):
+        vars(self).update(alpha=to_fraction(alpha), beta=to_fraction(beta), N=N)
         if not isinstance(self.N, int) or self.N < 1:
             raise ParameterDomainError("hahn: N must be a positive integer")
         # strict: the weight degenerates at alpha = -1 or beta = -1
@@ -732,7 +734,7 @@ def _hahn_5f4(n: int, s: Fraction, upper: tuple, lower: tuple) -> Fraction:
 _TAGS = {"charlier": Charlier, "meixner": Meixner, "kravchuk": Kravchuk, "hahn": Hahn}
 
 #: each family's parameters, in constructor order
-_REQUIRED = {tag: tuple(f.name for f in fields(cls)) for tag, cls in _TAGS.items()}
+_REQUIRED = {tag: cls.fields for tag, cls in _TAGS.items()}
 
 
 def _family_class(tag: str, names) -> type:

@@ -57,11 +57,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .families import Family, OutOfSupport, _tables
 from .numerics import DEFAULT_DPS, DenominatorPole, horner_ratio_sum, to_mpf
@@ -80,8 +79,7 @@ class Method(enum.Enum):
 
 
 # Kept for bench/selftest.py, which imports it; ROADMAP item 3 deletes it.
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(NamedTuple):
     """Stopping rule for sums over infinite supports.
 
     Summation stops at the first lattice point where a rigorous geometric
@@ -310,8 +308,7 @@ _COMPUTE_ERRORS = (DenominatorPole, OutOfSupport,
                    ZeroDivisionError, OverflowError)
 
 
-@dataclass
-class FisherReport:
+class FisherReport(NamedTuple):
     """Values of every requested route plus their worst pairwise discrepancy
     |a - b| / max(|a|, |b|), exact (None with fewer than two values)."""
 
@@ -323,7 +320,7 @@ class FisherReport:
 
 
 def _rel_gap(a: Fraction, b: Fraction) -> Fraction:
-    # equal values (the usual case, both zero included) cost one comparison
+    # equal values (both zero included) cost one comparison
     if a == b:
         return Fraction(0)
     return abs(a - b) / max(abs(a), abs(b))
@@ -353,5 +350,8 @@ def fisher_report(fam: Family, n: int, *, methods=None) -> FisherReport:
             errors[method] = f"{type(exc).__name__}: {exc}"
     discrepancy = None
     if len(values) >= 2:
-        discrepancy = max(_rel_gap(a, b) for a, b in combinations(values.values(), 2))
+        first, *rest = values.values()
+        # the usual case, every route agreeing, is an exact zero with no pair built
+        discrepancy = (Fraction(0) if all(v == first for v in rest) else
+                       max(_rel_gap(a, b) for a, b in combinations(values.values(), 2)))
     return FisherReport(fam, n, values, errors, discrepancy)

@@ -24,9 +24,8 @@ over one denominator per parameter set (``horner_ratio_sum``), so one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 #: Default decimal working precision of printed decimals and of the
 #: infinite-lattice density.
@@ -120,8 +119,7 @@ def shifted_products(nums, den: int, m: int):
     return map(math.prod, zip(*(range(v + (m - 1) * den, v - den, -den) for v in nums)))
 
 
-@dataclass(frozen=True)
-class PFQSpec:
+class PFQSpec(NamedTuple):
     """A generalized hypergeometric series sum_k [prod (a_i)_k / prod (b_j)_k] z^k / k!."""
 
     numerator: Tuple[Scalar, ...]

@@ -4,28 +4,27 @@ A sweep moves one variable (the degree or one family parameter) over a grid
 while the rest stay fixed, evaluating the requested routes at every point.
 Row order is deterministic: grid-major, method-minor.  Rows are yielded as
 they are built, so a sweep holds one grid point at a time.  ``SweepSpec``
-refuses a wrong family or parameter name and a non-integer degree or N; a
-point out of the parameter or degree domain produces an ``error`` row and
-the sweep continues.  A linear grid is of ints when its start and step are
-integers, else of Fractions.  The command line and the figure config read
-a methods list with ``parse_methods``.
+refuses a wrong family or parameter name, a swept variable also given a
+fixed value, and a non-integer degree or N; a point out of the parameter or
+degree domain produces an ``error`` row and the sweep continues.  A linear
+grid is of ints when its start and step are integers, else of Fractions.
+The command line and the figure config read a methods list with
+``parse_methods``.
 
 Ten stock figure configurations (degree sweeps and parameter sweeps for
 representative members of every family) ship as ``figures.cfg``, an INI file
-with one section per curve; see the README for the format.
+with one section per curve; see the README for the format.  configparser
+loads only when a figure file is read.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .families import (_REQUIRED, _TAGS, DegreeOutOfRange, Family, ParameterDomainError,
                        _family_class)
@@ -145,11 +144,8 @@ def format_params(family: Family) -> str:
     return ";".join([f"{name}={getattr(family, name)}" for name in _PARAM_CELLS[family.tag]])
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One curve: a family, a swept variable and its grid, checked once for
-    the whole sweep (names: the fixed ones but ``n``, and the swept one)."""
-
+class _SweepFields(NamedTuple):
+    # SweepSpec's fields; a NamedTuple cannot define the __new__ that checks them
     family: str
     sweep: str                              # 'n' or a parameter name
     fixed: Dict[str, object]
@@ -159,7 +155,18 @@ class SweepSpec:
     dps: int = DEFAULT_DPS
     label: str = ""
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepFields):
+    """One curve: a family, a swept variable and its grid, checked once for
+    the whole sweep (names: the fixed ones but ``n``, and the swept one,
+    which must not also be fixed)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.sweep in self.fixed:
+            raise ValueError(f"the swept variable {self.sweep!r} cannot also be fixed")
         if self.sweep != "n" and "n" not in self.fixed:
             raise ValueError("parameter sweeps need a fixed degree 'n'")
         if self.sweep != "n" and self.sweep not in PARAM_NAMES:
@@ -170,6 +177,7 @@ class SweepSpec:
             if not isinstance(value, int) and to_fraction(value).denominator != 1:
                 raise ValueError(f"the degree and N must be integers, not {value}")
         _family_class(self.family, [k for k in (*self.fixed, self.sweep) if k != "n"])
+        return self
 
 
 def linear_grid(start, stop, count: int) -> Tuple:
@@ -259,6 +267,8 @@ def _stock_config():
 
 def _read_config(path: Optional[str]):
     """(parser, {figure id: [section, ...]})."""
+    import configparser
+    from importlib import resources
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep 'n' and 'N' distinct
     try:
@@ -278,6 +288,7 @@ def _read_config(path: Optional[str]):
 
 
 def _figure(config, fig_id, **run) -> List[SweepSpec]:
+    import configparser
     parser, figures = config
     specs = []
     for section in figures[fig_id]:

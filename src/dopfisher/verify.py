@@ -9,7 +9,6 @@ first failing case records its full inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Dict, List, Optional
@@ -31,12 +30,9 @@ from .numerics import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: List[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.passed, self.failed, self.failures = name, 0, 0, []
 
     @property
     def ok(self) -> bool:

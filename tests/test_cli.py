@@ -537,6 +537,46 @@ class TestSweepCommand:
             with pytest.raises(ValueError, match=message):
                 sweeps.SweepSpec(family=family, sweep=sweep, fixed=fixed, grid=(1, 2))
 
+    @pytest.mark.parametrize("swept", ["n", "mu"])
+    def test_swept_variable_given_a_fixed_value_is_a_usage_error(self, capsys, swept):
+        # the grid would silently override the fixed value
+        argv = ["sweep", "--family", "charlier", "--mu", "2", "--n", "7", "--sweep", swept,
+                "--start", "1", "--stop", "3", "--count", "3"]
+        assert run_cli(capsys, argv) == (
+            64, "", f"dopfisher: error: the swept variable {swept!r} cannot also be fixed\n")
+
+    def test_swept_variable_given_a_fixed_value_raises_in_the_library(self, capsys, tmp_path):
+        for sweep in ("n", "mu"):
+            with pytest.raises(ValueError, match=f"swept variable {sweep!r} cannot also"):
+                sweeps.SweepSpec("charlier", sweep, {"mu": F(2), "n": 7}, (1, 2))
+        config = tmp_path / "figures.cfg"
+        config.write_text("[figX.K]\nfamily = charlier\nsweep = mu\nmu = 2\nn = 3\n"
+                          "values = 1 2\n")
+        assert run_cli(capsys, ["sweep", "--figure", "figX", "--figures-file", str(config)]) \
+            == (64, "", "dopfisher: error: figure section [figX.K]: the swept variable "
+                        "'mu' cannot also be fixed\n")
+        # no stock curve fixes its own swept variable
+        assert all(spec.sweep not in spec.fixed
+                   for specs in load_figures().values() for spec in specs)
+
+    def test_spec_checks_run_at_construction(self):
+        spec = sweeps.SweepSpec("charlier", "n", {"mu": F(2)}, (1, 2))
+        assert (spec.methods, spec.backend, spec.dps, spec.label) == (
+            (Method.EXPANSION,), "exact", DEFAULT_DPS, "")
+        assert spec == sweeps.SweepSpec(family="charlier", sweep="n", fixed={"mu": F(2)},
+                                        grid=(1, 2))
+        for family, sweep, fixed, grid, message in (
+                ("charlier", "mu", {}, (1,), "parameter sweeps need a fixed degree 'n'"),
+                ("charlier", "x", {"n": 1}, (1,), "unknown sweep variable 'x'"),
+                ("charlier", "n", {"mu": F(2)}, (F(1, 2),),
+                 "the degree and N must be integers, not 1/2"),
+                ("kravchuk", "n", {"p": F(1, 2), "N": F(9, 2)}, (1,),
+                 "the degree and N must be integers, not 9/2"),
+                ("hahn", "n", {"alpha": F(1)}, (1,), "hahn requires parameters: beta, N")):
+            with pytest.raises(ValueError) as caught:
+                sweeps.SweepSpec(family, sweep, fixed, grid)
+            assert str(caught.value) == message
+
     def test_manual_sweep_without_family_is_a_usage_error(self, capsys):
         # refused before the header is written
         argv = ["sweep", "--mu", "2", "--sweep", "n", "--start", "1", "--stop", "3",
@@ -773,13 +813,15 @@ class TestModuleEntryPoints:
         assert done.stdout.split() == list(SUITES)
 
 
-#: run in a fresh interpreter: every call, then the watched modules loaded
-#: (each watched name and its submodules)
+#: run in a fresh interpreter: the watched names not loaded before the
+#: package import, then every call and the watched modules loaded after it
+#: (each of those names and its submodules)
 IMPORT_GUARD = """
 import contextlib, io, json, sys
-import dopfisher.cli
 calls, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-codes = []
+watched = [w for w in watched if w not in sys.modules]
+import dopfisher.cli
+codes = [watched]
 for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dopfisher.cli.main(argv))
@@ -804,21 +846,16 @@ assert TruncationCapExceeded is E and TruncationPolicy is P
 """
 
 
-#: run in a fresh interpreter: every call's exit code, whether ``locale`` is
-#: loaded after it, and how many argparse parsers were built up to then
+#: run in a fresh interpreter: every call's exit code, and whether ``locale``
+#: and ``argparse`` are loaded after it
 PARSER_GUARD = """
 import contextlib, io, json, sys
 import dopfisher.cli
-built = []
-init = dopfisher.cli._Parser.__init__
-def counted(self, *args, **kwargs):
-    built.append(self)
-    init(self, *args, **kwargs)
-dopfisher.cli._Parser.__init__ = counted
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([dopfisher.cli.main(argv), "locale" in sys.modules, len(built)])
+        seen.append([dopfisher.cli.main(argv), "locale" in sys.modules,
+                     "argparse" in sys.modules])
 print(json.dumps(seen))
 """
 
@@ -834,9 +871,11 @@ def run_fresh(script, *args):
 
 
 def run_guarded(calls, watched):
-    """([exit code], [watched modules loaded after the call]) of ``calls``."""
-    results = json.loads(run_fresh(IMPORT_GUARD, json.dumps(calls), json.dumps(watched)))
-    return results[::2], results[1::2]
+    """([exit code], [watched modules loaded after the call]) of ``calls``,
+    and the watched names that the package import found not loaded."""
+    absent, *results = json.loads(run_fresh(IMPORT_GUARD, json.dumps(calls),
+                                            json.dumps(watched)))
+    return results[::2], results[1::2], absent
 
 
 class TestImportGraph:
@@ -862,7 +901,7 @@ class TestImportGraph:
     def test_rational_paths_never_import_mpmath(self):
         calls = self.RATIONAL_CALLS + [["density", "--family=charlier", "--mu=2", "--n=1",
                                         "--x=1"]]
-        codes, loaded = run_guarded(calls, ["mpmath"])
+        codes, loaded, _ = run_guarded(calls, ["mpmath"])
         assert codes == [0] * len(calls)
         assert loaded[:-1] == [[]] * len(self.RATIONAL_CALLS)
         # the guard sees mpmath once the infinite-lattice density needs it
@@ -870,20 +909,40 @@ class TestImportGraph:
 
     def test_only_verify_loads_the_suites_and_the_limiting_formulas(self):
         calls = self.RATIONAL_CALLS + [["verify", "--list-suites"]]
-        codes, loaded = run_guarded(calls, ["dopfisher.verify", "dopfisher.asymptotics"])
+        codes, loaded, _ = run_guarded(calls, ["dopfisher.verify", "dopfisher.asymptotics"])
         assert codes == [0] * len(calls)
         assert loaded == [[]] * len(self.RATIONAL_CALLS) + [
             ["dopfisher.asymptotics", "dopfisher.verify"]]
 
     def test_valid_calls_build_no_parser_and_never_import_locale(self):
         # argparse's first gettext lookup imports locale; a valid call reads
-        # the flag table alone, and only help and usage errors build parsers
+        # the flag table alone, and only help and usage errors import argparse
         calls = self.RATIONAL_CALLS + [["verify", "--list-suites"], ["fisher", "--help"]]
         seen = json.loads(run_fresh(PARSER_GUARD, json.dumps(calls)))
-        assert seen[:-1] == [[0, False, 0]] * (len(calls) - 1)
+        assert seen[:-1] == [[0, False, False]] * (len(calls) - 1)
         # the guard sees both once a call prints help
-        code, locale_loaded, built = seen[-1]
-        assert code == 0 and locale_loaded and built > 0
+        code, locale_loaded, parser_loaded = seen[-1]
+        assert code == 0 and locale_loaded and parser_loaded
+
+    def test_valid_calls_load_no_generated_code_and_no_unused_parser(self):
+        # records are named tuples and families plain classes, so no call
+        # loads dataclasses (and with it inspect); argparse loads for help
+        # and usage errors alone, and configparser for a figure file alone
+        calls = [["fisher", "--family=hahn", "--alpha=7/3", "--beta=11/6", "--N=40",
+                  "--n=20"],
+                 ["eval", "--family=meixner", "--gamma=3/2", "--mu=1/3", "--n=4", "--x=5/2"],
+                 ["density", "--family=charlier", "--mu=2", "--n=1", "--x-start=0",
+                  "--x-stop=3"],
+                 ["sweep", "--family=kravchuk", "--p=1/3", "--N=9", "--sweep=n", "--start=1",
+                  "--stop=8", "--count=8", "--methods=direct,closed"],
+                 ["verify", "--suite", "charlier"],
+                 ["sweep", "--figure", "fig2"],
+                 ["fisher", "--help"]]
+        codes, loaded, absent = run_guarded(
+            calls, ["dataclasses", "inspect", "argparse", "configparser"])
+        assert codes == [0] * len(calls)
+        expected = [[]] * 5 + [["configparser"], ["argparse", "configparser"]]
+        assert loaded == [[m for m in names if m in absent] for names in expected]
 
     def test_package_root_resolves_every_public_name_lazily(self):
         run_fresh(LAZY_ROOT)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -108,15 +107,83 @@ class TestParameterParts:
         # parameters alone
         from dopfisher import families
 
-        fresh = type(fam)(*(getattr(fam, f.name) for f in dataclasses.fields(fam)))
+        fresh = type(fam)(*(getattr(fam, name) for name in type(fam).fields))
         fam.recurrence_b(3)
         fam.structure_pair(3)
         fam.eval_poly(3, F(1, 2))
-        assert vars(fam) == vars(fresh) == {f.name: getattr(fam, f.name)
-                                            for f in dataclasses.fields(fam)}
+        assert vars(fam) == vars(fresh) == {name: getattr(fam, name)
+                                            for name in type(fam).fields}
         assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
-        assert [f.name for f in dataclasses.fields(fam)] == list(families._REQUIRED[fam.tag])
+        assert list(type(fam).fields) == list(families._REQUIRED[fam.tag])
         assert families._tables(fam) is families._tables(fresh)
+
+
+class TestValueSemantics:
+    """Families and the records they return are values: equal parameters
+    give equal, equally hashed instances with one repr, and nothing can be
+    assigned to them."""
+
+    REPRS = [
+        (Charlier(F(7, 2)), "Charlier(mu=Fraction(7, 2))"),
+        (Meixner(F(5, 3), F(2, 7)), "Meixner(gamma=Fraction(5, 3), mu=Fraction(2, 7))"),
+        (Kravchuk(F(2, 7), 9), "Kravchuk(p=Fraction(2, 7), N=9)"),
+        (Hahn(F(7, 3), F(11, 6), 40),
+         "Hahn(alpha=Fraction(7, 3), beta=Fraction(11, 6), N=40)"),
+    ]
+
+    @pytest.mark.parametrize("fam, text", REPRS, ids=lambda v: getattr(v, "tag", None))
+    def test_equality_hash_and_repr(self, fam, text):
+        from dopfisher import families
+
+        params = dict(vars(fam))
+        twin = type(fam)(**params)   # keyword construction
+        assert repr(fam) == repr(twin) == text
+        assert fam == twin and hash(fam) == hash(twin) and not fam != twin
+        assert list(params) == list(families._REQUIRED[fam.tag])
+        assert families._tables(fam) is families._tables(twin)
+        # one parameter moved makes another value
+        name = list(params)[0]
+        moved = type(fam)(**{**params, name: params[name] + F(1, 13)})
+        assert fam != moved and fam.__eq__(F(7, 2)) is NotImplemented
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert Hahn(N=40, beta="11/6", alpha="7/3") == Hahn(F(7, 3), F(11, 6), 40)
+        assert Kravchuk(p="2/7", N=9) == Kravchuk(F(2, 7), 9)
+        assert Meixner(mu=F(2, 7), gamma=F(5, 3)) == Meixner(F(5, 3), F(2, 7))
+        assert Charlier(mu=2) == Charlier(F(2)) and Charlier(mu=2).mu.denominator == 1
+
+    def test_families_differ_across_classes(self):
+        values = [fam for fam, _ in self.REPRS] + [Charlier(F(5, 3)), Kravchuk(F(2, 7), 10)]
+        assert all((a == b) is (i == j) for i, a in enumerate(values)
+                   for j, b in enumerate(values))
+        assert Charlier(F(2)) != F(2) and Kravchuk(F(1, 2), 4) != (F(1, 2), 4)
+        assert Charlier(F(2)).__eq__(Meixner(F(2), F(1, 2))) is NotImplemented
+
+    @pytest.mark.parametrize("fam, _", REPRS, ids=lambda v: getattr(v, "tag", None))
+    def test_assignment_raises(self, fam, _):
+        before, name = dict(vars(fam)), next(iter(vars(fam)))
+        with pytest.raises(AttributeError):
+            setattr(fam, name, F(1, 2))
+        with pytest.raises(AttributeError):
+            fam.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(fam, name)
+        assert vars(fam) == before
+
+    def test_lattice_support_and_norm_value_records(self):
+        sup = LatticeSupport(0, None)
+        assert sup == LatticeSupport(a=0, b=None) and hash(sup) == hash(LatticeSupport(0, None))
+        assert sup != LatticeSupport(0, 5) and repr(sup) == "LatticeSupport(a=0, b=None)"
+        norm = NormValue(F(3))
+        assert norm == NormValue(F(3), F(0), F(1), F(0)) == NormValue(rational=F(3))
+        assert hash(norm) == hash(NormValue(F(3), exp_coeff=F(0)))
+        assert norm != NormValue(F(3), exp_coeff=F(1))
+        assert (norm.exp_coeff, norm.pow_base, norm.pow_expo) == (0, 1, 0)
+        assert repr(norm) == ("NormValue(rational=Fraction(3, 1), exp_coeff=Fraction(0, 1), "
+                              "pow_base=Fraction(1, 1), pow_expo=Fraction(0, 1))")
+        for record, name in ((sup, "b"), (norm, "rational")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
 
 
 class TestWeights:

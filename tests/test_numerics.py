@@ -67,6 +67,16 @@ class TestTerminatingPFQ:
                            (F(rng.randint(1, 6)),), F(0))
             assert terminating_pfq(spec) == 1
 
+    def test_spec_is_a_value(self):
+        spec = PFQSpec((F(-3), F(1)), (F(2),), F(1, 2))
+        twin = PFQSpec(numerator=(F(-3), F(1)), denominator=(F(2),), argument=F(1, 2))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec != PFQSpec((F(-3), F(1)), (F(2),), F(1, 3))
+        assert repr(spec) == ("PFQSpec(numerator=(Fraction(-3, 1), Fraction(1, 1)), "
+                              "denominator=(Fraction(2, 1),), argument=Fraction(1, 2))")
+        with pytest.raises(AttributeError):
+            spec.argument = F(1)
+
     def test_termination_index(self):
         assert PFQSpec((F(-3), F(-5)), (F(1),), F(1)).termination_index() == 3
         assert PFQSpec((F(1, 2),), (F(1),), F(1)).termination_index() is None
